@@ -14,7 +14,16 @@ from functools import lru_cache
 
 from . import polygon
 from .analysis import make_polytope
-from .exactlin import UNDERDETERMINED, ZERO, dot, rank, solve_linear, unit, vsub
+from .exactlin import (
+    UNDERDETERMINED,
+    ZERO,
+    dot,
+    rank,
+    solve_linear,
+    transpose,
+    unit,
+    vsub,
+)
 
 
 def neg(i):
@@ -121,7 +130,7 @@ def wall_relation(c1, c2, n):
 
     With beta the root exchanged out of c1 and beta' the one exchanged in,
     returns (1, lam, coeffs) such that beta + lam*beta' = sum coeffs[gamma]*gamma
-    over the shared roots, with lam > 0.
+    over the shared roots, with lam > 0; raises ValueError otherwise.
     """
     out = c1 - c2
     inc = c2 - c1
@@ -141,7 +150,7 @@ def wall_relation(c1, c2, n):
         raise ValueError("wall relation is not uniquely determined")
     lam = sol[0]
     if lam <= 0:
-        raise AssertionError("wall relation has non-positive exchange coefficient")
+        raise ValueError("exchanged roots lie on the same side of the wall")
     coeffs = dict(zip(shared, sol[1:]))
     return Fraction(1), lam, coeffs
 
@@ -188,8 +197,17 @@ def repair_support_values(h, n):
 
 
 def default_support_values(n):
-    """All-ones support values, repaired on violated walls if needed."""
-    return repair_support_values({r: Fraction(1) for r in all_roots(n)}, n)
+    """Explicit support values h(rho) = l(n+3-l), where l = b - a is the
+    length of the diagonal (a, b) of rho.
+
+    Every wall inequality holds with slack at least 2 (6 at n = 2, 8 at
+    n = 1); `build_cluster_polytope` certifies this on every call.
+    """
+    h = {}
+    for r in all_roots(n):
+        a, b = root_to_diagonal(r, n)
+        h[r] = Fraction((b - a) * (n + 3 - (b - a)))
+    return h
 
 
 @lru_cache(maxsize=None)
@@ -233,71 +251,46 @@ def build_cluster_polytope(h, n):
     return make_polytope("cluster", n, n + 1, pairs, params={"h": dict(h)})
 
 
-def _sum_zero_samples(n, count, seed):
-    import random
+def verify_fan(n):
+    """Exact certificate that the cluster cones form a complete simplicial fan
+    (De Loera-Rambau-Santos, Triangulations, section 4.5).
 
-    rng = random.Random(seed)
-    samples = []
-    while len(samples) < count:
-        raw = [Fraction(rng.randint(-10**6, 10**6)) for _ in range(n + 1)]
-        mean = sum(raw, ZERO) / (n + 1)
-        x = tuple(v - mean for v in raw)
-        if any(c != 0 for c in x):
-            samples.append(x)
-    return samples
-
-
-def verify_fan(n, sample_count=1000, seed=0xA55):
-    """Check that the cluster cones form a complete simplicial fan.
-
-    (a) each cluster's roots are linearly independent, (b) every wall is
-    shared by exactly two clusters, (c) a deterministic battery of sum-zero
-    sample directions is covered, with unique interior membership off walls.
+    (a) each cluster has n linearly independent roots, (b) every (n-1)-subset
+    of a cluster lies in exactly two clusters, whose exchanged roots lie on
+    opposite sides of it, and (c) the sum of the rays of the first cluster
+    lies in exactly one closed cone.  (b) makes the cones a pseudomanifold
+    without boundary, so the number of cones covering a point off the walls
+    is the same everywhere, and (c) makes that number 1.
     """
     problems = []
     clusters = all_clusters(n)
-    for c in clusters:
-        rows = [root_coordinates(r, n) for r in c]
-        if rank(rows) != n:
+    rays = [[root_coordinates(r, n) for r in _sorted_roots(c)] for c in clusters]
+    for c, rows in zip(clusters, rays):
+        if len(c) != n or rank(rows) != n:
             problems.append(("dependent_cluster", _sorted_roots(c)))
-    adjacency = {}
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            shared = clusters[i] & clusters[j]
-            if len(shared) == n - 1:
-                adjacency.setdefault(frozenset(shared), []).append((i, j))
-    for shared, pairs_ in adjacency.items():
-        if len(pairs_) != 1:
-            problems.append(("wall_shared_by", len(pairs_), _sorted_roots(shared)))
-    wall_count = len(adjacency)
-
-    from .exactlin import invert, mat_vec, transpose
-
-    inverses = []
-    for _, roots, rows in _cluster_systems(n):
-        # columns are the root vectors plus the all-ones vector
-        inverses.append(invert(transpose(rows)))
-    for x in _sum_zero_samples(n, sample_count, seed):
-        member = 0
-        interior = 0
-        boundary = False
-        for inv in inverses:
-            y = mat_vec(inv, x)
-            lambdas = y[:n]
-            if all(l >= 0 for l in lambdas):
-                member += 1
-                if all(l > 0 for l in lambdas):
-                    interior += 1
-                else:
-                    boundary = True
-        if member < 1:
-            problems.append(("uncovered_direction", x))
-        elif not boundary and interior != 1:
-            problems.append(("multiple_interior_membership", x, interior))
+    containing = {}
+    for i, c in enumerate(clusters):
+        for r in c:
+            containing.setdefault(c - {r}, []).append(i)
+    for shared, members in containing.items():
+        if len(members) != 2:
+            problems.append(("wall_shared_by", len(members), _sorted_roots(shared)))
+            continue
+        try:
+            wall_relation(clusters[members[0]], clusters[members[1]], n)
+        except ValueError:
+            problems.append(("wall_not_separating", _sorted_roots(shared)))
+    point = tuple(sum(col, ZERO) for col in zip(*rays[0]))
+    covering = 0
+    for rows in rays:
+        lambdas = solve_linear(transpose(rows), point)
+        if isinstance(lambdas, tuple) and all(l >= 0 for l in lambdas):
+            covering += 1
+    if covering != 1:
+        problems.append(("point_covered_by", covering, point))
     return {
         "ok": not problems,
         "cones": len(clusters),
-        "walls": wall_count,
-        "samples": sample_count,
+        "walls": len(containing),
         "problems": problems,
     }

@@ -1,23 +1,20 @@
 """Weighted Minkowski sum of the coordinate simplices on index ranges.
 
 The polytope is sum a_ij * conv{e_i, ..., e_j} over 1 <= i <= j <= n+1.
-Vertices are generated by scanning all strict coordinate orderings; each
-ordering maximizes a unique vertex of every summand.  A linear functional
-is converted to a polygon subdivision by the sub-polygon rule: for every
-label k, the hull of the labels with value >= w_k (labels 0 and n+2 count
-as +infinity) contributes its chord edges as diagonals.
+Its vertices are given by Loday's formula (Loday, "Realization of the
+Stasheff polytope", 2004): the vertex of a triangulation T has, for every
+triangle (lo, k, hi) of T, x_k = sum of a_ij over lo < i <= k <= j < hi.
+A linear functional is converted to a polygon subdivision by the
+sub-polygon rule: for every label k, the hull of the labels with value
+>= w_k (labels 0 and n+2 count as +infinity) contributes its chord edges
+as diagonals.
 """
 
-import itertools
 from fractions import Fraction
 
 from . import polygon
 from .analysis import extract_facets, make_polytope
 from .exactlin import ZERO, dot, span, unit, vsub
-
-
-class NonGenericFunctional(ValueError):
-    pass
 
 
 def all_summands(n):
@@ -26,14 +23,6 @@ def all_summands(n):
 
 def ones_weights(n):
     return {s: Fraction(1) for s in all_summands(n)}
-
-
-def summand_max_vertex(w, i, j):
-    """The unique index in [i..j] maximizing the functional; ties are errors."""
-    best = max(range(i, j + 1), key=lambda k: w[k - 1])
-    if sum(1 for k in range(i, j + 1) if w[k - 1] == w[best - 1]) > 1:
-        raise NonGenericFunctional(f"tie on summand [{i}..{j}]")
-    return best
 
 
 def subdivision_from_functional(w, n):
@@ -56,29 +45,23 @@ def subdivision_from_functional(w, n):
     return out
 
 
+def loday_vertex(a, t, n):
+    """The vertex of triangulation t: each triangle (lo, k, hi) sets x_k to
+    the total weight of the intervals [i..j] with lo < i <= k <= j < hi."""
+    v = [ZERO] * (n + 1)
+    for lo, k, hi in polygon.triangles(t, n):
+        v[k - 1] = sum(
+            (a[(i, j)] for i in range(lo + 1, k + 1) for j in range(k, hi)), ZERO
+        )
+    return tuple(v)
+
+
 def build_minkowski(a, n):
-    """Scan all (n+1)! coordinate orderings; each yields one candidate vertex
-    labeled by the triangulation its functional induces."""
-    summands = all_summands(n)
-    for s in summands:
+    """One vertex per triangulation, by Loday's formula."""
+    for s in all_summands(n):
         if a[s] <= 0:
             raise ValueError(f"weight a{s} must be positive")
-    by_vertex = {}
-    for perm in itertools.permutations(range(1, n + 2)):
-        w = tuple(Fraction(p) for p in perm)
-        v = [ZERO] * (n + 1)
-        for (i, j) in summands:
-            v[summand_max_vertex(w, i, j) - 1] += a[(i, j)]
-        v = tuple(v)
-        label = subdivision_from_functional(w, n)
-        if len(label) != n:
-            raise AssertionError(f"generic functional {w} gave a non-triangulation")
-        if v in by_vertex:
-            if by_vertex[v] != label:
-                raise AssertionError(f"vertex {v} labeled inconsistently")
-        else:
-            by_vertex[v] = label
-    pairs = [(v, label) for v, label in by_vertex.items()]
+    pairs = [(loday_vertex(a, t, n), t) for t in polygon.all_triangulations(n)]
     return make_polytope("minkowski", n, n + 1, pairs, params={"a": dict(a)})
 
 
@@ -148,38 +131,6 @@ def verify_correspondence(p, n):
         "ok": not problems,
         "f_vector": f_vector,
         "problems": problems,
-    }
-
-
-def expected_parallel_direction(d, n):
-    """Classify a diagonal and give the simplex pair spanning the parallel
-    affine space of its facet."""
-    if not polygon.is_diagonal(d, n):
-        raise ValueError(f"{d} is not a diagonal")
-    a, b = d
-    if b == n + 2:
-        i = a
-        return {
-            "cls": 1,
-            "i": i,
-            "blocks": (tuple(range(1, i + 1)), tuple(range(i + 1, n + 2))),
-        }
-    if a == 0:
-        i = b - 1
-        return {
-            "cls": 2,
-            "i": i,
-            "blocks": (tuple(range(1, i + 1)), tuple(range(i + 1, n + 2))),
-        }
-    i, j = a, b
-    return {
-        "cls": 3,
-        "i": i,
-        "j": j,
-        "blocks": (
-            tuple(range(1, i + 1)) + tuple(range(j, n + 2)),
-            tuple(range(i + 1, j)),
-        ),
     }
 
 

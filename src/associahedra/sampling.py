@@ -1,7 +1,8 @@
 """Seeded rational parameter draws for the verification sweeps.
 
 All draws are exact rationals with denominators bounded by 1000 so the
-downstream computations stay in exact arithmetic.
+downstream computations stay in exact arithmetic.  Every draw is valid by
+construction; none is searched for or repaired.
 """
 
 from fractions import Fraction
@@ -42,7 +43,12 @@ def random_weights(n, rng):
 
 
 def perturbed_support_values(n, rng):
-    """h = 1 + small positive jitter, pushed through the wall repair loop
-    so the draw is always polytopal."""
-    h = {r: Fraction(1) + _rat(rng, 0, 1) / 8 for r in cluster.all_roots(n)}
-    return cluster.repair_support_values(h, n)
+    """The default support values plus a jitter in [0, 1/8] per root.
+
+    The jitter keeps every wall inequality strict: the default values have
+    wall slack at least 2, and every wall relation has exchange coefficient
+    1 and at most two shared coefficients, each 0 or 1, so the jitter moves
+    a slack by at most 1/4.
+    """
+    h = cluster.default_support_values(n)
+    return {r: h[r] + _rat(rng, 0, 1) / 8 for r in cluster.all_roots(n)}

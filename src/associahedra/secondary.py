@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from . import polygon
 from .analysis import make_polytope
-from .exactlin import rank, vsub
 
 
 def parabola_geometry(n):
@@ -81,8 +80,3 @@ def build_secondary(coords=None, n=None):
         params={"coords": coords},
     )
 
-
-def verify_secondary_dimension(p):
-    coords = [c for c, _ in p.vertices]
-    diffs = [vsub(c, coords[0]) for c in coords[1:]]
-    return (rank(diffs) if diffs else 0) == p.n

@@ -193,6 +193,15 @@ def test_equivalence_self_witness():
         assert report.witness.apply(c) == c
 
 
+def test_make_polytope_rejects_degenerate_hull():
+    # distinct collinear points for the five triangulations of the pentagon
+    pairs = [
+        ((F(k), F(0), F(0)), t) for k, t in enumerate(polygon.all_triangulations(2))
+    ]
+    with pytest.raises(ValueError, match="affine hull has dimension 1"):
+        make_polytope("secondary", 2, 3, pairs)
+
+
 def test_equivalence_translated_copy():
     p = builds(2)["minkowski"]
     shift = tuple(F(2, 7) for _ in range(p.ambient_dim))

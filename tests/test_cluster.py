@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from associahedra import polygon
+from associahedra import cluster, polygon
 from associahedra.cluster import (
     all_clusters,
     all_roots,
@@ -20,6 +21,7 @@ from associahedra.cluster import (
     wall_relation,
     walls,
 )
+from associahedra.sampling import perturbed_support_values
 
 F = Fraction
 
@@ -174,12 +176,22 @@ def test_build_vertices_sum_zero(n):
 
 
 def test_default_support_values_contract():
-    for n in range(1, 5):
+    for n in range(1, 7):
         h = default_support_values(n)
+        for r in all_roots(n):
+            a, b = root_to_diagonal(r, n)
+            assert h[r] == (b - a) * (n + 3 - (b - a))
         assert polytopality_check(h, n)[0]
     # the all-ones candidate itself only passes for small n
     assert polytopality_check({r: F(1) for r in all_roots(2)}, 2)[0]
     assert not polytopality_check({r: F(1) for r in all_roots(3)}, 3)[0]
+
+
+@pytest.mark.parametrize("seed", [8, 42])
+def test_perturbed_support_values_n6_build(seed):
+    h = perturbed_support_values(6, random.Random(seed))
+    p = build_cluster_polytope(h, 6)
+    assert len(p.vertices) == len(polygon.all_triangulations(6))
 
 
 def test_build_rejects_non_polytopal_h():
@@ -190,15 +202,40 @@ def test_build_rejects_non_polytopal_h():
 
 
 def test_verify_fan_line():
-    report = verify_fan(1, sample_count=50)
+    report = verify_fan(1)
     assert report["ok"] and report["cones"] == 2 and report["walls"] == 1
 
 
 def test_verify_fan_pentagon():
-    report = verify_fan(2, sample_count=1000)
+    report = verify_fan(2)
     assert report["ok"] and report["cones"] == 5 and report["walls"] == 5
 
 
 def test_verify_fan_n3():
-    report = verify_fan(3, sample_count=1000)
+    report = verify_fan(3)
     assert report["ok"] and report["cones"] == 14 and report["walls"] == 21
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_fan_counts(n):
+    catalan = len(polygon.all_triangulations(n))
+    report = verify_fan(n)
+    assert report["ok"], report["problems"]
+    assert report["cones"] == catalan
+    assert report["walls"] == catalan * n // 2
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_verify_fan_rejects_missing_cluster(monkeypatch, index):
+    clusters = list(all_clusters(3))
+    del clusters[index]
+    monkeypatch.setattr(cluster, "all_clusters", lambda n: tuple(clusters))
+    assert not verify_fan(3)["ok"]
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_verify_fan_rejects_duplicate_cluster(monkeypatch, index):
+    clusters = list(all_clusters(3))
+    clusters.append(clusters[index])
+    monkeypatch.setattr(cluster, "all_clusters", lambda n: tuple(clusters))
+    assert not verify_fan(3)["ok"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,13 +6,11 @@ import pytest
 
 from associahedra import polygon
 from associahedra.minkowski import (
-    NonGenericFunctional,
+    all_summands,
     build_minkowski,
-    expected_parallel_direction,
     functional_for_subdivision,
     ones_weights,
     subdivision_from_functional,
-    summand_max_vertex,
     verify_correspondence,
 )
 from associahedra.sampling import random_weights
@@ -44,8 +43,6 @@ def test_subdivision_shift_and_scale_invariant():
 
 
 def test_generic_functional_gives_triangulation():
-    import itertools
-
     for n in (1, 2, 3):
         for perm in itertools.permutations(range(1, n + 2)):
             w = tuple(F(p) for p in perm)
@@ -53,18 +50,27 @@ def test_generic_functional_gives_triangulation():
             assert s in polygon.all_triangulations(n)
 
 
-def test_summand_max_vertex():
-    w = (F(3), F(2), F(1))
-    assert summand_max_vertex(w, 1, 3) == 1
-    assert summand_max_vertex(w, 2, 3) == 2
-    w = (F(1), F(2), F(1))
-    assert summand_max_vertex(w, 1, 3) == 2
-    assert summand_max_vertex(w, 1, 1) == 1
+def scan_vertices(a, n):
+    """Reference construction: every strict coordinate ordering w maximizes
+    one vertex of each summand conv{e_i..e_j}; their sum is the vertex of
+    the triangulation that w induces."""
+    by_vertex = {}
+    for perm in itertools.permutations(range(1, n + 2)):
+        w = tuple(F(p) for p in perm)
+        v = [F(0)] * (n + 1)
+        for i, j in all_summands(n):
+            v[max(range(i, j + 1), key=lambda k: w[k - 1]) - 1] += a[(i, j)]
+        label = subdivision_from_functional(w, n)
+        assert len(label) == n
+        assert by_vertex.setdefault(tuple(v), label) == label
+    return sorted(by_vertex.items(), key=lambda pair: pair[1])
 
 
-def test_summand_max_vertex_tie_error():
-    with pytest.raises(NonGenericFunctional):
-        summand_max_vertex((F(1), F(1)), 1, 2)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_loday_formula_matches_scan(n):
+    rng = random.Random(100 + n)
+    for a in [ones_weights(n)] + [random_weights(n, rng) for _ in range(3)]:
+        assert list(build_minkowski(a, n).vertices) == scan_vertices(a, n)
 
 
 def test_loday_segment():
@@ -133,18 +139,3 @@ def test_f_vector_n3():
     p = build_minkowski(ones_weights(3), 3)
     assert verify_correspondence(p, 3)["f_vector"] == (14, 21, 9)
 
-
-def test_expected_parallel_direction_classes():
-    d = expected_parallel_direction((2, 5), 3)
-    assert d["cls"] == 1 and d["i"] == 2
-    assert d["blocks"] == ((1, 2), (3, 4))
-    d2 = expected_parallel_direction((0, 3), 3)
-    assert d2["cls"] == 2 and d2["i"] == 2
-    assert d2["blocks"] == d["blocks"]
-    d3 = expected_parallel_direction((1, 3), 3)
-    assert d3["cls"] == 3 and d3["blocks"] == ((1, 3, 4), (2,))
-
-
-def test_expected_parallel_direction_invalid():
-    with pytest.raises(ValueError):
-        expected_parallel_direction((0, 5), 3)
