@@ -2,24 +2,33 @@
 
 Facets are located combinatorially (the vertices whose triangulation label
 contains a given diagonal) and then certified geometrically: a supporting
-hyperplane is fitted inside the affine hull and every other vertex must lie
-strictly on one side.  Parallelism of facets is equality of their direction
-subspaces, compared in canonical form.
+hyperplane is fitted inside the affine hull through n affinely independent
+members, and one evaluation per vertex shows that every member lies on it
+and every other vertex strictly on one side.  Parallelism of facets is
+equality of their direction subspaces, compared in canonical form.
+
+The equivalence search builds each polytope's hull chart (coordinates,
+independent vertices, interpolation inverse) once; each of the 2(n+3)
+dihedral relabelings then costs one small matrix product and a vertex check
+that stops at the first mismatch.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import exactlin, polygon
 from .exactlin import (
+    ONE,
     Subspace,
+    affinely_independent,
     dot,
     hyperplane_through,
     invert,
     mat_vec,
-    rank,
-    solve_linear,
+    # unused here, but perfbench's tracer test checks that this by-name
+    # binding gets patched
+    solve_linear,  # noqa: F401
     subspace_from_differences,
+    transpose,
     vadd,
     vsub,
 )
@@ -78,10 +87,16 @@ class FacetDescriptor:
 def extract_facets(p):
     """One certified facet per diagonal of the (n+3)-gon.
 
-    Certification failure means the construction is broken, not the
-    analysis, and raises CertificationError naming the diagonal.
+    The facet's members are the vertices whose label carries the diagonal.
+    Its hyperplane is fitted through n affinely independent members and its
+    direction is the span of their n-1 differences; one `hp.value` per
+    vertex then certifies the rest: 0 on every member and one strict sign
+    on every other vertex.  Certification failure means the construction
+    is broken, not the analysis, and raises CertificationError naming the
+    diagonal.
     """
     hull = affine_hull(p)
+    coords = [c for c, _ in p.vertices]
     facets = []
     for d in polygon.all_diagonals(p.n):
         members = frozenset(
@@ -89,16 +104,20 @@ def extract_facets(p):
         )
         if not members:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
-        member_coords = [p.vertices[i][0] for i in sorted(members)]
-        hp = hyperplane_through(member_coords, hull)
+        member_coords = [coords[i] for i in sorted(members)]
+        spanning = [
+            member_coords[k] for k in affinely_independent(member_coords, p.n)
+        ]
+        hp = hyperplane_through(spanning, hull) if len(spanning) == p.n else None
         if hp is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
-        if any(hp.value(c) != 0 for c in member_coords):
+        values = [hp.value(c) for c in coords]
+        if any(values[i] != 0 for i in members):
             raise CertificationError(f"diagonal {d}: member off its hyperplane")
-        outside = [hp.value(p.vertices[i][0]) for i in range(len(p.vertices)) if i not in members]
+        outside = [v for i, v in enumerate(values) if i not in members]
         if not (all(v > 0 for v in outside) or all(v < 0 for v in outside)):
             raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
-        direction = subspace_from_differences(member_coords)
+        direction = subspace_from_differences(spanning)
         if direction.dim != p.n - 1:
             raise CertificationError(
                 f"diagonal {d}: facet dimension {direction.dim} != {p.n - 1}"
@@ -168,92 +187,88 @@ def relabel_triangulation(perm, t):
     return tuple(sorted(relabel_diagonal(perm, d) for d in t))
 
 
-def _hull_chart(p):
-    """Base point, basis, and exact coordinate projector for the affine hull."""
-    coords = [c for c, _ in p.vertices]
-    p0 = coords[0]
-    basis = subspace_from_differences(coords).basis
-    gram = tuple(tuple(dot(bi, bj) for bj in basis) for bi in basis)
-    projector = tuple(
-        mat_vec(invert(gram), tuple(b[j] for b in basis))
-        for j in range(p.ambient_dim)
-    )
-    # projector is ambient_dim x dim transposed; chart(x) = P^T (x - p0)
-    proj_rows = tuple(zip(*projector))
+class HullChart:
+    """What affine-map fitting needs of one polytope, built once per search.
 
-    def chart(x):
-        return mat_vec(proj_rows, vsub(x, p0))
+    `chart` gives a point's coordinates in the canonical basis of the affine
+    hull's direction space, by the exact orthogonal projector G^-1 B (B the
+    basis rows, G their Gram matrix, inverted once); `unchart` goes back.
+    `charted` maps each vertex label to its chart coordinates, in vertex
+    order.  `independent` holds the labels of the first n+1 affinely
+    independent vertices and `interpolation_inverse` the inverse of the
+    (n+1) x (n+1) matrix whose rows are their chart coordinates followed
+    by 1.
+    """
 
-    def unchart(y):
-        out = p0
-        for c, b in zip(y, basis):
+    def __init__(self, p):
+        self.polytope = p
+        self.p0 = p.vertices[0][0]
+        self.basis = affine_hull(p).basis
+        gram = tuple(tuple(dot(bi, bj) for bj in self.basis) for bi in self.basis)
+        gram_inverse = invert(gram)
+        self.projector = transpose(
+            tuple(mat_vec(gram_inverse, column) for column in transpose(self.basis))
+        )
+        self.charted = {label: self.chart(c) for c, label in p.vertices}
+        labels, xs = list(self.charted), list(self.charted.values())
+        chosen = affinely_independent(xs, p.n + 1)
+        if len(chosen) != p.n + 1:
+            raise CertificationError("vertices are affinely degenerate")
+        self.independent = tuple(labels[i] for i in chosen)
+        self.interpolation_inverse = invert(tuple(xs[i] + (ONE,) for i in chosen))
+
+    def chart(self, x):
+        return mat_vec(self.projector, vsub(x, self.p0))
+
+    def unchart(self, y):
+        out = self.p0
+        for c, b in zip(y, self.basis):
             out = vadd(out, exactlin.vscale(c, b))
         return out
-
-    return p0, basis, chart, unchart
 
 
 def fit_affine_map(src, dst, label_map):
     """Affine map sending each src vertex to the dst vertex of the mapped label.
 
-    Determined by n+1 affinely independent src vertices; returned only if it
-    maps every src vertex exactly to its image, else None.
+    `src` and `dst` are the HullCharts of the two polytopes, built once per
+    search; only `label_map` changes between calls.  In chart coordinates
+    the map is fixed by src's n+1 independent vertices: its coefficients
+    are src's interpolation inverse times the charted images of those
+    vertices.  The map is rejected (None) at the first src vertex it does
+    not send to its image.  On a hit it is lifted to an ambient map, which
+    is checked again on every vertex and returned.
     """
-    n = src.n
-    dst_by_label = {label: c for c, label in dst.vertices}
-    pairs = [(c, dst_by_label[label_map[label]]) for c, label in src.vertices]
-
-    _, _, chart_s, _ = _hull_chart(src)
-    _, _, chart_d, unchart_d = _hull_chart(dst)
-    xs = [chart_s(c) for c, _ in pairs]
-    ys = [chart_d(c) for _, c in pairs]
-
-    # greedily pick n+1 affinely independent source points
-    chosen = [0]
-    for i in range(1, len(xs)):
-        if len(chosen) == n + 1:
-            break
-        diffs = [vsub(xs[j], xs[chosen[0]]) for j in chosen[1:] + [i]]
-        if rank(diffs) == len(diffs):
-            chosen.append(i)
-    if len(chosen) != n + 1:
-        raise CertificationError("source vertices are affinely degenerate")
-
-    system = [tuple(xs[i]) + (Fraction(1),) for i in chosen]
-    thetas = []
-    for coord in range(n):
-        rhs = [ys[i][coord] for i in chosen]
-        theta = solve_linear(system, rhs)
-        if theta is None or theta is exactlin.UNDERDETERMINED:
-            raise CertificationError("degenerate interpolation system")
-        thetas.append(theta)
-    matrix = tuple(tuple(theta[:n]) for theta in thetas)
-    translation = tuple(theta[n] for theta in thetas)
-    chart_map = exactlin.AffineMap(matrix=matrix, translation=translation)
-
-    for x, y in zip(xs, ys):
-        if chart_map.apply(x) != tuple(y):
+    n = src.polytope.n
+    images = [dst.charted[label_map[label]] for label in src.independent]
+    thetas = [
+        mat_vec(src.interpolation_inverse, tuple(y[coord] for y in images))
+        for coord in range(n)
+    ]
+    chart_map = exactlin.AffineMap(
+        matrix=tuple(theta[:n] for theta in thetas),
+        translation=tuple(theta[n] for theta in thetas),
+    )
+    for label, x in src.charted.items():
+        if chart_map.apply(x) != dst.charted[label_map[label]]:
             return None
 
     # lift to an ambient map agreeing on the affine hull:
     # f(x) = unchart_d(chart_map(chart_s(x))) is affine in x
     def f(x):
-        return unchart_d(chart_map.apply(chart_s(x)))
+        return dst.unchart(chart_map.apply(src.chart(x)))
 
-    src_p0 = src.vertices[0][0]
-    f_p0 = f(src_p0)
+    src_dim = src.polytope.ambient_dim
+    f_p0 = f(src.p0)
     cols = [
-        vsub(f(vadd(src_p0, exactlin.unit(i, src.ambient_dim))), f_p0)
-        for i in range(src.ambient_dim)
+        vsub(f(vadd(src.p0, exactlin.unit(i, src_dim))), f_p0)
+        for i in range(src_dim)
     ]
-    matrix_amb = tuple(
-        tuple(cols[i][j] for i in range(src.ambient_dim))
-        for j in range(dst.ambient_dim)
-    )
-    translation_amb = vsub(f_p0, mat_vec(matrix_amb, src_p0))
+    matrix_amb = transpose(cols)
+    translation_amb = vsub(f_p0, mat_vec(matrix_amb, src.p0))
     witness = exactlin.AffineMap(matrix=matrix_amb, translation=translation_amb)
-    for (c_src, _), (_, c_dst) in zip(src.vertices, pairs):
-        if witness.apply(c_src) != tuple(c_dst):
+    dst_by_label = {label: c for c, label in dst.polytope.vertices}
+    for c_src, label in src.polytope.vertices:
+        if witness.apply(c_src) != dst_by_label[label_map[label]]:
             return None
     return witness
 
@@ -296,11 +311,12 @@ def equivalence_search(p, q):
         )
     )
     witness = None
+    src, dst = HullChart(p), HullChart(q)
     for perm in dihedral_relabelings(p.n):
         label_map = {
             label: relabel_triangulation(perm, label) for _, label in p.vertices
         }
-        fit = fit_affine_map(p, q, label_map)
+        fit = fit_affine_map(src, dst, label_map)
         if fit is not None:
             witness = fit
             break

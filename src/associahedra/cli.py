@@ -5,7 +5,7 @@ Exit codes are a stable contract:
   analyze:  0 ok, 2 malformed file, 4 facet certification failure
   compare:  0 non-equivalent, 1 witness found, 2 mismatched n, 5 inconclusive
   verify:   0 all pass, 1 failure, 3 n_max out of range
-  export:   0 ok, 2 unknown format
+  export:   0 ok, 2 unknown format or malformed file
 """
 
 import argparse
@@ -26,10 +26,10 @@ def cmd_build(args):
         print(f"error: n={args.n} exceeds practical bound", file=sys.stderr)
         return 3
     params_doc = None
-    if args.params:
-        with open(args.params, encoding="utf-8") as f:
-            params_doc = json.load(f)
     try:
+        if args.params:
+            with open(args.params, encoding="utf-8") as f:
+                params_doc = json.load(f)
         if args.construction == "secondary":
             if params_doc is None:
                 p = secondary.build_secondary(n=args.n)
@@ -48,7 +48,7 @@ def cmd_build(args):
             else:
                 _, a = serialize.weights_from_json(params_doc)
             p = minkowski.build_minkowski(a, args.n)
-    except (ValueError, RuntimeError, KeyError) as exc:
+    except (ValueError, RuntimeError, KeyError, OSError) as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
     serialize.save_polytope(p, args.out)
@@ -148,7 +148,11 @@ def cmd_export(args):
     if args.format not in ("json", "csv", "off"):
         print(f"error: unknown format {args.format!r}", file=sys.stderr)
         return 2
-    p = serialize.load_polytope(args.polytope)
+    try:
+        p = serialize.load_polytope(args.polytope)
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"error: malformed polytope file: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         out = serialize.dumps(serialize.polytope_to_json(p))
     elif args.format == "csv":

@@ -61,7 +61,8 @@ def snake_diagonal(i, n):
 def _root_diagonal_maps(n):
     snakes = {i: snake_diagonal(i, n) for i in range(1, n + 1)}
     snake_t = tuple(sorted(snakes.values()))
-    assert len(snake_t) == n and snake_t in polygon.all_triangulations(n)
+    if len(snake_t) != n or snake_t not in polygon.all_triangulations(n):
+        raise AssertionError("snake diagonals are not a triangulation")
     r2d = {neg(i): snakes[i] for i in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -78,7 +79,8 @@ def _root_diagonal_maps(n):
                 )
             r2d[pos(i, j)] = candidates[0]
     d2r = {d: r for r, d in r2d.items()}
-    assert len(d2r) == len(r2d) == n * (n + 3) // 2
+    if not len(d2r) == len(r2d) == n * (n + 3) // 2:
+        raise AssertionError("roots and diagonals are not in bijection")
     return r2d, d2r
 
 

@@ -141,6 +141,32 @@ def invert(rows):
     return tuple(row[nrows:] for row in red)
 
 
+def affinely_independent(points, count):
+    """Indices of the first `count` affinely independent points, taken
+    greedily in order starting with index 0.
+
+    One incremental elimination: each candidate's difference from points[0]
+    is reduced against the rows kept so far (each normalized at its pivot
+    and zero at every earlier pivot) and kept if anything is left.  Returns
+    fewer than `count` indices when the points span less.
+    """
+    chosen = [0]
+    kept = []  # (pivot column, row)
+    for i in range(1, len(points)):
+        if len(chosen) >= count:
+            break
+        v = vsub(points[i], points[0])
+        for pivot, row in kept:
+            f = v[pivot]
+            if f != 0:
+                v = tuple(a - f * b for a, b in zip(v, row))
+        pivot = next((c for c, a in enumerate(v) if a != 0), None)
+        if pivot is not None:
+            kept.append((pivot, vscale(1 / v[pivot], v)))
+            chosen.append(i)
+    return chosen[:count]
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace in canonical reduced-echelon form.

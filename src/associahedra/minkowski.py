@@ -41,7 +41,8 @@ def subdivision_from_functional(w, n):
     out = tuple(sorted(diagonals))
     for idx in range(len(out)):
         for jdx in range(idx + 1, len(out)):
-            assert not polygon.crossing(out[idx], out[jdx]), "induced diagonals cross"
+            if polygon.crossing(out[idx], out[jdx]):
+                raise AssertionError("induced diagonals cross")
     return out
 
 

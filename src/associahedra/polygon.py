@@ -102,7 +102,8 @@ def cells(subdivision, n):
 def triangles(t, n):
     """The n+1 triangles of a triangulation."""
     tri = cells(t, n)
-    assert all(len(c) == 3 for c in tri)
+    if any(len(c) != 3 for c in tri):
+        raise ValueError("not a triangulation")
     return tri
 
 
@@ -112,7 +113,8 @@ def flip(t, d, n):
         raise ValueError("diagonal not in triangulation")
     a, b = d
     adjacent = [c for c in triangles(t, n) if a in c and b in c]
-    assert len(adjacent) == 2
+    if len(adjacent) != 2:
+        raise ValueError(f"diagonal {d} does not bound two triangles")
     quad = set(adjacent[0]) | set(adjacent[1])
     other = sorted(quad - {a, b})
     d_new = (other[0], other[1])

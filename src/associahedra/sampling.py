@@ -34,7 +34,8 @@ def random_convex_geometry(n, rng):
     for i in range(m - 1):
         ys.append(ys[-1] + slopes[i] * (xs[i + 1] - xs[i]))
     coords = tuple(zip(xs, ys))
-    assert secondary.validate_geometry(coords)
+    if not secondary.validate_geometry(coords):
+        raise RuntimeError("drawn polygon is not strictly convex")
     return coords
 
 

@@ -108,7 +108,11 @@ def polytope_from_json(doc):
         )
         for v in doc["vertices"]
     ]
+    if not pairs:
+        raise ValueError("no vertices")
     ambient_dim = len(pairs[0][0])
+    if any(len(coords) != ambient_dim for coords, _ in pairs):
+        raise ValueError("vertex coordinate rows have unequal lengths")
     return make_polytope(
         doc["construction"],
         doc["n"],

@@ -1,10 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from associahedra import polygon
+from associahedra import exactlin, polygon, sampling
 from associahedra.analysis import (
+    CertificationError,
+    FacetDescriptor,
+    HullChart,
+    affine_hull,
     dihedral_relabelings,
     equivalence_search,
     extract_facets,
@@ -17,7 +22,18 @@ from associahedra.analysis import (
     special_profile,
 )
 from associahedra.cluster import build_cluster_polytope, default_support_values
-from associahedra.exactlin import AffineMap, vadd
+from associahedra.exactlin import (
+    AffineMap,
+    dot,
+    hyperplane_through,
+    invert,
+    mat_vec,
+    rank,
+    solve_linear,
+    subspace_from_differences,
+    vadd,
+    vsub,
+)
 from associahedra.minkowski import build_minkowski, ones_weights
 from associahedra.secondary import build_secondary
 
@@ -140,7 +156,7 @@ def test_relabeling_preserves_triangulations():
 def test_fit_identity():
     p = build_minkowski(ones_weights(2), 2)
     identity = {label: label for _, label in p.vertices}
-    witness = fit_affine_map(p, p, identity)
+    witness = fit_affine_map(HullChart(p), HullChart(p), identity)
     assert witness is not None
     for c, _ in p.vertices:
         assert witness.apply(c) == c
@@ -154,7 +170,7 @@ def test_fit_translation():
         [(vadd(c, shift), label) for c, label in p.vertices],
     )
     identity = {label: label for _, label in p.vertices}
-    witness = fit_affine_map(p, moved, identity)
+    witness = fit_affine_map(HullChart(p), HullChart(moved), identity)
     assert witness is not None
     for c, _ in p.vertices:
         assert witness.apply(c) == vadd(c, shift)
@@ -216,3 +232,179 @@ def test_equivalence_translated_copy():
 def test_equivalence_mismatched_n():
     with pytest.raises(ValueError):
         equivalence_search(builds(2)["minkowski"], builds(3)["minkowski"])
+
+
+# -- reference implementations: facets from all members, one full fit per call
+
+
+def reference_extract_facets(p):
+    """Every facet fitted and spanned through all of its members."""
+    hull = affine_hull(p)
+    facets = []
+    for d in polygon.all_diagonals(p.n):
+        members = frozenset(i for i, (_, label) in enumerate(p.vertices) if d in label)
+        if not members:
+            raise CertificationError(f"diagonal {d}: no vertices carry it")
+        member_coords = [p.vertices[i][0] for i in sorted(members)]
+        hp = hyperplane_through(member_coords, hull)
+        if hp is None:
+            raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
+        if any(hp.value(c) != 0 for c in member_coords):
+            raise CertificationError(f"diagonal {d}: member off its hyperplane")
+        outside = [
+            hp.value(p.vertices[i][0]) for i in range(len(p.vertices)) if i not in members
+        ]
+        if not (all(v > 0 for v in outside) or all(v < 0 for v in outside)):
+            raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
+        direction = subspace_from_differences(member_coords)
+        if direction.dim != p.n - 1:
+            raise CertificationError(f"diagonal {d}: facet dimension {direction.dim}")
+        facets.append(
+            FacetDescriptor(diagonal=d, vertex_indices=members, hyperplane=hp, direction=direction)
+        )
+    return facets
+
+
+def _reference_hull_chart(p):
+    coords = [c for c, _ in p.vertices]
+    p0 = coords[0]
+    basis = subspace_from_differences(coords).basis
+    gram = tuple(tuple(dot(bi, bj) for bj in basis) for bi in basis)
+    projector = tuple(
+        mat_vec(invert(gram), tuple(b[j] for b in basis)) for j in range(p.ambient_dim)
+    )
+    proj_rows = tuple(zip(*projector))
+
+    def chart(x):
+        return mat_vec(proj_rows, vsub(x, p0))
+
+    def unchart(y):
+        out = p0
+        for c, b in zip(y, basis):
+            out = vadd(out, exactlin.vscale(c, b))
+        return out
+
+    return chart, unchart
+
+
+def reference_fit_affine_map(src, dst, label_map):
+    """Both charts, the independent subset and n solves, redone per call."""
+    n = src.n
+    dst_by_label = {label: c for c, label in dst.vertices}
+    pairs = [(c, dst_by_label[label_map[label]]) for c, label in src.vertices]
+    chart_s, _ = _reference_hull_chart(src)
+    chart_d, unchart_d = _reference_hull_chart(dst)
+    xs = [chart_s(c) for c, _ in pairs]
+    ys = [chart_d(c) for _, c in pairs]
+    chosen = [0]
+    for i in range(1, len(xs)):
+        if len(chosen) == n + 1:
+            break
+        diffs = [vsub(xs[j], xs[chosen[0]]) for j in chosen[1:] + [i]]
+        if rank(diffs) == len(diffs):
+            chosen.append(i)
+    system = [tuple(xs[i]) + (F(1),) for i in chosen]
+    thetas = [solve_linear(system, [ys[i][k] for i in chosen]) for k in range(n)]
+    chart_map = AffineMap(
+        matrix=tuple(tuple(t[:n]) for t in thetas), translation=tuple(t[n] for t in thetas)
+    )
+    if any(chart_map.apply(x) != y for x, y in zip(xs, ys)):
+        return None
+
+    def f(x):
+        return unchart_d(chart_map.apply(chart_s(x)))
+
+    p0 = src.vertices[0][0]
+    f_p0 = f(p0)
+    cols = [
+        vsub(f(vadd(p0, exactlin.unit(i, src.ambient_dim))), f_p0)
+        for i in range(src.ambient_dim)
+    ]
+    matrix = tuple(
+        tuple(cols[i][j] for i in range(src.ambient_dim)) for j in range(dst.ambient_dim)
+    )
+    witness = AffineMap(matrix=matrix, translation=vsub(f_p0, mat_vec(matrix, p0)))
+    if any(witness.apply(c) != c_dst for (c, _), (_, c_dst) in zip(src.vertices, pairs)):
+        return None
+    return witness
+
+
+def drawn(construction, n, rng):
+    if construction == "secondary":
+        return build_secondary(coords=sampling.random_convex_geometry(n, rng), n=n)
+    if construction == "cluster":
+        return build_cluster_polytope(sampling.perturbed_support_values(n, rng), n)
+    return build_minkowski(sampling.random_weights(n, rng), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_extract_facets_matches_all_members_reference(construction, n):
+    for p in (builds(n)[construction], drawn(construction, n, random.Random(n))):
+        assert extract_facets(p) == reference_extract_facets(p)
+
+
+def unimodular_relabelled_image(p, rng):
+    """Seeded integer affine image of p with determinant +-1 whose labels are
+    moved by a seeded dihedral symmetry of the polygon."""
+    d = p.ambient_dim
+    matrix = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        matrix[i] = [a + c * b for a, b in zip(matrix[i], matrix[j])]
+    shift = [rng.randint(-3, 3) for _ in range(d)]
+    perm = rng.choice(dihedral_relabelings(p.n))
+    pairs = [
+        (
+            tuple(sum(m * x for m, x in zip(row, c)) + s for row, s in zip(matrix, shift)),
+            relabel_triangulation(perm, label),
+        )
+        for c, label in p.vertices
+    ]
+    return make_polytope(p.construction, p.n, d, pairs)
+
+
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_fit_matches_reference_on_unimodular_image(construction):
+    rng = random.Random(3)
+    p = drawn(construction, 3, rng)
+    q = unimodular_relabelled_image(p, rng)
+    src, dst = HullChart(p), HullChart(q)
+    hits = 0
+    for perm in dihedral_relabelings(3):
+        label_map = {label: relabel_triangulation(perm, label) for _, label in p.vertices}
+        got = fit_affine_map(src, dst, label_map)
+        assert got == reference_fit_affine_map(p, q, label_map)
+        if got is not None:
+            hits += 1
+            by_label = {label: c for c, label in q.vertices}
+            assert all(got.apply(c) == by_label[label_map[label]] for c, label in p.vertices)
+    assert hits >= 1
+    assert equivalence_search(p, q).verdict == "equivalent"
+
+
+def _swap_labels(p, i, j):
+    pairs = [list(v) for v in p.vertices]
+    pairs[i][1], pairs[j][1] = pairs[j][1], pairs[i][1]
+    return make_polytope(p.construction, p.n, p.ambient_dim, [tuple(v) for v in pairs])
+
+
+def test_extract_facets_rejects_swapped_labels():
+    p = _swap_labels(build_minkowski(ones_weights(2), 2), 0, 1)
+    with pytest.raises(CertificationError, match="hyperplane is not supporting"):
+        extract_facets(p)
+
+
+def test_extract_facets_rejects_member_off_hyperplane():
+    p = build_minkowski(ones_weights(3), 3)
+    centroid = tuple(
+        sum(c[k] for c, _ in p.vertices) / len(p.vertices) for k in range(p.ambient_dim)
+    )
+    pairs = list(p.vertices)
+    c0, label0 = pairs[0]
+    # a tenth of the way to the centroid: inside the hull, off every facet of vertex 0
+    pairs[0] = (vadd(c0, exactlin.vscale(F(1, 10), vsub(centroid, c0))), label0)
+    moved = make_polytope(p.construction, p.n, p.ambient_dim, pairs)
+    with pytest.raises(CertificationError, match="member off its hyperplane"):
+        extract_facets(moved)

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from associahedra import serialize
 from associahedra.cli import main
 from associahedra.cluster import all_roots
@@ -191,3 +193,71 @@ def test_analyze_roundtrip_stable(tmp_path, capsys):
     code, _, _ = run(["export", str(mink), "--format", "json", "--out", str(exported)], capsys)
     code, out2, _ = run(["analyze", str(exported)], capsys)
     assert out1 == out2
+
+
+def _empty_vertices(doc):
+    doc["vertices"] = []
+
+
+def _extra_coordinate_on(k):
+    def mutate(doc):
+        doc["vertices"][k]["coords"].append("0")
+
+    return mutate
+
+
+MALFORMED = {
+    "empty_vertices": _empty_vertices,
+    "extra_coordinate_vertex0": _extra_coordinate_on(0),
+    "extra_coordinate_vertex2": _extra_coordinate_on(2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_malformed_vertices_exit_2(tmp_path, capsys, command, case):
+    mink = _built(tmp_path, capsys, "minkowski", 2)
+    doc = json.loads(mink.read_text())
+    MALFORMED[case](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, str(bad)] + ([str(mink)] if command == "compare" else [])
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "malformed polytope file" in err
+
+
+def test_analyze_swapped_labels_exit_4(tmp_path, capsys):
+    mink = _built(tmp_path, capsys, "minkowski", 2)
+    doc = json.loads(mink.read_text())
+    vs = doc["vertices"]
+    vs[0]["triangulation"], vs[1]["triangulation"] = vs[1]["triangulation"], vs[0]["triangulation"]
+    swapped = tmp_path / "swapped.json"
+    swapped.write_text(json.dumps(doc))
+    code, _, err = run(["analyze", str(swapped)], capsys)
+    assert code == 4
+    assert "hyperplane is not supporting" in err
+
+
+@pytest.mark.parametrize("contents", [None, "{not json"])
+def test_build_unreadable_params_exit_2(tmp_path, capsys, contents):
+    params = tmp_path / "params.json"
+    if contents is not None:
+        params.write_text(contents)
+    code, _, err = run(
+        ["build", "--construction", "minkowski", "--n", "2",
+         "--params", str(params), "--out", str(tmp_path / "m.json")],
+        capsys,
+    )
+    assert code == 2
+    assert "invalid parameters" in err
+
+
+@pytest.mark.parametrize("contents", [None, "{not json"])
+def test_export_unreadable_file_exit_2(tmp_path, capsys, contents):
+    path = tmp_path / "p.json"
+    if contents is not None:
+        path.write_text(contents)
+    code, _, err = run(["export", str(path), "--format", "csv"], capsys)
+    assert code == 2
+    assert "malformed polytope file" in err
