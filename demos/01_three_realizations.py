@@ -13,7 +13,7 @@ from associahedra import (
     default_support_values,
     ones_weights,
 )
-from associahedra.serialize import rat_str
+from associahedra.exactlin import rat_str
 
 n = 2
 

@@ -6,25 +6,13 @@ but along different families of diagonals, which is the seed of the
 non-equivalence argument.
 """
 
-from associahedra import (
-    build_cluster_polytope,
-    build_minkowski,
-    build_secondary,
-    default_support_values,
-    extract_facets,
-    ones_weights,
-    parallel_pairs,
-)
+from associahedra import extract_facets, parallel_pairs
+from associahedra.constructions import CONSTRUCTIONS
 
 for n in (2, 3, 4):
     print(f"n = {n}")
-    builds = {
-        "secondary": build_secondary(n=n),
-        "cluster": build_cluster_polytope(default_support_values(n), n),
-        "minkowski": build_minkowski(ones_weights(n), n),
-    }
-    for name, p in builds.items():
-        pairs = parallel_pairs(extract_facets(p))
+    for name, c in CONSTRUCTIONS.items():
+        pairs = parallel_pairs(extract_facets(c.build(c.default(n), n)))
         listing = ", ".join(f"{d1}||{d2}" for d1, d2 in pairs) or "none"
         print(f"  {name:10s} {len(pairs)} parallel pairs: {listing}")
     print()

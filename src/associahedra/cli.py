@@ -5,54 +5,49 @@ Exit codes are a stable contract:
   analyze:  0 ok, 2 malformed file, 4 facet certification failure
   compare:  0 non-equivalent, 1 witness found, 2 mismatched n, 5 inconclusive
   verify:   0 all pass, 1 failure, 3 n_max out of range
-  export:   0 ok, 2 unknown format or malformed file
+  export:   0 ok, 2 unknown format or malformed file, 4 facet certification
+            failure (format off)
 """
 
 import argparse
 import json
-import os
 import sys
 
-from . import analysis, cluster, minkowski, secondary, serialize, verification
+from . import analysis, serialize, verification
 from .analysis import CertificationError
-
-
-def practical_bound():
-    return int(os.environ.get("ASSOC_MAX_N", "7"))
+from .constructions import CONSTRUCTIONS, practical_bound
+from .exactlin import rat_str
 
 
 def cmd_build(args):
-    if args.n > practical_bound():
-        print(f"error: n={args.n} exceeds practical bound", file=sys.stderr)
+    if not 1 <= args.n <= practical_bound():
+        print(f"error: n={args.n} out of range 1..{practical_bound()}", file=sys.stderr)
         return 3
-    params_doc = None
+    c = CONSTRUCTIONS[args.construction]
     try:
         if args.params:
             with open(args.params, encoding="utf-8") as f:
-                params_doc = json.load(f)
-        if args.construction == "secondary":
-            if params_doc is None:
-                p = secondary.build_secondary(n=args.n)
-            else:
-                _, coords = serialize.geometry_from_json(params_doc)
-                p = secondary.build_secondary(coords=coords, n=args.n)
-        elif args.construction == "cluster":
-            if params_doc is None:
-                h = cluster.default_support_values(args.n)
-            else:
-                _, h = serialize.support_values_from_json(params_doc)
-            p = cluster.build_cluster_polytope(h, args.n)
+                doc = json.load(f)
+            if doc["n"] != args.n:
+                raise ValueError(f"params are for n={doc['n']}, not n={args.n}")
+            value = c.decode(doc[c.key])
         else:
-            if params_doc is None:
-                a = minkowski.ones_weights(args.n)
-            else:
-                _, a = serialize.weights_from_json(params_doc)
-            p = minkowski.build_minkowski(a, args.n)
-    except (ValueError, RuntimeError, KeyError, OSError) as exc:
+            value = c.default(args.n)
+        p = c.build(value, args.n)
+    except (ValueError, RuntimeError, KeyError, TypeError, OSError) as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
     serialize.save_polytope(p, args.out)
     return 0
+
+
+def _load(path):
+    """The polytope in `path`, or None after reporting a malformed file."""
+    try:
+        return serialize.load_polytope(path)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        print(f"error: malformed polytope file: {exc}", file=sys.stderr)
+        return None
 
 
 def analyze_report(p):
@@ -73,10 +68,8 @@ def analyze_report(p):
 
 
 def cmd_analyze(args):
-    try:
-        p = serialize.load_polytope(args.polytope)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: malformed polytope file: {exc}", file=sys.stderr)
+    p = _load(args.polytope)
+    if p is None:
         return 2
     try:
         report = analyze_report(p)
@@ -88,11 +81,8 @@ def cmd_analyze(args):
 
 
 def cmd_compare(args):
-    try:
-        pa = serialize.load_polytope(args.polytope_a)
-        pb = serialize.load_polytope(args.polytope_b)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: malformed polytope file: {exc}", file=sys.stderr)
+    pa, pb = _load(args.polytope_a), _load(args.polytope_b)
+    if pa is None or pb is None:
         return 2
     if pa.n != pb.n:
         print("error: polytopes have different n", file=sys.stderr)
@@ -108,8 +98,8 @@ def cmd_compare(args):
     }
     if report.witness is not None:
         doc["witness"] = {
-            "matrix": [[serialize.rat_str(x) for x in row] for row in report.witness.matrix],
-            "translation": [serialize.rat_str(x) for x in report.witness.translation],
+            "matrix": [[rat_str(x) for x in row] for row in report.witness.matrix],
+            "translation": [rat_str(x) for x in report.witness.translation],
         }
     sys.stdout.write(serialize.dumps(doc))
     if report.verdict == "equivalent":
@@ -148,10 +138,8 @@ def cmd_export(args):
     if args.format not in ("json", "csv", "off"):
         print(f"error: unknown format {args.format!r}", file=sys.stderr)
         return 2
-    try:
-        p = serialize.load_polytope(args.polytope)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: malformed polytope file: {exc}", file=sys.stderr)
+    p = _load(args.polytope)
+    if p is None:
         return 2
     if args.format == "json":
         out = serialize.dumps(serialize.polytope_to_json(p))
@@ -160,12 +148,16 @@ def cmd_export(args):
         header = [f"x{i}" for i in range(p.ambient_dim)] + ["triangulation"]
         lines.append(",".join(header))
         for coords, label in p.vertices:
-            cells = [serialize.rat_str(c) for c in coords]
+            cells = [rat_str(c) for c in coords]
             cells.append(" ".join(f"{a}-{b}" for a, b in label))
             lines.append(",".join(cells))
         out = "\n".join(lines) + "\n"
     else:
-        facets = analysis.extract_facets(p)
+        try:
+            facets = analysis.extract_facets(p)
+        except CertificationError as exc:
+            print(f"error: facet certification failed: {exc}", file=sys.stderr)
+            return 4
         lines = ["OFF", f"{len(p.vertices)} {len(facets)} 0"]
         for coords, _ in p.vertices:
             lines.append(" ".join(_rat_decimal(c) for c in coords))
@@ -189,7 +181,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a realization and write a polytope file")
-    b.add_argument("--construction", required=True, choices=["secondary", "cluster", "minkowski"])
+    b.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--params", help="JSON parameter file (defaults used if omitted)")
     b.add_argument("--out", required=True)

@@ -40,6 +40,21 @@ def all_roots(n):
     return roots
 
 
+def root_key(r):
+    """File key of a root: "-a1", "a2" or "a1..3"."""
+    if r[0] == "-":
+        return f"-a{r[1]}"
+    _, i, j = r
+    return f"a{i}" if i == j else f"a{i}..{j}"
+
+
+def parse_root_key(key):
+    if key.startswith("-a"):
+        return neg(int(key[2:]))
+    i, _, j = key[1:].partition("..")
+    return pos(int(i), int(j or i))
+
+
 def root_coordinates(r, n):
     """Embed a root in rational (n+1)-space; output sums to zero."""
     e = lambda i: unit(i - 1, n + 1)

@@ -1,0 +1,74 @@
+"""The registry of constructions: one `Construction` record per realization.
+
+A record says how a construction's parameter is stored (its key in a
+polytope's `params`, and its JSON encoding), where a default or a seeded
+random parameter comes from, and how a polytope is built from it.  The
+records call their functions through the modules at call time, so a
+function replaced on its module (as a profiler does) is the one that runs.
+"""
+
+import os
+from dataclasses import dataclass
+from typing import Callable
+
+from . import cluster, minkowski, sampling, secondary
+from .exactlin import parse_rat, rat_str
+
+
+def practical_bound():
+    """The largest n a polytope may be built or loaded for."""
+    return int(os.environ.get("ASSOC_MAX_N", "7"))
+
+
+@dataclass(frozen=True)
+class Construction:
+    name: str
+    key: str  # the parameter's key in `LabeledPolytope.params` and in files
+    encode: Callable  # parameter -> JSON value
+    decode: Callable  # JSON value -> parameter
+    default: Callable  # n -> parameter
+    draw: Callable  # (n, rng) -> parameter
+    build: Callable  # (parameter, n) -> LabeledPolytope
+
+
+def _decode_weights(doc):
+    a = {}
+    for key, v in doc.items():
+        i, j = key.split(",")
+        a[(int(i), int(j))] = parse_rat(v)
+    return a
+
+
+# in this order the seeded draws consume a shared rng
+CONSTRUCTIONS = {
+    c.name: c
+    for c in (
+        Construction(
+            "secondary",
+            "coords",
+            encode=lambda coords: [[rat_str(x), rat_str(y)] for x, y in coords],
+            decode=lambda doc: tuple((parse_rat(x), parse_rat(y)) for x, y in doc),
+            default=lambda n: secondary.parabola_geometry(n),
+            draw=lambda n, rng: sampling.random_convex_geometry(n, rng),
+            build=lambda coords, n: secondary.build_secondary(coords=coords, n=n),
+        ),
+        Construction(
+            "cluster",
+            "h",
+            encode=lambda h: {cluster.root_key(r): rat_str(v) for r, v in h.items()},
+            decode=lambda doc: {cluster.parse_root_key(k): parse_rat(v) for k, v in doc.items()},
+            default=lambda n: cluster.default_support_values(n),
+            draw=lambda n, rng: sampling.perturbed_support_values(n, rng),
+            build=lambda h, n: cluster.build_cluster_polytope(h, n),
+        ),
+        Construction(
+            "minkowski",
+            "a",
+            encode=lambda a: {f"{i},{j}": rat_str(v) for (i, j), v in a.items()},
+            decode=_decode_weights,
+            default=lambda n: minkowski.ones_weights(n),
+            draw=lambda n, rng: sampling.random_weights(n, rng),
+            build=lambda a, n: minkowski.build_minkowski(a, n),
+        ),
+    )
+}

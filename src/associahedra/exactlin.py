@@ -22,6 +22,16 @@ class Underdetermined:
 UNDERDETERMINED = Underdetermined()
 
 
+def rat_str(x):
+    """A rational as "p/q", or "p" when it is an integer."""
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def parse_rat(s):
+    return Fraction(s)
+
+
 def vec(*entries):
     return tuple(Fraction(e) for e in entries)
 

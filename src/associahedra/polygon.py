@@ -17,11 +17,6 @@ def is_polygon_edge(d, n):
     return b - a == 1 or (a == 0 and b == n + 2)
 
 
-def is_diagonal(d, n):
-    a, b = d
-    return 0 <= a < b <= n + 2 and b - a >= 2 and not (a == 0 and b == n + 2)
-
-
 def crossing(d1, d2):
     """True iff the endpoints strictly interleave; sharing an endpoint is not crossing."""
     a1, b1 = d1

@@ -68,6 +68,8 @@ def build_secondary(coords=None, n=None):
     coords = tuple((Fraction(x), Fraction(y)) for x, y in coords)
     if n is None:
         n = len(coords) - 3
+    if len(coords) != n + 3:
+        raise ValueError(f"need n + 3 = {n + 3} points, got {len(coords)}")
     problem = geometry_problem(coords)
     if problem is not None:
         raise ValueError(f"invalid polygon geometry: {problem}")

@@ -1,98 +1,22 @@
 """JSON (de)serialization with rationals as "p/q" strings."""
 
 import json
-from fractions import Fraction
 
 from .analysis import make_polytope
-
-
-def rat_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_rat(s):
-    return Fraction(s)
-
-
-def root_key(r):
-    if r[0] == "-":
-        return f"-a{r[1]}"
-    _, i, j = r
-    return f"a{i}" if i == j else f"a{i}..{j}"
-
-
-def parse_root_key(key):
-    if key.startswith("-a"):
-        return ("-", int(key[2:]))
-    body = key[1:]
-    if ".." in body:
-        i, j = body.split("..")
-        return ("+", int(i), int(j))
-    return ("+", int(body), int(body))
-
-
-def geometry_to_json(n, coords):
-    return {"n": n, "coords": [[rat_str(x), rat_str(y)] for x, y in coords]}
-
-
-def geometry_from_json(doc):
-    coords = tuple((parse_rat(x), parse_rat(y)) for x, y in doc["coords"])
-    return doc["n"], coords
-
-
-def support_values_to_json(n, h):
-    return {"n": n, "h": {root_key(r): rat_str(v) for r, v in sorted(h.items())}}
-
-
-def support_values_from_json(doc):
-    h = {parse_root_key(k): parse_rat(v) for k, v in doc["h"].items()}
-    return doc["n"], h
-
-
-def weights_to_json(n, a):
-    return {"n": n, "a": {f"{i},{j}": rat_str(v) for (i, j), v in sorted(a.items())}}
-
-
-def weights_from_json(doc):
-    a = {}
-    for key, v in doc["a"].items():
-        i, j = key.split(",")
-        a[(int(i), int(j))] = parse_rat(v)
-    return doc["n"], a
-
-
-def _params_to_json(p):
-    params = p.params
-    if p.construction == "secondary" and "coords" in params:
-        return geometry_to_json(p.n, params["coords"])
-    if p.construction == "cluster" and "h" in params:
-        return support_values_to_json(p.n, params["h"])
-    if p.construction == "minkowski" and "a" in params:
-        return weights_to_json(p.n, params["a"])
-    return {}
-
-
-def _params_from_json(construction, doc):
-    if not doc:
-        return {}
-    if construction == "secondary":
-        return {"coords": geometry_from_json(doc)[1]}
-    if construction == "cluster":
-        return {"h": support_values_from_json(doc)[1]}
-    if construction == "minkowski":
-        return {"a": weights_from_json(doc)[1]}
-    return {}
+from .constructions import CONSTRUCTIONS, practical_bound
+from .exactlin import parse_rat, rat_str
 
 
 def polytope_to_json(p):
+    c = CONSTRUCTIONS[p.construction]
+    params = {"n": p.n, c.key: c.encode(p.params[c.key])} if c.key in p.params else {}
     return {
         "construction": p.construction,
         "n": p.n,
-        "params": _params_to_json(p),
+        "params": params,
         "vertices": [
             {
-                "coords": [rat_str(c) for c in coords],
+                "coords": [rat_str(x) for x in coords],
                 "triangulation": [[a, b] for a, b in label],
             }
             for coords, label in p.vertices
@@ -101,9 +25,15 @@ def polytope_to_json(p):
 
 
 def polytope_from_json(doc):
+    c = CONSTRUCTIONS.get(doc["construction"])
+    if c is None:
+        raise ValueError(f"unknown construction {doc['construction']!r}")
+    n = doc["n"]
+    if not 1 <= n <= practical_bound():
+        raise ValueError(f"n={n} out of range 1..{practical_bound()}")
     pairs = [
         (
-            tuple(parse_rat(c) for c in v["coords"]),
+            tuple(parse_rat(x) for x in v["coords"]),
             tuple(sorted((a, b) for a, b in v["triangulation"])),
         )
         for v in doc["vertices"]
@@ -113,13 +43,9 @@ def polytope_from_json(doc):
     ambient_dim = len(pairs[0][0])
     if any(len(coords) != ambient_dim for coords, _ in pairs):
         raise ValueError("vertex coordinate rows have unequal lengths")
-    return make_polytope(
-        doc["construction"],
-        doc["n"],
-        ambient_dim,
-        pairs,
-        params=_params_from_json(doc["construction"], doc.get("params", {})),
-    )
+    params = doc.get("params", {})
+    params = {c.key: c.decode(params[c.key])} if params else {}
+    return make_polytope(c.name, n, ambient_dim, pairs, params=params)
 
 
 def dumps(doc):

@@ -10,8 +10,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from . import analysis, cluster, minkowski, polygon, sampling, secondary
+from . import analysis, cluster, minkowski, polygon, secondary
 from .analysis import extract_facets, parallel_pairs, special_profile
+from .constructions import CONSTRUCTIONS
 from .exactlin import AffineMap
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -19,11 +20,14 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 @lru_cache(maxsize=None)
 def build_all_defaults(n):
-    return {
-        "secondary": secondary.build_secondary(n=n),
-        "cluster": cluster.build_cluster_polytope(cluster.default_support_values(n), n),
-        "minkowski": minkowski.build_minkowski(minkowski.ones_weights(n), n),
-    }
+    return {name: c.build(c.default(n), n) for name, c in CONSTRUCTIONS.items()}
+
+
+def _default_and_draws(name, n, rng):
+    """The polytopes of the default parameter and of three seeded draws."""
+    c = CONSTRUCTIONS[name]
+    values = [c.default(n)] + [c.draw(n, rng) for _ in range(3)]
+    return [c.build(value, n) for value in values]
 
 
 def check_vertex_counts(n_max, seed):
@@ -49,10 +53,7 @@ def check_secondary_no_parallel(n_max, seed):
     rng = random.Random(seed)
     bad = []
     for n in range(2, n_max + 1):
-        geometries = [secondary.parabola_geometry(n)]
-        geometries += [sampling.random_convex_geometry(n, rng) for _ in range(3)]
-        for g in geometries:
-            p = secondary.build_secondary(coords=g, n=n)
+        for p in _default_and_draws("secondary", n, rng):
             pairs = parallel_pairs(extract_facets(p))
             if pairs:
                 bad.append((n, pairs))
@@ -72,11 +73,8 @@ def check_cluster_parallel(n_max, seed):
     rng = random.Random(seed)
     bad = []
     for n in range(2, n_max + 1):
-        hs = [cluster.default_support_values(n)]
-        hs += [sampling.perturbed_support_values(n, rng) for _ in range(3)]
         expected = cluster_expected_pairs(n)
-        for h in hs:
-            p = cluster.build_cluster_polytope(h, n)
+        for p in _default_and_draws("cluster", n, rng):
             got = sorted(tuple(sorted(pair)) for pair in parallel_pairs(extract_facets(p)))
             if got != expected:
                 bad.append((n, got, expected))
@@ -93,11 +91,8 @@ def check_minkowski_parallel(n_max, seed):
     rng = random.Random(seed)
     bad = []
     for n in range(2, n_max + 1):
-        weights = [minkowski.ones_weights(n)]
-        weights += [sampling.random_weights(n, rng) for _ in range(3)]
         expected = minkowski_expected_pairs(n)
-        for a in weights:
-            p = minkowski.build_minkowski(a, n)
+        for p in _default_and_draws("minkowski", n, rng):
             facets = extract_facets(p)
             got = sorted(tuple(sorted(pair)) for pair in parallel_pairs(facets))
             if got != expected:
@@ -116,8 +111,7 @@ def check_minkowski_parallel(n_max, seed):
 def check_correspondence(n_max, seed):
     bad = []
     for n in range(1, n_max + 1):
-        p = minkowski.build_minkowski(minkowski.ones_weights(n), n)
-        report = minkowski.verify_correspondence(p, n)
+        report = minkowski.verify_correspondence(build_all_defaults(n)["minkowski"], n)
         if not report["ok"]:
             bad.append((n, report["problems"]))
     return not bad, {"bad": bad}
@@ -153,15 +147,7 @@ def check_non_equivalence(n_max, seed):
     comparisons = []
     for n in range(2, min(n_max, 4) + 1):
         built = build_all_defaults(n)
-        drawn = {
-            "secondary": secondary.build_secondary(
-                coords=sampling.random_convex_geometry(n, rng), n=n
-            ),
-            "cluster": cluster.build_cluster_polytope(
-                sampling.perturbed_support_values(n, rng), n
-            ),
-            "minkowski": minkowski.build_minkowski(sampling.random_weights(n, rng), n),
-        }
+        drawn = {name: c.build(c.draw(n, rng), n) for name, c in CONSTRUCTIONS.items()}
         pairs = [("secondary", "cluster"), ("secondary", "minkowski")]
         if n >= 3:
             pairs.append(("cluster", "minkowski"))
@@ -177,10 +163,10 @@ def check_non_equivalence(n_max, seed):
 
 
 def check_loday_regression(n_max, seed):
-    p2 = minkowski.build_minkowski(minkowski.ones_weights(2), 2)
+    p2 = build_all_defaults(2)["minkowski"]
     got2 = {tuple(int(c) for c in coords) for coords, _ in p2.vertices}
     want2 = {(3, 2, 1), (3, 1, 2), (2, 1, 3), (1, 2, 3), (1, 4, 1)}
-    p1 = minkowski.build_minkowski(minkowski.ones_weights(1), 1)
+    p1 = build_all_defaults(1)["minkowski"]
     got1 = {tuple(int(c) for c in coords) for coords, _ in p1.vertices}
     ok = got2 == want2 and got1 == {(2, 1), (1, 2)}
     return ok, {"n2": sorted(got2), "n1": sorted(got1)}
@@ -207,9 +193,8 @@ def check_exactness_invariants(n_max, seed):
             v = secondary.gkz_vector(coords, t, n)
             if sum(v) != target:
                 bad.append((n, "gkz_sum", t))
-        a = minkowski.ones_weights(n)
-        total = sum(a.values())
-        p = minkowski.build_minkowski(a, n)
+        p = build_all_defaults(n)["minkowski"]
+        total = sum(p.params["a"].values())
         for c, _ in p.vertices:
             if sum(c) != total:
                 bad.append((n, "minkowski_sum", c))

@@ -1,11 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from associahedra import serialize
 from associahedra.cli import main
-from associahedra.cluster import all_roots
+from associahedra.cluster import all_roots, parse_root_key, root_key
 from associahedra.minkowski import build_minkowski, ones_weights
 
 F = Fraction
@@ -25,10 +26,10 @@ def test_rational_strings():
 
 def test_root_keys_roundtrip():
     for r in all_roots(4):
-        assert serialize.parse_root_key(serialize.root_key(r)) == r
-    assert serialize.root_key(("+", 2, 2)) == "a2"
-    assert serialize.root_key(("+", 1, 3)) == "a1..3"
-    assert serialize.root_key(("-", 1)) == "-a1"
+        assert parse_root_key(root_key(r)) == r
+    assert root_key(("+", 2, 2)) == "a2"
+    assert root_key(("+", 1, 3)) == "a1..3"
+    assert root_key(("-", 1)) == "-a1"
 
 
 def test_polytope_json_roundtrip(tmp_path):
@@ -197,44 +198,67 @@ def test_analyze_roundtrip_stable(tmp_path, capsys):
 
 def _empty_vertices(doc):
     doc["vertices"] = []
+    return doc
 
 
 def _extra_coordinate_on(k):
     def mutate(doc):
         doc["vertices"][k]["coords"].append("0")
+        return doc
 
     return mutate
+
+
+def _number_coords(doc):
+    doc["vertices"][0]["coords"] = 5
+    return doc
 
 
 MALFORMED = {
     "empty_vertices": _empty_vertices,
     "extra_coordinate_vertex0": _extra_coordinate_on(0),
     "extra_coordinate_vertex2": _extra_coordinate_on(2),
+    # would enumerate the triangulations of a 21-gon if not rejected first
+    "n_18": lambda doc: {**doc, "n": 18},
+    "unknown_construction": lambda doc: {**doc, "construction": "bogus"},
+    "top_level_list": lambda doc: [],
+    "number_coords": _number_coords,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
 def test_malformed_vertices_exit_2(tmp_path, capsys, command, case):
     mink = _built(tmp_path, capsys, "minkowski", 2)
-    doc = json.loads(mink.read_text())
-    MALFORMED[case](doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    argv = [command, str(bad)] + ([str(mink)] if command == "compare" else [])
-    code, _, err = run(argv, capsys)
+    bad.write_text(json.dumps(MALFORMED[case](json.loads(mink.read_text()))))
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "compare": ["compare", str(bad), str(mink)],
+        "export": ["export", str(bad), "--format", "json"],
+    }[command]
+    start = time.monotonic()
+    code, out, err = run(argv, capsys)
+    assert time.monotonic() - start < 5
     assert code == 2
+    assert out == ""
     assert "malformed polytope file" in err
 
 
-def test_analyze_swapped_labels_exit_4(tmp_path, capsys):
+def _swapped_labels(tmp_path, capsys):
+    """A Minkowski n = 2 file with two vertex labels swapped: it loads, but
+    its facets fail certification."""
     mink = _built(tmp_path, capsys, "minkowski", 2)
     doc = json.loads(mink.read_text())
     vs = doc["vertices"]
     vs[0]["triangulation"], vs[1]["triangulation"] = vs[1]["triangulation"], vs[0]["triangulation"]
     swapped = tmp_path / "swapped.json"
     swapped.write_text(json.dumps(doc))
-    code, _, err = run(["analyze", str(swapped)], capsys)
+    return swapped
+
+
+def test_analyze_swapped_labels_exit_4(tmp_path, capsys):
+    code, _, err = run(["analyze", str(_swapped_labels(tmp_path, capsys))], capsys)
     assert code == 4
     assert "hyperplane is not supporting" in err
 
@@ -261,3 +285,52 @@ def test_export_unreadable_file_exit_2(tmp_path, capsys, contents):
     code, _, err = run(["export", str(path), "--format", "csv"], capsys)
     assert code == 2
     assert "malformed polytope file" in err
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_build_n_below_range_exit_3(tmp_path, capsys, n):
+    code, _, err = run(
+        ["build", "--construction", "minkowski", "--n", str(n),
+         "--out", str(tmp_path / "x.json")],
+        capsys,
+    )
+    assert code == 3
+    assert "out of range" in err
+
+
+SQUARE_COORDS = [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]
+
+# every case is built with --n 2
+MISMATCHED_PARAMS = {
+    "secondary_n": ("secondary", {"n": 1, "coords": SQUARE_COORDS}),
+    # n = 3 weights hold every weight an n = 2 build reads
+    "minkowski_n": (
+        "minkowski",
+        {"n": 3, "a": {f"{i},{j}": "1" for i in range(1, 5) for j in range(i, 5)}},
+    ),
+    # n agrees, but 4 points are not an (n+3)-gon for n = 2
+    "secondary_point_count": ("secondary", {"n": 2, "coords": SQUARE_COORDS}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_PARAMS))
+def test_build_params_for_other_n_exit_2(tmp_path, capsys, case):
+    construction, doc = MISMATCHED_PARAMS[case]
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    code, _, err = run(
+        ["build", "--construction", construction, "--n", "2",
+         "--params", str(params), "--out", str(tmp_path / "x.json")],
+        capsys,
+    )
+    assert code == 2
+    assert "invalid parameters" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_export_off_swapped_labels_exit_4(tmp_path, capsys):
+    swapped = _swapped_labels(tmp_path, capsys)
+    code, out, err = run(["export", str(swapped), "--format", "off"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "hyperplane is not supporting" in err

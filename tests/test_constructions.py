@@ -1,0 +1,67 @@
+import random
+
+import pytest
+
+from associahedra import cluster, minkowski, sampling, secondary, serialize
+from associahedra.constructions import CONSTRUCTIONS
+
+# per construction: the module functions its record's default, draw and build call
+CALLED = {
+    "secondary": [
+        (secondary, "parabola_geometry"),
+        (sampling, "random_convex_geometry"),
+        (secondary, "build_secondary"),
+    ],
+    "cluster": [
+        (cluster, "default_support_values"),
+        (sampling, "perturbed_support_values"),
+        (cluster, "build_cluster_polytope"),
+    ],
+    "minkowski": [
+        (minkowski, "ones_weights"),
+        (sampling, "random_weights"),
+        (minkowski, "build_minkowski"),
+    ],
+}
+
+
+def test_registry_order_and_keys():
+    # the seeded draws consume a shared rng in this order
+    assert list(CONSTRUCTIONS) == ["secondary", "cluster", "minkowski"]
+    assert [c.key for c in CONSTRUCTIONS.values()] == ["coords", "h", "a"]
+
+
+@pytest.mark.parametrize("name", sorted(CALLED))
+def test_records_call_functions_patched_on_their_modules(monkeypatch, name):
+    calls = []
+    for module, attr in CALLED[name]:
+        original = getattr(module, attr)
+
+        def spy(*args, _attr=attr, _original=original, **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, spy)
+    default, draw, build = (attr for _, attr in CALLED[name])
+    c = CONSTRUCTIONS[name]
+    c.build(c.default(2), 2)
+    assert calls == [default, build]
+    calls.clear()
+    c.build(c.draw(2, random.Random(5)), 2)
+    # a draw may start from the default (the cluster draw perturbs it)
+    assert calls[0] == draw and calls[-1] == build
+
+
+@pytest.mark.parametrize("drawn", [False, True], ids=["default", "drawn"])
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_params_roundtrip(tmp_path, name, drawn):
+    c = CONSTRUCTIONS[name]
+    n = 3
+    value = c.draw(n, random.Random(11)) if drawn else c.default(n)
+    p = c.build(value, n)
+    q = serialize.polytope_from_json(serialize.polytope_to_json(p))
+    assert q == p
+    assert q.params == {c.key: value}
+    serialize.save_polytope(p, tmp_path / "p.json")
+    serialize.save_polytope(q, tmp_path / "q.json")
+    assert (tmp_path / "p.json").read_bytes() == (tmp_path / "q.json").read_bytes()

@@ -76,6 +76,11 @@ def test_build_rejects_bad_geometry():
         build_secondary(coords=tuple(reversed(SQUARE)), n=1)
 
 
+def test_build_rejects_wrong_point_count():
+    with pytest.raises(ValueError, match="need n \\+ 3 = 5 points, got 4"):
+        build_secondary(coords=SQUARE, n=2)
+
+
 def test_gkz_translation_invariance():
     n = 2
     coords = parabola_geometry(n)
