@@ -3,9 +3,11 @@
 Facets are located combinatorially (the vertices whose triangulation label
 contains a given diagonal) and then certified geometrically: a supporting
 hyperplane is fitted inside the affine hull through n affinely independent
-members, and one evaluation per vertex shows that every member lies on it
-and every other vertex strictly on one side.  Parallelism of facets is
-equality of their direction subspaces, compared in canonical form.
+members, and one integer evaluation per vertex shows that every member
+lies on it and every other vertex strictly on one side.  The evaluations
+run on the vertices scaled to integers once per polytope, with a positive
+integer multiple of the normal.  Parallelism of facets is equality of
+their direction subspaces, compared in canonical form.
 
 The equivalence search builds each polytope's hull chart (coordinates,
 independent vertices, interpolation inverse) once; each of the 2(n+3)
@@ -14,6 +16,7 @@ that stops at the first mismatch.
 """
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import exactlin, polygon
 from .exactlin import (
@@ -22,6 +25,7 @@ from .exactlin import (
     affinely_independent,
     dot,
     hyperplane_through,
+    integer_points,
     invert,
     mat_vec,
     # unused here, but perfbench's tracer test checks that this by-name
@@ -89,14 +93,16 @@ def extract_facets(p):
 
     The facet's members are the vertices whose label carries the diagonal.
     Its hyperplane is fitted through n affinely independent members and its
-    direction is the span of their n-1 differences; one `hp.value` per
-    vertex then certifies the rest: 0 on every member and one strict sign
-    on every other vertex.  Certification failure means the construction
-    is broken, not the analysis, and raises CertificationError naming the
-    diagonal.
+    direction is the span of their n-1 differences.  The certificate runs on
+    the vertices scaled to integers once (`integer_points`) with a positive
+    integer multiple of the normal, one dot product per vertex: 0 on every
+    member and one strict sign on every other vertex.  Certification
+    failure means the construction is broken, not the analysis, and raises
+    CertificationError naming the diagonal.
     """
     hull = affine_hull(p)
     coords = [c for c, _ in p.vertices]
+    rows = integer_points(coords)
     facets = []
     for d in polygon.all_diagonals(p.n):
         members = frozenset(
@@ -104,14 +110,18 @@ def extract_facets(p):
         )
         if not members:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
-        member_coords = [coords[i] for i in sorted(members)]
+        ordered = sorted(members)
         spanning = [
-            member_coords[k] for k in affinely_independent(member_coords, p.n)
+            coords[ordered[k]]
+            for k in affinely_independent([rows[i] for i in ordered], p.n)
         ]
         hp = hyperplane_through(spanning, hull) if len(spanning) == p.n else None
         if hp is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
-        values = [hp.value(c) for c in coords]
+        # hp runs through the first member, so the offset is the value there
+        normal = integer_points([hp.normal])[0]
+        offset = sum(map(mul, normal, rows[ordered[0]]))
+        values = [sum(map(mul, normal, x)) - offset for x in rows]
         if any(values[i] != 0 for i in members):
             raise CertificationError(f"diagonal {d}: member off its hyperplane")
         outside = [v for i, v in enumerate(values) if i not in members]
@@ -211,7 +221,7 @@ class HullChart:
         )
         self.charted = {label: self.chart(c) for c, label in p.vertices}
         labels, xs = list(self.charted), list(self.charted.values())
-        chosen = affinely_independent(xs, p.n + 1)
+        chosen = affinely_independent(integer_points(xs), p.n + 1)
         if len(chosen) != p.n + 1:
             raise CertificationError("vertices are affinely degenerate")
         self.independent = tuple(labels[i] for i in chosen)

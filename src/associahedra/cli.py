@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
   build:    0 ok, 2 invalid params, 3 n out of practical range
   analyze:  0 ok, 2 malformed file, 4 facet certification failure
-  compare:  0 non-equivalent, 1 witness found, 2 mismatched n, 5 inconclusive
+  compare:  0 non-equivalent, 1 witness found, 2 mismatched n, 4 facet
+            certification failure, 5 inconclusive
   verify:   0 all pass, 1 failure, 3 n_max out of range
   export:   0 ok, 2 unknown format or malformed file, 4 facet certification
             failure (format off)
@@ -87,7 +88,11 @@ def cmd_compare(args):
     if pa.n != pb.n:
         print("error: polytopes have different n", file=sys.stderr)
         return 2
-    report = analysis.equivalence_search(pa, pb)
+    try:
+        report = analysis.equivalence_search(pa, pb)
+    except CertificationError as exc:
+        print(f"error: facet certification failed: {exc}", file=sys.stderr)
+        return 4
     doc = {
         "pair": list(report.pair),
         "verdict": report.verdict,

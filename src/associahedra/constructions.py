@@ -7,7 +7,6 @@ records call their functions through the modules at call time, so a
 function replaced on its module (as a profiler does) is the one that runs.
 """
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +16,7 @@ from .exactlin import parse_rat, rat_str
 
 def practical_bound():
     """The largest n a polytope may be built or loaded for."""
-    return int(os.environ.get("ASSOC_MAX_N", "7"))
+    return 7
 
 
 @dataclass(frozen=True)

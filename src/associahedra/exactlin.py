@@ -2,11 +2,14 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
 predicates (rank, parallelism, subspace equality) are exact; there is no
-floating point anywhere.
+floating point anywhere.  Eliminations run fraction-free on Python ints
+(rows or point sets scaled once by the lcm of their denominators); every
+value handed back is a Fraction in canonical form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,34 +64,57 @@ def unit(i, dim):
     return tuple(ONE if k == i else ZERO for k in range(dim))
 
 
+def _primitive(row):
+    """The row divided by the gcd of its entries (a zero row is kept)."""
+    g = gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
+
+
+def integer_points(points):
+    """The points times the lcm of all their denominators, as int tuples.
+
+    One positive scale for the whole set keeps affine dependence and the
+    sign of every affine functional.
+    """
+    scale = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
 def rref(rows):
     """Reduced row echelon form.
 
-    Returns (reduced_nonzero_rows, pivot_columns).  Exact Gaussian
-    elimination over Fraction; pivots normalized to 1.
+    Returns (reduced_nonzero_rows, pivot_columns), pivots normalized to 1.
+    Fraction-free: rows are scaled to primitive integer rows, a pivot clears
+    its column from every other row by cross-multiplication (each new row
+    divided by its content), and pivot rows are divided by their pivots only
+    at the end.  The reduced echelon form of a row space is unique, so the
+    result is exactly that of Gaussian elimination over Fraction.
     """
-    m = [list(Fraction(x) for x in row) for row in rows]
+    m = [_primitive(integer_points([row])[0]) for row in rows]
     if not m:
         return (), ()
     nrows, ncols = len(m), len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        prow = m[r]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([prow[c] * a - f * b for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+    reduced = tuple(
+        tuple(Fraction(a, row[c]) if a else ZERO for a in row)
+        for row, c in zip(m, pivots)
+    )
+    return reduced, tuple(pivots)
 
 
 def rank(rows):
@@ -155,24 +181,26 @@ def affinely_independent(points, count):
     """Indices of the first `count` affinely independent points, taken
     greedily in order starting with index 0.
 
-    One incremental elimination: each candidate's difference from points[0]
-    is reduced against the rows kept so far (each normalized at its pivot
-    and zero at every earlier pivot) and kept if anything is left.  Returns
-    fewer than `count` indices when the points span less.
+    The points are int tuples (see `integer_points`).  One incremental
+    fraction-free elimination: each candidate's difference from points[0]
+    is cleared at the pivots of the rows kept so far by cross-multiplication
+    (each kept row is zero at every earlier pivot) and kept if anything is
+    left.  Returns fewer than `count` indices when the points span less.
     """
     chosen = [0]
-    kept = []  # (pivot column, row)
+    kept = []  # (pivot column, primitive int row)
+    p0 = points[0]
     for i in range(1, len(points)):
         if len(chosen) >= count:
             break
-        v = vsub(points[i], points[0])
+        v = _primitive([a - b for a, b in zip(points[i], p0)])
         for pivot, row in kept:
             f = v[pivot]
-            if f != 0:
-                v = tuple(a - f * b for a, b in zip(v, row))
-        pivot = next((c for c, a in enumerate(v) if a != 0), None)
+            if f:
+                v = _primitive([row[pivot] * a - f * b for a, b in zip(v, row)])
+        pivot = next((c for c, a in enumerate(v) if a), None)
         if pivot is not None:
-            kept.append((pivot, vscale(1 / v[pivot], v)))
+            kept.append((pivot, v))
             chosen.append(i)
     return chosen[:count]
 
@@ -205,12 +233,17 @@ def span(vectors, ambient_dim):
 
 
 def subspace_from_differences(points):
-    """Canonical span of {p_i - p_0}; zero subspace if all points equal."""
+    """Canonical span of {p_i - p_0}; zero subspace if all points equal.
+
+    The span of the differences of the points `affinely_independent` picks
+    from all of them (count = ambient dim + 1, so none is skipped unless
+    the span is already the whole space).
+    """
     if len(points) < 1:
         raise ValueError("need at least one point")
     p0 = points[0]
-    diffs = [vsub(p, p0) for p in points[1:]]
-    return span(diffs, len(p0))
+    chosen = affinely_independent(integer_points(points), len(p0) + 1)
+    return span([vsub(points[i], p0) for i in chosen[1:]], len(p0))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ as diagonals.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from . import polygon
 from .analysis import extract_facets, make_polytope
-from .exactlin import ZERO, dot, span, unit, vsub
+from .exactlin import ZERO, integer_points, span, unit, vsub
 
 
 def all_summands(n):
@@ -103,11 +104,13 @@ def verify_correspondence(p, n):
             if len(set(t) & set(t2)) == n - 1:
                 flip_pairs.add((idx, jdx))
     edge_count = 0
+    # a positive scale of the vertices and of each functional keeps its argmax
+    rows = integer_points([c for c, _ in p.vertices])
     for idx, jdx in sorted(flip_pairs):
         t1, t2 = p.vertices[idx][1], p.vertices[jdx][1]
         shared = tuple(sorted(set(t1) & set(t2)))
-        w = functional_for_subdivision(shared, n)
-        values = [dot(w, c) for c, _ in p.vertices]
+        w = integer_points([functional_for_subdivision(shared, n)])[0]
+        values = [sum(map(mul, w, x)) for x in rows]
         best = max(values)
         argmax = {k for k, val in enumerate(values) if val == best}
         if argmax != {idx, jdx}:

@@ -334,3 +334,26 @@ def test_export_off_swapped_labels_exit_4(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "hyperplane is not supporting" in err
+
+
+@pytest.mark.parametrize("swapped_first", [True, False])
+def test_compare_swapped_labels_exit_4(tmp_path, capsys, swapped_first):
+    swapped = str(_swapped_labels(tmp_path, capsys))
+    mink = str(tmp_path / "minkowski2.json")
+    pair = [swapped, mink] if swapped_first else [mink, swapped]
+    code, out, err = run(["compare", *pair], capsys)
+    assert code == 4
+    assert out == ""
+    assert "facet certification failed" in err
+
+
+def test_build_cap_ignores_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ASSOC_MAX_N", "20")
+    code, _, err = run(
+        ["build", "--construction", "minkowski", "--n", "8",
+         "--out", str(tmp_path / "x.json")],
+        capsys,
+    )
+    assert code == 3
+    assert "out of range 1..7" in err
+    assert not (tmp_path / "x.json").exists()

@@ -2,20 +2,195 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from associahedra import cluster, exactlin
+from associahedra.analysis import extract_facets
+from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     UNDERDETERMINED,
+    Subspace,
+    affinely_independent,
     hyperplane_through,
+    integer_points,
     make_hyperplane,
     rank,
+    rref,
     solve_linear,
     span,
     subspace_from_differences,
     transpose,
     vec,
+    vscale,
+    vsub,
 )
 
 F = Fraction
+
+
+def reference_rref(rows):
+    """The Fraction elimination the integer `rref` replaced, kept verbatim."""
+    m = [list(Fraction(x) for x in row) for row in rows]
+    if not m:
+        return (), ()
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def reference_affinely_independent(points, count):
+    """The Fraction elimination the integer `affinely_independent` replaced,
+    kept verbatim; it takes the Fraction points themselves."""
+    chosen = [0]
+    kept = []  # (pivot column, row)
+    for i in range(1, len(points)):
+        if len(chosen) >= count:
+            break
+        v = vsub(points[i], points[0])
+        for pivot, row in kept:
+            f = v[pivot]
+            if f != 0:
+                v = tuple(a - f * b for a, b in zip(v, row))
+        pivot = next((c for c, a in enumerate(v) if a != 0), None)
+        if pivot is not None:
+            kept.append((pivot, vscale(1 / v[pivot], v)))
+            chosen.append(i)
+    return chosen[:count]
+
+
+def random_rational_matrix(rng, nrows, ncols):
+    """Rows with negative entries, denominators up to 1000, zero rows and
+    rows that are combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append(tuple(F(0) for _ in range(ncols)))
+        elif kind < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = F(rng.randint(-9, 9), rng.randint(1, 1000)), F(rng.randint(-9, 9))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(
+                F(rng.randint(-1000, 1000), rng.randint(1, 1000)) if rng.random() < 0.8 else F(0)
+                for _ in range(ncols)
+            ))
+    return rows
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (6, 3), (9, 2), (2, 7), (4, 9), (7, 7)])
+def test_rref_matches_fraction_reference(shape):
+    rng = random.Random(sum(shape))
+    for _ in range(20):
+        rows = random_rational_matrix(rng, *shape)
+        assert rref(rows) == reference_rref(rows)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (5, 3), (12, 4), (4, 8)])
+def test_affinely_independent_matches_fraction_reference(shape):
+    rng = random.Random(sum(shape))
+    for _ in range(20):
+        points = random_rational_matrix(rng, *shape)
+        for count in range(1, shape[1] + 3):
+            assert affinely_independent(integer_points(points), count) == (
+                reference_affinely_independent(points, count)
+            )
+
+
+def construction_polytopes(n, draws):
+    """Each construction's default polytope at n and `draws` seeded draws."""
+    rng = random.Random(n)
+    out = []
+    for c in CONSTRUCTIONS.values():
+        values = [c.default(n)] + [c.draw(n, rng) for _ in range(draws)]
+        out.extend(c.build(value, n) for value in values)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_subspace_from_differences_matches_full_reference_rref(n):
+    for p in construction_polytopes(n, draws=3):
+        coords = [c for c, _ in p.vertices]
+        basis, _ = reference_rref([vsub(c, coords[0]) for c in coords[1:]])
+        assert subspace_from_differences(coords) == Subspace(basis, p.ambient_dim)
+
+
+def _recording(monkeypatch, module, name, sink):
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        out = original(*args, **kwargs)
+        sink.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def _exact(x):
+    return type(x) in (Fraction, int)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_no_float_enters_a_predicate(n, monkeypatch):
+    # Fraction(1, 2) == 0.5, so equality tests cannot see a float: check types
+    reduced, solutions = [], []
+    _recording(monkeypatch, exactlin, "rref", reduced)
+    for module in (exactlin, cluster):
+        _recording(monkeypatch, module, "solve_linear", solutions)
+    for p in construction_polytopes(n, draws=1):
+        assert all(_exact(x) for c, _ in p.vertices for x in c)
+        for f in extract_facets(p):
+            assert all(_exact(x) for x in f.hyperplane.normal + (f.hyperplane.offset,))
+            assert all(_exact(x) for b in f.direction.basis for x in b)
+    assert reduced and solutions
+    assert all(_exact(x) for rows, _ in reduced for row in rows for x in row)
+    assert all(
+        _exact(x) for s in solutions if s is not None and s is not UNDERDETERMINED for x in s
+    )
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def matrices(min_rows, max_rows):
+    return st.integers(1, 5).flatmap(
+        lambda ncols: st.lists(
+            st.lists(fractions, min_size=ncols, max_size=ncols).map(tuple),
+            min_size=min_rows,
+            max_size=max_rows,
+        )
+    )
+
+
+@settings(deadline=None)
+@given(matrices(0, 6))
+def test_rref_property_matches_fraction_reference(rows):
+    assert rref(rows) == reference_rref(rows)
+
+
+@settings(deadline=None)
+@given(matrices(1, 8), st.integers(1, 7))
+def test_affinely_independent_property_matches_fraction_reference(points, count):
+    assert affinely_independent(integer_points(points), count) == (
+        reference_affinely_independent(points, count)
+    )
 
 
 def test_rank_identity():
