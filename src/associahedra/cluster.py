@@ -7,23 +7,21 @@ triangulation; compatibility is non-crossing of the identified diagonals.
 The polytope lives in the sum-zero hyperplane of rational (n+1)-space and
 is cut out by support values h certified through wall-crossing
 inequalities.
+
+The fan (integer cone inverses, walls, wall relations) is built once per
+n; a build scales h to ints once, and the wall check, the vertices and the
+strict root inequalities are integer products.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
+from typing import NamedTuple
 
 from . import polygon
 from .analysis import make_polytope
-from .exactlin import (
-    UNDERDETERMINED,
-    ZERO,
-    dot,
-    rank,
-    solve_linear,
-    transpose,
-    unit,
-    vsub,
-)
+from .exactlin import integer_inverse
 
 
 def neg(i):
@@ -56,13 +54,9 @@ def parse_root_key(key):
 
 
 def root_coordinates(r, n):
-    """Embed a root in rational (n+1)-space; output sums to zero."""
-    e = lambda i: unit(i - 1, n + 1)
-    if r[0] == "-":
-        i = r[1]
-        return vsub(e(i + 1), e(i))
-    _, i, j = r
-    return vsub(e(i), e(j + 1))
+    """Embed a root in (n+1)-space as an int tuple e_i - e_j; it sums to zero."""
+    i, j = (r[1] + 1, r[1]) if r[0] == "-" else (r[1], r[2] + 1)
+    return tuple((k == i) - (k == j) for k in range(1, n + 2))
 
 
 def snake_diagonal(i, n):
@@ -126,20 +120,81 @@ def _sorted_roots(roots):
     return sorted(roots, key=lambda r: (r[0] == "+",) + r[1:])
 
 
+class _Cone(NamedTuple):
+    """A cluster's sorted roots; `inverse / denominator` inverts the matrix
+    of their int rows plus the all-ones row."""
+
+    roots: tuple
+    inverse: tuple
+    denominator: int
+
+
+def _cone(roots, n):
+    roots = tuple(_sorted_roots(roots))
+    if len(roots) != n:
+        raise ValueError("a cluster has n roots")
+    rows = [root_coordinates(r, n) for r in roots] + [(1,) * (n + 1)]
+    return _Cone(roots, *integer_inverse(rows))
+
+
+def _ridges(clusters):
+    """Each cluster minus one root -> indices of the clusters containing it."""
+    containing = {}
+    for i, c in enumerate(clusters):
+        for r in c:
+            containing.setdefault(c - {r}, []).append(i)
+    return containing
+
+
+def _in_basis(cone, v):
+    """d times the coefficients of v in the rows of the cone matrix."""
+    return [sum(map(mul, v, col)) for col in zip(*cone.inverse)]
+
+
+def _int_relation(cone, c2, n):
+    """The wall relation a*beta + b*beta' = sum c_g*g over the shared roots g
+    in ints, a, b > 0, as (beta, beta', a, b, ((g, c_g), ...)): beta' in the
+    basis of c1's cone is (-a*beta + sum c_g*g) / b, with b = d."""
+    out, inc = set(cone.roots) - c2, c2 - set(cone.roots)
+    if len(out) != 1 or len(inc) != 1:
+        raise ValueError("clusters are not adjacent")
+    (beta,), (beta_p,) = out, inc
+    y = dict(zip(cone.roots, _in_basis(cone, root_coordinates(beta_p, n))))
+    a = -y.pop(beta)
+    if a <= 0:
+        raise ValueError("exchanged roots do not lie on opposite sides of the wall")
+    return beta, beta_p, a, cone.denominator, tuple(y.items())
+
+
+class _Fan(NamedTuple):
+    cones: tuple  # one _Cone per cluster, in all_clusters order
+    walls: tuple  # (c1, c2) pairs
+    relations: tuple  # one _int_relation per wall
+
+
 @lru_cache(maxsize=None)
+def _fan(n):
+    """The cluster fan of `all_clusters(n)`.  Walls come from ridge incidence
+    in flip order: each cluster in turn, its roots by diagonal, a wall kept
+    where the other cone comes later."""
+    clusters = all_clusters(n)
+    cones = tuple(_cone(c, n) for c in clusters)
+    containing = _ridges(clusters)
+    walls, relations = [], []
+    for i, c in enumerate(clusters):
+        for r in sorted(c, key=lambda r: root_to_diagonal(r, n)):
+            a, b = containing[c - {r}]  # a complete fan: two cones per ridge
+            j = a + b - i
+            if j > i:
+                walls.append((c, clusters[j]))
+                relations.append(_int_relation(cones[i], clusters[j], n))
+    return _Fan(cones, tuple(walls), tuple(relations))
+
+
 def walls(n):
-    """Adjacent cluster pairs (sharing n-1 roots), via diagonal flips."""
-    seen = set()
-    out = []
-    for t in polygon.all_triangulations(n):
-        c1 = cluster_of(t, n)
-        for d in t:
-            c2 = cluster_of(polygon.flip(t, d, n), n)
-            key = frozenset((c1, c2))
-            if key not in seen:
-                seen.add(key)
-                out.append((c1, c2))
-    return tuple(out)
+    """Adjacent cluster pairs (sharing n-1 roots), in the order the flips of
+    the triangulations in enumeration order first meet them."""
+    return _fan(n).walls
 
 
 def wall_relation(c1, c2, n):
@@ -149,51 +204,28 @@ def wall_relation(c1, c2, n):
     returns (1, lam, coeffs) such that beta + lam*beta' = sum coeffs[gamma]*gamma
     over the shared roots, with lam > 0; raises ValueError otherwise.
     """
-    out = c1 - c2
-    inc = c2 - c1
-    if len(out) != 1 or len(inc) != 1:
-        raise ValueError("clusters are not adjacent")
-    beta = next(iter(out))
-    beta_p = next(iter(inc))
-    shared = _sorted_roots(c1 & c2)
-    # unknowns: lam, then one coefficient per shared root
-    cols = [root_coordinates(beta_p, n)] + [
-        tuple(-x for x in root_coordinates(g, n)) for g in shared
-    ]
-    system = [tuple(col[row] for col in cols) for row in range(n + 1)]
-    rhs = tuple(-x for x in root_coordinates(beta, n))
-    sol = solve_linear(system, rhs)
-    if sol is None or sol is UNDERDETERMINED:
-        raise ValueError("wall relation is not uniquely determined")
-    lam = sol[0]
-    if lam <= 0:
-        raise ValueError("exchanged roots lie on the same side of the wall")
-    coeffs = dict(zip(shared, sol[1:]))
-    return Fraction(1), lam, coeffs
+    _, _, a, b, cs = _int_relation(_cone(c1, n), c2, n)
+    return Fraction(1), Fraction(b, a), {g: Fraction(c, a) for g, c in cs}
 
 
-@lru_cache(maxsize=None)
-def _wall_relations(n):
-    out = []
-    for c1, c2 in walls(n):
-        beta = next(iter(c1 - c2))
-        beta_p = next(iter(c2 - c1))
-        _, lam, coeffs = wall_relation(c1, c2, n)
-        out.append((beta, beta_p, lam, tuple(coeffs.items())))
-    return tuple(out)
+def _scaled(h, n):
+    """h times the lcm of its denominators, as ints, and that lcm."""
+    scale = lcm(*(h[r].denominator for r in all_roots(n)))
+    return {r: h[r].numerator * (scale // h[r].denominator) for r in all_roots(n)}, scale
 
 
 def polytopality_check(h, n):
     """Strict convexity of the support values across every wall.
 
-    Returns (ok, violations); each violation records the wall and the slack.
+    Returns (ok, violations); each violation records the wall and the slack
+    rhs - lhs of its relation.  The check runs on h scaled to ints.
     """
+    hs, scale = _scaled(h, n)
     violations = []
-    for beta, beta_p, lam, coeffs in _wall_relations(n):
-        lhs = h[beta] + lam * h[beta_p]
-        rhs = sum((c * h[g] for g, c in coeffs), ZERO)
-        if lhs <= rhs:
-            violations.append((beta, beta_p, rhs - lhs))
+    for beta, beta_p, a, b, cs in _fan(n).relations:
+        value = a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs)
+        if value <= 0:
+            violations.append((beta, beta_p, Fraction(-value, a * scale)))
     return (not violations), violations
 
 
@@ -227,44 +259,30 @@ def default_support_values(n):
     return h
 
 
-@lru_cache(maxsize=None)
-def _cluster_systems(n):
-    """Per cluster: sorted roots and the square system rows for vertex solving."""
-    systems = []
-    for t in polygon.all_triangulations(n):
-        roots = _sorted_roots(cluster_of(t, n))
-        rows = [root_coordinates(r, n) for r in roots]
-        rows.append(tuple(Fraction(1) for _ in range(n + 1)))
-        systems.append((t, roots, tuple(rows)))
-    return tuple(systems)
-
-
 def build_cluster_polytope(h, n):
     """One vertex per cluster: the point of the sum-zero hyperplane meeting
     all n root hyperplanes <rho, x> = h(rho) of the cluster.
 
-    Every inequality for a root outside the cluster must hold strictly;
-    a tie or violation means h is not polytopal and is a hard error.
+    h holds exactly one value per root.  Every inequality for a root outside
+    the cluster must hold strictly (one integer dot product each); a tie or
+    violation means h is not polytopal and is a hard error.
     """
+    roots = all_roots(n)
+    if set(h) != set(roots):
+        raise ValueError(f"support values must be given for exactly the {len(roots)} roots")
     ok, violations = polytopality_check(h, n)
     if not ok:
         raise ValueError(f"support values fail the wall check: {violations[:3]}")
-    roots = all_roots(n)
-    coords_of = {r: root_coordinates(r, n) for r in roots}
+    hs, scale = _scaled(h, n)
+    coords = {r: root_coordinates(r, n) for r in roots}
     pairs = []
-    for t, cluster_roots, rows in _cluster_systems(n):
-        rhs = [h[r] for r in cluster_roots] + [ZERO]
-        x = solve_linear(rows, rhs)
-        if x is None or x is UNDERDETERMINED:
-            raise AssertionError(f"cluster system degenerate for {t}")
+    for t, cone in zip(polygon.all_triangulations(n), _fan(n).cones):
+        rhs = [hs[r] for r in cone.roots] + [0]
+        x = [sum(map(mul, row, rhs)) for row in cone.inverse]
         for r in roots:
-            if r in cluster_roots:
-                continue
-            if dot(coords_of[r], x) >= h[r]:
-                raise AssertionError(
-                    f"vertex of {t} violates inequality of root {r}"
-                )
-        pairs.append((x, t))
+            if r not in cone.roots and sum(map(mul, coords[r], x)) >= cone.denominator * hs[r]:
+                raise AssertionError(f"vertex of {t} violates inequality of root {r}")
+        pairs.append((tuple(Fraction(v, cone.denominator * scale) for v in x), t))
     return make_polytope("cluster", n, n + 1, pairs, params={"h": dict(h)})
 
 
@@ -277,18 +295,18 @@ def verify_fan(n):
     opposite sides of it, and (c) the sum of the rays of the first cluster
     lies in exactly one closed cone.  (b) makes the cones a pseudomanifold
     without boundary, so the number of cones covering a point off the walls
-    is the same everywhere, and (c) makes that number 1.
+    is the same everywhere, and (c) makes that number 1.  Certifies whatever
+    `all_clusters(n)` returns at call time, on integer cone inverses.
     """
     problems = []
     clusters = all_clusters(n)
-    rays = [[root_coordinates(r, n) for r in _sorted_roots(c)] for c in clusters]
-    for c, rows in zip(clusters, rays):
-        if len(c) != n or rank(rows) != n:
+    cones = []
+    for c in clusters:
+        try:
+            cones.append(_cone(c, n))
+        except ValueError:
             problems.append(("dependent_cluster", _sorted_roots(c)))
-    containing = {}
-    for i, c in enumerate(clusters):
-        for r in c:
-            containing.setdefault(c - {r}, []).append(i)
+    containing = _ridges(clusters)
     for shared, members in containing.items():
         if len(members) != 2:
             problems.append(("wall_shared_by", len(members), _sorted_roots(shared)))
@@ -297,12 +315,9 @@ def verify_fan(n):
             wall_relation(clusters[members[0]], clusters[members[1]], n)
         except ValueError:
             problems.append(("wall_not_separating", _sorted_roots(shared)))
-    point = tuple(sum(col, ZERO) for col in zip(*rays[0]))
-    covering = 0
-    for rows in rays:
-        lambdas = solve_linear(transpose(rows), point)
-        if isinstance(lambdas, tuple) and all(l >= 0 for l in lambdas):
-            covering += 1
+    point = tuple(map(sum, zip(*(root_coordinates(r, n) for r in clusters[0]))))
+    # the all-ones coefficient of a sum-zero point is 0
+    covering = sum(all(y >= 0 for y in _in_basis(cone, point)) for cone in cones)
     if covering != 1:
         problems.append(("point_covered_by", covering, point))
     return {

@@ -7,9 +7,11 @@ floating point anywhere.  Eliminations run fraction-free on Python ints
 value handed back is a Fraction in canonical form.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,8 +33,15 @@ def rat_str(x):
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rat(s):
-    return Fraction(s)
+    """The rational of a "p" or "p/q" string (q > 0); else ValueError."""
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None or int(m[2] or 1) == 0:
+        raise ValueError(f"not a rational 'p' or 'p/q': {s!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def vec(*entries):
@@ -80,19 +89,12 @@ def integer_points(points):
     return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
 
 
-def rref(rows):
-    """Reduced row echelon form.
-
-    Returns (reduced_nonzero_rows, pivot_columns), pivots normalized to 1.
-    Fraction-free: rows are scaled to primitive integer rows, a pivot clears
-    its column from every other row by cross-multiplication (each new row
-    divided by its content), and pivot rows are divided by their pivots only
-    at the end.  The reduced echelon form of a row space is unique, so the
-    result is exactly that of Gaussian elimination over Fraction.
-    """
-    m = [_primitive(integer_points([row])[0]) for row in rows]
+def _eliminate(m):
+    """Fraction-free Gauss-Jordan on primitive int rows, in place: a pivot
+    clears its column from every other row by cross-multiplication, each new
+    row divided by its content.  Returns the pivot columns (row i, pivot i)."""
     if not m:
-        return (), ()
+        return []
     nrows, ncols = len(m), len(m[0])
     pivots = []
     r = 0
@@ -110,6 +112,19 @@ def rref(rows):
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def rref(rows):
+    """Reduced row echelon form.
+
+    Returns (reduced_nonzero_rows, pivot_columns), pivots normalized to 1.
+    `_eliminate` runs on the rows scaled to primitive int rows, and pivot rows
+    are divided by their pivots at the end; the reduced echelon form of a row
+    space is unique, so this is exactly Gaussian elimination over Fraction.
+    """
+    m = [_primitive(integer_points([row])[0]) for row in rows]
+    pivots = _eliminate(m)
     reduced = tuple(
         tuple(Fraction(a, row[c]) if a else ZERO for a in row)
         for row, c in zip(m, pivots)
@@ -167,14 +182,23 @@ def nullspace(rows, ncols=None):
     return tuple(basis)
 
 
-def invert(rows):
-    """Exact inverse of a square matrix; raises on singular input."""
-    nrows = len(rows)
-    aug = [tuple(row) + unit(i, nrows) for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if list(pivots) != list(range(nrows)):
+def integer_inverse(rows):
+    """(M, d) with M an int matrix, d > 0 and M/d the inverse of the square
+    int matrix `rows`, by `_eliminate` on [rows | I]; raises on singular input."""
+    k = len(rows)
+    m = [_primitive(list(row) + [int(i == j) for j in range(k)]) for i, row in enumerate(rows)]
+    if any(len(row) != 2 * k for row in m) or _eliminate(m) != list(range(k)):
         raise ValueError("matrix is singular")
-    return tuple(row[nrows:] for row in red)
+    d = lcm(*(row[i] for i, row in enumerate(m)))
+    return tuple(tuple(a * (d // row[i]) for a in row[k:]) for i, row in enumerate(m)), d
+
+
+def invert(rows):
+    """Exact inverse of a square matrix; raises on singular input.  With row i
+    scaled to ints by s_i, column i of the integer inverse is scaled back."""
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    m, d = integer_inverse([[int(x * s) for x in row] for row, s in zip(rows, scales)])
+    return tuple(tuple(Fraction(a * s, d) for a, s in zip(row, scales)) for row in m)
 
 
 def affinely_independent(points, count):
@@ -261,33 +285,28 @@ def make_hyperplane(normal, offset):
     lead = next((c for c in normal if c != 0), None)
     if lead is None:
         raise ValueError("hyperplane normal must be nonzero")
-    return Hyperplane(normal=vscale(1 / lead, normal), offset=Fraction(offset) / lead)
+    return Hyperplane(normal=vscale(ONE / lead, normal), offset=Fraction(offset) / lead)
 
 
 def hyperplane_through(points, ambient):
     """Hyperplane (within `ambient`) through the given points.
 
     Returns None unless the points affinely span a codimension-1 flat of
-    `ambient`; the normal is taken inside `ambient`.
+    `ambient`; the normal is taken inside `ambient`.  Runs on the points and
+    basis rows scaled to ints, which `make_hyperplane` normalizes away.
     """
-    if not points:
+    if not points or not ambient.basis:
         return None
-    p0 = points[0]
-    diffs = [vsub(p, p0) for p in points[1:]]
-    basis = ambient.basis
-    if not basis:
-        return None
+    p0, *rest = integer_points(points)
+    basis = [_primitive(integer_points([b])[0]) for b in ambient.basis]
     # normal = sum_k c_k basis_k with normal . diff = 0 for every diff
-    constraint_rows = [tuple(dot(b, d) for b in basis) for d in diffs]
+    constraint_rows = [[sum(map(mul, b, vsub(p, p0))) for b in basis] for p in rest]
     kernel = nullspace(constraint_rows, ncols=len(basis))
     if len(kernel) != 1:
         return None
-    c = kernel[0]
-    normal = tuple(
-        sum((c[k] * basis[k][j] for k in range(len(basis))), ZERO)
-        for j in range(ambient.ambient_dim)
-    )
-    return make_hyperplane(normal, dot(normal, p0))
+    c = integer_points(kernel)[0]
+    normal = [sum(map(mul, c, col)) for col in zip(*basis)]
+    return make_hyperplane(normal, dot(normal, points[0]))
 
 
 @dataclass(frozen=True)

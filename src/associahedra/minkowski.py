@@ -59,7 +59,10 @@ def loday_vertex(a, t, n):
 
 
 def build_minkowski(a, n):
-    """One vertex per triangulation, by Loday's formula."""
+    """One vertex per triangulation, by Loday's formula; `a` must hold
+    exactly one positive weight per summand."""
+    if set(a) != set(all_summands(n)):
+        raise ValueError(f"weights must be given for exactly the {len(all_summands(n))} summands")
     for s in all_summands(n):
         if a[s] <= 0:
             raise ValueError(f"weight a{s} must be positive")

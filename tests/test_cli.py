@@ -6,8 +6,8 @@ import pytest
 
 from associahedra import serialize
 from associahedra.cli import main
-from associahedra.cluster import all_roots, parse_root_key, root_key
-from associahedra.minkowski import build_minkowski, ones_weights
+from associahedra.cluster import all_roots, default_support_values, parse_root_key, root_key
+from associahedra.minkowski import all_summands, build_minkowski, ones_weights
 
 F = Fraction
 
@@ -22,6 +22,13 @@ def test_rational_strings():
     assert serialize.rat_str(F(3, 4)) == "3/4"
     assert serialize.rat_str(F(5)) == "5"
     assert serialize.parse_rat("-7/2") == F(-7, 2)
+    assert serialize.parse_rat("6/4") == F(3, 2)
+
+
+@pytest.mark.parametrize("value", ["1/0", "0/0", "0.5", "1e3", " 1", "1/-2", "", 0.1, 1, True, None])
+def test_parse_rat_rejects(value):
+    with pytest.raises(ValueError):
+        serialize.parse_rat(value)
 
 
 def test_root_keys_roundtrip():
@@ -214,7 +221,19 @@ def _number_coords(doc):
     return doc
 
 
+def _coord(value):
+    def mutate(doc):
+        doc["vertices"][0]["coords"][0] = value
+        return doc
+
+    return mutate
+
+
 MALFORMED = {
+    "zero_denominator_coord": _coord("1/0"),
+    # JSON numbers and booleans are not rationals: 0.1 is a binary fraction
+    "float_coord": _coord(0.1),
+    "bool_coord": _coord(True),
     "empty_vertices": _empty_vertices,
     "extra_coordinate_vertex0": _extra_coordinate_on(0),
     "extra_coordinate_vertex2": _extra_coordinate_on(2),
@@ -310,6 +329,15 @@ MISMATCHED_PARAMS = {
     ),
     # n agrees, but 4 points are not an (n+3)-gon for n = 2
     "secondary_point_count": ("secondary", {"n": 2, "coords": SQUARE_COORDS}),
+    # a value for a root or an interval that n = 2 does not have
+    "cluster_extra_root": (
+        "cluster",
+        {"n": 2, "h": {**{root_key(r): "5" for r in all_roots(2)}, "a1..9": "1"}},
+    ),
+    "minkowski_extra_interval": (
+        "minkowski",
+        {"n": 2, "a": {**{f"{i},{j}": "1" for i, j in all_summands(2)}, "0,9": "1"}},
+    ),
 }
 
 
@@ -326,6 +354,43 @@ def test_build_params_for_other_n_exit_2(tmp_path, capsys, case):
     assert code == 2
     assert "invalid parameters" in err
     assert not (tmp_path / "x.json").exists()
+
+
+def _valid_params(construction):
+    """An n = 2 params document that builds."""
+    if construction == "secondary":
+        coords = [["0", "0"], ["2", "0"], ["3", "2"], ["1", "3"], ["-1", "1"]]
+        return {"n": 2, "coords": coords}
+    if construction == "cluster":
+        h = default_support_values(2)
+        return {"n": 2, "h": {root_key(r): serialize.rat_str(v) for r, v in h.items()}}
+    return {"n": 2, "a": {f"{i},{j}": "1" for i, j in all_summands(2)}}
+
+
+@pytest.mark.parametrize("value", [None, "1/0", 0.1, True])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_build_params_not_rational_exit_2(tmp_path, capsys, construction, value):
+    doc = _valid_params(construction)
+    if value is not None:
+        if construction == "secondary":
+            doc["coords"][1][0] = value
+        else:
+            key = "h" if construction == "cluster" else "a"
+            doc[key][next(iter(doc[key]))] = value
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    code, _, err = run(
+        ["build", "--construction", construction, "--n", "2",
+         "--params", str(params), "--out", str(out)],
+        capsys,
+    )
+    if value is None:  # the unmodified document builds
+        assert code == 0 and out.exists()
+        return
+    assert code == 2
+    assert "invalid parameters" in err
+    assert not out.exists()
 
 
 def test_export_off_swapped_labels_exit_4(tmp_path, capsys):

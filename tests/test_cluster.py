@@ -1,14 +1,18 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from associahedra import cluster, polygon
+from associahedra.analysis import make_polytope
 from associahedra.cluster import (
+    _sorted_roots,
     all_clusters,
     all_roots,
     build_cluster_polytope,
+    cluster_of,
     compatible,
     default_support_values,
     neg,
@@ -21,9 +25,127 @@ from associahedra.cluster import (
     wall_relation,
     walls,
 )
+from associahedra.exactlin import UNDERDETERMINED, ZERO, dot, solve_linear
 from associahedra.sampling import perturbed_support_values
 
 F = Fraction
+
+
+@lru_cache(maxsize=None)
+def reference_walls(n):
+    """The flip loop the ridge-incidence `walls` replaced, kept verbatim."""
+    seen = set()
+    out = []
+    for t in polygon.all_triangulations(n):
+        c1 = cluster_of(t, n)
+        for d in t:
+            c2 = cluster_of(polygon.flip(t, d, n), n)
+            key = frozenset((c1, c2))
+            if key not in seen:
+                seen.add(key)
+                out.append((c1, c2))
+    return tuple(out)
+
+
+def reference_wall_relation(c1, c2, n):
+    """The Fraction solve the integer `wall_relation` replaced, kept verbatim."""
+    out = c1 - c2
+    inc = c2 - c1
+    if len(out) != 1 or len(inc) != 1:
+        raise ValueError("clusters are not adjacent")
+    beta = next(iter(out))
+    beta_p = next(iter(inc))
+    shared = _sorted_roots(c1 & c2)
+    # unknowns: lam, then one coefficient per shared root
+    cols = [root_coordinates(beta_p, n)] + [
+        tuple(-x for x in root_coordinates(g, n)) for g in shared
+    ]
+    system = [tuple(col[row] for col in cols) for row in range(n + 1)]
+    rhs = tuple(-x for x in root_coordinates(beta, n))
+    sol = solve_linear(system, rhs)
+    if sol is None or sol is UNDERDETERMINED:
+        raise ValueError("wall relation is not uniquely determined")
+    lam = sol[0]
+    if lam <= 0:
+        raise ValueError("exchanged roots lie on the same side of the wall")
+    coeffs = dict(zip(shared, sol[1:]))
+    return Fraction(1), lam, coeffs
+
+
+@lru_cache(maxsize=None)
+def reference_wall_relations(n):
+    out = []
+    for c1, c2 in reference_walls(n):
+        beta = next(iter(c1 - c2))
+        beta_p = next(iter(c2 - c1))
+        _, lam, coeffs = reference_wall_relation(c1, c2, n)
+        out.append((beta, beta_p, lam, tuple(coeffs.items())))
+    return tuple(out)
+
+
+def reference_polytopality_check(h, n):
+    """The Fraction wall check the integer one replaced, kept verbatim."""
+    violations = []
+    for beta, beta_p, lam, coeffs in reference_wall_relations(n):
+        lhs = h[beta] + lam * h[beta_p]
+        rhs = sum((c * h[g] for g, c in coeffs), ZERO)
+        if lhs <= rhs:
+            violations.append((beta, beta_p, rhs - lhs))
+    return (not violations), violations
+
+
+def reference_build(h, n):
+    """The Fraction vertex solve and dot checks the integer build replaced."""
+    ok, violations = reference_polytopality_check(h, n)
+    if not ok:
+        raise ValueError(f"support values fail the wall check: {violations[:3]}")
+    roots = all_roots(n)
+    coords_of = {r: root_coordinates(r, n) for r in roots}
+    pairs = []
+    for t in polygon.all_triangulations(n):
+        cluster_roots = _sorted_roots(cluster_of(t, n))
+        rows = [root_coordinates(r, n) for r in cluster_roots]
+        rows.append(tuple(Fraction(1) for _ in range(n + 1)))
+        x = solve_linear(rows, [h[r] for r in cluster_roots] + [ZERO])
+        if x is None or x is UNDERDETERMINED:
+            raise AssertionError(f"cluster system degenerate for {t}")
+        for r in roots:
+            if r not in cluster_roots and dot(coords_of[r], x) >= h[r]:
+                raise AssertionError(f"vertex of {t} violates inequality of root {r}")
+        pairs.append((x, t))
+    return make_polytope("cluster", n, n + 1, pairs, params={"h": dict(h)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_fan_matches_fraction_reference(n):
+    assert walls(n) == reference_walls(n)
+    for (c1, c2), (beta, beta_p, a, b, cs), (ref_beta, ref_beta_p, lam, coeffs) in zip(
+        walls(n), cluster._fan(n).relations, reference_wall_relations(n)
+    ):
+        coeffs = dict(coeffs)
+        assert wall_relation(c1, c2, n) == (1, lam, coeffs)
+        # the integer relation the wall check runs on is a positive multiple
+        assert (beta, beta_p) == (ref_beta, ref_beta_p)
+        assert a > 0 and F(b, a) == lam and {g: F(c, a) for g, c in cs} == coeffs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_build_matches_fraction_reference(n):
+    rng = random.Random(100 + n)
+    hs = [default_support_values(n)] + [perturbed_support_values(n, rng) for _ in range(3)]
+    for h in hs:
+        assert polytopality_check(h, n) == reference_polytopality_check(h, n)
+        p, q = build_cluster_polytope(h, n), reference_build(h, n)
+        assert p.vertices == q.vertices and p.params == q.params
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_non_polytopal_h_matches_reference_and_raises(n):
+    h = {r: F(1) for r in all_roots(n)}
+    ok, violations = polytopality_check(h, n)
+    assert not ok and (ok, violations) == reference_polytopality_check(h, n)
+    with pytest.raises(ValueError):
+        build_cluster_polytope(h, n)
 
 
 def test_root_coordinates_examples():
@@ -192,6 +314,17 @@ def test_perturbed_support_values_n6_build(seed):
     h = perturbed_support_values(6, random.Random(seed))
     p = build_cluster_polytope(h, 6)
     assert len(p.vertices) == len(polygon.all_triangulations(6))
+
+
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_build_rejects_h_for_other_roots(change):
+    h = default_support_values(2)
+    if change == "extra":
+        h[pos(1, 9)] = F(1)
+    else:
+        del h[neg(1)]
+    with pytest.raises(ValueError):
+        build_cluster_polytope(h, 2)
 
 
 def test_build_rejects_non_polytopal_h():

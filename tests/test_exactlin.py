@@ -10,11 +10,16 @@ from associahedra.analysis import extract_facets
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     UNDERDETERMINED,
+    ZERO,
     Subspace,
     affinely_independent,
+    dot,
     hyperplane_through,
+    integer_inverse,
     integer_points,
+    invert,
     make_hyperplane,
+    nullspace,
     rank,
     rref,
     solve_linear,
@@ -73,6 +78,28 @@ def reference_affinely_independent(points, count):
             kept.append((pivot, vscale(1 / v[pivot], v)))
             chosen.append(i)
     return chosen[:count]
+
+
+def reference_hyperplane_through(points, ambient):
+    """The Fraction `hyperplane_through` the integer one replaced, kept verbatim."""
+    if not points:
+        return None
+    p0 = points[0]
+    diffs = [vsub(p, p0) for p in points[1:]]
+    basis = ambient.basis
+    if not basis:
+        return None
+    # normal = sum_k c_k basis_k with normal . diff = 0 for every diff
+    constraint_rows = [tuple(dot(b, d) for b in basis) for d in diffs]
+    kernel = nullspace(constraint_rows, ncols=len(basis))
+    if len(kernel) != 1:
+        return None
+    c = kernel[0]
+    normal = tuple(
+        sum((c[k] * basis[k][j] for k in range(len(basis))), ZERO)
+        for j in range(ambient.ambient_dim)
+    )
+    return make_hyperplane(normal, dot(normal, p0))
 
 
 def random_rational_matrix(rng, nrows, ncols):
@@ -150,20 +177,22 @@ def _exact(x):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_no_float_enters_a_predicate(n, monkeypatch):
     # Fraction(1, 2) == 0.5, so equality tests cannot see a float: check types
-    reduced, solutions = [], []
+    reduced = []
     _recording(monkeypatch, exactlin, "rref", reduced)
-    for module in (exactlin, cluster):
-        _recording(monkeypatch, module, "solve_linear", solutions)
     for p in construction_polytopes(n, draws=1):
         assert all(_exact(x) for c, _ in p.vertices for x in c)
         for f in extract_facets(p):
             assert all(_exact(x) for x in f.hyperplane.normal + (f.hyperplane.offset,))
             assert all(_exact(x) for b in f.direction.basis for x in b)
-    assert reduced and solutions
+    assert reduced
     assert all(_exact(x) for rows, _ in reduced for row in rows for x in row)
-    assert all(
-        _exact(x) for s in solutions if s is not None and s is not UNDERDETERMINED for x in s
-    )
+    # the cluster fan solves on ints and hands back Fractions: its vertex
+    # coordinates are checked above, its wall relations and slacks here
+    for c1, c2 in cluster.walls(n):
+        one, lam, coeffs = cluster.wall_relation(c1, c2, n)
+        assert all(_exact(x) for x in (one, lam, *coeffs.values()))
+    h = {r: Fraction(1) for r in cluster.all_roots(n)}
+    assert all(_exact(slack) for _, _, slack in cluster.polytopality_check(h, n)[1])
 
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -183,6 +212,37 @@ def matrices(min_rows, max_rows):
 @given(matrices(0, 6))
 def test_rref_property_matches_fraction_reference(rows):
     assert rref(rows) == reference_rref(rows)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.lists(fractions, min_size=dim, max_size=dim), min_size=1, max_size=dim),
+            st.lists(st.lists(fractions, min_size=dim, max_size=dim).map(tuple), min_size=1, max_size=dim + 1),
+        )
+    )
+)
+def test_hyperplane_through_property_matches_fraction_reference(case):
+    spanning, points = case
+    ambient = span(spanning, len(points[0]))
+    assert hyperplane_through(points, ambient) == reference_hyperplane_through(points, ambient)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k), min_size=k, max_size=k)
+))
+def test_integer_inverse_property(rows):
+    k = len(rows)
+    try:
+        m, d = integer_inverse(rows)
+    except ValueError:
+        assert rank(rows) < k
+        return
+    assert d > 0
+    assert all(sum(rows[i][j] * m[j][l] for j in range(k)) == d * (i == l) for i in range(k) for l in range(k))
+    assert invert(rows) == tuple(tuple(F(a, d) for a in row) for row in m)
 
 
 @settings(deadline=None)

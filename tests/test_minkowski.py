@@ -103,6 +103,17 @@ def test_rejects_nonpositive_weight():
         build_minkowski(a, 2)
 
 
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_rejects_weights_for_other_summands(change):
+    a = ones_weights(2)
+    if change == "extra":
+        a[(0, 9)] = F(1)
+    else:
+        del a[(1, 3)]
+    with pytest.raises(ValueError):
+        build_minkowski(a, 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_vertex_count_and_sum_random_weights(n):
     rng = random.Random(n)
