@@ -9,19 +9,25 @@ run on the vertices scaled to integers once per polytope, with a positive
 integer multiple of the normal.  Parallelism of facets is equality of
 their direction subspaces, compared in canonical form.
 
-The equivalence search builds each polytope's hull chart (coordinates,
-independent vertices, interpolation inverse) once; each of the 2(n+3)
-dihedral relabelings then costs one small matrix product and a vertex check
-that stops at the first mismatch.
+Each polytope's affine hull is eliminated once, when it is made: its `Hull`
+record holds the integer vertex rows, the first n+1 affinely independent
+vertices and the canonical (reduced echelon) basis of the direction space.
+On the hull a point's coordinates in that basis are its entries at the
+basis' pivot columns minus those of the first vertex, so the equivalence
+search charts every vertex by reading them.  Each of the 2(n+3) dihedral
+relabelings then costs one small matrix product and a vertex check that
+stops at the first mismatch; only a hit is lifted to an ambient map.
 """
 
 from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from . import exactlin, polygon
 from .exactlin import (
     ONE,
     Subspace,
+    affine_frame,
     affinely_independent,
     dot,
     hyperplane_through,
@@ -31,7 +37,7 @@ from .exactlin import (
     # unused here, but perfbench's tracer test checks that this by-name
     # binding gets patched
     solve_linear,  # noqa: F401
-    subspace_from_differences,
+    span,
     transpose,
     vadd,
     vsub,
@@ -42,6 +48,14 @@ class CertificationError(Exception):
     """A combinatorially located facet failed its geometric certificate."""
 
 
+class Hull(NamedTuple):
+    """A polytope's affine hull, eliminated once by `make_polytope`."""
+
+    rows: tuple  # the vertices scaled to ints by one positive factor
+    independent: tuple  # indices of the first n+1 affinely independent vertices
+    space: Subspace  # the direction space, in canonical form
+
+
 @dataclass(frozen=True)
 class LabeledPolytope:
     construction: str
@@ -49,6 +63,7 @@ class LabeledPolytope:
     ambient_dim: int
     vertices: tuple  # of (coords, triangulation) pairs, sorted by label
     params: dict = field(default_factory=dict, compare=False)
+    hull: Hull = field(compare=False, repr=False, kw_only=True)
 
 
 def make_polytope(construction, n, ambient_dim, pairs, params=None):
@@ -56,6 +71,8 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None):
 
     Labels must be exactly the triangulations of the (n+3)-gon, coordinates
     must be pairwise distinct, and the affine hull must have dimension n.
+    The hull's elimination (`affine_frame` on the integer vertex rows) is
+    kept as the polytope's `Hull` record for the facets and the search.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
     labels = [label for _, label in pairs]
@@ -64,20 +81,18 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None):
     coords = [c for c, _ in pairs]
     if len(set(coords)) != len(coords):
         raise ValueError("vertex coordinates are not distinct")
-    hull = subspace_from_differences(coords)
-    if hull.dim != n:
-        raise ValueError(f"affine hull has dimension {hull.dim}, expected {n}")
+    rows = integer_points(coords)
+    independent, space = affine_frame(rows)
+    if space.dim != n:
+        raise ValueError(f"affine hull has dimension {space.dim}, expected {n}")
     return LabeledPolytope(
         construction=construction,
         n=n,
         ambient_dim=ambient_dim,
         vertices=tuple(pairs),
         params=dict(params or {}),
+        hull=Hull(tuple(rows), tuple(independent), space),
     )
-
-
-def affine_hull(p):
-    return subspace_from_differences([c for c, _ in p.vertices])
 
 
 @dataclass(frozen=True)
@@ -92,17 +107,15 @@ def extract_facets(p):
     """One certified facet per diagonal of the (n+3)-gon.
 
     The facet's members are the vertices whose label carries the diagonal.
-    Its hyperplane is fitted through n affinely independent members and its
-    direction is the span of their n-1 differences.  The certificate runs on
-    the vertices scaled to integers once (`integer_points`) with a positive
-    integer multiple of the normal, one dot product per vertex: 0 on every
-    member and one strict sign on every other vertex.  Certification
-    failure means the construction is broken, not the analysis, and raises
-    CertificationError naming the diagonal.
+    Its hyperplane is fitted inside the hull's direction space through n
+    affinely independent members, and its direction is the span of their
+    n-1 differences.  The certificate runs on the hull record's integer
+    vertex rows with a positive integer multiple of the normal, one dot
+    product per vertex: 0 on every member and one strict sign on every
+    other vertex.  Certification failure means the construction is broken,
+    not the analysis, and raises CertificationError naming the diagonal.
     """
-    hull = affine_hull(p)
-    coords = [c for c, _ in p.vertices]
-    rows = integer_points(coords)
+    coords, rows = [c for c, _ in p.vertices], p.hull.rows
     facets = []
     for d in polygon.all_diagonals(p.n):
         members = frozenset(
@@ -111,11 +124,9 @@ def extract_facets(p):
         if not members:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
         ordered = sorted(members)
-        spanning = [
-            coords[ordered[k]]
-            for k in affinely_independent([rows[i] for i in ordered], p.n)
-        ]
-        hp = hyperplane_through(spanning, hull) if len(spanning) == p.n else None
+        spanning = [ordered[k] for k in affinely_independent([rows[i] for i in ordered], p.n)]
+        # None unless they span a codim-1 flat of the hull: fewer than n do not
+        hp = hyperplane_through([coords[i] for i in spanning], p.hull.space)
         if hp is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
         # hp runs through the first member, so the offset is the value there
@@ -127,11 +138,9 @@ def extract_facets(p):
         outside = [v for i, v in enumerate(values) if i not in members]
         if not (all(v > 0 for v in outside) or all(v < 0 for v in outside)):
             raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
-        direction = subspace_from_differences(spanning)
-        if direction.dim != p.n - 1:
-            raise CertificationError(
-                f"diagonal {d}: facet dimension {direction.dim} != {p.n - 1}"
-            )
+        # n affinely independent members: n-1 independent differences
+        base = rows[spanning[0]]
+        direction = span([vsub(rows[i], base) for i in spanning[1:]], p.ambient_dim)
         facets.append(
             FacetDescriptor(
                 diagonal=d, vertex_indices=members, hyperplane=hp, direction=direction
@@ -200,41 +209,33 @@ def relabel_triangulation(perm, t):
 class HullChart:
     """What affine-map fitting needs of one polytope, built once per search.
 
-    `chart` gives a point's coordinates in the canonical basis of the affine
-    hull's direction space, by the exact orthogonal projector G^-1 B (B the
-    basis rows, G their Gram matrix, inverted once); `unchart` goes back.
-    `charted` maps each vertex label to its chart coordinates, in vertex
-    order.  `independent` holds the labels of the first n+1 affinely
-    independent vertices and `interpolation_inverse` the inverse of the
+    `charted` maps each vertex label, in vertex order, to the vertex's
+    coordinates in the canonical basis of the hull's direction space: its
+    entries at the basis' pivot columns minus those of the first vertex
+    (the basis is reduced echelon, so on the hull these are the
+    coefficients).  `independent` holds the labels of the hull record's
+    n+1 independent vertices and `interpolation_inverse` the inverse of the
     (n+1) x (n+1) matrix whose rows are their chart coordinates followed
     by 1.
     """
 
     def __init__(self, p):
         self.polytope = p
-        self.p0 = p.vertices[0][0]
-        self.basis = affine_hull(p).basis
-        gram = tuple(tuple(dot(bi, bj) for bj in self.basis) for bi in self.basis)
-        gram_inverse = invert(gram)
-        self.projector = transpose(
-            tuple(mat_vec(gram_inverse, column) for column in transpose(self.basis))
+        p0 = p.vertices[0][0]
+        pivots = [next(k for k, a in enumerate(b) if a) for b in p.hull.space.basis]
+        self.charted = {
+            label: tuple(c[k] - p0[k] for k in pivots) for c, label in p.vertices
+        }
+        xs = list(self.charted.values())
+        self.independent = tuple(p.vertices[i][1] for i in p.hull.independent)
+        self.interpolation_inverse = invert(
+            tuple(xs[i] + (ONE,) for i in p.hull.independent)
         )
-        self.charted = {label: self.chart(c) for c, label in p.vertices}
-        labels, xs = list(self.charted), list(self.charted.values())
-        chosen = affinely_independent(integer_points(xs), p.n + 1)
-        if len(chosen) != p.n + 1:
-            raise CertificationError("vertices are affinely degenerate")
-        self.independent = tuple(labels[i] for i in chosen)
-        self.interpolation_inverse = invert(tuple(xs[i] + (ONE,) for i in chosen))
 
-    def chart(self, x):
-        return mat_vec(self.projector, vsub(x, self.p0))
 
-    def unchart(self, y):
-        out = self.p0
-        for c, b in zip(y, self.basis):
-            out = vadd(out, exactlin.vscale(c, b))
-        return out
+def _product(a, b):
+    bt = transpose(b)
+    return tuple(mat_vec(bt, row) for row in a)
 
 
 def fit_affine_map(src, dst, label_map):
@@ -245,8 +246,8 @@ def fit_affine_map(src, dst, label_map):
     the map is fixed by src's n+1 independent vertices: its coefficients
     are src's interpolation inverse times the charted images of those
     vertices.  The map is rejected (None) at the first src vertex it does
-    not send to its image.  On a hit it is lifted to an ambient map, which
-    is checked again on every vertex and returned.
+    not send to its image.  Only a hit is lifted to an ambient map, in
+    closed form, and the lift is checked again on every vertex and returned.
     """
     n = src.polytope.n
     images = [dst.charted[label_map[label]] for label in src.independent]
@@ -262,20 +263,20 @@ def fit_affine_map(src, dst, label_map):
         if chart_map.apply(x) != dst.charted[label_map[label]]:
             return None
 
-    # lift to an ambient map agreeing on the affine hull:
-    # f(x) = unchart_d(chart_map(chart_s(x))) is affine in x
-    def f(x):
-        return dst.unchart(chart_map.apply(src.chart(x)))
-
-    src_dim = src.polytope.ambient_dim
-    f_p0 = f(src.p0)
-    cols = [
-        vsub(f(vadd(src.p0, exactlin.unit(i, src_dim))), f_p0)
-        for i in range(src_dim)
-    ]
-    matrix_amb = transpose(cols)
-    translation_amb = vsub(f_p0, mat_vec(matrix_amb, src.p0))
-    witness = exactlin.AffineMap(matrix=matrix_amb, translation=translation_amb)
+    # the lift x -> p0_d + B_d^T (A c(x) + t) with (A, t) the chart map, B
+    # the basis rows and c(x) = G_s^-1 B_s (x - p0_s) the src coefficients
+    # of x's orthogonal projection onto the hull (G_s = B_s B_s^T): the
+    # chart read at the pivots, extended off the hull
+    src_basis, dst_basis = src.polytope.hull.space.basis, dst.polytope.hull.space.basis
+    gram = tuple(tuple(dot(bi, bj) for bj in src_basis) for bi in src_basis)
+    lifted = _product(chart_map.matrix, _product(invert(gram), src_basis))
+    matrix = _product(transpose(dst_basis), lifted)
+    src_p0, dst_p0 = src.polytope.vertices[0][0], dst.polytope.vertices[0][0]
+    translation = vsub(
+        vadd(dst_p0, mat_vec(transpose(dst_basis), chart_map.translation)),
+        mat_vec(matrix, src_p0),
+    )
+    witness = exactlin.AffineMap(matrix=matrix, translation=translation)
     dst_by_label = {label: c for c, label in dst.polytope.vertices}
     for c_src, label in src.polytope.vertices:
         if witness.apply(c_src) != dst_by_label[label_map[label]]:

@@ -47,10 +47,15 @@ def root_key(r):
 
 
 def parse_root_key(key):
+    """The root of a file key; ValueError unless `root_key` gives the key back."""
     if key.startswith("-a"):
-        return neg(int(key[2:]))
-    i, _, j = key[1:].partition("..")
-    return pos(int(i), int(j or i))
+        r = neg(int(key[2:]))
+    else:
+        i, _, j = key[1:].partition("..")
+        r = pos(int(i), int(j or i))
+    if root_key(r) != key:
+        raise ValueError(f"not a canonical root key: {key!r}")
+    return r
 
 
 def root_coordinates(r, n):

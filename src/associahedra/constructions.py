@@ -33,8 +33,10 @@ class Construction:
 def _decode_weights(doc):
     a = {}
     for key, v in doc.items():
-        i, j = key.split(",")
-        a[(int(i), int(j))] = parse_rat(v)
+        i, j = map(int, key.split(","))
+        if f"{i},{j}" != key:
+            raise ValueError(f"not a canonical summand key: {key!r}")
+        a[(i, j)] = parse_rat(v)
     return a
 
 

@@ -65,10 +65,6 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
-
-
 def unit(i, dim):
     return tuple(ONE if k == i else ZERO for k in range(dim))
 
@@ -244,30 +240,28 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def contains(self, v):
-        if not self.basis:
-            return is_zero_vec(v)
-        stacked = self.basis + (tuple(v),)
-        return rank(stacked) == self.dim
-
 
 def span(vectors, ambient_dim):
     red, _ = rref(vectors) if vectors else ((), ())
     return Subspace(basis=red, ambient_dim=ambient_dim)
 
 
+def affine_frame(rows):
+    """(chosen, space) for a non-empty list of int rows: the indices
+    `affinely_independent` picks from all of them (count = ambient dim + 1,
+    so none is skipped unless the span is already the whole space), and
+    the canonical span of their differences from rows[0], which is the
+    direction space of the rows' affine hull."""
+    chosen = affinely_independent(rows, len(rows[0]) + 1)
+    return chosen, span([vsub(rows[i], rows[0]) for i in chosen[1:]], len(rows[0]))
+
+
 def subspace_from_differences(points):
     """Canonical span of {p_i - p_0}; zero subspace if all points equal.
-
-    The span of the differences of the points `affinely_independent` picks
-    from all of them (count = ambient dim + 1, so none is skipped unless
-    the span is already the whole space).
-    """
+    A positive scale of the points keeps the span, so it is taken on ints."""
     if len(points) < 1:
         raise ValueError("need at least one point")
-    p0 = points[0]
-    chosen = affinely_independent(integer_points(points), len(p0) + 1)
-    return span([vsub(points[i], p0) for i in chosen[1:]], len(p0))
+    return affine_frame(integer_points(points))[1]
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def verify_correspondence(p, n):
                 flip_pairs.add((idx, jdx))
     edge_count = 0
     # a positive scale of the vertices and of each functional keeps its argmax
-    rows = integer_points([c for c, _ in p.vertices])
+    rows = p.hull.rows
     for idx, jdx in sorted(flip_pairs):
         t1, t2 = p.vertices[idx][1], p.vertices[jdx][1]
         shared = tuple(sorted(set(t1) & set(t2)))

@@ -8,10 +8,6 @@ lexicographic everywhere so outputs are reproducible.
 from functools import lru_cache
 
 
-def vertex_count(n):
-    return n + 3
-
-
 def is_polygon_edge(d, n):
     a, b = d
     return b - a == 1 or (a == 0 and b == n + 2)

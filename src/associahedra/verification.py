@@ -24,10 +24,9 @@ def build_all_defaults(n):
 
 
 def _default_and_draws(name, n, rng):
-    """The polytopes of the default parameter and of three seeded draws."""
+    """The cached default polytope and the polytopes of three seeded draws."""
     c = CONSTRUCTIONS[name]
-    values = [c.default(n)] + [c.draw(n, rng) for _ in range(3)]
-    return [c.build(value, n) for value in values]
+    return [build_all_defaults(n)[name]] + [c.build(c.draw(n, rng), n) for _ in range(3)]
 
 
 def check_vertex_counts(n_max, seed):

@@ -9,7 +9,6 @@ from associahedra.analysis import (
     CertificationError,
     FacetDescriptor,
     HullChart,
-    affine_hull,
     dihedral_relabelings,
     equivalence_search,
     extract_facets,
@@ -26,6 +25,7 @@ from associahedra.exactlin import (
     AffineMap,
     dot,
     hyperplane_through,
+    integer_points,
     invert,
     mat_vec,
     rank,
@@ -36,6 +36,7 @@ from associahedra.exactlin import (
 )
 from associahedra.minkowski import build_minkowski, ones_weights
 from associahedra.secondary import build_secondary
+from associahedra.serialize import polytope_from_json, polytope_to_json
 
 F = Fraction
 
@@ -239,7 +240,7 @@ def test_equivalence_mismatched_n():
 
 def reference_extract_facets(p):
     """Every facet fitted and spanned through all of its members."""
-    hull = affine_hull(p)
+    hull = subspace_from_differences([c for c, _ in p.vertices])
     facets = []
     for d in polygon.all_diagonals(p.n):
         members = frozenset(i for i, (_, label) in enumerate(p.vertices) if d in label)
@@ -287,6 +288,18 @@ def _reference_hull_chart(p):
     return chart, unchart
 
 
+def reference_independent(xs, n):
+    """Greedy by rank: the first n+1 affinely independent points."""
+    chosen = [0]
+    for i in range(1, len(xs)):
+        if len(chosen) == n + 1:
+            break
+        diffs = [vsub(xs[j], xs[chosen[0]]) for j in chosen[1:] + [i]]
+        if rank(diffs) == len(diffs):
+            chosen.append(i)
+    return chosen
+
+
 def reference_fit_affine_map(src, dst, label_map):
     """Both charts, the independent subset and n solves, redone per call."""
     n = src.n
@@ -296,13 +309,7 @@ def reference_fit_affine_map(src, dst, label_map):
     chart_d, unchart_d = _reference_hull_chart(dst)
     xs = [chart_s(c) for c, _ in pairs]
     ys = [chart_d(c) for _, c in pairs]
-    chosen = [0]
-    for i in range(1, len(xs)):
-        if len(chosen) == n + 1:
-            break
-        diffs = [vsub(xs[j], xs[chosen[0]]) for j in chosen[1:] + [i]]
-        if rank(diffs) == len(diffs):
-            chosen.append(i)
+    chosen = reference_independent(xs, n)
     system = [tuple(xs[i]) + (F(1),) for i in chosen]
     thetas = [solve_linear(system, [ys[i][k] for i in chosen]) for k in range(n)]
     chart_map = AffineMap(
@@ -408,3 +415,23 @@ def test_extract_facets_rejects_member_off_hyperplane():
     moved = make_polytope(p.construction, p.n, p.ambient_dim, pairs)
     with pytest.raises(CertificationError, match="member off its hyperplane"):
         extract_facets(moved)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_hull_record_matches_references(construction, n):
+    rng = random.Random(10 + n)
+    p = drawn(construction, n, rng)
+    for q in (builds(n)[construction], p, unimodular_relabelled_image(p, rng)):
+        coords = [c for c, _ in q.vertices]
+        assert q.hull.space == subspace_from_differences(coords)
+        assert list(q.hull.rows) == integer_points(coords)
+        chart, _ = _reference_hull_chart(q)
+        xs = [chart(c) for c in coords]
+        assert list(q.hull.independent) == reference_independent(xs, n)
+        assert list(HullChart(q).charted.items()) == [
+            (label, x) for (_, label), x in zip(q.vertices, xs)
+        ]
+        reloaded = polytope_from_json(polytope_to_json(q))
+        assert reloaded == q and reloaded.hull == q.hull
+        assert "hull" not in repr(q) and "Hull" not in repr(q)

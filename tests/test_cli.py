@@ -422,3 +422,66 @@ def test_build_cap_ignores_environment(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "out of range 1..7" in err
     assert not (tmp_path / "x.json").exists()
+
+
+# keys that parse to a parameter a canonical key names ("a1", "1,1"); a file
+# must use the canonical key, so that no two keys name one parameter
+NON_CANONICAL_KEYS = {
+    "cluster": {"a1": ["a1..", "a01", "a 1", "a1..1", "a+1"], "-a1": ["-a01", "-a 1"]},
+    "minkowski": {"1,1": ["01,1", " 1,1", "1, 1", "1,1 ", "+1,1"], "1,2": ["1,0_2"]},
+}
+NON_CANONICAL_CASES = [
+    (construction, canonical, key)
+    for construction, by_key in NON_CANONICAL_KEYS.items()
+    for canonical, keys in by_key.items()
+    for key in keys
+]
+
+
+def _rekeyed(params, canonical, key, keep):
+    """`params` with `key` holding a new value, beside `canonical` or in its place."""
+    params = dict(params)
+    if not keep:
+        del params[canonical]
+    params[key] = "7"
+    return params
+
+
+@pytest.mark.parametrize("keep", [True, False], ids=["duplicated", "renamed"])
+@pytest.mark.parametrize("construction, canonical, key", NON_CANONICAL_CASES)
+def test_build_non_canonical_key_exit_2(tmp_path, capsys, construction, canonical, key, keep):
+    doc = _valid_params(construction)
+    param = "h" if construction == "cluster" else "a"
+    doc[param] = _rekeyed(doc[param], canonical, key, keep)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    code, _, err = run(
+        ["build", "--construction", construction, "--n", "2",
+         "--params", str(params), "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "invalid parameters" in err and "canonical" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
+@pytest.mark.parametrize("construction", sorted(NON_CANONICAL_KEYS))
+def test_file_with_non_canonical_key_exit_2(tmp_path, capsys, construction, command):
+    good = _built(tmp_path, capsys, construction, 2)
+    doc = json.loads(good.read_text())
+    param = "h" if construction == "cluster" else "a"
+    canonical, keys = next(iter(NON_CANONICAL_KEYS[construction].items()))
+    doc["params"][param] = _rekeyed(doc["params"][param], canonical, keys[0], keep=False)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "compare": ["compare", str(bad), str(good)],
+        "export": ["export", str(bad), "--format", "json"],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "malformed polytope file" in err and "canonical" in err

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from associahedra import cluster, minkowski, sampling, secondary, serialize
+from associahedra import cluster, minkowski, sampling, secondary, serialize, verification
 from associahedra.constructions import CONSTRUCTIONS
 
 # per construction: the module functions its record's default, draw and build call
@@ -65,3 +65,13 @@ def test_params_roundtrip(tmp_path, name, drawn):
     serialize.save_polytope(p, tmp_path / "p.json")
     serialize.save_polytope(q, tmp_path / "q.json")
     assert (tmp_path / "p.json").read_bytes() == (tmp_path / "q.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_manifest_reuses_cached_default(name):
+    c = CONSTRUCTIONS[name]
+    got = verification._default_and_draws(name, 3, random.Random(2))
+    assert got[0] is verification.build_all_defaults(3)[name]
+    # defaults draw nothing: the draws see the rng stream from its start
+    rng = random.Random(2)
+    assert got[1:] == [c.build(c.draw(3, rng), 3) for _ in range(3)]
