@@ -1,25 +1,27 @@
 """Construction-agnostic polytope analysis.
 
 Facets are located combinatorially (the vertices whose triangulation label
-contains a given diagonal) and then certified geometrically: a supporting
-hyperplane is fitted inside the affine hull through n affinely independent
-members, and one integer evaluation per vertex shows that every member
-lies on it and every other vertex strictly on one side.  The evaluations
-run on the vertices scaled to integers once per polytope, with a positive
-integer multiple of the normal.  Parallelism of facets is equality of
-their direction subspaces, compared in canonical form.
+contains a given diagonal) and then certified geometrically: a facet normal
+is solved inside the affine hull through n affinely independent members,
+and one integer evaluation per vertex shows that every member lies on its
+hyperplane and every other vertex strictly on one side.  The solve and the
+evaluations run on the vertices scaled to integers once per polytope.
+Parallelism of facets is equality of their direction subspaces, compared
+in canonical form.
 
 Each polytope's affine hull is eliminated once, when it is made: its `Hull`
-record holds the integer vertex rows, the first n+1 affinely independent
-vertices and the canonical (reduced echelon) basis of the direction space.
-On the hull a point's coordinates in that basis are its entries at the
-basis' pivot columns minus those of the first vertex, so the equivalence
-search charts every vertex by reading them.  Each of the 2(n+3) dihedral
-relabelings then costs one small matrix product and a vertex check that
-stops at the first mismatch; only a hit is lifted to an ambient map.
+record holds the integer vertex rows and their common scale, the first n+1
+affinely independent vertices and the canonical (reduced echelon) basis of
+the direction space.  On the hull the entries at the basis' pivot columns
+are an affine chart, so the equivalence search keeps, per polytope, each
+vertex's integer pivot entries and its affine weights on the independent
+vertices over one denominator.  Each of the 2(n+3) dihedral relabelings
+is then an integer check per vertex that stops at the first mismatch; only
+a hit is lifted to a Fraction ambient map, checked again on every vertex.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -30,10 +32,13 @@ from .exactlin import (
     affine_frame,
     affinely_independent,
     dot,
-    hyperplane_through,
-    integer_points,
+    integer_inverse,
+    integer_normal,
+    integer_scaling,
     invert,
+    make_hyperplane,
     mat_vec,
+    primitive_rows,
     # unused here, but perfbench's tracer test checks that this by-name
     # binding gets patched
     solve_linear,  # noqa: F401
@@ -52,6 +57,7 @@ class Hull(NamedTuple):
     """A polytope's affine hull, eliminated once by `make_polytope`."""
 
     rows: tuple  # the vertices scaled to ints by one positive factor
+    scale: int  # that factor
     independent: tuple  # indices of the first n+1 affinely independent vertices
     space: Subspace  # the direction space, in canonical form
 
@@ -81,7 +87,7 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None):
     coords = [c for c, _ in pairs]
     if len(set(coords)) != len(coords):
         raise ValueError("vertex coordinates are not distinct")
-    rows = integer_points(coords)
+    rows, scale = integer_scaling(coords)
     independent, space = affine_frame(rows)
     if space.dim != n:
         raise ValueError(f"affine hull has dimension {space.dim}, expected {n}")
@@ -91,7 +97,7 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None):
         ambient_dim=ambient_dim,
         vertices=tuple(pairs),
         params=dict(params or {}),
-        hull=Hull(tuple(rows), tuple(independent), space),
+        hull=Hull(tuple(rows), scale, tuple(independent), space),
     )
 
 
@@ -107,15 +113,17 @@ def extract_facets(p):
     """One certified facet per diagonal of the (n+3)-gon.
 
     The facet's members are the vertices whose label carries the diagonal.
-    Its hyperplane is fitted inside the hull's direction space through n
-    affinely independent members, and its direction is the span of their
-    n-1 differences.  The certificate runs on the hull record's integer
-    vertex rows with a positive integer multiple of the normal, one dot
-    product per vertex: 0 on every member and one strict sign on every
-    other vertex.  Certification failure means the construction is broken,
-    not the analysis, and raises CertificationError naming the diagonal.
+    Its normal is solved (`integer_normal`) inside the hull's direction
+    space, whose basis is made primitive once per polytope, through the
+    integer rows of n affinely independent members, and its direction is
+    the span of their n-1 differences.  The certificate is one integer dot
+    product of that normal per vertex row: 0 on every member and one strict
+    sign on every other vertex.  Only then is the Fraction hyperplane made.
+    Certification failure means the construction is broken, not the
+    analysis, and raises CertificationError naming the diagonal.
     """
-    coords, rows = [c for c, _ in p.vertices], p.hull.rows
+    rows = p.hull.rows
+    basis = primitive_rows(p.hull.space.basis)
     facets = []
     for d in polygon.all_diagonals(p.n):
         members = frozenset(
@@ -126,12 +134,11 @@ def extract_facets(p):
         ordered = sorted(members)
         spanning = [ordered[k] for k in affinely_independent([rows[i] for i in ordered], p.n)]
         # None unless they span a codim-1 flat of the hull: fewer than n do not
-        hp = hyperplane_through([coords[i] for i in spanning], p.hull.space)
-        if hp is None:
+        normal = integer_normal([rows[i] for i in spanning], basis)
+        if normal is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
-        # hp runs through the first member, so the offset is the value there
-        normal = integer_points([hp.normal])[0]
-        offset = sum(map(mul, normal, rows[ordered[0]]))
+        base = rows[spanning[0]]
+        offset = sum(map(mul, normal, base))
         values = [sum(map(mul, normal, x)) - offset for x in rows]
         if any(values[i] != 0 for i in members):
             raise CertificationError(f"diagonal {d}: member off its hyperplane")
@@ -139,11 +146,13 @@ def extract_facets(p):
         if not (all(v > 0 for v in outside) or all(v < 0 for v in outside)):
             raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
         # n affinely independent members: n-1 independent differences
-        base = rows[spanning[0]]
         direction = span([vsub(rows[i], base) for i in spanning[1:]], p.ambient_dim)
         facets.append(
             FacetDescriptor(
-                diagonal=d, vertex_indices=members, hyperplane=hp, direction=direction
+                diagonal=d,
+                vertex_indices=members,
+                hyperplane=make_hyperplane(normal, Fraction(offset, p.hull.scale)),
+                direction=direction,
             )
         )
     return facets
@@ -209,28 +218,28 @@ def relabel_triangulation(perm, t):
 class HullChart:
     """What affine-map fitting needs of one polytope, built once per search.
 
-    `charted` maps each vertex label, in vertex order, to the vertex's
-    coordinates in the canonical basis of the hull's direction space: its
-    entries at the basis' pivot columns minus those of the first vertex
-    (the basis is reduced echelon, so on the hull these are the
-    coefficients).  `independent` holds the labels of the hull record's
-    n+1 independent vertices and `interpolation_inverse` the inverse of the
-    (n+1) x (n+1) matrix whose rows are their chart coordinates followed
-    by 1.
+    Its rows and weights are ints read off the hull record.  `rows` holds
+    each vertex's record row at the basis' pivot columns (on the hull these
+    chart it affinely), `labels` the vertex labels and `index` their vertex
+    indices, and `independent` the record's n+1 independent vertex indices.
+    `weights[v]` are vertex v's affine weights on those n+1 vertices over
+    one denominator d > 0, from one `integer_inverse` of their rows
+    augmented by 1: sum_k weights[v][k] * (rows[independent[k]], 1) equals
+    d * (rows[v], 1).
     """
 
     def __init__(self, p):
         self.polytope = p
-        p0 = p.vertices[0][0]
-        pivots = [next(k for k, a in enumerate(b) if a) for b in p.hull.space.basis]
-        self.charted = {
-            label: tuple(c[k] - p0[k] for k in pivots) for c, label in p.vertices
-        }
-        xs = list(self.charted.values())
-        self.independent = tuple(p.vertices[i][1] for i in p.hull.independent)
-        self.interpolation_inverse = invert(
-            tuple(xs[i] + (ONE,) for i in p.hull.independent)
-        )
+        self.pivots = [next(k for k, a in enumerate(b) if a) for b in p.hull.space.basis]
+        self.rows = [tuple(r[k] for k in self.pivots) for r in p.hull.rows]
+        self.labels = [label for _, label in p.vertices]
+        self.index = {label: i for i, label in enumerate(self.labels)}
+        self.independent = p.hull.independent
+        inverse, self.d = integer_inverse([self.rows[i] + (1,) for i in self.independent])
+        columns = transpose(inverse)
+        self.weights = [
+            tuple(sum(map(mul, row + (1,), col)) for col in columns) for row in self.rows
+        ]
 
 
 def _product(a, b):
@@ -238,50 +247,76 @@ def _product(a, b):
     return tuple(mat_vec(bt, row) for row in a)
 
 
-def fit_affine_map(src, dst, label_map):
-    """Affine map sending each src vertex to the dst vertex of the mapped label.
+def fit_affine_map(src, dst, perm):
+    """Affine map sending each src vertex to the dst vertex whose label is
+    its own relabelled by the dihedral `perm`; None if there is none.
 
     `src` and `dst` are the HullCharts of the two polytopes, built once per
-    search; only `label_map` changes between calls.  In chart coordinates
-    the map is fixed by src's n+1 independent vertices: its coefficients
-    are src's interpolation inverse times the charted images of those
-    vertices.  The map is rejected (None) at the first src vertex it does
-    not send to its image.  Only a hit is lifted to an ambient map, in
-    closed form, and the lift is checked again on every vertex and returned.
+    search; only `perm` changes between calls, and only the labels read are
+    relabelled.  The map is fixed by src's independent vertices, so it
+    exists iff each src vertex's weights, applied to the dst rows of those
+    vertices' images, give the dst row of its own image: d * y(v) equals
+    sum_k weights[v][k] * y(image of independent k), all in ints (the
+    weights are affine, so translations and the two scales cancel).  The
+    check stops at the first vertex that fails; only a hit is lifted.
+    """
+    def image(i):
+        return dst.index[relabel_triangulation(perm, src.labels[i])]
+
+    images = [image(i) for i in src.independent]
+    columns = list(zip(*(dst.rows[j] for j in images)))
+    targets = []
+    for v, weights in enumerate(src.weights):
+        targets.append(image(v))
+        y = dst.rows[targets[-1]]
+        if any(sum(map(mul, weights, col)) != src.d * a for col, a in zip(columns, y)):
+            return None
+    return _lift(src, dst, images, targets)
+
+
+def _lift(src, dst, images, targets):
+    """A hit of `fit_affine_map` as an ambient map, checked on every vertex.
+
+    In chart coordinates (pivot entries minus those of vertex 0) the map
+    (A, t) is the inverse of the independent vertices' coordinates
+    augmented by 1 times their images' coordinates.  The lift is
+    x -> p0_d + B_d^T (A c(x) + t), with B the basis rows and
+    c(x) = G_s^-1 B_s (x - p0_s) the src coefficients of x's orthogonal
+    projection onto the hull (G_s = B_s B_s^T): the chart read at the
+    pivots, extended off the hull.  With M and T its matrix and translation
+    times the lcm D of their denominators, vertex row r with image row r_d
+    checks as s_d (M r + s_s T) == s_s D r_d in ints (s the hull scales).
     """
     n = src.polytope.n
-    images = [dst.charted[label_map[label]] for label in src.independent]
-    thetas = [
-        mat_vec(src.interpolation_inverse, tuple(y[coord] for y in images))
-        for coord in range(n)
-    ]
-    chart_map = exactlin.AffineMap(
-        matrix=tuple(theta[:n] for theta in thetas),
-        translation=tuple(theta[n] for theta in thetas),
-    )
-    for label, x in src.charted.items():
-        if chart_map.apply(x) != dst.charted[label_map[label]]:
-            return None
+    src_coords = [c for c, _ in src.polytope.vertices]
+    dst_coords = [c for c, _ in dst.polytope.vertices]
 
-    # the lift x -> p0_d + B_d^T (A c(x) + t) with (A, t) the chart map, B
-    # the basis rows and c(x) = G_s^-1 B_s (x - p0_s) the src coefficients
-    # of x's orthogonal projection onto the hull (G_s = B_s B_s^T): the
-    # chart read at the pivots, extended off the hull
+    def chart(coords, pivots, i):
+        return tuple(coords[i][k] - coords[0][k] for k in pivots)
+
+    inverse = invert(tuple(chart(src_coords, src.pivots, i) + (ONE,) for i in src.independent))
+    ys = [chart(dst_coords, dst.pivots, j) for j in images]
+    thetas = [mat_vec(inverse, tuple(y[coord] for y in ys)) for coord in range(n)]
     src_basis, dst_basis = src.polytope.hull.space.basis, dst.polytope.hull.space.basis
     gram = tuple(tuple(dot(bi, bj) for bj in src_basis) for bi in src_basis)
-    lifted = _product(chart_map.matrix, _product(invert(gram), src_basis))
-    matrix = _product(transpose(dst_basis), lifted)
-    src_p0, dst_p0 = src.polytope.vertices[0][0], dst.polytope.vertices[0][0]
-    translation = vsub(
-        vadd(dst_p0, mat_vec(transpose(dst_basis), chart_map.translation)),
-        mat_vec(matrix, src_p0),
+    lifted = _product(
+        tuple(theta[:n] for theta in thetas), _product(invert(gram), src_basis)
     )
-    witness = exactlin.AffineMap(matrix=matrix, translation=translation)
-    dst_by_label = {label: c for c, label in dst.polytope.vertices}
-    for c_src, label in src.polytope.vertices:
-        if witness.apply(c_src) != dst_by_label[label_map[label]]:
+    matrix = _product(transpose(dst_basis), lifted)
+    translation = vsub(
+        vadd(dst_coords[0], mat_vec(transpose(dst_basis), tuple(theta[n] for theta in thetas))),
+        mat_vec(matrix, src_coords[0]),
+    )
+    (*m, t), denom = integer_scaling(matrix + (translation,))
+    s_src, s_dst = src.polytope.hull.scale, dst.polytope.hull.scale
+    for r, j in zip(src.polytope.hull.rows, targets):
+        expected = dst.polytope.hull.rows[j]
+        if any(
+            s_dst * (sum(map(mul, row, r)) + s_src * b) != s_src * denom * e
+            for row, b, e in zip(m, t, expected)
+        ):
             return None
-    return witness
+    return exactlin.AffineMap(matrix=matrix, translation=translation)
 
 
 @dataclass
@@ -324,10 +359,7 @@ def equivalence_search(p, q):
     witness = None
     src, dst = HullChart(p), HullChart(q)
     for perm in dihedral_relabelings(p.n):
-        label_map = {
-            label: relabel_triangulation(perm, label) for _, label in p.vertices
-        }
-        fit = fit_affine_map(src, dst, label_map)
+        fit = fit_affine_map(src, dst, perm)
         if fit is not None:
             witness = fit
             break

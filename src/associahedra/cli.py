@@ -1,13 +1,16 @@
 """Command-line surface: build, analyze, compare, verify, export.
 
 Exit codes are a stable contract:
-  build:    0 ok, 2 invalid params, 3 n out of practical range
+  build:    0 ok, 2 invalid params or unwritable --out, 3 n out of
+            practical range
   analyze:  0 ok, 2 malformed file, 4 facet certification failure
   compare:  0 non-equivalent, 1 witness found, 2 mismatched n, 4 facet
             certification failure, 5 inconclusive
   verify:   0 all pass, 1 failure, 3 n_max out of range
-  export:   0 ok, 2 unknown format or malformed file, 4 facet certification
-            failure (format off)
+  export:   0 ok, 2 unknown format, malformed file or unwritable --out,
+            4 facet certification failure (format off)
+
+A file is malformed also when its `params.n` differs from its `n`.
 """
 
 import argparse
@@ -38,7 +41,11 @@ def cmd_build(args):
     except (ValueError, RuntimeError, KeyError, TypeError, OSError) as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2
-    serialize.save_polytope(p, args.out)
+    try:
+        serialize.save_polytope(p, args.out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -170,11 +177,15 @@ def cmd_export(args):
             idx = sorted(f.vertex_indices)
             lines.append(" ".join(str(k) for k in [len(idx)] + idx))
         out = "\n".join(lines) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(out)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(out)
-    else:
-        sys.stdout.write(out)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

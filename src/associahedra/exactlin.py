@@ -75,14 +75,25 @@ def _primitive(row):
     return row if g <= 1 else [a // g for a in row]
 
 
-def integer_points(points):
-    """The points times the lcm of all their denominators, as int tuples.
+def integer_scaling(points):
+    """(rows, scale): the points times `scale`, the lcm of all their
+    denominators, as int tuples.
 
     One positive scale for the whole set keeps affine dependence and the
     sign of every affine functional.
     """
     scale = lcm(*(x.denominator for p in points for x in p))
-    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points], scale
+
+
+def integer_points(points):
+    """The rows of `integer_scaling`, without the scale."""
+    return integer_scaling(points)[0]
+
+
+def primitive_rows(rows):
+    """Each row times its own positive factor, as a primitive int row."""
+    return [_primitive(integer_points([row])[0]) for row in rows]
 
 
 def _eliminate(m):
@@ -119,7 +130,7 @@ def rref(rows):
     are divided by their pivots at the end; the reduced echelon form of a row
     space is unique, so this is exactly Gaussian elimination over Fraction.
     """
-    m = [_primitive(integer_points([row])[0]) for row in rows]
+    m = primitive_rows(rows)
     pivots = _eliminate(m)
     reduced = tuple(
         tuple(Fraction(a, row[c]) if a else ZERO for a in row)
@@ -282,25 +293,40 @@ def make_hyperplane(normal, offset):
     return Hyperplane(normal=vscale(ONE / lead, normal), offset=Fraction(offset) / lead)
 
 
+def integer_normal(points, basis):
+    """Normal, inside the span of the int rows `basis`, of the hyperplane
+    through the int `points`, as a primitive int row; None unless the points
+    affinely span a codimension-1 flat of that span.
+
+    The normal is sum_k c_k basis_k with normal . (p - p0) = 0 for every
+    point p: one `_eliminate` of those constraints on c, whose kernel must
+    be a line, read off the reduced rows over the lcm of their pivots.
+    """
+    if not points or not basis:
+        return None
+    p0, *rest = points
+    m = [_primitive([sum(map(mul, b, vsub(p, p0))) for b in basis]) for p in rest]
+    pivots = _eliminate(m)
+    free = [k for k in range(len(basis)) if k not in pivots]
+    if len(free) != 1:
+        return None
+    scale = lcm(*(row[k] for row, k in zip(m, pivots)))
+    c = [0] * len(basis)
+    c[free[0]] = scale
+    for row, k in zip(m, pivots):
+        c[k] = -row[free[0]] * (scale // row[k])
+    return _primitive([sum(map(mul, c, col)) for col in zip(*basis)])
+
+
 def hyperplane_through(points, ambient):
     """Hyperplane (within `ambient`) through the given points.
 
     Returns None unless the points affinely span a codimension-1 flat of
-    `ambient`; the normal is taken inside `ambient`.  Runs on the points and
-    basis rows scaled to ints, which `make_hyperplane` normalizes away.
+    `ambient`.  `integer_normal` solves on the points and basis rows scaled
+    to ints, which `make_hyperplane` normalizes away.
     """
-    if not points or not ambient.basis:
-        return None
-    p0, *rest = integer_points(points)
-    basis = [_primitive(integer_points([b])[0]) for b in ambient.basis]
-    # normal = sum_k c_k basis_k with normal . diff = 0 for every diff
-    constraint_rows = [[sum(map(mul, b, vsub(p, p0))) for b in basis] for p in rest]
-    kernel = nullspace(constraint_rows, ncols=len(basis))
-    if len(kernel) != 1:
-        return None
-    c = integer_points(kernel)[0]
-    normal = [sum(map(mul, c, col)) for col in zip(*basis)]
-    return make_hyperplane(normal, dot(normal, points[0]))
+    normal = integer_normal(integer_points(points), primitive_rows(ambient.basis))
+    return None if normal is None else make_hyperplane(normal, dot(normal, points[0]))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,8 @@ def polytope_from_json(doc):
     if any(len(coords) != ambient_dim for coords, _ in pairs):
         raise ValueError("vertex coordinate rows have unequal lengths")
     params = doc.get("params", {})
+    if isinstance(params, dict) and params.get("n", n) != n:
+        raise ValueError(f"params are for n={params['n']}, not n={n}")
     params = {c.key: c.decode(params[c.key])} if params else {}
     return make_polytope(c.name, n, ambient_dim, pairs, params=params)
 

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from associahedra import exactlin, polygon, sampling
+from associahedra import analysis, exactlin, polygon, sampling
 from associahedra.analysis import (
     CertificationError,
     FacetDescriptor,
@@ -156,8 +158,7 @@ def test_relabeling_preserves_triangulations():
 
 def test_fit_identity():
     p = build_minkowski(ones_weights(2), 2)
-    identity = {label: label for _, label in p.vertices}
-    witness = fit_affine_map(HullChart(p), HullChart(p), identity)
+    witness = fit_affine_map(HullChart(p), HullChart(p), tuple(range(5)))
     assert witness is not None
     for c, _ in p.vertices:
         assert witness.apply(c) == c
@@ -170,8 +171,7 @@ def test_fit_translation():
         p.construction, p.n, p.ambient_dim,
         [(vadd(c, shift), label) for c, label in p.vertices],
     )
-    identity = {label: label for _, label in p.vertices}
-    witness = fit_affine_map(HullChart(p), HullChart(moved), identity)
+    witness = fit_affine_map(HullChart(p), HullChart(moved), tuple(range(5)))
     assert witness is not None
     for c, _ in p.vertices:
         assert witness.apply(c) == vadd(c, shift)
@@ -351,9 +351,9 @@ def test_extract_facets_matches_all_members_reference(construction, n):
         assert extract_facets(p) == reference_extract_facets(p)
 
 
-def unimodular_relabelled_image(p, rng):
+def unimodular_relabelled_image(p, rng, perm=None):
     """Seeded integer affine image of p with determinant +-1 whose labels are
-    moved by a seeded dihedral symmetry of the polygon."""
+    moved by a dihedral symmetry of the polygon: `perm`, or a seeded one."""
     d = p.ambient_dim
     matrix = [[int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(d):
@@ -361,7 +361,8 @@ def unimodular_relabelled_image(p, rng):
         c = rng.choice((-1, 1))
         matrix[i] = [a + c * b for a, b in zip(matrix[i], matrix[j])]
     shift = [rng.randint(-3, 3) for _ in range(d)]
-    perm = rng.choice(dihedral_relabelings(p.n))
+    if perm is None:
+        perm = rng.choice(dihedral_relabelings(p.n))
     pairs = [
         (
             tuple(sum(m * x for m, x in zip(row, c)) + s for row, s in zip(matrix, shift)),
@@ -372,6 +373,10 @@ def unimodular_relabelled_image(p, rng):
     return make_polytope(p.construction, p.n, d, pairs)
 
 
+def _label_map(p, perm):
+    return {label: relabel_triangulation(perm, label) for _, label in p.vertices}
+
+
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
 def test_fit_matches_reference_on_unimodular_image(construction):
     rng = random.Random(3)
@@ -380,8 +385,8 @@ def test_fit_matches_reference_on_unimodular_image(construction):
     src, dst = HullChart(p), HullChart(q)
     hits = 0
     for perm in dihedral_relabelings(3):
-        label_map = {label: relabel_triangulation(perm, label) for _, label in p.vertices}
-        got = fit_affine_map(src, dst, label_map)
+        label_map = _label_map(p, perm)
+        got = fit_affine_map(src, dst, perm)
         assert got == reference_fit_affine_map(p, q, label_map)
         if got is not None:
             hits += 1
@@ -389,6 +394,56 @@ def test_fit_matches_reference_on_unimodular_image(construction):
             assert all(got.apply(c) == by_label[label_map[label]] for c, label in p.vertices)
     assert hits >= 1
     assert equivalence_search(p, q).verdict == "equivalent"
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    construction=st.sampled_from(["secondary", "cluster", "minkowski"]),
+    n=st.integers(2, 4),
+    rng=st.randoms(use_true_random=False),
+    data=st.data(),
+)
+def test_unimodular_image_always_yields_the_reference_witness(construction, n, rng, data):
+    p = drawn(construction, n, rng)
+    perm = data.draw(st.sampled_from(dihedral_relabelings(n)))
+    q = unimodular_relabelled_image(p, rng, perm)
+    src, dst = HullChart(p), HullChart(q)
+    fits = {other: fit_affine_map(src, dst, other) for other in dihedral_relabelings(n)}
+    for other, got in fits.items():
+        assert got == reference_fit_affine_map(p, q, _label_map(p, other))
+    assert fits[perm] is not None
+    witness = equivalence_search(p, q).witness
+    first_hit = next(got for got in fits.values() if got is not None)
+    assert witness is not None and witness == first_hit
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def test_miss_path_makes_no_fraction_map(monkeypatch):
+    calls = []
+    for module in (exactlin, analysis):
+        _counting(monkeypatch, module, "invert", calls)
+    _counting(monkeypatch, exactlin, "AffineMap", calls)
+    b = builds(4)
+    report = equivalence_search(b["secondary"], b["cluster"])
+    assert report.witness is None and report.verdict == "non_equivalent"
+    assert calls == []
+    # every relabeling between the defaults, hit or miss: Fractions only on a hit
+    for n in (2, 3):
+        charts = [HullChart(p) for p in builds(n).values()]
+        for src, dst in itertools.product(charts, repeat=2):
+            for perm in dihedral_relabelings(n):
+                calls.clear()
+                hit = fit_affine_map(src, dst, perm) is not None
+                assert sorted(set(calls)) == (["AffineMap", "invert"] if hit else [])
 
 
 def _swap_labels(p, i, j):
@@ -426,12 +481,19 @@ def test_hull_record_matches_references(construction, n):
         coords = [c for c, _ in q.vertices]
         assert q.hull.space == subspace_from_differences(coords)
         assert list(q.hull.rows) == integer_points(coords)
+        assert [tuple(q.hull.scale * x for x in c) for c in coords] == list(q.hull.rows)
         chart, _ = _reference_hull_chart(q)
         xs = [chart(c) for c in coords]
         assert list(q.hull.independent) == reference_independent(xs, n)
-        assert list(HullChart(q).charted.items()) == [
-            (label, x) for (_, label), x in zip(q.vertices, xs)
-        ]
+        # each vertex's weights over d are affine and give back its chart
+        # coordinates from those of the independent vertices
+        hull_chart = HullChart(q)
+        d, independent = hull_chart.d, [xs[i] for i in q.hull.independent]
+        for weights, x in zip(hull_chart.weights, xs):
+            assert sum(weights) == d
+            assert tuple(
+                sum(F(w, d) * y[k] for w, y in zip(weights, independent)) for k in range(n)
+            ) == x
         reloaded = polytope_from_json(polytope_to_json(q))
         assert reloaded == q and reloaded.hull == q.hull
         assert "hull" not in repr(q) and "Hull" not in repr(q)

@@ -485,3 +485,35 @@ def test_file_with_non_canonical_key_exit_2(tmp_path, capsys, construction, comm
     assert code == 2
     assert out == ""
     assert "malformed polytope file" in err and "canonical" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
+def test_file_with_params_for_other_n_exit_2(tmp_path, capsys, command):
+    good = _built(tmp_path, capsys, "minkowski", 2)
+    doc = json.loads(good.read_text())
+    doc["params"] = json.loads(_built(tmp_path, capsys, "minkowski", 3).read_text())["params"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "compare": ["compare", str(bad), str(good)],
+        "export": ["export", str(bad), "--format", "json"],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "malformed polytope file" in err and "n=3" in err
+
+
+@pytest.mark.parametrize("command", ["build", "export"])
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    target = str(tmp_path / "no" / "such" / "dir" / "x.out")
+    argv = {
+        "build": ["build", "--construction", "minkowski", "--n", "2", "--out", target],
+        "export": ["export", str(_built(tmp_path, capsys, "minkowski", 2)),
+                   "--format", "csv", "--out", target],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from associahedra import cluster, exactlin
-from associahedra.analysis import extract_facets
+from associahedra.analysis import HullChart, extract_facets, fit_affine_map
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     UNDERDETERMINED,
@@ -184,6 +184,13 @@ def test_no_float_enters_a_predicate(n, monkeypatch):
         for f in extract_facets(p):
             assert all(_exact(x) for x in f.hyperplane.normal + (f.hyperplane.offset,))
             assert all(_exact(x) for b in f.direction.basis for x in b)
+        # the search runs on ints and hands back a Fraction witness
+        chart = HullChart(p)
+        assert type(chart.d) is int and type(p.hull.scale) is int
+        assert all(type(w) is int for weights in chart.weights for w in weights)
+        witness = fit_affine_map(chart, chart, tuple(range(n + 3)))
+        entries = [x for row in witness.matrix for x in row] + list(witness.translation)
+        assert all(type(x) is Fraction for x in entries)
     assert reduced
     assert all(_exact(x) for rows, _ in reduced for row in rows for x in row)
     # the cluster fan solves on ints and hands back Fractions: its vertex
