@@ -124,14 +124,15 @@ def extract_facets(p):
     """
     rows = p.hull.rows
     basis = primitive_rows(p.hull.space.basis)
+    carriers = {d: [] for d in polygon.all_diagonals(p.n)}
+    for i, (_, label) in enumerate(p.vertices):
+        for d in label:
+            carriers[d].append(i)
     facets = []
-    for d in polygon.all_diagonals(p.n):
-        members = frozenset(
-            i for i, (_, label) in enumerate(p.vertices) if d in label
-        )
-        if not members:
+    for d, ordered in carriers.items():
+        if not ordered:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
-        ordered = sorted(members)
+        members = frozenset(ordered)
         spanning = [ordered[k] for k in affinely_independent([rows[i] for i in ordered], p.n)]
         # None unless they span a codim-1 flat of the hull: fewer than n do not
         normal = integer_normal([rows[i] for i in spanning], basis)

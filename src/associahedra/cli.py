@@ -10,7 +10,8 @@ Exit codes are a stable contract:
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
 
-A file is malformed also when its `params.n` differs from its `n`.
+A file is malformed also when its `n` is not an int, its `params` is not
+an object or its `params.n` differs from its `n`.
 """
 
 import argparse

@@ -1,27 +1,22 @@
 """Type-A cluster fan and its polytopal realization.
 
 Almost positive roots are ('-', i) for the negated simple roots and
-('+', i, j) for the consecutive sums alpha_i + ... + alpha_j.  Each root is
-identified with a diagonal of the (n+3)-gon through a fixed snake
-triangulation; compatibility is non-crossing of the identified diagonals.
-The polytope lives in the sum-zero hyperplane of rational (n+1)-space and
-is cut out by support values h certified through wall-crossing
-inequalities.
-
-The fan (integer cone inverses, walls, wall relations) is built once per
-n; a build scales h to ints once, and the wall check, the vertices and the
-strict root inequalities are integer products.
+('+', i, j) for the consecutive sums alpha_i + ... + alpha_j.  Through a
+fixed snake triangulation each root is a diagonal of the (n+3)-gon: snake
+diagonal i is -alpha_i, any other diagonal the sum of the simple roots of
+the snake diagonals it crosses.  Compatible roots are non-crossing
+diagonals, so the clusters are the triangulations.  The fan is
+`fan.make_fan` on the rays e_i - e_j of the roots, built once per n; this
+module adds the root names and file keys, the root-diagonal map and the
+default support values h, one per root.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import mul
-from typing import NamedTuple
 
 from . import polygon
 from .analysis import make_polytope
-from .exactlin import integer_inverse
+from .fan import make_fan, tight_vertices, wall_slacks
 
 
 def neg(i):
@@ -73,27 +68,20 @@ def snake_diagonal(i, n):
 
 @lru_cache(maxsize=None)
 def _root_diagonal_maps(n):
-    snakes = {i: snake_diagonal(i, n) for i in range(1, n + 1)}
-    snake_t = tuple(sorted(snakes.values()))
-    if len(snake_t) != n or snake_t not in polygon.all_triangulations(n):
+    """Snake diagonal i is neg(i); any other diagonal is pos(i, j) for the
+    interval [i, j] of the snake diagonals it crosses."""
+    snakes = [snake_diagonal(i, n) for i in range(1, n + 1)]
+    if tuple(sorted(snakes)) not in polygon.all_triangulations(n):
         raise AssertionError("snake diagonals are not a triangulation")
-    r2d = {neg(i): snakes[i] for i in range(1, n + 1)}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            want = set(range(i, j + 1))
-            candidates = [
-                d
-                for d in polygon.all_diagonals(n)
-                if {k for k in snakes if polygon.crossing(d, snakes[k])} == want
-            ]
-            if len(candidates) != 1:
-                raise AssertionError(
-                    f"snake convention broken: root {pos(i, j)} has "
-                    f"{len(candidates)} candidate diagonals"
-                )
-            r2d[pos(i, j)] = candidates[0]
-    d2r = {d: r for r, d in r2d.items()}
-    if not len(d2r) == len(r2d) == n * (n + 3) // 2:
+    d2r = {d: neg(i) for i, d in enumerate(snakes, 1)}
+    for d in polygon.all_diagonals(n):
+        if d not in d2r:
+            crossed = [i for i, s in enumerate(snakes, 1) if polygon.crossing(d, s)]
+            if not crossed or crossed != list(range(crossed[0], crossed[-1] + 1)):
+                raise AssertionError(f"snake convention broken: {d} crosses {crossed}")
+            d2r[d] = pos(crossed[0], crossed[-1])
+    r2d = {r: d for d, r in d2r.items()}
+    if not len(r2d) == len(d2r) == n * (n + 3) // 2:
         raise AssertionError("roots and diagonals are not in bijection")
     return r2d, d2r
 
@@ -106,131 +94,32 @@ def diagonal_to_root(d, n):
     return _root_diagonal_maps(n)[1][d]
 
 
-def compatible(r1, r2, n):
-    d1, d2 = root_to_diagonal(r1, n), root_to_diagonal(r2, n)
-    return not polygon.crossing(d1, d2)
-
-
-def cluster_of(t, n):
-    return frozenset(diagonal_to_root(d, n) for d in t)
-
-
-@lru_cache(maxsize=None)
-def all_clusters(n):
-    """Clusters in the order of the triangulation enumeration."""
-    return tuple(cluster_of(t, n) for t in polygon.all_triangulations(n))
-
-
-def _sorted_roots(roots):
-    return sorted(roots, key=lambda r: (r[0] == "+",) + r[1:])
-
-
-class _Cone(NamedTuple):
-    """A cluster's sorted roots; `inverse / denominator` inverts the matrix
-    of their int rows plus the all-ones row."""
-
-    roots: tuple
-    inverse: tuple
-    denominator: int
-
-
-def _cone(roots, n):
-    roots = tuple(_sorted_roots(roots))
-    if len(roots) != n:
-        raise ValueError("a cluster has n roots")
-    rows = [root_coordinates(r, n) for r in roots] + [(1,) * (n + 1)]
-    return _Cone(roots, *integer_inverse(rows))
-
-
-def _ridges(clusters):
-    """Each cluster minus one root -> indices of the clusters containing it."""
-    containing = {}
-    for i, c in enumerate(clusters):
-        for r in c:
-            containing.setdefault(c - {r}, []).append(i)
-    return containing
-
-
-def _in_basis(cone, v):
-    """d times the coefficients of v in the rows of the cone matrix."""
-    return [sum(map(mul, v, col)) for col in zip(*cone.inverse)]
-
-
-def _int_relation(cone, c2, n):
-    """The wall relation a*beta + b*beta' = sum c_g*g over the shared roots g
-    in ints, a, b > 0, as (beta, beta', a, b, ((g, c_g), ...)): beta' in the
-    basis of c1's cone is (-a*beta + sum c_g*g) / b, with b = d."""
-    out, inc = set(cone.roots) - c2, c2 - set(cone.roots)
-    if len(out) != 1 or len(inc) != 1:
-        raise ValueError("clusters are not adjacent")
-    (beta,), (beta_p,) = out, inc
-    y = dict(zip(cone.roots, _in_basis(cone, root_coordinates(beta_p, n))))
-    a = -y.pop(beta)
-    if a <= 0:
-        raise ValueError("exchanged roots do not lie on opposite sides of the wall")
-    return beta, beta_p, a, cone.denominator, tuple(y.items())
-
-
-class _Fan(NamedTuple):
-    cones: tuple  # one _Cone per cluster, in all_clusters order
-    walls: tuple  # (c1, c2) pairs
-    relations: tuple  # one _int_relation per wall
-
-
 @lru_cache(maxsize=None)
 def _fan(n):
-    """The cluster fan of `all_clusters(n)`.  Walls come from ridge incidence
-    in flip order: each cluster in turn, its roots by diagonal, a wall kept
-    where the other cone comes later."""
-    clusters = all_clusters(n)
-    cones = tuple(_cone(c, n) for c in clusters)
-    containing = _ridges(clusters)
-    walls, relations = [], []
-    for i, c in enumerate(clusters):
-        for r in sorted(c, key=lambda r: root_to_diagonal(r, n)):
-            a, b = containing[c - {r}]  # a complete fan: two cones per ridge
-            j = a + b - i
-            if j > i:
-                walls.append((c, clusters[j]))
-                relations.append(_int_relation(cones[i], clusters[j], n))
-    return _Fan(cones, tuple(walls), tuple(relations))
+    """The cluster fan: each diagonal's ray is its root's coordinates."""
+    rays = {d: root_coordinates(r, n) for r, d in _root_diagonal_maps(n)[0].items()}
+    return make_fan(rays, polygon.all_triangulations(n))
 
 
-def walls(n):
-    """Adjacent cluster pairs (sharing n-1 roots), in the order the flips of
-    the triangulations in enumeration order first meet them."""
-    return _fan(n).walls
-
-
-def wall_relation(c1, c2, n):
-    """Exact linear dependence across a wall.
-
-    With beta the root exchanged out of c1 and beta' the one exchanged in,
-    returns (1, lam, coeffs) such that beta + lam*beta' = sum coeffs[gamma]*gamma
-    over the shared roots, with lam > 0; raises ValueError otherwise.
-    """
-    _, _, a, b, cs = _int_relation(_cone(c1, n), c2, n)
-    return Fraction(1), Fraction(b, a), {g: Fraction(c, a) for g, c in cs}
-
-
-def _scaled(h, n):
-    """h times the lcm of its denominators, as ints, and that lcm."""
-    scale = lcm(*(h[r].denominator for r in all_roots(n)))
-    return {r: h[r].numerator * (scale // h[r].denominator) for r in all_roots(n)}, scale
+def _by_diagonal(h, n):
+    r2d = _root_diagonal_maps(n)[0]
+    return {r2d[r]: h[r] for r in all_roots(n)}
 
 
 def polytopality_check(h, n):
     """Strict convexity of the support values across every wall.
 
-    Returns (ok, violations); each violation records the wall and the slack
-    rhs - lhs of its relation.  The check runs on h scaled to ints.
+    Returns (ok, violations); each violation records the wall's exchanged
+    roots and the slack rhs - lhs of its relation with lhs = h(beta) +
+    lam*h(beta').  The check runs on h scaled to ints.
     """
-    hs, scale = _scaled(h, n)
-    violations = []
-    for beta, beta_p, a, b, cs in _fan(n).relations:
-        value = a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs)
-        if value <= 0:
-            violations.append((beta, beta_p, Fraction(-value, a * scale)))
+    fan, d2r = _fan(n), _root_diagonal_maps(n)[1]
+    slacks = wall_slacks(fan, _by_diagonal(h, n))
+    violations = [
+        (d2r[beta], d2r[beta_p], -slack)
+        for (beta, beta_p, *_), slack in zip(fan.relations, slacks)
+        if slack <= 0
+    ]
     return (not violations), violations
 
 
@@ -238,7 +127,7 @@ def repair_support_values(h, n):
     """Iteratively raise h on the exchanged roots of the most-violated wall
     until every wall inequality is strict; bounded iterations."""
     h = dict(h)
-    max_iters = 10 * len(walls(n))
+    max_iters = 10 * len(_fan(n).walls)
     for _ in range(max_iters):
         ok, violations = polytopality_check(h, n)
         if ok:
@@ -268,9 +157,9 @@ def build_cluster_polytope(h, n):
     """One vertex per cluster: the point of the sum-zero hyperplane meeting
     all n root hyperplanes <rho, x> = h(rho) of the cluster.
 
-    h holds exactly one value per root.  Every inequality for a root outside
-    the cluster must hold strictly (one integer dot product each); a tie or
-    violation means h is not polytopal and is a hard error.
+    h holds exactly one value per root.  A wall violation is a hard error,
+    and every inequality for a root outside the cluster must then hold
+    strictly at the vertex (`fan.tight_vertices`).
     """
     roots = all_roots(n)
     if set(h) != set(roots):
@@ -278,56 +167,18 @@ def build_cluster_polytope(h, n):
     ok, violations = polytopality_check(h, n)
     if not ok:
         raise ValueError(f"support values fail the wall check: {violations[:3]}")
-    hs, scale = _scaled(h, n)
-    coords = {r: root_coordinates(r, n) for r in roots}
-    pairs = []
-    for t, cone in zip(polygon.all_triangulations(n), _fan(n).cones):
-        rhs = [hs[r] for r in cone.roots] + [0]
-        x = [sum(map(mul, row, rhs)) for row in cone.inverse]
-        for r in roots:
-            if r not in cone.roots and sum(map(mul, coords[r], x)) >= cone.denominator * hs[r]:
-                raise AssertionError(f"vertex of {t} violates inequality of root {r}")
-        pairs.append((tuple(Fraction(v, cone.denominator * scale) for v in x), t))
+    points = tight_vertices(_fan(n), _by_diagonal(h, n))
+    pairs = zip(points, polygon.all_triangulations(n))
     return make_polytope("cluster", n, n + 1, pairs, params={"h": dict(h)})
 
 
 def verify_fan(n):
-    """Exact certificate that the cluster cones form a complete simplicial fan
-    (De Loera-Rambau-Santos, Triangulations, section 4.5).
-
-    (a) each cluster has n linearly independent roots, (b) every (n-1)-subset
-    of a cluster lies in exactly two clusters, whose exchanged roots lie on
-    opposite sides of it, and (c) the sum of the rays of the first cluster
-    lies in exactly one closed cone.  (b) makes the cones a pseudomanifold
-    without boundary, so the number of cones covering a point off the walls
-    is the same everywhere, and (c) makes that number 1.  Certifies whatever
-    `all_clusters(n)` returns at call time, on integer cone inverses.
-    """
-    problems = []
-    clusters = all_clusters(n)
-    cones = []
-    for c in clusters:
-        try:
-            cones.append(_cone(c, n))
-        except ValueError:
-            problems.append(("dependent_cluster", _sorted_roots(c)))
-    containing = _ridges(clusters)
-    for shared, members in containing.items():
-        if len(members) != 2:
-            problems.append(("wall_shared_by", len(members), _sorted_roots(shared)))
-            continue
-        try:
-            wall_relation(clusters[members[0]], clusters[members[1]], n)
-        except ValueError:
-            problems.append(("wall_not_separating", _sorted_roots(shared)))
-    point = tuple(map(sum, zip(*(root_coordinates(r, n) for r in clusters[0]))))
-    # the all-ones coefficient of a sum-zero point is 0
-    covering = sum(all(y >= 0 for y in _in_basis(cone, point)) for cone in cones)
-    if covering != 1:
-        problems.append(("point_covered_by", covering, point))
+    """The exact certificate that the cluster cones form a complete
+    simplicial fan, read from the cached fan (see `fan.make_fan`)."""
+    fan = _fan(n)
     return {
-        "ok": not problems,
-        "cones": len(clusters),
-        "walls": len(containing),
-        "problems": problems,
+        "ok": not fan.problems,
+        "cones": len(fan.cones),
+        "walls": len(fan.walls),
+        "problems": list(fan.problems),
     }

@@ -1,0 +1,134 @@
+"""Complete simplicial fans with one ray per diagonal of the (n+3)-gon.
+
+Rays are int rows in (n+1)-space read modulo the all-ones vector; the
+cones are the triangulations and the walls their flips.  `make_fan` builds
+each cone's integer inverse, the walls with their integer relations and
+the exact fan certificate in one pass.  Support values h, one per
+diagonal, that are strictly convex across every wall give the polytope
+with this normal fan: the vertex of a triangulation is the point of the
+sum-zero hyperplane where the inequalities <ray, x> <= h of its diagonals
+are tight.
+"""
+
+from fractions import Fraction
+from math import lcm
+from operator import mul
+from typing import NamedTuple
+
+from .exactlin import integer_inverse
+
+
+class Cone(NamedTuple):
+    """A triangulation's diagonals; `inverse / denominator` inverts the
+    matrix of their rays plus the all-ones row."""
+
+    diagonals: tuple
+    inverse: tuple
+    denominator: int
+
+
+class Fan(NamedTuple):
+    rays: dict  # diagonal -> int row
+    cones: tuple  # one Cone per triangulation, None where its rays are dependent
+    walls: tuple  # (i, j) cone index pairs, i < j
+    relations: tuple  # one (beta, beta', a, b, ((g, c_g), ...)) per wall
+    problems: tuple  # what fails the certificate; empty iff it holds
+
+
+def _coefficients(cone, v):
+    """d times the coefficients of v in the cone's rays, then the all-ones row."""
+    return [sum(map(mul, v, col)) for col in zip(*cone.inverse)]
+
+
+def make_fan(rays, triangulations):
+    """The fan of `triangulations` (sorted tuples of diagonals) on `rays`.
+
+    Walls come from ridge incidence in flip order: each triangulation in
+    turn, its diagonals in order, a wall kept where the other cone comes
+    later.  The relation of a wall exchanging beta in the earlier cone for
+    beta' is a*beta + b*beta' = sum c_g*g over the shared diagonals g,
+    modulo the all-ones vector, in ints with a, b > 0.
+
+    The certificate (De Loera-Rambau-Santos, Triangulations, section 4.5):
+    (a) the rays of each cone are independent modulo all-ones, (b) every
+    ridge lies in exactly two cones, whose exchanged rays lie on opposite
+    sides of it, and (c) the sum of the rays of the first cone lies in
+    exactly one closed cone.  (b) makes the cones a pseudomanifold without
+    boundary, so the number of cones covering a point off the walls is the
+    same everywhere, and (c) makes that number 1.
+    """
+    ones = (1,) * len(next(iter(rays.values())))
+    cones, problems, containing = [], [], {}
+    for i, t in enumerate(triangulations):
+        try:
+            cones.append(Cone(t, *integer_inverse([rays[d] for d in t] + [ones])))
+        except ValueError:
+            cones.append(None)
+            problems.append(("dependent_cone", t))
+        for k in range(len(t)):
+            containing.setdefault(t[:k] + t[k + 1 :], []).append(i)
+    walls, relations = [], []
+    for i, t in enumerate(triangulations):
+        for k, beta in enumerate(t):
+            ridge = t[:k] + t[k + 1 :]
+            members = containing[ridge]
+            if len(members) != 2:
+                if members[0] == i:
+                    problems.append(("ridge_in_cones", len(members), ridge))
+                continue
+            j = sum(members) - i
+            if j < i or cones[i] is None:
+                continue
+            (beta_p,) = set(triangulations[j]) - set(ridge)
+            y = _coefficients(cones[i], rays[beta_p])
+            if y[k] >= 0:
+                problems.append(("wall_not_separating", ridge))
+                continue
+            walls.append((i, j))
+            shared = tuple(zip(ridge, y[:k] + y[k + 1 : -1]))
+            relations.append((beta, beta_p, -y[k], cones[i].denominator, shared))
+    point = tuple(map(sum, zip(*(rays[d] for d in triangulations[0]))))
+    covering = sum(
+        all(y >= 0 for y in _coefficients(cone, point)[:-1]) for cone in cones if cone is not None
+    )
+    if covering != 1:
+        problems.append(("point_covered_by", covering, point))
+    return Fan(rays, tuple(cones), tuple(walls), tuple(relations), tuple(problems))
+
+
+def _scaled(h):
+    """h times the lcm of its denominators, as ints, and that lcm."""
+    scale = lcm(*(v.denominator for v in h.values()))
+    return {d: v.numerator * (scale // v.denominator) for d, v in h.items()}, scale
+
+
+def wall_slacks(fan, h):
+    """h(beta) + (b/a)*h(beta') - sum (c_g/a)*h(g) per wall, in wall order,
+    computed on h scaled to ints: all positive iff h is strictly convex
+    across every wall."""
+    hs, scale = _scaled(h)
+    return [
+        Fraction(a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs), a * scale)
+        for beta, beta_p, a, b, cs in fan.relations
+    ]
+
+
+def tight_vertices(fan, h):
+    """The vertex of each cone, in cone order, as Fractions.
+
+    Each is one integer matrix-vector product on h scaled to ints.  Every
+    other ray's inequality must hold strictly there (one integer dot
+    product each); a tie or violation means h is not strictly convex.
+    """
+    if fan.problems:
+        raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")
+    hs, scale = _scaled(h)
+    points = []
+    for cone in fan.cones:
+        rhs = [hs[d] for d in cone.diagonals] + [0]
+        x = [sum(map(mul, row, rhs)) for row in cone.inverse]
+        for d, ray in fan.rays.items():
+            if d not in cone.diagonals and sum(map(mul, ray, x)) >= cone.denominator * hs[d]:
+                raise AssertionError(f"vertex of {cone.diagonals} violates inequality of {d}")
+        points.append(tuple(Fraction(v, cone.denominator * scale) for v in x))
+    return points

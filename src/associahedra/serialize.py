@@ -29,8 +29,8 @@ def polytope_from_json(doc):
     if c is None:
         raise ValueError(f"unknown construction {doc['construction']!r}")
     n = doc["n"]
-    if not 1 <= n <= practical_bound():
-        raise ValueError(f"n={n} out of range 1..{practical_bound()}")
+    if type(n) is not int or not 1 <= n <= practical_bound():
+        raise ValueError(f"n={n!r} is not an integer in 1..{practical_bound()}")
     pairs = [
         (
             tuple(parse_rat(x) for x in v["coords"]),
@@ -44,7 +44,9 @@ def polytope_from_json(doc):
     if any(len(coords) != ambient_dim for coords, _ in pairs):
         raise ValueError("vertex coordinate rows have unequal lengths")
     params = doc.get("params", {})
-    if isinstance(params, dict) and params.get("n", n) != n:
+    if not isinstance(params, dict):
+        raise ValueError("params is not an object")
+    if params.get("n", n) != n:
         raise ValueError(f"params are for n={params['n']}, not n={n}")
     params = {c.key: c.decode(params[c.key])} if params else {}
     return make_polytope(c.name, n, ambient_dim, pairs, params=params)

@@ -80,6 +80,15 @@ def check_cluster_parallel(n_max, seed):
     return not bad, {"bad": bad}
 
 
+def check_cluster_fan(n_max, seed):
+    bad = []
+    for n in range(1, n_max + 1):
+        report = cluster.verify_fan(n)
+        if not report["ok"]:
+            bad.append((n, report["problems"][:3]))
+    return not bad, {"bad": bad}
+
+
 def minkowski_expected_pairs(n):
     return sorted(
         tuple(sorted(((i, n + 2), (0, i + 1)))) for i in range(1, n + 1)
@@ -209,6 +218,7 @@ MANIFEST = [
     ("facet_counts", check_facet_counts),
     ("secondary_no_parallel_facets", check_secondary_no_parallel),
     ("cluster_n_parallel_pairs", check_cluster_parallel),
+    ("cluster_fan_certificate", check_cluster_fan),
     ("minkowski_parallel_pairs_and_directions", check_minkowski_parallel),
     ("minkowski_face_correspondence", check_correspondence),
     ("special_facet_profiles", check_special_profiles),

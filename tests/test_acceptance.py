@@ -102,3 +102,12 @@ def test_criterion_10_exactness_invariants():
         ok,
         detail["bad"] or "all exact, zero tolerance",
     )
+
+
+def test_criterion_11_cluster_fan_certificate():
+    ok, detail = verification.check_cluster_fan(5, SEED)
+    report(
+        "11 cluster cones form a complete simplicial fan, certified",
+        ok,
+        detail["bad"] or "n=1..5",
+    )

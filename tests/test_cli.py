@@ -517,3 +517,31 @@ def test_unwritable_out_exit_2(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write output")
+
+
+NOT_INT_N_OR_NOT_OBJECT_PARAMS = {
+    # true == 1 and 1.0 == 1, so a range check alone lets both through
+    "n_true": (1, lambda doc: {**doc, "n": True}),
+    "n_float": (1, lambda doc: {**doc, "n": 1.0}),
+    # falsy, so a truth test alone reads them as "no parameters"
+    "params_list": (2, lambda doc: {**doc, "params": []}),
+    "params_zero": (2, lambda doc: {**doc, "params": 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INT_N_OR_NOT_OBJECT_PARAMS))
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
+def test_file_with_non_int_n_or_non_object_params_exit_2(tmp_path, capsys, command, case):
+    n, mutate = NOT_INT_N_OR_NOT_OBJECT_PARAMS[case]
+    good = _built(tmp_path, capsys, "minkowski", n)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.loads(good.read_text()))))
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "compare": ["compare", str(bad), str(good)],
+        "export": ["export", str(bad), "--format", "json"],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "malformed polytope file" in err

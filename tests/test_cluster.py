@@ -8,13 +8,10 @@ import pytest
 from associahedra import cluster, polygon
 from associahedra.analysis import make_polytope
 from associahedra.cluster import (
-    _sorted_roots,
-    all_clusters,
     all_roots,
     build_cluster_polytope,
-    cluster_of,
-    compatible,
     default_support_values,
+    diagonal_to_root,
     neg,
     polytopality_check,
     pos,
@@ -22,18 +19,50 @@ from associahedra.cluster import (
     root_to_diagonal,
     snake_diagonal,
     verify_fan,
-    wall_relation,
-    walls,
 )
 from associahedra.exactlin import UNDERDETERMINED, ZERO, dot, solve_linear
+from associahedra.fan import make_fan, tight_vertices, wall_slacks
 from associahedra.sampling import perturbed_support_values
 
 F = Fraction
 
 
+def _sorted_roots(roots):
+    return sorted(roots, key=lambda r: (r[0] == "+",) + r[1:])
+
+
+def cluster_of(t, n):
+    return frozenset(diagonal_to_root(d, n) for d in t)
+
+
+def all_clusters(n):
+    """Clusters in the order of the triangulation enumeration."""
+    return tuple(cluster_of(t, n) for t in polygon.all_triangulations(n))
+
+
+def compatible(r1, r2, n):
+    return not polygon.crossing(root_to_diagonal(r1, n), root_to_diagonal(r2, n))
+
+
+@lru_cache(maxsize=None)
+def fan_walls(n):
+    """The fan's walls as pairs of clusters, in wall order, to their index."""
+    clusters = all_clusters(n)
+    return {(clusters[i], clusters[j]): k for k, (i, j) in enumerate(cluster._fan(n).walls)}
+
+
+def wall_relation(c1, c2, n):
+    """The fan's relation across the wall from c1 to c2, as roots and
+    Fractions: beta + lam*beta' = sum coeffs[g]*g over the shared roots."""
+    if (c1, c2) not in fan_walls(n):
+        raise ValueError("clusters do not meet in a wall of the fan")
+    _, _, a, b, cs = cluster._fan(n).relations[fan_walls(n)[c1, c2]]
+    return F(1), F(b, a), {diagonal_to_root(g, n): F(c, a) for g, c in cs}
+
+
 @lru_cache(maxsize=None)
 def reference_walls(n):
-    """The flip loop the ridge-incidence `walls` replaced, kept verbatim."""
+    """The flip loop that the walls by ridge incidence replaced, kept verbatim."""
     seen = set()
     out = []
     for t in polygon.all_triangulations(n):
@@ -118,15 +147,16 @@ def reference_build(h, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_fan_matches_fraction_reference(n):
-    assert walls(n) == reference_walls(n)
+    assert tuple(fan_walls(n)) == reference_walls(n)
     for (c1, c2), (beta, beta_p, a, b, cs), (ref_beta, ref_beta_p, lam, coeffs) in zip(
-        walls(n), cluster._fan(n).relations, reference_wall_relations(n)
+        fan_walls(n), cluster._fan(n).relations, reference_wall_relations(n)
     ):
         coeffs = dict(coeffs)
         assert wall_relation(c1, c2, n) == (1, lam, coeffs)
         # the integer relation the wall check runs on is a positive multiple
-        assert (beta, beta_p) == (ref_beta, ref_beta_p)
-        assert a > 0 and F(b, a) == lam and {g: F(c, a) for g, c in cs} == coeffs
+        assert (diagonal_to_root(beta, n), diagonal_to_root(beta_p, n)) == (ref_beta, ref_beta_p)
+        assert a > 0 and F(b, a) == lam
+        assert {diagonal_to_root(g, n): F(c, a) for g, c in cs} == coeffs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -146,6 +176,21 @@ def test_non_polytopal_h_matches_reference_and_raises(n):
     assert not ok and (ok, violations) == reference_polytopality_check(h, n)
     with pytest.raises(ValueError):
         build_cluster_polytope(h, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_snake_fan_bounds_the_jitter(n):
+    """What `sampling.perturbed_support_values` relies on: every wall
+    relation has lam = 1 and at most two shared coefficients that are not
+    0, each 1, and the default h has wall slack at least 2 (6 at n = 2,
+    8 at n = 1)."""
+    fan = cluster._fan(n)
+    for _, _, a, b, cs in fan.relations:
+        assert a == b
+        shared = [F(c, a) for _, c in cs if c]
+        assert len(shared) <= 2 and all(c == 1 for c in shared)
+    h = {root_to_diagonal(r, n): v for r, v in default_support_values(n).items()}
+    assert min(wall_slacks(fan, h)) == {1: 8, 2: 6}.get(n, 2)
 
 
 def test_root_coordinates_examples():
@@ -248,11 +293,14 @@ def test_wall_relation_rejects_non_adjacent():
     c2 = frozenset({neg(1), neg(2)})
     with pytest.raises(ValueError):
         wall_relation(c1, c2, 2)
+    # every wall joins two cones that share all but one diagonal
+    ts = polygon.all_triangulations(4)
+    assert all(len(set(ts[i]) & set(ts[j])) == 3 for i, j in cluster._fan(4).walls)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wall_relation_positive_rational(n):
-    for c1, c2 in walls(n):
+    for c1, c2 in fan_walls(n):
         _, lam, coeffs = wall_relation(c1, c2, n)
         assert lam > 0
         assert all(isinstance(c, Fraction) for c in coeffs.values())
@@ -358,17 +406,34 @@ def test_verify_fan_counts(n):
     assert report["walls"] == catalan * n // 2
 
 
-@pytest.mark.parametrize("index", [0, -1])
-def test_verify_fan_rejects_missing_cluster(monkeypatch, index):
-    clusters = list(all_clusters(3))
-    del clusters[index]
-    monkeypatch.setattr(cluster, "all_clusters", lambda n: tuple(clusters))
-    assert not verify_fan(3)["ok"]
+def _ridge_problems(triangulations, t, count):
+    """The problems `make_fan` reports on the cluster rays of `triangulations`
+    about ridges, and the ones it should: each ridge of t in `count` cones."""
+    problems = make_fan(cluster._fan(3).rays, triangulations).problems
+    got = {p for p in problems if p[0] == "ridge_in_cones"}
+    return got, {("ridge_in_cones", count, t[:k] + t[k + 1 :]) for k in range(len(t))}
 
 
 @pytest.mark.parametrize("index", [0, -1])
-def test_verify_fan_rejects_duplicate_cluster(monkeypatch, index):
-    clusters = list(all_clusters(3))
-    clusters.append(clusters[index])
-    monkeypatch.setattr(cluster, "all_clusters", lambda n: tuple(clusters))
-    assert not verify_fan(3)["ok"]
+def test_verify_fan_rejects_missing_cluster(index):
+    ts = list(polygon.all_triangulations(3))
+    t = ts.pop(index)
+    got, want = _ridge_problems(ts, t, 1)
+    assert got == want
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_verify_fan_rejects_duplicate_cluster(index):
+    ts = list(polygon.all_triangulations(3))
+    ts.append(ts[index])
+    got, want = _ridge_problems(ts, ts[index], 3)
+    assert got == want
+
+
+def test_verify_fan_rejects_dependent_cluster():
+    rays = dict(cluster._fan(2).rays)
+    rays[(0, 3)] = tuple(2 * x for x in rays[(0, 2)])
+    fan = make_fan(rays, polygon.all_triangulations(2))
+    assert ("dependent_cone", ((0, 2), (0, 3))) in fan.problems
+    with pytest.raises(ValueError):
+        tight_vertices(fan, {d: F(1) for d in rays})

@@ -195,9 +195,8 @@ def test_no_float_enters_a_predicate(n, monkeypatch):
     assert all(_exact(x) for rows, _ in reduced for row in rows for x in row)
     # the cluster fan solves on ints and hands back Fractions: its vertex
     # coordinates are checked above, its wall relations and slacks here
-    for c1, c2 in cluster.walls(n):
-        one, lam, coeffs = cluster.wall_relation(c1, c2, n)
-        assert all(_exact(x) for x in (one, lam, *coeffs.values()))
+    for _, _, a, b, cs in cluster._fan(n).relations:
+        assert all(type(x) is int for x in (a, b, *(c for _, c in cs)))
     h = {r: Fraction(1) for r in cluster.all_roots(n)}
     assert all(_exact(slack) for _, _, slack in cluster.polytopality_check(h, n)[1])
 
