@@ -6,6 +6,8 @@ is solved inside the affine hull through n affinely independent members,
 and one integer evaluation per vertex shows that every member lies on its
 hyperplane and every other vertex strictly on one side.  The solve and the
 evaluations run on the vertices scaled to integers once per polytope.
+Each polytope object certifies its facets once, on first use, and keeps
+them; the manifest checks, the search and the CLI that ask again read them.
 Parallelism of facets is equality of their direction subspaces, compared
 in canonical form.
 
@@ -22,6 +24,7 @@ a hit is lifted to a Fraction ambient map, checked again on every vertex.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -71,6 +74,13 @@ class LabeledPolytope:
     params: dict = field(default_factory=dict, compare=False)
     hull: Hull = field(compare=False, repr=False, kw_only=True)
 
+    @cached_property
+    def certified_facets(self):
+        """The facets, certified on first use and kept on this object (not
+        a field: equality, repr and files do not see it).  A failed
+        certificate is not kept, so it raises again on the next use."""
+        return tuple(_certify_facets(self))
+
 
 def make_polytope(construction, n, ambient_dim, pairs, params=None):
     """Validate and freeze a vertex-labeled polytope.
@@ -84,10 +94,10 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None):
     labels = [label for _, label in pairs]
     if labels != sorted(polygon.all_triangulations(n)):
         raise ValueError("labels are not exactly the triangulations")
-    coords = [c for c, _ in pairs]
-    if len(set(coords)) != len(coords):
+    rows, scale = integer_scaling([c for c, _ in pairs])
+    # one positive scale for all rows: distinct rows are distinct vertices
+    if len(set(rows)) != len(rows):
         raise ValueError("vertex coordinates are not distinct")
-    rows, scale = integer_scaling(coords)
     independent, space = affine_frame(rows)
     if space.dim != n:
         raise ValueError(f"affine hull has dimension {space.dim}, expected {n}")
@@ -110,7 +120,17 @@ class FacetDescriptor:
 
 
 def extract_facets(p):
-    """One certified facet per diagonal of the (n+3)-gon.
+    """One certified facet per diagonal of the (n+3)-gon, as a new list.
+
+    A polytope's facets are certified once, on the first call for that
+    polytope object, and kept on it (`LabeledPolytope.certified_facets`);
+    later calls copy them.  See `_certify_facets` for the certificate.
+    """
+    return list(p.certified_facets)
+
+
+def _certify_facets(p):
+    """The facets of `extract_facets`, certified.
 
     The facet's members are the vertices whose label carries the diagonal.
     Its normal is solved (`integer_normal`) inside the hull's direction

@@ -6,12 +6,15 @@ Exit codes are a stable contract:
   analyze:  0 ok, 2 malformed file, 4 facet certification failure
   compare:  0 non-equivalent, 1 witness found, 2 mismatched n, 4 facet
             certification failure, 5 inconclusive
-  verify:   0 all pass, 1 failure, 3 n_max out of range
+  verify:   0 all pass, 1 failure, 3 n_max out of range 1..7
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
 
 A file is malformed also when its `n` is not an int, its `params` is not
-an object or its `params.n` differs from its `n`.
+an object or its `params.n` differs from its `n`.  Where a file needs an
+int (a polytope file's `n` and `params.n`, the endpoints of a vertex's
+`triangulation`, a build params file's `n`), a JSON boolean or a float is
+malformed too, although `true == 1` and `1.0 == 1` in Python (rc 2).
 """
 
 import argparse
@@ -33,7 +36,7 @@ def cmd_build(args):
         if args.params:
             with open(args.params, encoding="utf-8") as f:
                 doc = json.load(f)
-            if doc["n"] != args.n:
+            if type(doc["n"]) is not int or doc["n"] != args.n:
                 raise ValueError(f"params are for n={doc['n']}, not n={args.n}")
             value = c.decode(doc[c.key])
         else:
@@ -123,8 +126,8 @@ def cmd_compare(args):
 
 
 def cmd_verify(args):
-    if not 1 <= args.n_max <= 6:
-        print(f"error: n_max={args.n_max} out of range 1..6", file=sys.stderr)
+    if not 1 <= args.n_max <= practical_bound():
+        print(f"error: n_max={args.n_max} out of range 1..{practical_bound()}", file=sys.stderr)
         return 3
     results = verification.run_manifest(args.n_max, args.seed)
     width = max(len(name) for name, _, _ in results)

@@ -8,14 +8,20 @@ A linear functional is converted to a polygon subdivision by the
 sub-polygon rule: for every label k, the hull of the labels with value
 >= w_k (labels 0 and n+2 count as +infinity) contributes its chord edges
 as diagonals.
+
+The weights are scaled to ints once, by the lcm of their denominators, and
+the interval sum of each of the C(n+3, 3) triangles (lo, k, hi) is
+tabulated once as an int (`interval_table`); a vertex reads n+1 table
+entries, and only its coordinates are made Fractions, over that lcm.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 from . import polygon
 from .analysis import extract_facets, make_polytope
-from .exactlin import ZERO, integer_points, span, unit, vsub
+from .exactlin import integer_points, integer_scaling, span, unit, vsub
 
 
 def all_summands(n):
@@ -47,15 +53,32 @@ def subdivision_from_functional(w, n):
     return out
 
 
+def interval_table(a, n):
+    """(table, denominator): for every triangle (lo, k, hi) of the (n+3)-gon,
+    the total weight of the intervals [i..j] with lo < i <= k <= j < hi, on
+    the weights scaled to ints by the lcm of their denominators, and that
+    lcm."""
+    summands = all_summands(n)
+    (weights,), denominator = integer_scaling([tuple(a[s] for s in summands)])
+    w = dict(zip(summands, weights))
+    table = {
+        (lo, k, hi): sum(w[(i, j)] for i in range(lo + 1, k + 1) for j in range(k, hi))
+        for lo, k, hi in combinations(range(n + 3), 3)
+    }
+    return table, denominator
+
+
+def _vertex(table, denominator, t, n):
+    v = [0] * (n + 1)
+    for tri in polygon.triangles(t, n):
+        v[tri[1] - 1] = table[tri]
+    return tuple(Fraction(x, denominator) for x in v)
+
+
 def loday_vertex(a, t, n):
     """The vertex of triangulation t: each triangle (lo, k, hi) sets x_k to
     the total weight of the intervals [i..j] with lo < i <= k <= j < hi."""
-    v = [ZERO] * (n + 1)
-    for lo, k, hi in polygon.triangles(t, n):
-        v[k - 1] = sum(
-            (a[(i, j)] for i in range(lo + 1, k + 1) for j in range(k, hi)), ZERO
-        )
-    return tuple(v)
+    return _vertex(*interval_table(a, n), t, n)
 
 
 def build_minkowski(a, n):
@@ -66,7 +89,8 @@ def build_minkowski(a, n):
     for s in all_summands(n):
         if a[s] <= 0:
             raise ValueError(f"weight a{s} must be positive")
-    pairs = [(loday_vertex(a, t, n), t) for t in polygon.all_triangulations(n)]
+    table, denominator = interval_table(a, n)
+    pairs = [(_vertex(table, denominator, t, n), t) for t in polygon.all_triangulations(n)]
     return make_polytope("minkowski", n, n + 1, pairs, params={"a": dict(a)})
 
 

@@ -90,12 +90,13 @@ def cells(subdivision, n):
     return sorted(tuple(sorted(c)) for c in result)
 
 
+@lru_cache(maxsize=None)
 def triangles(t, n):
-    """The n+1 triangles of a triangulation."""
+    """The n+1 triangles (a, b, c), a < b < c, of a triangulation, sorted."""
     tri = cells(t, n)
     if any(len(c) != 3 for c in tri):
         raise ValueError("not a triangulation")
-    return tri
+    return tuple(tri)
 
 
 def flip(t, d, n):

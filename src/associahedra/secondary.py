@@ -1,15 +1,22 @@
 """Secondary polytope of a convex (n+3)-gon.
 
-Each triangulation gets one vertex: its area vector, whose i-th coordinate
-is the total area of the triangles incident to polygon vertex i.  The
-default geometry places the labels on the parabola (k, k^2), k = 1..n+3,
-which is rational and strictly convex.
+Each triangulation gets one vertex: its area vector (the GKZ vector), whose
+i-th coordinate is the total area of the triangles incident to polygon
+vertex i.  The default geometry places the labels on the parabola (k, k^2),
+k = 1..n+3, which is rational and strictly convex.
+
+The points are scaled to ints once, and twice the area of each of the
+C(n+3, 3) triangles is tabulated once as an int (`area_table`); an area
+vector is a sum of table entries on ints, and only its coordinates are made
+Fractions, over the table's one denominator.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import polygon
 from .analysis import make_polytope
+from .exactlin import integer_scaling
 
 
 def parabola_geometry(n):
@@ -47,19 +54,30 @@ def polygon_area(coords):
     return total / 2
 
 
-def triangle_area(coords, tri):
-    a, b, c = tri
-    return abs(signed_area2(coords[a], coords[b], coords[c])) / 2
+def area_table(coords):
+    """(table, denominator): for every triangle (a, b, c), a < b < c, of the
+    points, |2 * area| of the points scaled to ints by one factor s, and the
+    denominator 2 * s^2 that turns an entry back into the triangle's area."""
+    rows, scale = integer_scaling(coords)
+    table = {
+        tri: abs(signed_area2(*(rows[i] for i in tri)))
+        for tri in combinations(range(len(rows)), 3)
+    }
+    return table, 2 * scale * scale
+
+
+def _area_vector(table, denominator, t, n):
+    v = [0] * (n + 3)
+    for tri in polygon.triangles(t, n):
+        area = table[tri]
+        for label in tri:
+            v[label] += area
+    return tuple(Fraction(x, denominator) for x in v)
 
 
 def gkz_vector(coords, t, n):
     """Per-label sum of incident triangle areas, as an exact rational vector."""
-    v = [Fraction(0)] * (n + 3)
-    for tri in polygon.triangles(t, n):
-        area = triangle_area(coords, tri)
-        for label in tri:
-            v[label] += area
-    return tuple(v)
+    return _area_vector(*area_table(coords), t, n)
 
 
 def build_secondary(coords=None, n=None):
@@ -73,7 +91,8 @@ def build_secondary(coords=None, n=None):
     problem = geometry_problem(coords)
     if problem is not None:
         raise ValueError(f"invalid polygon geometry: {problem}")
-    pairs = [(gkz_vector(coords, t, n), t) for t in polygon.all_triangulations(n)]
+    table, denominator = area_table(coords)
+    pairs = [(_area_vector(table, denominator, t, n), t) for t in polygon.all_triangulations(n)]
     return make_polytope(
         "secondary",
         n,

@@ -24,6 +24,13 @@ def polytope_to_json(p):
     }
 
 
+def _endpoint(a):
+    # True == 1 and hash(True) == hash(1): a boolean would pass as a label
+    if type(a) is not int:
+        raise ValueError(f"triangulation endpoint {a!r} is not an integer")
+    return a
+
+
 def polytope_from_json(doc):
     c = CONSTRUCTIONS.get(doc["construction"])
     if c is None:
@@ -34,7 +41,7 @@ def polytope_from_json(doc):
     pairs = [
         (
             tuple(parse_rat(x) for x in v["coords"]),
-            tuple(sorted((a, b) for a, b in v["triangulation"])),
+            tuple(sorted((_endpoint(a), _endpoint(b)) for a, b in v["triangulation"])),
         )
         for v in doc["vertices"]
     ]
@@ -46,8 +53,8 @@ def polytope_from_json(doc):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("params is not an object")
-    if params.get("n", n) != n:
-        raise ValueError(f"params are for n={params['n']}, not n={n}")
+    if "n" in params and (type(params["n"]) is not int or params["n"] != n):
+        raise ValueError(f"params are for n={params['n']!r}, not n={n}")
     params = {c.key: c.decode(params[c.key])} if params else {}
     return make_polytope(c.name, n, ambient_dim, pairs, params=params)
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from . import analysis, cluster, minkowski, polygon, secondary
+from . import analysis, cluster, minkowski, secondary
 from .analysis import extract_facets, parallel_pairs, special_profile
 from .constructions import CONSTRUCTIONS
 from .exactlin import AffineMap
@@ -195,10 +195,10 @@ def _shear_translate(p):
 def check_exactness_invariants(n_max, seed):
     bad = []
     for n in range(1, n_max + 1):
-        coords = secondary.parabola_geometry(n)
-        target = 3 * secondary.polygon_area(coords)
-        for t in polygon.all_triangulations(n):
-            v = secondary.gkz_vector(coords, t, n)
+        # the default secondary vertices are the GKZ vectors of the parabola
+        p = build_all_defaults(n)["secondary"]
+        target = 3 * secondary.polygon_area(p.params["coords"])
+        for v, t in p.vertices:
             if sum(v) != target:
                 bad.append((n, "gkz_sum", t))
         p = build_all_defaults(n)["minkowski"]

@@ -458,6 +458,46 @@ def test_extract_facets_rejects_swapped_labels():
         extract_facets(p)
 
 
+def test_extract_facets_certifies_once_per_polytope(monkeypatch):
+    p = build_minkowski(ones_weights(3), 3)
+    first = extract_facets(p)
+    calls = []
+    for name in ("integer_normal", "affinely_independent"):
+        _counting(monkeypatch, analysis, name, calls)
+    second = extract_facets(p)
+    assert second == first and second is not first
+    assert calls == []
+    # an equal polytope built again is another object: it certifies its own
+    assert extract_facets(build_minkowski(ones_weights(3), 3)) == first
+    assert calls
+
+
+def test_extract_facets_result_is_the_callers_own():
+    p = build_secondary(n=2)
+    facets = extract_facets(p)
+    want = list(facets)
+    facets.pop()
+    facets.reverse()
+    assert extract_facets(p) == want
+
+
+def test_failed_certificate_raises_on_every_call():
+    p = _swap_labels(build_minkowski(ones_weights(2), 2), 0, 1)
+    for _ in range(2):
+        with pytest.raises(CertificationError, match="hyperplane is not supporting"):
+            extract_facets(p)
+
+
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_kept_facets_change_no_equality_repr_or_file(construction):
+    p, q = builds(2)[construction], builds(2)[construction]
+    before = (repr(p), polytope_to_json(p))
+    extract_facets(p)
+    assert p == q and hash(p) == hash(q)
+    assert (repr(p), polytope_to_json(p)) == before == (repr(q), polytope_to_json(q))
+    assert polytope_from_json(polytope_to_json(p)) == p
+
+
 def test_extract_facets_rejects_member_off_hyperplane():
     p = build_minkowski(ones_weights(3), 3)
     centroid = tuple(

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from associahedra import serialize
+from associahedra import serialize, verification
 from associahedra.cli import main
+from associahedra.constructions import practical_bound
 from associahedra.cluster import all_roots, default_support_values, parse_root_key, root_key
 from associahedra.minkowski import all_summands, build_minkowski, ones_weights
 
@@ -167,8 +168,24 @@ def test_verify_small(capsys):
 
 
 def test_verify_out_of_range(capsys):
-    code, _, _ = run(["verify", "--n-max", "7"], capsys)
-    assert code == 3
+    for n_max in (0, practical_bound() + 1):
+        code, _, err = run(["verify", "--n-max", str(n_max)], capsys)
+        assert code == 3
+        assert "out of range 1..7" in err
+
+
+def test_verify_accepts_the_build_cap(capsys, monkeypatch):
+    # the n_max = 7 manifest takes about 15 s; the range check is what is tested
+    calls = []
+
+    def fake_manifest(n_max, seed):
+        calls.append((n_max, seed))
+        return [("vertex_counts_catalan", True, {"expected": [2, 5]})]
+
+    monkeypatch.setattr(verification, "run_manifest", fake_manifest)
+    code, out, _ = run(["verify", "--n-max", str(practical_bound()), "--seed", "7"], capsys)
+    assert code == 0 and "PASS" in out
+    assert calls == [(7, 7)]
 
 
 def test_export_csv(tmp_path, capsys):
@@ -229,6 +246,21 @@ def _coord(value):
     return mutate
 
 
+def _endpoint_1_as(value):
+    """Write the first endpoint 1 of a vertex's triangulation as `value`,
+    which Python compares and hashes equal to 1."""
+
+    def mutate(doc):
+        for v in doc["vertices"]:
+            for d in v["triangulation"]:
+                if d[0] == 1:
+                    d[0] = value
+                    return doc
+        raise AssertionError("no endpoint 1")
+
+    return mutate
+
+
 MALFORMED = {
     "zero_denominator_coord": _coord("1/0"),
     # JSON numbers and booleans are not rationals: 0.1 is a binary fraction
@@ -242,6 +274,8 @@ MALFORMED = {
     "unknown_construction": lambda doc: {**doc, "construction": "bogus"},
     "top_level_list": lambda doc: [],
     "number_coords": _number_coords,
+    "bool_endpoint": _endpoint_1_as(True),
+    "float_endpoint": _endpoint_1_as(1.0),
 }
 
 
@@ -354,6 +388,21 @@ def test_build_params_for_other_n_exit_2(tmp_path, capsys, case):
     assert code == 2
     assert "invalid parameters" in err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_build_params_n_not_int_exit_2(tmp_path, capsys, value):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n": value, "a": {"1,1": "1", "1,2": "1", "2,2": "1"}}))
+    out = tmp_path / "x.json"
+    code, _, err = run(
+        ["build", "--construction", "minkowski", "--n", "1", "--params", str(params),
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "invalid parameters" in err
+    assert not out.exists()
 
 
 def _valid_params(construction):
@@ -523,6 +572,8 @@ NOT_INT_N_OR_NOT_OBJECT_PARAMS = {
     # true == 1 and 1.0 == 1, so a range check alone lets both through
     "n_true": (1, lambda doc: {**doc, "n": True}),
     "n_float": (1, lambda doc: {**doc, "n": 1.0}),
+    "params_n_true": (1, lambda doc: {**doc, "params": {**doc["params"], "n": True}}),
+    "params_n_float": (1, lambda doc: {**doc, "params": {**doc["params"], "n": 1.0}}),
     # falsy, so a truth test alone reads them as "no parameters"
     "params_list": (2, lambda doc: {**doc, "params": []}),
     "params_zero": (2, lambda doc: {**doc, "params": 0}),

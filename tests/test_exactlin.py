@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from associahedra import cluster, exactlin
+from associahedra import cluster, exactlin, minkowski, secondary
 from associahedra.analysis import HullChart, extract_facets, fit_affine_map
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
@@ -177,10 +177,13 @@ def _exact(x):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_no_float_enters_a_predicate(n, monkeypatch):
     # Fraction(1, 2) == 0.5, so equality tests cannot see a float: check types
-    reduced = []
+    reduced, tables = [], []
     _recording(monkeypatch, exactlin, "rref", reduced)
+    _recording(monkeypatch, secondary, "area_table", tables)
+    _recording(monkeypatch, minkowski, "interval_table", tables)
     for p in construction_polytopes(n, draws=1):
-        assert all(_exact(x) for c, _ in p.vertices for x in c)
+        # the builders sum on ints and hand back canonical Fractions
+        assert all(type(x) is Fraction for c, _ in p.vertices for x in c)
         for f in extract_facets(p):
             assert all(_exact(x) for x in f.hyperplane.normal + (f.hyperplane.offset,))
             assert all(_exact(x) for b in f.direction.basis for x in b)
@@ -193,6 +196,9 @@ def test_no_float_enters_a_predicate(n, monkeypatch):
         assert all(type(x) is Fraction for x in entries)
     assert reduced
     assert all(_exact(x) for rows, _ in reduced for row in rows for x in row)
+    # one area table and one interval table per secondary and Minkowski build
+    assert len(tables) == 4
+    assert all(type(x) is int for table, d in tables for x in (d, *table.values()))
     # the cluster fan solves on ints and hands back Fractions: its vertex
     # coordinates are checked above, its wall relations and slacks here
     for _, _, a, b, cs in cluster._fan(n).relations:

@@ -73,6 +73,22 @@ def test_loday_formula_matches_scan(n):
         assert list(build_minkowski(a, n).vertices) == scan_vertices(a, n)
 
 
+def reference_loday_vertex(a, t, n):
+    """Loday's vertex with each interval sum taken on Fractions."""
+    v = [F(0)] * (n + 1)
+    for lo, k, hi in polygon.triangles(t, n):
+        v[k - 1] = sum((a[(i, j)] for i in range(lo + 1, k + 1) for j in range(k, hi)), F(0))
+    return tuple(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_integer_builder_matches_fraction_reference(n):
+    rng = random.Random(300 + n)
+    for a in [ones_weights(n)] + [random_weights(n, rng) for _ in range(3)]:
+        want = [(reference_loday_vertex(a, t, n), t) for t in polygon.all_triangulations(n)]
+        assert list(build_minkowski(a, n).vertices) == want
+
+
 def test_loday_segment():
     p = build_minkowski(ones_weights(1), 1)
     assert {c for c, _ in p.vertices} == {(F(2), F(1)), (F(1), F(2))}

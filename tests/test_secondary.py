@@ -11,12 +11,31 @@ from associahedra.secondary import (
     gkz_vector,
     parabola_geometry,
     polygon_area,
+    signed_area2,
     validate_geometry,
 )
 
 F = Fraction
 
 SQUARE = ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1)))
+
+
+def reference_gkz_vector(coords, t, n):
+    """The area vector summed triangle by triangle on Fractions."""
+    v = [Fraction(0)] * (n + 3)
+    for a, b, c in polygon.triangles(t, n):
+        area = abs(signed_area2(coords[a], coords[b], coords[c])) / 2
+        for label in (a, b, c):
+            v[label] += area
+    return tuple(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_integer_builder_matches_fraction_reference(n):
+    rng = random.Random(200 + n)
+    for coords in [parabola_geometry(n)] + [random_convex_geometry(n, rng) for _ in range(3)]:
+        want = [(reference_gkz_vector(coords, t, n), t) for t in polygon.all_triangulations(n)]
+        assert list(build_secondary(coords=coords, n=n).vertices) == want
 
 
 def test_validate_square():
@@ -57,10 +76,15 @@ def test_build_secondary_point():
 
 def test_build_secondary_square_segment():
     p = build_secondary(coords=SQUARE, n=1)
-    coords = sorted(c for c, _ in p.vertices)
-    assert coords == sorted(
-        [(F(1), F(1, 2), F(1), F(1, 2)), (F(1, 2), F(1), F(1, 2), F(1))]
-    )
+    assert list(p.vertices) == [
+        ((F(1), F(1, 2), F(1), F(1, 2)), ((0, 2),)),
+        ((F(1, 2), F(1), F(1, 2), F(1)), ((1, 3),)),
+    ]
+    # the square scaled to ints by 3: areas over the denominator 2 * 3^2
+    third = tuple((x / 3, y / 3) for x, y in SQUARE)
+    assert [c for c, _ in build_secondary(coords=third, n=1).vertices] == [
+        tuple(x / 9 for x in c) for c, _ in p.vertices
+    ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -104,3 +128,29 @@ def test_random_geometries_are_valid():
     for n in range(2, 5):
         for _ in range(3):
             assert validate_geometry(random_convex_geometry(n, rng))
+
+
+def _image(coords, matrix, shift):
+    (a, b), (c, d) = matrix
+    return tuple((a * x + b * y + shift[0], c * x + d * y + shift[1]) for x, y in coords)
+
+
+@pytest.mark.parametrize(
+    "matrix, shift",
+    [
+        (((1, 0), (0, 1)), (F(7), F(-3, 2))),  # translation: areas unchanged
+        (((1, F(2, 3)), (0, 1)), (F(1, 5), F(0))),  # shear, determinant 1
+        (((F(3, 2), 0), (0, F(3, 2))), (F(0), F(0))),  # scaling: areas times 9/4
+        (((2, 1), (F(1, 3), 4)), (F(-1), F(5))),  # determinant 23/3
+    ],
+)
+def test_build_affine_image_scales_areas_by_determinant(matrix, shift):
+    n = 3
+    coords = random_convex_geometry(n, random.Random(9))
+    (a, b), (c, d) = matrix
+    det = F(a) * d - F(b) * c
+    base = {label: x for x, label in build_secondary(coords=coords, n=n).vertices}
+    image = build_secondary(coords=_image(coords, matrix, shift), n=n)
+    assert {label: x for x, label in image.vertices} == {
+        label: tuple(det * y for y in x) for label, x in base.items()
+    }
