@@ -3,8 +3,9 @@
 Three constructions (secondary polytope of a convex polygon, type-A cluster
 fan polytope, weighted Minkowski sum of coordinate simplices) produce
 vertex-labeled polytopes over exact rationals, and the analysis module
-verifies their structural properties: facet certification, parallel-facet
-pairs, special-facet profiles, and pairwise affine non-equivalence.
+verifies their structural properties: facet certification, the face
+lattice, parallel-facet pairs, special-facet profiles, and pairwise affine
+non-equivalence.
 """
 
 from .analysis import (
@@ -13,6 +14,7 @@ from .analysis import (
     LabeledPolytope,
     equivalence_search,
     extract_facets,
+    face_lattice,
     parallel_pairs,
     special_profile,
 )
@@ -30,6 +32,7 @@ __all__ = [
     "default_support_values",
     "equivalence_search",
     "extract_facets",
+    "face_lattice",
     "ones_weights",
     "parabola_geometry",
     "parallel_pairs",

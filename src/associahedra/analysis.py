@@ -1,15 +1,18 @@
 """Construction-agnostic polytope analysis.
 
-Facets are located combinatorially (the vertices whose triangulation label
-contains a given diagonal) and then certified geometrically: a facet normal
-is solved inside the affine hull through n affinely independent members,
-and one integer evaluation per vertex shows that every member lies on its
-hyperplane and every other vertex strictly on one side.  The solve and the
-evaluations run on the vertices scaled to integers once per polytope.
-Each polytope object certifies its facets once, on first use, and keeps
-them; the manifest checks, the search and the CLI that ask again read them.
-Parallelism of facets is equality of their direction subspaces, compared
-in canonical form.
+Vertex i of every polytope here carries `polygon.all_triangulations(n)[i]`,
+and the analysis reads these labels where they save work, then certifies
+what it read.  A facet's members are the vertices whose label carries its
+diagonal.  Its normal is solved inside the affine hull through the first
+member and that member's flips of its other diagonals, or, only if those
+fail to span, through n members an elimination picks from all of them;
+one integer evaluation per vertex then shows that every member lies on the
+hyperplane and every other vertex strictly on one side.  Each polytope
+object certifies its facets once, on first use, and keeps them.  Facets
+are parallel iff their primitive integer normals (first nonzero entry
+positive) are equal: the normals lie in the hull's direction space, where
+a hyperplane's normal line fixes its direction space.  `face_lattice`
+certifies that these facets are all the facets and the flips the edges.
 
 Each polytope's affine hull is eliminated once, when it is made: its `Hull`
 record holds the integer vertex rows and their common scale, the first n+1
@@ -25,6 +28,7 @@ a hit is lifted to a Fraction ambient map, checked again on every vertex.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -42,6 +46,7 @@ from .exactlin import (
     make_hyperplane,
     mat_vec,
     primitive_rows,
+    rank,
     # unused here, but perfbench's tracer test checks that this by-name
     # binding gets patched
     solve_linear,  # noqa: F401
@@ -57,12 +62,19 @@ class CertificationError(Exception):
 
 
 class Hull(NamedTuple):
-    """A polytope's affine hull, eliminated once by `make_polytope`."""
+    """A polytope's affine hull, eliminated once when the polytope is made."""
 
     rows: tuple  # the vertices scaled to ints by one positive factor
     scale: int  # that factor
     independent: tuple  # indices of the first n+1 affinely independent vertices
     space: Subspace  # the direction space, in canonical form
+
+    @property
+    def pivots(self):
+        """The pivot column of each basis row of `space`: on the hull the
+        entries there chart it, and a vector of the direction space has
+        its basis coordinates there."""
+        return [next(k for k, a in enumerate(b) if a) for b in self.space.basis]
 
 
 @dataclass(frozen=True)
@@ -83,18 +95,43 @@ class LabeledPolytope:
 
 
 def make_polytope(construction, n, ambient_dim, pairs, params=None):
-    """Validate and freeze a vertex-labeled polytope.
+    """Validate and freeze a vertex-labeled polytope given as (coords,
+    label) pairs, as read from a file or mapped from another polytope.
 
-    Labels must be exactly the triangulations of the (n+3)-gon, coordinates
-    must be pairwise distinct, and the affine hull must have dimension n.
-    The hull's elimination (`affine_frame` on the integer vertex rows) is
-    kept as the polytope's `Hull` record for the facets and the search.
+    Labels must be exactly the triangulations of the (n+3)-gon.  The pairs
+    are sorted by label and their coordinates scaled to integer rows over
+    one scale, which `_freeze` checks as `polytope_from_rows` does.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
-    labels = [label for _, label in pairs]
-    if labels != sorted(polygon.all_triangulations(n)):
+    labels = tuple(label for _, label in pairs)
+    if labels != polygon.all_triangulations(n):
         raise ValueError("labels are not exactly the triangulations")
     rows, scale = integer_scaling([c for c, _ in pairs])
+    return _freeze(construction, n, ambient_dim, tuple(pairs), rows, scale, params)
+
+
+def polytope_from_rows(construction, n, rows, scale, params=None):
+    """Validate and freeze the polytope whose vertex i is rows[i] / scale
+    (int rows, scale > 0) and carries `polygon.all_triangulations(n)[i]`,
+    as a builder makes it.
+
+    Rows and scale are first divided by their common gcd, so the hull
+    record is the one `make_polytope` makes from the same vertices.
+    """
+    g = gcd(scale, *(a for row in rows for a in row))
+    if g > 1:
+        rows, scale = [tuple(a // g for a in row) for row in rows], scale // g
+    vertices = tuple(
+        (tuple(Fraction(a, scale) for a in row), label)
+        for row, label in zip(rows, polygon.all_triangulations(n))
+    )
+    return _freeze(construction, n, len(rows[0]), vertices, rows, scale, params)
+
+
+def _freeze(construction, n, ambient_dim, vertices, rows, scale, params):
+    """The polytope, once its rows are distinct and its affine hull has
+    dimension n; the hull's elimination (`affine_frame` on the integer
+    rows) is kept as its `Hull` record for the facets and the search."""
     # one positive scale for all rows: distinct rows are distinct vertices
     if len(set(rows)) != len(rows):
         raise ValueError("vertex coordinates are not distinct")
@@ -105,7 +142,7 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None):
         construction=construction,
         n=n,
         ambient_dim=ambient_dim,
-        vertices=tuple(pairs),
+        vertices=vertices,
         params=dict(params or {}),
         hull=Hull(tuple(rows), scale, tuple(independent), space),
     )
@@ -116,7 +153,18 @@ class FacetDescriptor:
     diagonal: tuple
     vertex_indices: frozenset
     hyperplane: object
-    direction: Subspace
+    normal: tuple  # primitive int normal in the hull's direction space, first nonzero > 0
+    # n affinely independent members and the polytope's integer rows, from
+    # which `direction` is spanned when it is read
+    spanning: tuple = field(compare=False, repr=False)
+    rows: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def direction(self):
+        """The facet's direction space: the canonical span of its spanning
+        members' differences (a positive scale of the rows keeps it)."""
+        base = self.rows[self.spanning[0]]
+        return span([vsub(self.rows[i], base) for i in self.spanning[1:]], len(base))
 
 
 def extract_facets(p):
@@ -134,16 +182,21 @@ def _certify_facets(p):
 
     The facet's members are the vertices whose label carries the diagonal.
     Its normal is solved (`integer_normal`) inside the hull's direction
-    space, whose basis is made primitive once per polytope, through the
-    integer rows of n affinely independent members, and its direction is
-    the span of their n-1 differences.  The certificate is one integer dot
-    product of that normal per vertex row: 0 on every member and one strict
-    sign on every other vertex.  Only then is the Fraction hyperplane made.
-    Certification failure means the construction is broken, not the
-    analysis, and raises CertificationError naming the diagonal.
+    space, whose basis is made primitive once per polytope, through n
+    members: the first member v and the flips of v's other n-1 diagonals
+    (`polygon.flip_table`), which carry the diagonal too.  Only if those do
+    not span a codim-1 flat of the hull are n affinely independent members
+    picked from all of them; the hyperplane through n members that all
+    members lie on is the same either way.  The certificate is one integer
+    dot product of the normal per vertex row: 0 on every member and one
+    strict sign on every other vertex.  Only then is the Fraction
+    hyperplane made.  Certification failure means the construction is
+    broken, not the analysis, and raises CertificationError naming the
+    diagonal.
     """
     rows = p.hull.rows
     basis = primitive_rows(p.hull.space.basis)
+    flips = polygon.flip_table(p.n)
     carriers = {d: [] for d in polygon.all_diagonals(p.n)}
     for i, (_, label) in enumerate(p.vertices):
         for d in label:
@@ -152,41 +205,97 @@ def _certify_facets(p):
     for d, ordered in carriers.items():
         if not ordered:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
-        members = frozenset(ordered)
-        spanning = [ordered[k] for k in affinely_independent([rows[i] for i in ordered], p.n)]
+        v = ordered[0]
+        spanning = [v] + [w for e, w in zip(p.vertices[v][1], flips[v]) if e != d]
         # None unless they span a codim-1 flat of the hull: fewer than n do not
         normal = integer_normal([rows[i] for i in spanning], basis)
         if normal is None:
+            spanning = [ordered[k] for k in affinely_independent([rows[i] for i in ordered], p.n)]
+            normal = integer_normal([rows[i] for i in spanning], basis)
+        if normal is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
-        base = rows[spanning[0]]
-        offset = sum(map(mul, normal, base))
+        if next(a for a in normal if a) < 0:
+            normal = [-a for a in normal]
+        members = frozenset(ordered)
+        offset = sum(map(mul, normal, rows[v]))
         values = [sum(map(mul, normal, x)) - offset for x in rows]
         if any(values[i] != 0 for i in members):
             raise CertificationError(f"diagonal {d}: member off its hyperplane")
-        outside = [v for i, v in enumerate(values) if i not in members]
-        if not (all(v > 0 for v in outside) or all(v < 0 for v in outside)):
+        outside = [x for i, x in enumerate(values) if i not in members]
+        if not (all(x > 0 for x in outside) or all(x < 0 for x in outside)):
             raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
-        # n affinely independent members: n-1 independent differences
-        direction = span([vsub(rows[i], base) for i in spanning[1:]], p.ambient_dim)
         facets.append(
             FacetDescriptor(
                 diagonal=d,
                 vertex_indices=members,
                 hyperplane=make_hyperplane(normal, Fraction(offset, p.hull.scale)),
-                direction=direction,
+                normal=tuple(normal),
+                spanning=tuple(spanning),
+                rows=rows,
             )
         )
     return facets
 
 
 def parallel_pairs(facets):
-    """Unordered pairs of distinct diagonals with equal direction subspaces."""
-    pairs = []
-    for i in range(len(facets)):
-        for j in range(i + 1, len(facets)):
-            if facets[i].direction == facets[j].direction:
-                pairs.append((facets[i].diagonal, facets[j].diagonal))
-    return sorted(pairs)
+    """Unordered pairs of distinct diagonals with equal direction subspaces,
+    found as equal normals (see the module docstring), in facet order
+    within a pair and sorted."""
+    classes = {}
+    for f in facets:
+        classes.setdefault(f.normal, []).append(f.diagonal)
+    return sorted(
+        (c[i], c[j]) for c in classes.values() for i in range(len(c)) for j in range(i + 1, len(c))
+    )
+
+
+def face_lattice(p):
+    """The face-lattice certificate of a polytope (`lattice_certificate`)
+    on its certified facets: member sets as int bitmasks, bit i for vertex
+    i, and normals in the hull's basis coordinates (the pivot entries)."""
+    pivots = p.hull.pivots
+    masks, normals = {}, {}
+    for f in p.certified_facets:
+        masks[f.diagonal] = sum(1 << i for i in f.vertex_indices)
+        normals[f.diagonal] = tuple(f.normal[k] for k in pivots)
+    return lattice_certificate(p.n, masks, normals)
+
+
+def lattice_certificate(n, masks, normals):
+    """Whether the facets given per diagonal are all the facets of their
+    polytope, with the flips as its edges; {"ok", "f_vector", "problems"}.
+
+    `masks[d]` is the member bitmask of d's facet over the vertices in
+    `polygon.all_triangulations(n)` order and `normals[d]` its int normal
+    in hull coordinates.  At every vertex v: (a) the normals of the n facets
+    of v's label are independent, and (b) for each diagonal of v the other
+    n-1 facets meet in exactly v and its flip.  Then, with P' the set cut
+    out by the facet inequalities (P in P'), every vertex of P is a simple
+    vertex of P' whose n edges end at vertices of P; the graph of P' is
+    connected (Balinski), so P' has no other vertex and P' = P.  So the
+    facets are all the facets, the edges are the flips, and f_vector
+    counts vertices, certified edges and facets.
+    """
+    labels = polygon.all_triangulations(n)
+    everything = (1 << len(labels)) - 1
+    problems, edges = [], 0
+    for v, (label, flips) in enumerate(zip(labels, polygon.flip_table(n))):
+        if rank([normals[d] for d in label]) != n:
+            problems.append(("dependent_normals", label))
+        for k, w in enumerate(flips):
+            meet = everything
+            for j, d in enumerate(label):
+                if j != k:
+                    meet &= masks[d]
+            if meet != (1 << v) | (1 << w):
+                problems.append(("edge_not_certified", label, labels[w]))
+            elif v < w:
+                edges += 1
+    return {
+        "ok": not problems,
+        "f_vector": (len(labels), edges, len(masks)),
+        "problems": problems,
+    }
 
 
 def facets_intersect(f1, f2):
@@ -251,7 +360,7 @@ class HullChart:
 
     def __init__(self, p):
         self.polytope = p
-        self.pivots = [next(k for k, a in enumerate(b) if a) for b in p.hull.space.basis]
+        self.pivots = p.hull.pivots
         self.rows = [tuple(r[k] for k in self.pivots) for r in p.hull.rows]
         self.labels = [label for _, label in p.vertices]
         self.index = {label: i for i, label in enumerate(self.labels)}

@@ -140,8 +140,8 @@ def rref(rows):
 
 
 def rank(rows):
-    _, pivots = rref(rows)
-    return len(pivots)
+    """The rank of Fraction or int rows, by `_eliminate` on primitive rows."""
+    return len(_eliminate(primitive_rows(rows)))
 
 
 def transpose(rows):
@@ -305,7 +305,8 @@ def integer_normal(points, basis):
     if not points or not basis:
         return None
     p0, *rest = points
-    m = [_primitive([sum(map(mul, b, vsub(p, p0))) for b in basis]) for p in rest]
+    diffs = [vsub(p, p0) for p in rest]
+    m = [_primitive([sum(map(mul, b, d)) for b in basis]) for d in diffs]
     pivots = _eliminate(m)
     free = [k for k in range(len(basis)) if k not in pivots]
     if len(free) != 1:

@@ -114,7 +114,8 @@ def wall_slacks(fan, h):
 
 
 def tight_vertices(fan, h):
-    """The vertex of each cone, in cone order, as Fractions.
+    """(rows, scale): the vertex of each cone, in cone order, is its int
+    row over the one positive scale.
 
     Each is one integer matrix-vector product on h scaled to ints.  Every
     other ray's inequality must hold strictly there (one integer dot
@@ -123,12 +124,13 @@ def tight_vertices(fan, h):
     if fan.problems:
         raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")
     hs, scale = _scaled(h)
-    points = []
+    common = lcm(*(cone.denominator for cone in fan.cones))
+    rows = []
     for cone in fan.cones:
         rhs = [hs[d] for d in cone.diagonals] + [0]
         x = [sum(map(mul, row, rhs)) for row in cone.inverse]
         for d, ray in fan.rays.items():
             if d not in cone.diagonals and sum(map(mul, ray, x)) >= cone.denominator * hs[d]:
                 raise AssertionError(f"vertex of {cone.diagonals} violates inequality of {d}")
-        points.append(tuple(Fraction(v, cone.denominator * scale) for v in x))
-    return points
+        rows.append(tuple(v * (common // cone.denominator) for v in x))
+    return rows, common * scale

@@ -8,11 +8,6 @@ lexicographic everywhere so outputs are reproducible.
 from functools import lru_cache
 
 
-def is_polygon_edge(d, n):
-    a, b = d
-    return b - a == 1 or (a == 0 and b == n + 2)
-
-
 def crossing(d1, d2):
     """True iff the endpoints strictly interleave; sharing an endpoint is not crossing."""
     a1, b1 = d1
@@ -58,6 +53,22 @@ def all_triangulations(n):
 @lru_cache(maxsize=None)
 def all_subdivisions(n):
     return tuple(_noncrossing_sets(n, n))
+
+
+@lru_cache(maxsize=None)
+def flip_table(n):
+    """For each triangulation, in `all_triangulations` order, the indices of
+    its n flips: entry k is the triangulation that replaces its k-th
+    diagonal.  A ridge (a triangulation minus one diagonal) lies in exactly
+    two triangulations, which are the flip pair across it."""
+    ts = all_triangulations(n)
+    by_ridge = {}
+    for i, t in enumerate(ts):
+        for k in range(n):
+            by_ridge.setdefault(t[:k] + t[k + 1 :], []).append(i)
+    return tuple(
+        tuple(sum(by_ridge[t[:k] + t[k + 1 :]]) - i for k in range(n)) for i, t in enumerate(ts)
+    )
 
 
 def subdivision_sizes(n):

@@ -7,15 +7,15 @@ k = 1..n+3, which is rational and strictly convex.
 
 The points are scaled to ints once, and twice the area of each of the
 C(n+3, 3) triangles is tabulated once as an int (`area_table`); an area
-vector is a sum of table entries on ints, and only its coordinates are made
-Fractions, over the table's one denominator.
+vector is a sum of table entries on ints, handed to `polytope_from_rows`
+with the table's one denominator.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from . import polygon
-from .analysis import make_polytope
+from .analysis import polytope_from_rows
 from .exactlin import integer_scaling
 
 
@@ -66,18 +66,20 @@ def area_table(coords):
     return table, 2 * scale * scale
 
 
-def _area_vector(table, denominator, t, n):
+def _area_row(table, t, n):
+    """The area vector of t times the table's denominator, as an int tuple."""
     v = [0] * (n + 3)
     for tri in polygon.triangles(t, n):
         area = table[tri]
         for label in tri:
             v[label] += area
-    return tuple(Fraction(x, denominator) for x in v)
+    return tuple(v)
 
 
 def gkz_vector(coords, t, n):
     """Per-label sum of incident triangle areas, as an exact rational vector."""
-    return _area_vector(*area_table(coords), t, n)
+    table, denominator = area_table(coords)
+    return tuple(Fraction(x, denominator) for x in _area_row(table, t, n))
 
 
 def build_secondary(coords=None, n=None):
@@ -92,12 +94,6 @@ def build_secondary(coords=None, n=None):
     if problem is not None:
         raise ValueError(f"invalid polygon geometry: {problem}")
     table, denominator = area_table(coords)
-    pairs = [(_area_vector(table, denominator, t, n), t) for t in polygon.all_triangulations(n)]
-    return make_polytope(
-        "secondary",
-        n,
-        n + 3,
-        pairs,
-        params={"coords": coords},
-    )
+    rows = [_area_row(table, t, n) for t in polygon.all_triangulations(n)]
+    return polytope_from_rows("secondary", n, rows, denominator, params={"coords": coords})
 

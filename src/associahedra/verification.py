@@ -116,12 +116,17 @@ def check_minkowski_parallel(n_max, seed):
     return not bad, {"bad": bad}
 
 
-def check_correspondence(n_max, seed):
+def check_face_lattice(n_max, seed):
+    """Each default polytope's certified facets are all its facets and its
+    edges are the flips (`analysis.face_lattice`), with f-vector
+    (Catalan(n+1), n*Catalan(n+1)/2, n(n+3)/2)."""
     bad = []
     for n in range(1, n_max + 1):
-        report = minkowski.verify_correspondence(build_all_defaults(n)["minkowski"], n)
-        if not report["ok"]:
-            bad.append((n, report["problems"]))
+        want = (CATALAN[n + 1], n * CATALAN[n + 1] // 2, n * (n + 3) // 2)
+        for tag, p in build_all_defaults(n).items():
+            report = analysis.face_lattice(p)
+            if not report["ok"] or report["f_vector"] != want:
+                bad.append((n, tag, report["f_vector"], report["problems"][:3]))
     return not bad, {"bad": bad}
 
 
@@ -220,7 +225,7 @@ MANIFEST = [
     ("cluster_n_parallel_pairs", check_cluster_parallel),
     ("cluster_fan_certificate", check_cluster_fan),
     ("minkowski_parallel_pairs_and_directions", check_minkowski_parallel),
-    ("minkowski_face_correspondence", check_correspondence),
+    ("face_lattice", check_face_lattice),
     ("special_facet_profiles", check_special_profiles),
     ("pairwise_non_equivalence", check_non_equivalence),
     ("loday_regression", check_loday_regression),

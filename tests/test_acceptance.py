@@ -59,12 +59,12 @@ def test_criterion_05_minkowski_parallel_pairs_and_directions():
     )
 
 
-def test_criterion_06_face_correspondence():
-    ok, detail = verification.check_correspondence(5, SEED)
+def test_criterion_06_face_lattice():
+    ok, detail = verification.check_face_lattice(5, SEED)
     report(
-        "6 Minkowski face correspondence and f-vector",
+        "6 face lattice and f-vector of all three constructions",
         ok,
-        detail["bad"] or "n=1..5 incl. (14, 21, 9) at n=3",
+        detail["bad"] or "n=1..5 incl. (14, 21, 9) at n=3 for each",
     )
 
 

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from associahedra import analysis, exactlin, polygon, sampling
 from associahedra.analysis import (
     CertificationError,
-    FacetDescriptor,
     HullChart,
     dihedral_relabelings,
     equivalence_search,
     extract_facets,
     facets_intersect,
     fit_affine_map,
+    lattice_certificate,
     make_polytope,
     parallel_pairs,
     relabel_diagonal,
@@ -30,6 +30,7 @@ from associahedra.exactlin import (
     integer_points,
     invert,
     mat_vec,
+    primitive_rows,
     rank,
     solve_linear,
     subspace_from_differences,
@@ -239,7 +240,8 @@ def test_equivalence_mismatched_n():
 
 
 def reference_extract_facets(p):
-    """Every facet fitted and spanned through all of its members."""
+    """Every facet fitted and spanned through all of its members, as
+    (diagonal, members, hyperplane, direction) records."""
     hull = subspace_from_differences([c for c, _ in p.vertices])
     facets = []
     for d in polygon.all_diagonals(p.n):
@@ -260,9 +262,7 @@ def reference_extract_facets(p):
         direction = subspace_from_differences(member_coords)
         if direction.dim != p.n - 1:
             raise CertificationError(f"diagonal {d}: facet dimension {direction.dim}")
-        facets.append(
-            FacetDescriptor(diagonal=d, vertex_indices=members, hyperplane=hp, direction=direction)
-        )
+        facets.append((d, members, hp, direction))
     return facets
 
 
@@ -348,7 +348,31 @@ def drawn(construction, n, rng):
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
 def test_extract_facets_matches_all_members_reference(construction, n):
     for p in (builds(n)[construction], drawn(construction, n, random.Random(n))):
-        assert extract_facets(p) == reference_extract_facets(p)
+        _assert_matches_reference(p)
+
+
+def _assert_matches_reference(p):
+    facets, want = extract_facets(p), reference_extract_facets(p)
+    assert [(f.diagonal, f.vertex_indices, f.hyperplane, f.direction) for f in facets] == want
+    # the kept normal is the hyperplane's, primitive on ints, first entry > 0
+    normals = primitive_rows([hp.normal for _, _, hp, _ in want])
+    assert [f.normal for f in facets] == [tuple(row) for row in normals]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_facets_fall_back_when_the_flips_do_not_span(monkeypatch, construction, n):
+    # every flip of v recorded as v itself: the n chosen members are one
+    # point, so every facet needs the elimination over all of its members
+    def stuck(m):
+        return tuple((i,) * m for i in range(len(polygon.all_triangulations(m))))
+
+    p = drawn(construction, n, random.Random(20 + n))
+    monkeypatch.setattr(polygon, "flip_table", stuck)
+    calls = []
+    _counting(monkeypatch, analysis, "affinely_independent", calls)
+    _assert_matches_reference(p)
+    assert len(calls) == len(polygon.all_diagonals(n))
 
 
 def unimodular_relabelled_image(p, rng, perm=None):
@@ -537,3 +561,51 @@ def test_hull_record_matches_references(construction, n):
         reloaded = polytope_from_json(polytope_to_json(q))
         assert reloaded == q and reloaded.hull == q.hull
         assert "hull" not in repr(q) and "Hull" not in repr(q)
+
+
+# -- the face-lattice certificate on hand-made facet data
+
+
+def _lattice_inputs(p):
+    """The member bitmasks and hull-coordinate normals `face_lattice` reads."""
+    pivots = p.hull.pivots
+    facets = extract_facets(p)
+    masks = {f.diagonal: sum(1 << i for i in f.vertex_indices) for f in facets}
+    normals = {f.diagonal: tuple(f.normal[k] for k in pivots) for f in facets}
+    return masks, normals
+
+
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_face_lattice_reads_the_certified_facets(construction):
+    p = builds(3)[construction]
+    report = analysis.face_lattice(p)
+    assert report == lattice_certificate(3, *_lattice_inputs(p))
+    assert report == {"ok": True, "f_vector": (14, 21, 9), "problems": []}
+
+
+def test_lattice_certificate_rejects_dependent_normals():
+    masks, normals = _lattice_inputs(builds(3)["minkowski"])
+    label = polygon.all_triangulations(3)[0]
+    d1, d2, d3 = label
+    normals[d3] = tuple(a + b for a, b in zip(normals[d1], normals[d2]))
+    report = lattice_certificate(3, masks, normals)
+    assert not report["ok"]
+    assert ("dependent_normals", label) in report["problems"]
+    assert {kind for kind, *_ in report["problems"]} == {"dependent_normals"}
+
+
+def test_lattice_certificate_rejects_an_extra_member():
+    masks, normals = _lattice_inputs(builds(3)["minkowski"])
+    labels, flips = polygon.all_triangulations(3), polygon.flip_table(3)
+    # w flips label[0] of vertex 0 and u then flips label[1]: u carries
+    # label[2] only, so with u added to label[1]'s members the facets of
+    # label[1] and label[2] meet in 0, w and u
+    label = labels[0]
+    w = flips[0][0]
+    u = flips[w][labels[w].index(label[1])]
+    assert label[1] not in labels[u] and label[2] in labels[u]
+    masks[label[1]] |= 1 << u
+    report = lattice_certificate(3, masks, normals)
+    assert not report["ok"]
+    assert ("edge_not_certified", label, labels[w]) in report["problems"]
+    assert {kind for kind, *_ in report["problems"]} == {"edge_not_certified"}

@@ -39,8 +39,9 @@ def test_minkowski_is_a_fan_instance(n):
     for a in [ones_weights(n)] + [random_weights(n, rng) for _ in range(3)]:
         h, shift = loday_support_values(a, n)
         assert all(s > 0 for s in wall_slacks(fan, h))
-        for x, t in zip(tight_vertices(fan, h), polygon.all_triangulations(n)):
-            assert tuple(v + shift for v in x) == loday_vertex(a, t, n)
+        rows, scale = tight_vertices(fan, h)
+        for x, t in zip(rows, polygon.all_triangulations(n)):
+            assert tuple(Fraction(v, scale) + shift for v in x) == loday_vertex(a, t, n)
 
 
 def test_tight_vertices_reject_a_tie():

@@ -1,21 +1,57 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from associahedra import polygon
+from associahedra.analysis import face_lattice
 from associahedra.minkowski import (
     all_summands,
     build_minkowski,
-    functional_for_subdivision,
     ones_weights,
-    subdivision_from_functional,
     verify_correspondence,
 )
 from associahedra.sampling import random_weights
 
 F = Fraction
+
+
+# -- oracle: the functional side of the Minkowski normal fan
+
+
+def subdivision_from_functional(w, n):
+    """Common refinement of the subdivisions induced by the sub-polygons
+    of labels with value >= w_k; labels 0 and n+2 always belong (they count
+    as +infinity)."""
+    diagonals = set()
+    for k in range(1, n + 2):
+        members = [0] + [i for i in range(1, n + 2) if w[i - 1] >= w[k - 1]] + [n + 2]
+        if len(members) <= 2:
+            continue
+        cyc = members + [members[0]]
+        for a, b in zip(cyc, cyc[1:]):
+            d = (a, b) if a < b else (b, a)
+            if d[1] - d[0] != 1 and d != (0, n + 2):
+                diagonals.add(d)
+    out = tuple(sorted(diagonals))
+    for d1, d2 in itertools.combinations(out, 2):
+        assert not polygon.crossing(d1, d2), "induced diagonals cross"
+    return out
+
+
+def cut_depths(s, n):
+    """For each label 1..n+1, how many diagonals of s separate it from the
+    polygon edge {0, n+2}."""
+    return [sum(1 for (a, b) in s if a < i < b) for i in range(1, n + 2)]
+
+
+def functional_for_subdivision(s, n):
+    """A functional whose induced subdivision is s; certified by replay."""
+    w = tuple(F(-d) for d in cut_depths(s, n))
+    assert subdivision_from_functional(w, n) == tuple(sorted(s))
+    return w
 
 
 def test_subdivision_constant_functional_is_trivial():
@@ -147,6 +183,30 @@ def test_functional_for_subdivision_roundtrip():
         for s in polygon.all_subdivisions(n):
             w = functional_for_subdivision(s, n)
             assert subdivision_from_functional(w, n) == tuple(sorted(s))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_face_lattice_edges_match_the_functional_oracle(n):
+    """Each flip pair is the argmax set of the functional of the shared
+    diagonals (an edge, certified without the face lattice), and the flip
+    pairs are the edges `face_lattice` counts."""
+    rng = random.Random(500 + n)
+    labels = polygon.all_triangulations(n)
+    for a in (ones_weights(n), random_weights(n, rng)):
+        p = build_minkowski(a, n)
+        pairs = {
+            tuple(sorted((v, w)))
+            for v, flips in enumerate(polygon.flip_table(n))
+            for w in flips
+        }
+        for v, w in pairs:
+            shared = tuple(sorted(set(labels[v]) & set(labels[w])))
+            functional = functional_for_subdivision(shared, n)
+            values = [sum(map(operator.mul, functional, c)) for c, _ in p.vertices]
+            best = max(values)
+            assert {k for k, x in enumerate(values) if x == best} == {v, w}
+        report = face_lattice(p)
+        assert report["ok"] and report["f_vector"][1] == len(pairs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -9,6 +9,7 @@ from associahedra.polygon import (
     cells,
     crossing,
     flip,
+    flip_table,
     refines,
     subdivision_sizes,
 )
@@ -155,3 +156,12 @@ def test_cells_partition_triangles():
         tri = cells(t, 3)
         assert len(tri) == 4
         assert all(len(c) == 3 for c in tri)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_flip_table_matches_flip(n):
+    ts = all_triangulations(n)
+    table = flip_table(n)
+    assert len(table) == len(ts)
+    for t, flips in zip(ts, table):
+        assert [ts[j] for j in flips] == [flip(t, d, n) for d in t]
