@@ -94,44 +94,35 @@ class LabeledPolytope:
         return tuple(_certify_facets(self))
 
 
-def make_polytope(construction, n, ambient_dim, pairs, params=None):
+def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     """Validate and freeze a vertex-labeled polytope given as (coords,
-    label) pairs, as read from a file or mapped from another polytope.
+    label) pairs.
 
-    Labels must be exactly the triangulations of the (n+3)-gon.  The pairs
-    are sorted by label and their coordinates scaled to integer rows over
-    one scale, which `_freeze` checks as `polytope_from_rows` does.
+    Labels must be exactly the triangulations of the (n+3)-gon; the pairs
+    are sorted by label.  The coordinates are Fractions (a file, a map of
+    another polytope), scaled here to integer rows over one scale, or, as
+    a builder makes them, integer rows over the given `scale`: those rows
+    and scale are divided by their gcd, so the hull record is the one the
+    same vertices give as Fractions, and the Fraction vertices are made
+    from them.  The rows must be distinct and their affine hull have
+    dimension n; its elimination (`affine_frame` on the integer rows) is
+    kept as the polytope's `Hull` record for the facets and the search.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
     labels = tuple(label for _, label in pairs)
     if labels != polygon.all_triangulations(n):
         raise ValueError("labels are not exactly the triangulations")
-    rows, scale = integer_scaling([c for c, _ in pairs])
-    return _freeze(construction, n, ambient_dim, tuple(pairs), rows, scale, params)
-
-
-def polytope_from_rows(construction, n, rows, scale, params=None):
-    """Validate and freeze the polytope whose vertex i is rows[i] / scale
-    (int rows, scale > 0) and carries `polygon.all_triangulations(n)[i]`,
-    as a builder makes it.
-
-    Rows and scale are first divided by their common gcd, so the hull
-    record is the one `make_polytope` makes from the same vertices.
-    """
-    g = gcd(scale, *(a for row in rows for a in row))
-    if g > 1:
-        rows, scale = [tuple(a // g for a in row) for row in rows], scale // g
-    vertices = tuple(
-        (tuple(Fraction(a, scale) for a in row), label)
-        for row, label in zip(rows, polygon.all_triangulations(n))
-    )
-    return _freeze(construction, n, len(rows[0]), vertices, rows, scale, params)
-
-
-def _freeze(construction, n, ambient_dim, vertices, rows, scale, params):
-    """The polytope, once its rows are distinct and its affine hull has
-    dimension n; the hull's elimination (`affine_frame` on the integer
-    rows) is kept as its `Hull` record for the facets and the search."""
+    if scale is None:
+        rows, scale = integer_scaling([c for c, _ in pairs])
+        vertices = tuple(pairs)
+    else:
+        rows = [tuple(c) for c, _ in pairs]
+        g = gcd(scale, *(a for row in rows for a in row))
+        if g > 1:
+            rows, scale = [tuple(a // g for a in row) for row in rows], scale // g
+        vertices = tuple(
+            (tuple(Fraction(a, scale) for a in row), label) for row, label in zip(rows, labels)
+        )
     # one positive scale for all rows: distinct rows are distinct vertices
     if len(set(rows)) != len(rows):
         raise ValueError("vertex coordinates are not distinct")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import polygon
-from .analysis import polytope_from_rows
+from .analysis import make_polytope
 from .fan import make_fan, tight_vertices, wall_slacks
 
 
@@ -168,7 +168,8 @@ def build_cluster_polytope(h, n):
     if not ok:
         raise ValueError(f"support values fail the wall check: {violations[:3]}")
     rows, scale = tight_vertices(_fan(n), _by_diagonal(h, n))
-    return polytope_from_rows("cluster", n, rows, scale, params={"h": dict(h)})
+    pairs = zip(rows, polygon.all_triangulations(n))
+    return make_polytope("cluster", n, n + 1, pairs, params={"h": dict(h)}, scale=scale)
 
 
 def verify_fan(n):

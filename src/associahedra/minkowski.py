@@ -8,14 +8,15 @@ triangle (lo, k, hi) of T, x_k = sum of a_ij over lo < i <= k <= j < hi.
 The weights are scaled to ints once, by the lcm of their denominators, and
 the interval sum of each of the C(n+3, 3) triangles (lo, k, hi) is
 tabulated once as an int (`interval_table`); a vertex reads n+1 table
-entries, and the rows are handed to `polytope_from_rows` with that lcm.
+entries, and the rows are handed to `make_polytope` with that lcm as
+their scale.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from . import polygon
-from .analysis import face_lattice, polytope_from_rows
+from .analysis import face_lattice, make_polytope
 from .exactlin import integer_scaling, span, unit, vsub
 
 
@@ -66,8 +67,8 @@ def build_minkowski(a, n):
         if a[s] <= 0:
             raise ValueError(f"weight a{s} must be positive")
     table, denominator = interval_table(a, n)
-    rows = [_row(table, t, n) for t in polygon.all_triangulations(n)]
-    return polytope_from_rows("minkowski", n, rows, denominator, params={"a": dict(a)})
+    pairs = [(_row(table, t, n), t) for t in polygon.all_triangulations(n)]
+    return make_polytope("minkowski", n, n + 1, pairs, params={"a": dict(a)}, scale=denominator)
 
 
 def verify_correspondence(p, n):

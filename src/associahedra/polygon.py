@@ -25,14 +25,15 @@ def all_diagonals(n):
     )
 
 
-def _noncrossing_sets(n, max_size):
-    """All non-crossing diagonal sets, grouped as a flat list, lexicographic."""
+def noncrossing_sets(n):
+    """All sets of pairwise non-crossing diagonals (the subdivisions, one per
+    face of the associahedron), as a flat list, lexicographic."""
     diags = all_diagonals(n)
     out = []
 
     def backtrack(start, current):
         out.append(tuple(current))
-        if len(current) == max_size:
+        if len(current) == n:
             return
         for i in range(start, len(diags)):
             d = diags[i]
@@ -47,12 +48,7 @@ def _noncrossing_sets(n, max_size):
 
 @lru_cache(maxsize=None)
 def all_triangulations(n):
-    return tuple(s for s in _noncrossing_sets(n, n) if len(s) == n)
-
-
-@lru_cache(maxsize=None)
-def all_subdivisions(n):
-    return tuple(_noncrossing_sets(n, n))
+    return tuple(s for s in noncrossing_sets(n) if len(s) == n)
 
 
 @lru_cache(maxsize=None)
@@ -69,18 +65,6 @@ def flip_table(n):
     return tuple(
         tuple(sum(by_ridge[t[:k] + t[k + 1 :]]) - i for k in range(n)) for i, t in enumerate(ts)
     )
-
-
-def subdivision_sizes(n):
-    counts = {}
-    for s in all_subdivisions(n):
-        counts[len(s)] = counts.get(len(s), 0) + 1
-    return counts
-
-
-def refines(s1, s2):
-    """s1 refines s2 iff s2's diagonals are a subset of s1's (more diagonals = finer)."""
-    return set(s2) <= set(s1)
 
 
 def cells(subdivision, n):

@@ -7,15 +7,15 @@ k = 1..n+3, which is rational and strictly convex.
 
 The points are scaled to ints once, and twice the area of each of the
 C(n+3, 3) triangles is tabulated once as an int (`area_table`); an area
-vector is a sum of table entries on ints, handed to `polytope_from_rows`
-with the table's one denominator.
+vector is a sum of table entries on ints, handed to `make_polytope`
+with the table's one denominator as its scale.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from . import polygon
-from .analysis import polytope_from_rows
+from .analysis import make_polytope
 from .exactlin import integer_scaling
 
 
@@ -94,6 +94,7 @@ def build_secondary(coords=None, n=None):
     if problem is not None:
         raise ValueError(f"invalid polygon geometry: {problem}")
     table, denominator = area_table(coords)
-    rows = [_area_row(table, t, n) for t in polygon.all_triangulations(n)]
-    return polytope_from_rows("secondary", n, rows, denominator, params={"coords": coords})
+    pairs = [(_area_row(table, t, n), t) for t in polygon.all_triangulations(n)]
+    params = {"coords": coords}
+    return make_polytope("secondary", n, n + 3, pairs, params=params, scale=denominator)
 

@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -180,7 +181,7 @@ def test_vertex_count_and_sum_random_weights(n):
 
 def test_functional_for_subdivision_roundtrip():
     for n in (2, 3):
-        for s in polygon.all_subdivisions(n):
+        for s in polygon.noncrossing_sets(n):
             w = functional_for_subdivision(s, n)
             assert subdivision_from_functional(w, n) == tuple(sorted(s))
 
@@ -214,12 +215,8 @@ def test_verify_correspondence(n):
     p = build_minkowski(ones_weights(n), n)
     report = verify_correspondence(p, n)
     assert report["ok"], report["problems"]
-    sizes = polygon.subdivision_sizes(n)
-    assert report["f_vector"] == (
-        sizes.get(n, 0),
-        sizes.get(n - 1, 0),
-        sizes.get(1, 0),
-    )
+    vertices = comb(2 * n + 2, n + 1) // (n + 2)  # Catalan(n+1)
+    assert report["f_vector"] == (vertices, n * vertices // 2, n * (n + 3) // 2)
 
 
 def test_f_vector_n3():

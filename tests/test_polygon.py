@@ -1,17 +1,16 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from associahedra.polygon import (
     all_diagonals,
-    all_subdivisions,
     all_triangulations,
     cells,
     crossing,
     flip,
     flip_table,
-    refines,
-    subdivision_sizes,
+    noncrossing_sets,
 )
 
 
@@ -112,17 +111,17 @@ def test_flip_graph_connected_and_n_regular(n):
 
 
 def test_subdivision_counts_pentagon():
-    assert subdivision_sizes(2) == {0: 1, 1: 5, 2: 5}
-    assert len(all_subdivisions(2)) == 11
+    assert Counter(map(len, noncrossing_sets(2))) == {0: 1, 1: 5, 2: 5}
+    assert len(noncrossing_sets(2)) == 11
 
 
 def test_subdivision_counts_hexagon():
-    assert subdivision_sizes(3) == {0: 1, 1: 9, 2: 21, 3: 14}
-    assert len(all_subdivisions(3)) == 45
+    assert Counter(map(len, noncrossing_sets(3))) == {0: 1, 1: 9, 2: 21, 3: 14}
+    assert len(noncrossing_sets(3)) == 45
 
 
 def test_subdivision_count_square():
-    assert len(all_subdivisions(1)) == 3
+    assert len(noncrossing_sets(1)) == 3
 
 
 def test_pentagon_crossing_pair_count():
@@ -135,18 +134,22 @@ def test_pentagon_crossing_pair_count():
 
 
 def test_refines():
-    t = all_triangulations(2)[0]
-    assert refines(t, ())
-    assert refines(t, t)
-    assert not refines(((0, 2),), ((1, 3),))
+    # a triangulation refines exactly the subdivisions made of its diagonals
+    subs = noncrossing_sets(2)
+    for t in all_triangulations(2):
+        coarser = [s for s in subs if set(s) <= set(t)]
+        assert sorted(coarser) == sorted(
+            c for k in range(3) for c in itertools.combinations(t, k)
+        )
+    assert ((0, 2), (1, 3)) not in subs
 
 
 def test_refines_maximal_elements_are_triangulations(n=3):
-    subs = all_subdivisions(n)
+    subs = noncrossing_sets(n)
     maximal = [
         s
         for s in subs
-        if not any(refines(s2, s) and s2 != s for s2 in subs)
+        if not any(set(s) < set(s2) for s2 in subs)
     ]
     assert sorted(maximal) == sorted(all_triangulations(n))
 
