@@ -21,8 +21,10 @@ the direction space.  On the hull the entries at the basis' pivot columns
 are an affine chart, so the equivalence search keeps, per polytope, each
 vertex's integer pivot entries and its affine weights on the independent
 vertices over one denominator.  Each of the 2(n+3) dihedral relabelings
-is then an integer check per vertex that stops at the first mismatch; only
-a hit is lifted to a Fraction ambient map, checked again on every vertex.
+is then an integer check per vertex that stops at the first mismatch.  Only
+a hit is lifted to a Fraction ambient map: the one its independent vertices
+and their images fix on the hull, extended off it by orthogonal projection,
+and checked again on every vertex.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +36,6 @@ from typing import NamedTuple
 
 from . import exactlin, polygon
 from .exactlin import (
-    ONE,
     Subspace,
     affine_frame,
     affinely_independent,
@@ -52,7 +53,6 @@ from .exactlin import (
     solve_linear,  # noqa: F401
     span,
     transpose,
-    vadd,
     vsub,
 )
 
@@ -101,12 +101,13 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     Labels must be exactly the triangulations of the (n+3)-gon; the pairs
     are sorted by label.  The coordinates are Fractions (a file, a map of
     another polytope), scaled here to integer rows over one scale, or, as
-    a builder makes them, integer rows over the given `scale`: those rows
-    and scale are divided by their gcd, so the hull record is the one the
-    same vertices give as Fractions, and the Fraction vertices are made
-    from them.  The rows must be distinct and their affine hull have
-    dimension n; its elimination (`affine_frame` on the integer rows) is
-    kept as the polytope's `Hull` record for the facets and the search.
+    a builder or the manifest's shear makes them, integer rows over the
+    given `scale`: those rows and scale are divided by their gcd, so the
+    hull record is the one the same vertices give as Fractions, and the
+    Fraction vertices are made from them.  The rows must be distinct and
+    their affine hull have dimension n; its elimination (`affine_frame` on
+    the integer rows) is kept as the polytope's `Hull` record for the
+    facets and the search.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
     labels = tuple(label for _, label in pairs)
@@ -351,8 +352,8 @@ class HullChart:
 
     def __init__(self, p):
         self.polytope = p
-        self.pivots = p.hull.pivots
-        self.rows = [tuple(r[k] for k in self.pivots) for r in p.hull.rows]
+        pivots = p.hull.pivots
+        self.rows = [tuple(r[k] for k in pivots) for r in p.hull.rows]
         self.labels = [label for _, label in p.vertices]
         self.index = {label: i for i, label in enumerate(self.labels)}
         self.independent = p.hull.independent
@@ -361,11 +362,6 @@ class HullChart:
         self.weights = [
             tuple(sum(map(mul, row + (1,), col)) for col in columns) for row in self.rows
         ]
-
-
-def _product(a, b):
-    bt = transpose(b)
-    return tuple(mat_vec(bt, row) for row in a)
 
 
 def fit_affine_map(src, dst, perm):
@@ -398,40 +394,33 @@ def fit_affine_map(src, dst, perm):
 def _lift(src, dst, images, targets):
     """A hit of `fit_affine_map` as an ambient map, checked on every vertex.
 
-    In chart coordinates (pivot entries minus those of vertex 0) the map
-    (A, t) is the inverse of the independent vertices' coordinates
-    augmented by 1 times their images' coordinates.  The lift is
-    x -> p0_d + B_d^T (A c(x) + t), with B the basis rows and
-    c(x) = G_s^-1 B_s (x - p0_s) the src coefficients of x's orthogonal
-    projection onto the hull (G_s = B_s B_s^T): the chart read at the
-    pivots, extended off the hull.  With M and T its matrix and translation
-    times the lcm D of their denominators, vertex row r with image row r_d
-    checks as s_d (M r + s_s T) == s_s D r_d in ints (s the hull scales).
+    X holds the differences of src's independent vertices from the first of
+    them and Y the same differences for their images.  The map is
+    x -> y_0 + M (x - x_0) with M = Y^T (X X^T)^-1 X: it sends each
+    independent vertex to its image, so the whole hull as the hit fixes
+    it, and kills the orthogonal complement of the hull's direction space.
+    M is formed on the integer hull rows (the scales s come back as
+    s_src / s_dst).  With M and T the matrix and translation times the lcm
+    D of their denominators, vertex row r with image row r_d checks as
+    s_dst (M r + s_src T) == s_src D r_d in ints.
     """
-    n = src.polytope.n
-    src_coords = [c for c, _ in src.polytope.vertices]
-    dst_coords = [c for c, _ in dst.polytope.vertices]
-
-    def chart(coords, pivots, i):
-        return tuple(coords[i][k] - coords[0][k] for k in pivots)
-
-    inverse = invert(tuple(chart(src_coords, src.pivots, i) + (ONE,) for i in src.independent))
-    ys = [chart(dst_coords, dst.pivots, j) for j in images]
-    thetas = [mat_vec(inverse, tuple(y[coord] for y in ys)) for coord in range(n)]
-    src_basis, dst_basis = src.polytope.hull.space.basis, dst.polytope.hull.space.basis
-    gram = tuple(tuple(dot(bi, bj) for bj in src_basis) for bi in src_basis)
-    lifted = _product(
-        tuple(theta[:n] for theta in thetas), _product(invert(gram), src_basis)
-    )
-    matrix = _product(transpose(dst_basis), lifted)
+    p, q = src.polytope, dst.polytope
+    s_src, s_dst = p.hull.scale, q.hull.scale
+    x0, y0 = p.hull.rows[src.independent[0]], q.hull.rows[images[0]]
+    xs = [vsub(p.hull.rows[i], x0) for i in src.independent[1:]]
+    ys = [vsub(q.hull.rows[j], y0) for j in images[1:]]
+    inverse = invert([[sum(map(mul, a, b)) for b in xs] for a in xs])
+    ratio = Fraction(s_src, s_dst)
+    # (X X^T)^-1 X on the int rows, times s_src / s_dst: x - x_0 to the
+    # coordinates of its projection on the rows of X
+    coordinates = [[ratio * dot(g, col) for col in zip(*xs)] for g in inverse]
+    matrix = tuple(tuple(dot(y, c) for c in zip(*coordinates)) for y in zip(*ys))
     translation = vsub(
-        vadd(dst_coords[0], mat_vec(transpose(dst_basis), tuple(theta[n] for theta in thetas))),
-        mat_vec(matrix, src_coords[0]),
+        q.vertices[images[0]][0], mat_vec(matrix, p.vertices[src.independent[0]][0])
     )
     (*m, t), denom = integer_scaling(matrix + (translation,))
-    s_src, s_dst = src.polytope.hull.scale, dst.polytope.hull.scale
-    for r, j in zip(src.polytope.hull.rows, targets):
-        expected = dst.polytope.hull.rows[j]
+    for r, j in zip(p.hull.rows, targets):
+        expected = q.hull.rows[j]
         if any(
             s_dst * (sum(map(mul, row, r)) + s_src * b) != s_src * denom * e
             for row, b, e in zip(m, t, expected)

@@ -145,9 +145,11 @@ def cmd_verify(args):
 
 
 def _rat_decimal(x, digits=12):
-    # viewer-only rendering; verification always uses exact rationals
+    # viewer-only rendering, rounded exactly with no float (a float
+    # overflows or drops digits on large coordinates)
     scaled = round(x * 10**digits)
-    return f"{scaled / 10**digits:.{digits}f}"
+    whole, frac = divmod(abs(scaled), 10**digits)
+    return f"{'-' if scaled < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
 def cmd_export(args):

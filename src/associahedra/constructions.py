@@ -30,9 +30,23 @@ class Construction:
     build: Callable  # (parameter, n) -> LabeledPolytope
 
 
+def _object_items(doc):
+    """The items of a JSON object; a list or scalar is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"parameter is a {type(doc).__name__}, not a JSON object")
+    return doc.items()
+
+
+def _decode_coords(doc):
+    # a string or an object would unpack silently, character by character
+    if not isinstance(doc, list) or not all(isinstance(p, list) and len(p) == 2 for p in doc):
+        raise ValueError("coords is not a list of [x, y] pairs")
+    return tuple((parse_rat(x), parse_rat(y)) for x, y in doc)
+
+
 def _decode_weights(doc):
     a = {}
-    for key, v in doc.items():
+    for key, v in _object_items(doc):
         i, j = map(int, key.split(","))
         if f"{i},{j}" != key:
             raise ValueError(f"not a canonical summand key: {key!r}")
@@ -48,7 +62,7 @@ CONSTRUCTIONS = {
             "secondary",
             "coords",
             encode=lambda coords: [[rat_str(x), rat_str(y)] for x, y in coords],
-            decode=lambda doc: tuple((parse_rat(x), parse_rat(y)) for x, y in doc),
+            decode=_decode_coords,
             default=lambda n: secondary.parabola_geometry(n),
             draw=lambda n, rng: sampling.random_convex_geometry(n, rng),
             build=lambda coords, n: secondary.build_secondary(coords=coords, n=n),
@@ -57,7 +71,9 @@ CONSTRUCTIONS = {
             "cluster",
             "h",
             encode=lambda h: {cluster.root_key(r): rat_str(v) for r, v in h.items()},
-            decode=lambda doc: {cluster.parse_root_key(k): parse_rat(v) for k, v in doc.items()},
+            decode=lambda doc: {
+                cluster.parse_root_key(k): parse_rat(v) for k, v in _object_items(doc)
+            },
             default=lambda n: cluster.default_support_values(n),
             draw=lambda n, rng: sampling.perturbed_support_values(n, rng),
             build=lambda h, n: cluster.build_cluster_polytope(h, n),

@@ -212,28 +212,15 @@ def affinely_independent(points, count):
     """Indices of the first `count` affinely independent points, taken
     greedily in order starting with index 0.
 
-    The points are int tuples (see `integer_points`).  One incremental
-    fraction-free elimination: each candidate's difference from points[0]
-    is cleared at the pivots of the rows kept so far by cross-multiplication
-    (each kept row is zero at every earlier pivot) and kept if anything is
-    left.  Returns fewer than `count` indices when the points span less.
+    The points are int tuples (see `integer_points`).  One `_eliminate` on
+    the differences p_i - p_0 taken as columns: a column is a pivot exactly
+    when it is independent of the earlier ones, so point i is picked iff
+    column i-1 is a pivot.  Returns fewer than `count` indices when the
+    points span less.
     """
-    chosen = [0]
-    kept = []  # (pivot column, primitive int row)
     p0 = points[0]
-    for i in range(1, len(points)):
-        if len(chosen) >= count:
-            break
-        v = _primitive([a - b for a, b in zip(points[i], p0)])
-        for pivot, row in kept:
-            f = v[pivot]
-            if f:
-                v = _primitive([row[pivot] * a - f * b for a, b in zip(v, row)])
-        pivot = next((c for c, a in enumerate(v) if a), None)
-        if pivot is not None:
-            kept.append((pivot, v))
-            chosen.append(i)
-    return chosen[:count]
+    columns = [_primitive([p[k] - a for p in points[1:]]) for k, a in enumerate(p0)]
+    return ([0] + [c + 1 for c in _eliminate(columns)])[:count]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import integer_inverse
+from .exactlin import integer_inverse, integer_scaling
 
 
 class Cone(NamedTuple):
@@ -98,8 +98,8 @@ def make_fan(rays, triangulations):
 
 def _scaled(h):
     """h times the lcm of its denominators, as ints, and that lcm."""
-    scale = lcm(*(v.denominator for v in h.values()))
-    return {d: v.numerator * (scale // v.denominator) for d, v in h.items()}, scale
+    (row,), scale = integer_scaling([h.values()])
+    return dict(zip(h, row)), scale
 
 
 def wall_slacks(fan, h):

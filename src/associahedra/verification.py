@@ -7,13 +7,11 @@ pass/fail table in manifest order.
 """
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from . import analysis, cluster, minkowski, secondary
 from .analysis import extract_facets, parallel_pairs, special_profile
 from .constructions import CONSTRUCTIONS
-from .exactlin import AffineMap
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -186,15 +184,14 @@ def check_loday_regression(n_max, seed):
 
 
 def _shear_translate(p):
-    d = p.ambient_dim
-    matrix = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    matrix[0][1] += Fraction(1, 3)
-    shear = AffineMap(
-        matrix=tuple(tuple(row) for row in matrix),
-        translation=tuple(Fraction(1) for _ in range(d)),
-    )
-    pairs = [(shear.apply(c), label) for c, label in p.vertices]
-    return analysis.make_polytope(p.construction, p.n, d, pairs)
+    """p under x -> x + (x_1 / 3) e_0 + (1, ..., 1), on its integer hull
+    rows r over scale s: the image rows are 3r + r_1 e_0 + 3s over 3s."""
+    s = p.hull.scale
+    pairs = [
+        ((3 * r[0] + r[1] + 3 * s, *(3 * (a + s) for a in r[1:])), label)
+        for r, (_, label) in zip(p.hull.rows, p.vertices)
+    ]
+    return analysis.make_polytope(p.construction, p.n, p.ambient_dim, pairs, scale=3 * s)
 
 
 def check_exactness_invariants(n_max, seed):

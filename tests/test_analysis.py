@@ -441,6 +441,27 @@ def test_unimodular_image_always_yields_the_reference_witness(construction, n, r
     assert witness is not None and witness == first_hit
 
 
+@pytest.mark.parametrize(
+    "n, a, b",
+    [(1, "secondary", "cluster"), (1, "secondary", "minkowski"), (2, "cluster", "minkowski")],
+)
+def test_witness_between_constructions_matches_reference(n, a, b):
+    # at n = 1 the ambient dimensions differ (4 against 2): the witness is
+    # a non-square matrix, in both directions
+    built = builds(n)
+    for p, q in ((built[a], built[b]), (built[b], built[a])):
+        src, dst = HullChart(p), HullChart(q)
+        hits = 0
+        for perm in dihedral_relabelings(n):
+            got = fit_affine_map(src, dst, perm)
+            assert got == reference_fit_affine_map(p, q, _label_map(p, perm))
+            if got is not None:
+                hits += 1
+                assert len(got.matrix) == q.ambient_dim
+                assert all(len(row) == p.ambient_dim for row in got.matrix)
+        assert hits
+
+
 def _counting(monkeypatch, module, name, calls):
     original = getattr(module, name)
 

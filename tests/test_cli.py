@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from associahedra import serialize, verification
-from associahedra.cli import main
-from associahedra.constructions import practical_bound
+from associahedra.cli import _rat_decimal, main
+from associahedra.constructions import CONSTRUCTIONS, practical_bound
 from associahedra.cluster import all_roots, default_support_values, parse_root_key, root_key
 from associahedra.minkowski import all_summands, build_minkowski, ones_weights
 
@@ -203,6 +203,47 @@ def test_export_off(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "OFF"
     assert lines[1].split() == ["5", "5", "0"]
+
+
+def _mapped_file(tmp_path, capsys, scale, shift):
+    """The Minkowski n = 2 default file with every coordinate x written as
+    scale * x + shift, and those coordinates."""
+    doc = json.loads(_built(tmp_path, capsys, "minkowski", 2).read_text())
+    coords = []
+    for v in doc["vertices"]:
+        v["coords"] = [serialize.rat_str(scale * F(x) + shift) for x in v["coords"]]
+        coords.append([F(x) for x in v["coords"]])
+    path = tmp_path / "mapped.json"
+    path.write_text(json.dumps(doc))
+    return path, coords
+
+
+@pytest.mark.parametrize(
+    "scale, shift",
+    [(10**400, 0), (1, 3 * 2**60), (-(10**400), F(1, 3))],
+    # a float overflows on the first and prints 3 * 2^60 + 1 as 3 * 2^60
+    ids=["beyond_float_range", "beyond_float_precision", "negative_thirds"],
+)
+def test_export_off_prints_exact_digits(tmp_path, capsys, scale, shift):
+    path, coords = _mapped_file(tmp_path, capsys, scale, shift)
+    code, out, _ = run(["export", str(path), "--format", "off"], capsys)
+    assert code == 0
+    lines = out.splitlines()[2 : 2 + len(coords)]
+    for line, row in zip(lines, coords):
+        for cell, x in zip(line.split(), row):
+            # x rounded to 12 places, read back exactly
+            assert len(cell.partition(".")[2]) == 12
+            assert abs(F(cell) - x) <= F(1, 2 * 10**12)
+
+
+def test_rat_decimal_rounds_exactly():
+    assert [_rat_decimal(x) for x in (F(-1, 3), F(2, 3), F(-1, 10**13), F(0), F(-7))] == [
+        "-0.333333333333",
+        "0.666666666667",
+        "0.000000000000",
+        "0.000000000000",
+        "-7.000000000000",
+    ]
 
 
 def test_export_unknown_format(tmp_path, capsys):
@@ -440,6 +481,57 @@ def test_build_params_not_rational_exit_2(tmp_path, capsys, construction, value)
     assert code == 2
     assert "invalid parameters" in err
     assert not out.exists()
+
+
+# a parameter of the wrong JSON shape: an object's items given as a list,
+# and coordinates given as an object whose keys' characters would unpack as
+# the parabola's points
+WRONG_SHAPE = {
+    "secondary": lambda coords: {"00": 0, "11": 0, "24": 0, "39": 0},
+    "cluster": lambda h: [[k, v] for k, v in h.items()],
+    "minkowski": lambda a: [[k, v] for k, v in a.items()],
+}
+
+
+def _wrong_shape(construction, params):
+    key = CONSTRUCTIONS[construction].key
+    return {**params, key: WRONG_SHAPE[construction](params[key])}
+
+
+@pytest.mark.parametrize("construction", sorted(WRONG_SHAPE))
+def test_build_params_of_wrong_shape_exit_2(tmp_path, capsys, construction):
+    n = 1 if construction == "secondary" else 2
+    params = tmp_path / "params.json"
+    doc = _valid_params(construction) if n == 2 else {"n": 1, "coords": []}
+    params.write_text(json.dumps(_wrong_shape(construction, doc)))
+    out = tmp_path / "x.json"
+    code, _, err = run(
+        ["build", "--construction", construction, "--n", str(n),
+         "--params", str(params), "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "invalid parameters" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
+@pytest.mark.parametrize("construction", sorted(WRONG_SHAPE))
+def test_file_with_params_of_wrong_shape_exit_2(tmp_path, capsys, construction, command):
+    good = _built(tmp_path, capsys, construction, 1)
+    doc = json.loads(good.read_text())
+    doc["params"] = _wrong_shape(construction, doc["params"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "compare": ["compare", str(bad), str(good)],
+        "export": ["export", str(bad), "--format", "json"],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "malformed polytope file" in err
 
 
 def test_export_off_swapped_labels_exit_4(tmp_path, capsys):

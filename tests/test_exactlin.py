@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from associahedra import cluster, exactlin, minkowski, secondary
+from associahedra import cluster, exactlin, minkowski, secondary, verification
 from associahedra.analysis import HullChart, extract_facets, fit_affine_map
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
@@ -138,6 +138,29 @@ def test_affinely_independent_matches_fraction_reference(shape):
         for count in range(1, shape[1] + 3):
             assert affinely_independent(integer_points(points), count) == (
                 reference_affinely_independent(points, count)
+            )
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(F(1), F(2))], [(F(1), F(-2))] * 4, [(F(3, 2), F(0), F(1))] * 2 + [(F(0), F(0), F(1))]],
+    ids=["single_point", "repeated_point", "repeated_then_new"],
+)
+def test_affinely_independent_on_degenerate_points(points):
+    for count in range(len(points[0]) + 3):
+        assert affinely_independent(integer_points(points), count) == (
+            reference_affinely_independent(points, count)
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_affinely_independent_on_default_hull_rows(n):
+    # the hull rows `make_polytope` eliminates, against the Fraction vertices
+    for p in verification.build_all_defaults(n).values():
+        coords = [c for c, _ in p.vertices]
+        for count in (0, 1, n, n + 1, p.ambient_dim + 1):
+            assert affinely_independent(p.hull.rows, count) == (
+                reference_affinely_independent(coords, count)
             )
 
 

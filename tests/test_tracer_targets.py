@@ -18,3 +18,17 @@ def test_tracer_targets_resolve():
         if not hasattr(importlib.import_module(f"associahedra.{module}"), attr):
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_manifest_functions_resolve_by_name():
+    # the tracer wraps each manifest row's function as
+    # `verification.<fn.__name__>`; a row whose function is not bound there
+    # under its own name breaks `run.py --trace 1`
+    from associahedra import verification
+
+    unbound = [
+        name
+        for name, fn in verification.MANIFEST
+        if getattr(verification, fn.__name__, None) is not fn
+    ]
+    assert not unbound
