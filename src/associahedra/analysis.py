@@ -14,6 +14,16 @@ positive) are equal: the normals lie in the hull's direction space, where
 a hyperplane's normal line fixes its direction space.  `face_lattice`
 certifies that these facets are all the facets and the flips the edges.
 
+A polytope is its labels and its `Hull` record: the vertices as integer
+rows over one positive scale, in lowest terms.  Everything here reads the
+labels and the rows; no Fraction is made for a vertex or a facet unless a
+caller reads one.  `LabeledPolytope.vertices` (the Fraction coordinates,
+for demos, viewers and tests) and `FacetDescriptor.hyperplane` (a facet's
+Fraction hyperplane) are made on first read and kept.  Besides these, the
+analysis makes Fractions only for a lifted witness and in `exactlin`'s
+canonical bases (the hull's direction space, a facet's `direction`).
+Files are coded straight to and from the rows (`serialize`).
+
 Each polytope's affine hull is eliminated once, when it is made: its `Hull`
 record holds the integer vertex rows and their common scale, the first n+1
 affinely independent vertices and the canonical (reduced echelon) basis of
@@ -45,7 +55,6 @@ from .exactlin import (
     integer_scaling,
     invert,
     make_hyperplane,
-    mat_vec,
     primitive_rows,
     rank,
     # unused here, but perfbench's tracer test checks that this by-name
@@ -79,12 +88,30 @@ class Hull(NamedTuple):
 
 @dataclass(frozen=True)
 class LabeledPolytope:
+    """A vertex-labeled polytope: vertex i is the i-th triangulation of
+    `labels` and the i-th row of `hull.rows` over `hull.scale`.
+
+    The rows are in lowest terms over one positive scale, so equal hulls
+    are equal vertices: equality and hash mean the same construction, n,
+    ambient dimension, labels and exact vertices.
+    """
+
     construction: str
     n: int
     ambient_dim: int
-    vertices: tuple  # of (coords, triangulation) pairs, sorted by label
+    labels: tuple  # the triangulations, sorted: `polygon.all_triangulations(n)`
     params: dict = field(default_factory=dict, compare=False)
-    hull: Hull = field(compare=False, repr=False, kw_only=True)
+    hull: Hull = field(repr=False, kw_only=True)
+
+    @cached_property
+    def vertices(self):
+        """The (coords, label) pairs with Fraction coords, made on first
+        read and kept (not a field: nothing in the analysis reads them)."""
+        s = self.hull.scale
+        return tuple(
+            (tuple(Fraction(a, s) for a in row), label)
+            for row, label in zip(self.hull.rows, self.labels)
+        )
 
     @cached_property
     def certified_facets(self):
@@ -99,15 +126,16 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     label) pairs.
 
     Labels must be exactly the triangulations of the (n+3)-gon; the pairs
-    are sorted by label.  The coordinates are Fractions (a file, a map of
-    another polytope), scaled here to integer rows over one scale, or, as
-    a builder or the manifest's shear makes them, integer rows over the
-    given `scale`: those rows and scale are divided by their gcd, so the
-    hull record is the one the same vertices give as Fractions, and the
-    Fraction vertices are made from them.  The rows must be distinct and
-    their affine hull have dimension n; its elimination (`affine_frame` on
-    the integer rows) is kept as the polytope's `Hull` record for the
-    facets and the search.
+    are sorted by label.  The coordinates are integer rows over the given
+    `scale`, as the builders, a file (`serialize`) and the manifest's shear
+    make them, or, with no scale, rationals (a map of another polytope),
+    scaled here to integer rows over the lcm of their denominators.  Rows
+    and scale are divided by their gcd, so the same vertices give the same
+    record either way.  The rows must be distinct and their affine hull
+    have dimension n; its elimination (`affine_frame` on the rows) is kept
+    with them as the polytope's `Hull` record.  No Fraction is made here:
+    `LabeledPolytope.vertices` makes the Fraction coordinates only when
+    they are read.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
     labels = tuple(label for _, label in pairs)
@@ -115,15 +143,11 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
         raise ValueError("labels are not exactly the triangulations")
     if scale is None:
         rows, scale = integer_scaling([c for c, _ in pairs])
-        vertices = tuple(pairs)
     else:
         rows = [tuple(c) for c, _ in pairs]
         g = gcd(scale, *(a for row in rows for a in row))
         if g > 1:
             rows, scale = [tuple(a // g for a in row) for row in rows], scale // g
-        vertices = tuple(
-            (tuple(Fraction(a, scale) for a in row), label) for row, label in zip(rows, labels)
-        )
     # one positive scale for all rows: distinct rows are distinct vertices
     if len(set(rows)) != len(rows):
         raise ValueError("vertex coordinates are not distinct")
@@ -134,7 +158,7 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
         construction=construction,
         n=n,
         ambient_dim=ambient_dim,
-        vertices=vertices,
+        labels=labels,
         params=dict(params or {}),
         hull=Hull(tuple(rows), scale, tuple(independent), space),
     )
@@ -144,12 +168,20 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
 class FacetDescriptor:
     diagonal: tuple
     vertex_indices: frozenset
-    hyperplane: object
     normal: tuple  # primitive int normal in the hull's direction space, first nonzero > 0
+    # the facet's hyperplane is normal . x = offset / scale, in lowest terms
+    offset: int
+    scale: int
     # n affinely independent members and the polytope's integer rows, from
     # which `direction` is spanned when it is read
     spanning: tuple = field(compare=False, repr=False)
     rows: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def hyperplane(self):
+        """The Fraction hyperplane (`exactlin.make_hyperplane`, first
+        nonzero normal entry 1), made on first read and kept."""
+        return make_hyperplane(self.normal, Fraction(self.offset, self.scale))
 
     @cached_property
     def direction(self):
@@ -181,16 +213,16 @@ def _certify_facets(p):
     picked from all of them; the hyperplane through n members that all
     members lie on is the same either way.  The certificate is one integer
     dot product of the normal per vertex row: 0 on every member and one
-    strict sign on every other vertex.  Only then is the Fraction
-    hyperplane made.  Certification failure means the construction is
-    broken, not the analysis, and raises CertificationError naming the
-    diagonal.
+    strict sign on every other vertex.  The Fraction hyperplane is made
+    only when a caller reads it (`FacetDescriptor.hyperplane`).
+    Certification failure means the construction is broken, not the
+    analysis, and raises CertificationError naming the diagonal.
     """
-    rows = p.hull.rows
+    rows, scale, labels = p.hull.rows, p.hull.scale, p.labels
     basis = primitive_rows(p.hull.space.basis)
     flips = polygon.flip_table(p.n)
     carriers = {d: [] for d in polygon.all_diagonals(p.n)}
-    for i, (_, label) in enumerate(p.vertices):
+    for i, label in enumerate(labels):
         for d in label:
             carriers[d].append(i)
     facets = []
@@ -198,7 +230,7 @@ def _certify_facets(p):
         if not ordered:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
         v = ordered[0]
-        spanning = [v] + [w for e, w in zip(p.vertices[v][1], flips[v]) if e != d]
+        spanning = [v] + [w for e, w in zip(labels[v], flips[v]) if e != d]
         # None unless they span a codim-1 flat of the hull: fewer than n do not
         normal = integer_normal([rows[i] for i in spanning], basis)
         if normal is None:
@@ -216,12 +248,14 @@ def _certify_facets(p):
         outside = [x for i, x in enumerate(values) if i not in members]
         if not (all(x > 0 for x in outside) or all(x < 0 for x in outside)):
             raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
+        g = gcd(offset, scale)
         facets.append(
             FacetDescriptor(
                 diagonal=d,
                 vertex_indices=members,
-                hyperplane=make_hyperplane(normal, Fraction(offset, p.hull.scale)),
                 normal=tuple(normal),
+                offset=offset // g,
+                scale=scale // g,
                 spanning=tuple(spanning),
                 rows=rows,
             )
@@ -354,7 +388,7 @@ class HullChart:
         self.polytope = p
         pivots = p.hull.pivots
         self.rows = [tuple(r[k] for k in pivots) for r in p.hull.rows]
-        self.labels = [label for _, label in p.vertices]
+        self.labels = p.labels
         self.index = {label: i for i, label in enumerate(self.labels)}
         self.independent = p.hull.independent
         inverse, self.d = integer_inverse([self.rows[i] + (1,) for i in self.independent])
@@ -400,7 +434,8 @@ def _lift(src, dst, images, targets):
     independent vertex to its image, so the whole hull as the hit fixes
     it, and kills the orthogonal complement of the hull's direction space.
     M is formed on the integer hull rows (the scales s come back as
-    s_src / s_dst).  With M and T the matrix and translation times the lcm
+    s_src / s_dst), and the translation y_0 - M x_0 on the rows of x_0 and
+    y_0 over their scales.  With M and T the matrix and translation times the lcm
     D of their denominators, vertex row r with image row r_d checks as
     s_dst (M r + s_src T) == s_src D r_d in ints.
     """
@@ -415,9 +450,7 @@ def _lift(src, dst, images, targets):
     # coordinates of its projection on the rows of X
     coordinates = [[ratio * dot(g, col) for col in zip(*xs)] for g in inverse]
     matrix = tuple(tuple(dot(y, c) for c in zip(*coordinates)) for y in zip(*ys))
-    translation = vsub(
-        q.vertices[images[0]][0], mat_vec(matrix, p.vertices[src.independent[0]][0])
-    )
+    translation = tuple(Fraction(b, s_dst) - dot(row, x0) / s_src for row, b in zip(matrix, y0))
     (*m, t), denom = integer_scaling(matrix + (translation,))
     for r, j in zip(p.hull.rows, targets):
         expected = q.hull.rows[j]

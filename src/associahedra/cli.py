@@ -11,7 +11,8 @@ Exit codes are a stable contract:
             4 facet certification failure (format off)
 
 A file is malformed also when its `n` is not an int, its `params` is not
-an object or its `params.n` differs from its `n`.  Where a file needs an
+an object, its `params.n` differs from its `n`, or its `vertices`, or a
+vertex's `coords` or `triangulation`, is not a list.  Where a file needs an
 int (a polytope file's `n` and `params.n`, the endpoints of a vertex's
 `triangulation`, a build params file's `n`), a JSON boolean or a float is
 malformed too, although `true == 1` and `1.0 == 1` in Python (rc 2).
@@ -69,7 +70,7 @@ def analyze_report(p):
     return {
         "construction": p.construction,
         "n": p.n,
-        "vertex_count": len(p.vertices),
+        "vertex_count": len(p.labels),
         "facets": [
             {"diagonal": list(f.diagonal), "vertex_count": len(f.vertex_indices)}
             for f in facets
@@ -165,8 +166,7 @@ def cmd_export(args):
         lines = []
         header = [f"x{i}" for i in range(p.ambient_dim)] + ["triangulation"]
         lines.append(",".join(header))
-        for coords, label in p.vertices:
-            cells = [rat_str(c) for c in coords]
+        for cells, label in zip(serialize.coordinate_strings(p), p.labels):
             cells.append(" ".join(f"{a}-{b}" for a, b in label))
             lines.append(",".join(cells))
         out = "\n".join(lines) + "\n"
@@ -176,7 +176,7 @@ def cmd_export(args):
         except CertificationError as exc:
             print(f"error: facet certification failed: {exc}", file=sys.stderr)
             return 4
-        lines = ["OFF", f"{len(p.vertices)} {len(facets)} 0"]
+        lines = ["OFF", f"{len(p.labels)} {len(facets)} 0"]
         for coords, _ in p.vertices:
             lines.append(" ".join(_rat_decimal(c) for c in coords))
         for f in facets:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from . import polygon
 from .analysis import make_polytope
+from .exactlin import rat_str
 from .fan import make_fan, tight_vertices, wall_slacks
 
 
@@ -109,9 +110,11 @@ def _by_diagonal(h, n):
 def polytopality_check(h, n):
     """Strict convexity of the support values across every wall.
 
-    Returns (ok, violations); each violation records the wall's exchanged
-    roots and the slack rhs - lhs of its relation with lhs = h(beta) +
-    lam*h(beta').  The check runs on h scaled to ints.
+    The relation of a wall exchanging beta and beta' holds strictly iff
+    lhs = h(beta) + lam*h(beta') exceeds rhs = sum c_g*h(g) over the shared
+    roots g.  Returns (ok, violations); each violation records the wall's
+    exchanged roots and its deficit rhs - lhs >= 0 (the negated slack of
+    `fan.wall_slacks`).  The check runs on h scaled to ints.
     """
     fan, d2r = _fan(n), _root_diagonal_maps(n)[1]
     slacks = wall_slacks(fan, _by_diagonal(h, n))
@@ -166,7 +169,11 @@ def build_cluster_polytope(h, n):
         raise ValueError(f"support values must be given for exactly the {len(roots)} roots")
     ok, violations = polytopality_check(h, n)
     if not ok:
-        raise ValueError(f"support values fail the wall check: {violations[:3]}")
+        walls = "; ".join(
+            f"wall exchanging {root_key(beta)} and {root_key(beta_p)}: deficit {rat_str(deficit)}"
+            for beta, beta_p, deficit in violations[:3]
+        )
+        raise ValueError(f"support values fail the wall check: {walls}")
     rows, scale = tight_vertices(_fan(n), _by_diagonal(h, n))
     pairs = zip(rows, polygon.all_triangulations(n))
     return make_polytope("cluster", n, n + 1, pairs, params={"h": dict(h)}, scale=scale)

@@ -4,7 +4,9 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
 predicates (rank, parallelism, subspace equality) are exact; there is no
 floating point anywhere.  Eliminations run fraction-free on Python ints
 (rows or point sets scaled once by the lcm of their denominators); every
-value handed back is a Fraction in canonical form.
+value handed back is a Fraction in canonical form.  Rationals are written
+and read as "p/q" strings; `ratio_str` and `parse_ratio` code them straight
+to and from int pairs, and `rat_str` and `parse_rat` wrap them for Fractions.
 """
 
 import re
@@ -27,21 +29,37 @@ class Underdetermined:
 UNDERDETERMINED = Underdetermined()
 
 
+def ratio_str(a, b):
+    """The rational a/b of ints (b > 0) as "p/q" in lowest terms, or "p"
+    when it is an integer."""
+    g = gcd(a, b)
+    return str(a // g) if b == g else f"{a // g}/{b // g}"
+
+
 def rat_str(x):
     """A rational as "p/q", or "p" when it is an integer."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return ratio_str(x.numerator, x.denominator)
 
 
 _RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
+def parse_ratio(s):
+    """(p, q) in lowest terms with q > 0 for a "p" or "p/q" string (q > 0);
+    else ValueError."""
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    q = int(m[2] or 1) if m else 0
+    if q == 0:
+        raise ValueError(f"not a rational 'p' or 'p/q': {s!r}")
+    p = int(m[1])
+    g = gcd(p, q)
+    return p // g, q // g
+
+
 def parse_rat(s):
     """The rational of a "p" or "p/q" string (q > 0); else ValueError."""
-    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
-    if m is None or int(m[2] or 1) == 0:
-        raise ValueError(f"not a rational 'p' or 'p/q': {s!r}")
-    return Fraction(int(m[1]), int(m[2] or 1))
+    return Fraction(*parse_ratio(s))
 
 
 def vec(*entries):

@@ -31,8 +31,8 @@ def check_vertex_counts(n_max, seed):
     bad = []
     for n in range(1, n_max + 1):
         for tag, p in build_all_defaults(n).items():
-            if len(p.vertices) != CATALAN[n + 1]:
-                bad.append((n, tag, len(p.vertices)))
+            if len(p.labels) != CATALAN[n + 1]:
+                bad.append((n, tag, len(p.labels)))
     return not bad, {"expected": CATALAN[2 : n_max + 2], "bad": bad}
 
 
@@ -174,13 +174,12 @@ def check_non_equivalence(n_max, seed):
 
 
 def check_loday_regression(n_max, seed):
-    p2 = build_all_defaults(2)["minkowski"]
-    got2 = {tuple(int(c) for c in coords) for coords, _ in p2.vertices}
+    # the Loday vertices are integral: the hull rows over scale 1
+    p2, p1 = build_all_defaults(2)["minkowski"], build_all_defaults(1)["minkowski"]
+    got2, got1 = set(p2.hull.rows), set(p1.hull.rows)
     want2 = {(3, 2, 1), (3, 1, 2), (2, 1, 3), (1, 2, 3), (1, 4, 1)}
-    p1 = build_all_defaults(1)["minkowski"]
-    got1 = {tuple(int(c) for c in coords) for coords, _ in p1.vertices}
-    ok = got2 == want2 and got1 == {(2, 1), (1, 2)}
-    return ok, {"n2": sorted(got2), "n1": sorted(got1)}
+    ok = p2.hull.scale == p1.hull.scale == 1 and got2 == want2 and got1 == {(2, 1), (1, 2)}
+    return ok, {"n2": sorted(got2), "n1": sorted(got1), "scales": (p2.hull.scale, p1.hull.scale)}
 
 
 def _shear_translate(p):
@@ -189,7 +188,7 @@ def _shear_translate(p):
     s = p.hull.scale
     pairs = [
         ((3 * r[0] + r[1] + 3 * s, *(3 * (a + s) for a in r[1:])), label)
-        for r, (_, label) in zip(p.hull.rows, p.vertices)
+        for r, label in zip(p.hull.rows, p.labels)
     ]
     return analysis.make_polytope(p.construction, p.n, p.ambient_dim, pairs, scale=3 * s)
 
@@ -199,15 +198,16 @@ def check_exactness_invariants(n_max, seed):
     for n in range(1, n_max + 1):
         # the default secondary vertices are the GKZ vectors of the parabola
         p = build_all_defaults(n)["secondary"]
-        target = 3 * secondary.polygon_area(p.params["coords"])
-        for v, t in p.vertices:
-            if sum(v) != target:
+        # on the hull rows over their scale s: sum(row) = s * target
+        target = 3 * secondary.polygon_area(p.params["coords"]) * p.hull.scale
+        for r, t in zip(p.hull.rows, p.labels):
+            if sum(r) != target:
                 bad.append((n, "gkz_sum", t))
         p = build_all_defaults(n)["minkowski"]
-        total = sum(p.params["a"].values())
-        for c, _ in p.vertices:
-            if sum(c) != total:
-                bad.append((n, "minkowski_sum", c))
+        total = sum(p.params["a"].values()) * p.hull.scale
+        for r, t in zip(p.hull.rows, p.labels):
+            if sum(r) != total:
+                bad.append((n, "minkowski_sum", t))
         base_pairs = parallel_pairs(extract_facets(p))
         sheared_pairs = parallel_pairs(extract_facets(_shear_translate(p)))
         if base_pairs != sheared_pairs:

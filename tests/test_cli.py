@@ -8,6 +8,7 @@ from associahedra import serialize, verification
 from associahedra.cli import _rat_decimal, main
 from associahedra.constructions import CONSTRUCTIONS, practical_bound
 from associahedra.cluster import all_roots, default_support_values, parse_root_key, root_key
+from associahedra.exactlin import parse_rat, rat_str
 from associahedra.minkowski import all_summands, build_minkowski, ones_weights
 
 F = Fraction
@@ -20,16 +21,16 @@ def run(argv, capsys):
 
 
 def test_rational_strings():
-    assert serialize.rat_str(F(3, 4)) == "3/4"
-    assert serialize.rat_str(F(5)) == "5"
-    assert serialize.parse_rat("-7/2") == F(-7, 2)
-    assert serialize.parse_rat("6/4") == F(3, 2)
+    assert rat_str(F(3, 4)) == "3/4"
+    assert rat_str(F(5)) == "5"
+    assert parse_rat("-7/2") == F(-7, 2)
+    assert parse_rat("6/4") == F(3, 2)
 
 
 @pytest.mark.parametrize("value", ["1/0", "0/0", "0.5", "1e3", " 1", "1/-2", "", 0.1, 1, True, None])
 def test_parse_rat_rejects(value):
     with pytest.raises(ValueError):
-        serialize.parse_rat(value)
+        parse_rat(value)
 
 
 def test_root_keys_roundtrip():
@@ -145,7 +146,7 @@ def test_compare_translated_copy(tmp_path, capsys):
     mink = _built(tmp_path, capsys, "minkowski", 2)
     doc = json.loads(mink.read_text())
     for v in doc["vertices"]:
-        v["coords"] = [serialize.rat_str(serialize.parse_rat(c) + 1) for c in v["coords"]]
+        v["coords"] = [rat_str(parse_rat(c) + 1) for c in v["coords"]]
     moved = tmp_path / "moved.json"
     moved.write_text(json.dumps(doc))
     code, out, _ = run(["compare", str(mink), str(moved)], capsys)
@@ -211,7 +212,7 @@ def _mapped_file(tmp_path, capsys, scale, shift):
     doc = json.loads(_built(tmp_path, capsys, "minkowski", 2).read_text())
     coords = []
     for v in doc["vertices"]:
-        v["coords"] = [serialize.rat_str(scale * F(x) + shift) for x in v["coords"]]
+        v["coords"] = [rat_str(scale * F(x) + shift) for x in v["coords"]]
         coords.append([F(x) for x in v["coords"]])
     path = tmp_path / "mapped.json"
     path.write_text(json.dumps(doc))
@@ -453,7 +454,7 @@ def _valid_params(construction):
         return {"n": 2, "coords": coords}
     if construction == "cluster":
         h = default_support_values(2)
-        return {"n": 2, "h": {root_key(r): serialize.rat_str(v) for r, v in h.items()}}
+        return {"n": 2, "h": {root_key(r): rat_str(v) for r, v in h.items()}}
     return {"n": 2, "a": {f"{i},{j}": "1" for i, j in all_summands(2)}}
 
 
@@ -532,6 +533,52 @@ def test_file_with_params_of_wrong_shape_exit_2(tmp_path, capsys, construction, 
     assert code == 2
     assert out == ""
     assert "malformed polytope file" in err
+
+
+# vertex coordinates of the wrong JSON shape, whose characters or keys
+# would read as the Minkowski n = 1 vertices (2, 1) and (1, 2)
+WRONG_SHAPE_COORDS = {
+    "string": lambda coords: "".join(coords),
+    "object": lambda coords: dict.fromkeys(coords, "0"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
+@pytest.mark.parametrize("shape", sorted(WRONG_SHAPE_COORDS))
+def test_file_with_coords_of_wrong_shape_exit_2(tmp_path, capsys, shape, command):
+    good = _built(tmp_path, capsys, "minkowski", 1)
+    doc = json.loads(good.read_text())
+    for v in doc["vertices"]:
+        v["coords"] = WRONG_SHAPE_COORDS[shape](v["coords"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "compare": ["compare", str(bad), str(good)],
+        "export": ["export", str(bad), "--format", "csv"],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "malformed polytope file" in err and "coords" in err
+
+
+def test_build_cluster_wall_check_names_roots_and_deficit(tmp_path, capsys):
+    # an empty segment: the one wall's relation lhs > rhs fails by 4
+    params = tmp_path / "h.json"
+    params.write_text(json.dumps({"n": 1, "h": {"a1": "1", "-a1": "-5"}}))
+    out = tmp_path / "x.json"
+    code, _, err = run(
+        ["build", "--construction", "cluster", "--n", "1", "--params", str(params),
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err == (
+        "error: invalid parameters: support values fail the wall check: "
+        "wall exchanging a1 and -a1: deficit 4\n"
+    )
+    assert not out.exists()
 
 
 def test_export_off_swapped_labels_exit_4(tmp_path, capsys):
