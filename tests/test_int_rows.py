@@ -7,7 +7,6 @@ Fraction codec the int one replaced (kept below as the reference).
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -60,19 +59,6 @@ def test_manifest_reads_rows_not_fractions():
         for p in verification.build_all_defaults(n).values():
             assert "certified_facets" in p.__dict__
             assert_no_fractions_made(p)
-
-
-def test_fractions_made_on_first_read_and_kept():
-    p = fresh_polytopes(2)[1]
-    s = p.hull.scale
-    assert p.vertices is p.vertices
-    assert [c for c, _ in p.vertices] == [
-        tuple(Fraction(a, s) for a in r) for r in p.hull.rows
-    ]
-    assert [t for _, t in p.vertices] == list(p.labels)
-    f = extract_facets(p)[0]
-    assert f.hyperplane is f.hyperplane
-    assert all(f.hyperplane.value(p.vertices[i][0]) == 0 for i in f.vertex_indices)
 
 
 def reference_polytope_to_json(p):
