@@ -5,9 +5,14 @@ and the analysis reads these labels where they save work, then certifies
 what it read.  A facet's members are the vertices whose label carries its
 diagonal.  Its normal is solved inside the affine hull through the first
 member and that member's flips of its other diagonals, or, only if those
-fail to span, through n members an elimination picks from all of them;
-one integer evaluation per vertex then shows that every member lies on the
-hyperplane and every other vertex strictly on one side.  Each polytope
+fail to span, through n members an elimination picks from all of them.
+Then every member must lie on the hyperplane and every other vertex
+strictly on one side: the lane certificate (`exactlin.lane_failures`)
+checks all n(n+3)/2 facet inequalities at a vertex row with one packed
+big-integer product per coordinate.  Each facet's value sits in its own
+lane of one Python int, wide enough (one bit over the bound
+|normal|_1 max|x| + |offset| + 1) that a negative value always borrows
+into its own lane's top bit, so two masks read the verdict.  Each polytope
 object certifies its facets once, on first use, and keeps them.  Facets
 are parallel iff their primitive integer normals (first nonzero entry
 positive) are equal: the normals lie in the hull's direction space, where
@@ -54,6 +59,7 @@ from .exactlin import (
     integer_normal,
     integer_scaling,
     invert,
+    lane_failures,
     make_hyperplane,
     primitive_rows,
     rank,
@@ -211,22 +217,36 @@ def _certify_facets(p):
     (`polygon.flip_table`), which carry the diagonal too.  Only if those do
     not span a codim-1 flat of the hull are n affinely independent members
     picked from all of them; the hyperplane through n members that all
-    members lie on is the same either way.  The certificate is one integer
-    dot product of the normal per vertex row: 0 on every member and one
-    strict sign on every other vertex.  The Fraction hyperplane is made
-    only when a caller reads it (`FacetDescriptor.hyperplane`).
+    members lie on is the same either way.  The normal is then oriented by
+    its sign at the first non-member, and the certificate is that at every
+    vertex row each facet's oriented functional normal . x - offset is 0 if
+    the vertex is a member and positive if not.  `exactlin.lane_failures`
+    checks all F = n(n+3)/2 of them at a row at once: slot f, that value
+    less 1 off the members, sits in a lane of one Python int W bits wide,
+    with W one more than the bit length of the bound
+    max_f(|normal_f|_1 max|x| + |offset_f| + 1), and a negative slot always
+    borrows into its own lane's top bit, so a row costs one packed product
+    per coordinate and two masks.  The Fraction hyperplane is made only
+    when a caller reads it (`FacetDescriptor.hyperplane`).
     Certification failure means the construction is broken, not the
-    analysis, and raises CertificationError naming the diagonal.
+    analysis, and raises CertificationError naming the diagonal: first
+    "no vertices carry it" or "do not span", in diagonal order, as the
+    normals are solved; then, only if a row fails, its slots are unpacked
+    and the first failing diagonal is named, "member off its hyperplane"
+    before "hyperplane is not supporting".
     """
     rows, scale, labels = p.hull.rows, p.hull.scale, p.labels
     basis = primitive_rows(p.hull.space.basis)
     flips = polygon.flip_table(p.n)
-    carriers = {d: [] for d in polygon.all_diagonals(p.n)}
-    for i, label in enumerate(labels):
-        for d in label:
-            carriers[d].append(i)
-    facets = []
-    for d, ordered in carriers.items():
+    diagonals = polygon.all_diagonals(p.n)
+    index = {d: f for f, d in enumerate(diagonals)}
+    tight = [[index[d] for d in label] for label in labels]
+    carriers = [[] for _ in diagonals]
+    for i, t in enumerate(tight):
+        for f in t:
+            carriers[f].append(i)
+    facets, functionals = [], []
+    for d, ordered in zip(diagonals, carriers):
         if not ordered:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
         v = ordered[0]
@@ -242,12 +262,9 @@ def _certify_facets(p):
             normal = [-a for a in normal]
         members = frozenset(ordered)
         offset = sum(map(mul, normal, rows[v]))
-        values = [sum(map(mul, normal, x)) - offset for x in rows]
-        if any(values[i] != 0 for i in members):
-            raise CertificationError(f"diagonal {d}: member off its hyperplane")
-        outside = [x for i, x in enumerate(values) if i not in members]
-        if not (all(x > 0 for x in outside) or all(x < 0 for x in outside)):
-            raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
+        out = next((i for i in range(len(rows)) if i not in members), v)
+        sign = -1 if sum(map(mul, normal, rows[out])) < offset else 1
+        functionals.append(([sign * a for a in normal], sign * offset))
         g = gcd(offset, scale)
         facets.append(
             FacetDescriptor(
@@ -260,6 +277,13 @@ def _certify_facets(p):
                 rows=rows,
             )
         )
+    failures = lane_failures(functionals, rows, tight)
+    if failures:
+        failed = {(f, f in tight[i]) for i, fs in failures for f in fs}
+        f = min(f for f, _ in failed)
+        if (f, True) in failed:
+            raise CertificationError(f"diagonal {diagonals[f]}: member off its hyperplane")
+        raise CertificationError(f"diagonal {diagonals[f]}: hyperplane is not supporting")
     return facets
 
 

@@ -161,7 +161,7 @@ def cmd_export(args):
     if p is None:
         return 2
     if args.format == "json":
-        out = serialize.dumps(serialize.polytope_to_json(p))
+        out = serialize.polytope_text(p)
     elif args.format == "csv":
         lines = []
         header = [f"x{i}" for i in range(p.ambient_dim)] + ["triangulation"]

@@ -12,6 +12,7 @@ to and from int pairs, and `rat_str` and `parse_rat` wrap them for Fractions.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -110,8 +111,12 @@ def integer_points(points):
 
 
 def primitive_rows(rows):
-    """Each row times its own positive factor, as a primitive int row."""
-    return [_primitive(integer_points([row])[0]) for row in rows]
+    """Each row times its own positive factor, as a primitive int row; an
+    int row needs no scaling and goes straight to `_primitive`."""
+    return [
+        _primitive(row if all(type(a) is int for a in row) else integer_points([row])[0])
+        for row in rows
+    ]
 
 
 def _eliminate(m):
@@ -160,6 +165,65 @@ def rref(rows):
 def rank(rows):
     """The rank of Fraction or int rows, by `_eliminate` on primitive rows."""
     return len(_eliminate(primitive_rows(rows)))
+
+
+def lane_failures(functionals, rows, tight):
+    """Where affine functionals fail at int rows, all F of them checked at a
+    row at once in the lanes of one Python int: [(i, [f, ...]), ...] for
+    each failing row i in order, with the functionals f that fail there in
+    order; empty iff every row passes.
+
+    `functionals` are F pairs (a_f, b_f) of an int row and an int, `rows`
+    int rows of the same length D, and `tight[i]` the indices of the
+    functionals that must vanish at rows[i]; every other one must be
+    positive there.  Slot f of row x is s_f = a_f . x - b_f - [f not tight
+    at x], held in lane f, bits W f to W f + W - 1 of
+    sum_f s_f 2^(W f) = sum_k x_k C_k - B - 1_F + sum_{f tight} 2^(W f),
+    where C_k packs column k of the a_f, B packs the b_f and 1_F puts 1 in
+    every lane: D multiply-adds of packed columns per row.  The lane width
+    W is one more than the bit length of max_f(|a_f|_1 max|x| + |b_f| + 1),
+    a bound on every |s_f|, so |s_f| < 2^(W-1).  A row passes iff every
+    s_f >= 0 and every tight s_f = 0.  If no slot is negative the lanes
+    hold the slots exactly, top bits clear; otherwise the lowest negative
+    slot borrows 2^W from the lane above and reads 2^W + s_f >= 2^(W-1) in
+    its own lane, top bit set.  So a row passes iff its int has no lane
+    top bit set and nothing in a tight lane.  Only a failing row's slots
+    are unpacked, to name the functionals that fail.
+    """
+    if not functionals:
+        return []
+    top = max(map(abs, chain.from_iterable(rows)), default=0)
+    width = max(sum(map(abs, a)) * top + abs(b) + 1 for a, b in functionals).bit_length() + 1
+    shifts = [width * f for f in range(len(functionals))]
+    columns = [
+        sum(a << s for a, s in zip(column, shifts))
+        for column in zip(*(a for a, _ in functionals))
+    ]
+    ones = sum(1 << s for s in shifts)
+    base = sum(b << s for (_, b), s in zip(functionals, shifts)) + ones
+    signs = ones << (width - 1)
+    failures = []
+    for i, (x, t) in enumerate(zip(rows, tight)):
+        low = sum(1 << shifts[f] for f in t)
+        packed = sum(map(mul, x, columns)) - base + low
+        if packed & (signs | (low << width) - low):
+            slots = _unpack(packed, width, len(shifts))
+            failures.append((i, [f for f, s in enumerate(slots) if (s != 0 if f in t else s < 0)]))
+    return failures
+
+
+def _unpack(packed, width, count):
+    """The `count` signed slots, each of absolute value below 2^(width-1),
+    packed as sum_f s_f 2^(width f) (see `lane_failures`)."""
+    lane, half = (1 << width) - 1, 1 << (width - 1)
+    slots = []
+    for _ in range(count):
+        s = packed & lane
+        if s >= half:
+            s -= 1 << width
+        slots.append(s)
+        packed = (packed - s) >> width
+    return slots
 
 
 def transpose(rows):

@@ -7,7 +7,11 @@ the exact fan certificate in one pass.  Support values h, one per
 diagonal, that are strictly convex across every wall give the polytope
 with this normal fan: the vertex of a triangulation is the point of the
 sum-zero hyperplane where the inequalities <ray, x> <= h of its diagonals
-are tight.
+are tight.  `tight_vertices` certifies that every other ray's inequality
+holds strictly there with the lane certificate (`exactlin.lane_failures`):
+at a vertex, all the rays' slacks sit in the W-bit lanes of one Python int,
+W one bit over the bound |ray|_1 max|x| + |h| + 1, so a negative slack
+borrows into its own lane's top bit and two masks read the verdict.
 """
 
 from fractions import Fraction
@@ -15,7 +19,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import integer_inverse, integer_scaling
+from .exactlin import integer_inverse, integer_scaling, lane_failures
 
 
 class Cone(NamedTuple):
@@ -117,9 +121,17 @@ def tight_vertices(fan, h):
     """(rows, scale): the vertex of each cone, in cone order, is its int
     row over the one positive scale.
 
-    Each is one integer matrix-vector product on h scaled to ints.  Every
-    other ray's inequality must hold strictly there (one integer dot
-    product each); a tie or violation means h is not strictly convex.
+    Each is one integer matrix-vector product on h scaled to ints, scaled
+    to the common denominator of the cones.  Every other ray's inequality
+    must hold strictly there, ray . x < scale h(ray) on the rows: one
+    `exactlin.lane_failures` over all rows, with functional
+    scale h(ray) - ray . x per ray, tight on the cone's own rays.  It packs
+    the rays' slacks at a row into lanes of one Python int, each W bits
+    with W one more than the bit length of max(|ray|_1 max|x| + |h| + 1),
+    and a negative slack borrows into its own lane's top bit, so a row is
+    one packed product per coordinate and two masks.  A tie or violation
+    means h is not strictly convex; the first failing cone and, in ray
+    order, its first failing ray are named.
     """
     if fan.problems:
         raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")
@@ -128,9 +140,16 @@ def tight_vertices(fan, h):
     rows = []
     for cone in fan.cones:
         rhs = [hs[d] for d in cone.diagonals] + [0]
-        x = [sum(map(mul, row, rhs)) for row in cone.inverse]
-        for d, ray in fan.rays.items():
-            if d not in cone.diagonals and sum(map(mul, ray, x)) >= cone.denominator * hs[d]:
-                raise AssertionError(f"vertex of {cone.diagonals} violates inequality of {d}")
-        rows.append(tuple(v * (common // cone.denominator) for v in x))
+        factor = common // cone.denominator
+        rows.append(tuple(factor * sum(map(mul, row, rhs)) for row in cone.inverse))
+    rays = list(fan.rays)
+    index = {d: f for f, d in enumerate(rays)}
+    functionals = [(tuple(-a for a in ray), -common * hs[d]) for d, ray in fan.rays.items()]
+    tight = [[index[d] for d in cone.diagonals] for cone in fan.cones]
+    failures = lane_failures(functionals, rows, tight)
+    if failures:
+        i, (f, *_) = failures[0]
+        raise AssertionError(
+            f"vertex of {fan.cones[i].diagonals} violates inequality of {rays[f]}"
+        )
     return rows, common * scale

@@ -79,12 +79,20 @@ def polytope_from_json(doc):
 
 
 def dumps(doc):
+    """A report (`assoc analyze`, `compare`) as indented JSON."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def polytope_text(p):
+    """A polytope file: compact JSON on one line, then a newline.  With no
+    indent CPython encodes in C; an indented file takes several times as
+    long and bytes."""
+    return json.dumps(polytope_to_json(p), sort_keys=True) + "\n"
 
 
 def save_polytope(p, path):
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps(polytope_to_json(p)))
+        f.write(polytope_text(p))
 
 
 def load_polytope(path):

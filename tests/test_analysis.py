@@ -1,6 +1,8 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from associahedra import analysis, exactlin, polygon, sampling
 from associahedra.analysis import (
     CertificationError,
+    FacetDescriptor,
     HullChart,
     dihedral_relabelings,
     equivalence_search,
@@ -23,10 +26,13 @@ from associahedra.analysis import (
     special_profile,
 )
 from associahedra.cluster import build_cluster_polytope, default_support_values
+from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     AffineMap,
+    affinely_independent,
     dot,
     hyperplane_through,
+    integer_normal,
     integer_points,
     invert,
     mat_vec,
@@ -266,6 +272,88 @@ def reference_extract_facets(p):
     return facets
 
 
+def reference_certify_facets(p):
+    """The scalar certificate the lane certificate replaced, kept verbatim:
+    one integer dot product of each facet's normal per vertex row."""
+    rows, scale, labels = p.hull.rows, p.hull.scale, p.labels
+    basis = primitive_rows(p.hull.space.basis)
+    flips = polygon.flip_table(p.n)
+    carriers = {d: [] for d in polygon.all_diagonals(p.n)}
+    for i, label in enumerate(labels):
+        for d in label:
+            carriers[d].append(i)
+    facets = []
+    for d, ordered in carriers.items():
+        if not ordered:
+            raise CertificationError(f"diagonal {d}: no vertices carry it")
+        v = ordered[0]
+        spanning = [v] + [w for e, w in zip(labels[v], flips[v]) if e != d]
+        # None unless they span a codim-1 flat of the hull: fewer than n do not
+        normal = integer_normal([rows[i] for i in spanning], basis)
+        if normal is None:
+            spanning = [ordered[k] for k in affinely_independent([rows[i] for i in ordered], p.n)]
+            normal = integer_normal([rows[i] for i in spanning], basis)
+        if normal is None:
+            raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
+        if next(a for a in normal if a) < 0:
+            normal = [-a for a in normal]
+        members = frozenset(ordered)
+        offset = sum(map(mul, normal, rows[v]))
+        values = [sum(map(mul, normal, x)) - offset for x in rows]
+        if any(values[i] != 0 for i in members):
+            raise CertificationError(f"diagonal {d}: member off its hyperplane")
+        outside = [x for i, x in enumerate(values) if i not in members]
+        if not (all(x > 0 for x in outside) or all(x < 0 for x in outside)):
+            raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
+        g = gcd(offset, scale)
+        facets.append(
+            FacetDescriptor(
+                diagonal=d,
+                vertex_indices=members,
+                normal=tuple(normal),
+                offset=offset // g,
+                scale=scale // g,
+                spanning=tuple(spanning),
+                rows=rows,
+            )
+        )
+    return facets
+
+
+def reference_facet_problems(p):
+    """Every diagonal whose facet fails the scalar certificate, in diagonal
+    order, with all of its problems: (d, [problem, ...]).  The normal is
+    fitted through n affinely independent members; a diagonal with none is
+    left out."""
+    rows, labels = p.hull.rows, p.labels
+    basis = primitive_rows(p.hull.space.basis)
+    out = []
+    for d in polygon.all_diagonals(p.n):
+        members = [i for i, label in enumerate(labels) if d in label]
+        spanning = [members[k] for k in affinely_independent([rows[i] for i in members], p.n)]
+        normal = integer_normal([rows[i] for i in spanning], basis)
+        if normal is None:
+            continue
+        offset = sum(map(mul, normal, rows[members[0]]))
+        values = [sum(map(mul, normal, x)) - offset for x in rows]
+        outside = [x for i, x in enumerate(values) if i not in members]
+        problems = []
+        if any(values[i] != 0 for i in members):
+            problems.append("member off its hyperplane")
+        if not (all(x > 0 for x in outside) or all(x < 0 for x in outside)):
+            problems.append("hyperplane is not supporting")
+        if problems:
+            out.append((d, problems))
+    return out
+
+
+def _certificate_outcome(certify, p):
+    try:
+        return certify(p)
+    except CertificationError as exc:
+        return str(exc)
+
+
 def _reference_hull_chart(p):
     coords = [c for c, _ in p.vertices]
     p0 = coords[0]
@@ -501,6 +589,88 @@ def test_extract_facets_rejects_swapped_labels():
     p = _swap_labels(build_minkowski(ones_weights(2), 2), 0, 1)
     with pytest.raises(CertificationError, match="hyperplane is not supporting"):
         extract_facets(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_lane_certificate_matches_the_scalar_reference(construction, n):
+    c = CONSTRUCTIONS[construction]
+    for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(n))):
+        facets, want = analysis._certify_facets(p), reference_certify_facets(p)
+        assert facets == want
+        assert [f.spanning for f in facets] == [f.spanning for f in want]
+
+
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_extract_facets_matches_all_members_reference_on_n6_draws(construction):
+    _assert_matches_reference(drawn(construction, 6, random.Random(6)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_swapped_labels_fail_as_the_scalar_reference_says(construction, n):
+    c = CONSTRUCTIONS[construction]
+    p = c.build(c.default(n), n)
+    for i, j in itertools.combinations(range(len(p.labels)), 2):
+        q = _swap_labels(p, i, j)
+        assert _certificate_outcome(analysis._certify_facets, q) == _certificate_outcome(
+            reference_certify_facets, q
+        )
+
+
+def test_two_failing_facets_name_the_earlier_diagonal():
+    # two vertices swapped at n = 3: the facets of (0, 4) and (3, 5) fail,
+    # each with a member off its hyperplane and a non-member on it
+    p = _swap_labels(build_minkowski(ones_weights(3), 3), 0, 1)
+    problems = reference_facet_problems(p)
+    both = ["member off its hyperplane", "hyperplane is not supporting"]
+    assert problems == [((0, 4), both), ((3, 5), both)]
+    want = "diagonal (0, 4): member off its hyperplane"
+    assert _certificate_outcome(reference_certify_facets, p) == want
+    with pytest.raises(CertificationError) as exc:
+        extract_facets(p)
+    assert str(exc.value) == want
+
+
+def test_an_earlier_unsupporting_facet_comes_before_a_later_member_off():
+    # a vertex off (0, 2) moved through that facet to the far side: (0, 2)
+    # is not supporting, and later facets of the moved vertex lose a member
+    p = build_minkowski(ones_weights(3), 3)
+    pairs = list(p.vertices)
+    members = [c for c, label in pairs if (0, 2) in label]
+    m = tuple(sum(c[k] for c in members) / len(members) for k in range(p.ambient_dim))
+    w = next(i for i, (_, label) in enumerate(pairs) if (0, 2) not in label)
+    pairs[w] = (vsub(exactlin.vscale(3, m), exactlin.vscale(2, pairs[w][0])), pairs[w][1])
+    q = make_polytope(p.construction, p.n, p.ambient_dim, pairs)
+    problems = reference_facet_problems(q)
+    assert problems[0] == ((0, 2), ["hyperplane is not supporting"])
+    assert any("member off its hyperplane" in kinds for _, kinds in problems[1:])
+    want = "diagonal (0, 2): hyperplane is not supporting"
+    assert _certificate_outcome(reference_certify_facets, q) == want
+    assert _certificate_outcome(analysis._certify_facets, q) == want
+
+
+def test_unsolved_normals_are_named_before_the_lane_certificate_runs(monkeypatch):
+    p = _swap_labels(build_minkowski(ones_weights(3), 3), 0, 1)
+    last = polygon.all_diagonals(3)[-1]
+    last_rows = {p.hull.rows[i] for i, label in enumerate(p.labels) if last in label}
+    solve = analysis.integer_normal
+
+    def fails_on_the_last(points, basis):
+        return None if set(points) <= last_rows else solve(points, basis)
+
+    calls = []
+    _counting(monkeypatch, analysis, "lane_failures", calls)
+    monkeypatch.setattr(analysis, "integer_normal", fails_on_the_last)
+    with pytest.raises(CertificationError, match=r"\(3, 5\): vertices do not span"):
+        extract_facets(p)
+    monkeypatch.setattr(analysis, "integer_normal", solve)
+    # a diagonal no label carries, listed last
+    diagonals = polygon.all_diagonals(3) + ((0, 5),)
+    monkeypatch.setattr(polygon, "all_diagonals", lambda n: diagonals)
+    with pytest.raises(CertificationError, match=r"\(0, 5\): no vertices carry it"):
+        extract_facets(p)
+    assert calls == []
 
 
 def test_extract_facets_certifies_once_per_polytope(monkeypatch):

@@ -53,6 +53,26 @@ def test_polytope_json_roundtrip(tmp_path):
     assert (tmp_path / "p.json").read_bytes() == (tmp_path / "q.json").read_bytes()
 
 
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_polytope_files_are_one_compact_json_line(tmp_path, capsys, construction):
+    built, exported, saved = (tmp_path / f"{k}.json" for k in ("built", "exported", "saved"))
+    code, _, _ = run(["build", "--construction", construction, "--n", "3", "--out", str(built)], capsys)
+    assert code == 0
+    code, out, _ = run(["export", str(built), "--format", "json"], capsys)
+    assert code == 0
+    code, _, _ = run(["export", str(built), "--format", "json", "--out", str(exported)], capsys)
+    assert code == 0
+    p = serialize.load_polytope(built)
+    serialize.save_polytope(p, saved)
+    text = built.read_text()
+    # all three writers give the same bytes: one line of compact JSON
+    assert out == text == exported.read_text() == saved.read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert text == json.dumps(serialize.polytope_to_json(p), sort_keys=True) + "\n"
+    assert serialize.load_polytope(saved) == p
+    assert json.loads(text) == serialize.polytope_to_json(p)
+
+
 def test_build_minkowski_defaults(tmp_path, capsys):
     out = tmp_path / "m2.json"
     code, _, _ = run(["build", "--construction", "minkowski", "--n", "2", "--out", str(out)], capsys)

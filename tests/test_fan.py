@@ -8,11 +8,13 @@ into the sum-zero hyperplane by the centroid shift sum(a)/(n+1).
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 
-from associahedra import polygon
-from associahedra.fan import make_fan, tight_vertices, wall_slacks
+from associahedra import cluster, polygon
+from associahedra.fan import _scaled, make_fan, tight_vertices, wall_slacks
 from associahedra.minkowski import loday_vertex, ones_weights
 from associahedra.sampling import random_weights
 
@@ -29,6 +31,68 @@ def loday_support_values(a, n):
         (lo, hi): -sum(v for (i, j), v in a.items() if lo < i and j < hi) + (hi - lo - 1) * shift
         for lo, hi in polygon.all_diagonals(n)
     }, shift
+
+
+def reference_tight_vertices(fan, h):
+    """The scalar check the lane certificate replaced, kept verbatim: one
+    integer dot product per cone and other ray."""
+    if fan.problems:
+        raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")
+    hs, scale = _scaled(h)
+    common = lcm(*(cone.denominator for cone in fan.cones))
+    rows = []
+    for cone in fan.cones:
+        rhs = [hs[d] for d in cone.diagonals] + [0]
+        x = [sum(map(mul, row, rhs)) for row in cone.inverse]
+        for d, ray in fan.rays.items():
+            if d not in cone.diagonals and sum(map(mul, ray, x)) >= cone.denominator * hs[d]:
+                raise AssertionError(f"vertex of {cone.diagonals} violates inequality of {d}")
+        rows.append(tuple(v * (common // cone.denominator) for v in x))
+    return rows, common * scale
+
+
+def _outcome(fan, h, vertices):
+    try:
+        return vertices(fan, h)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def _jittered(h, rng, size):
+    """h with every value moved by a seeded multiple of 1/7 below `size`."""
+    return {d: v + Fraction(rng.randint(-7 * size, 7 * size), 7) for d, v in h.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tight_vertices_match_the_scalar_reference(n):
+    rng = random.Random(60 + n)
+    fans = [
+        (loday_fan(n), loday_support_values(random_weights(n, rng), n)[0]),
+        (cluster._fan(n), cluster._by_diagonal(cluster.default_support_values(n), n)),
+    ]
+    outcomes = []
+    for fan, h in fans:
+        # the seeded draw itself, then jitters that break convexity at
+        # some cones, often several, and leave it at others
+        for size in (0, 0, 1, 1, 3, 3, 10, 10):
+            g = _jittered(h, rng, size) if size else h
+            got = _outcome(fan, g, tight_vertices)
+            assert got == _outcome(fan, g, reference_tight_vertices)
+            outcomes.append(isinstance(got, str))
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_tight_vertices_name_the_first_failing_cone_and_ray():
+    fan = loday_fan(3)
+    h, _ = loday_support_values(ones_weights(3), 3)
+    # lowered far enough, one support value cuts off vertices of cones that
+    # do not use its ray; the first such cone is named
+    d = polygon.all_diagonals(3)[-1]
+    h[d] -= 100
+    want = _outcome(fan, h, reference_tight_vertices)
+    first = next(t for t in polygon.all_triangulations(3) if d not in t)
+    assert want == f"vertex of {first} violates inequality of {d}"
+    assert _outcome(fan, h, tight_vertices) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
