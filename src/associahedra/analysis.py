@@ -29,10 +29,13 @@ analysis makes Fractions only for a lifted witness and in `exactlin`'s
 canonical bases (the hull's direction space, a facet's `direction`).
 Files are coded straight to and from the rows (`serialize`).
 
-Each polytope's affine hull is eliminated once, when it is made: its `Hull`
-record holds the integer vertex rows and their common scale, the first n+1
-affinely independent vertices and the canonical (reduced echelon) basis of
-the direction space.  On the hull the entries at the basis' pivot columns
+Each polytope's affine hull is read off vertex 0 and its n flips when it
+is made: its `Hull` record holds the integer vertex rows and their common
+scale, those n+1 vertices and the canonical (reduced echelon) basis of the
+direction space, eliminated once from their n differences; every row is
+then checked to lie in it on ints.  Only if the flips do not span the hull
+are the first n+1 affinely independent vertices eliminated from all rows
+instead.  On the hull the entries at the basis' pivot columns
 are an affine chart, so the equivalence search keeps, per polytope, each
 vertex's integer pivot entries and its affine weights on the independent
 vertices over one denominator.  Each of the 2(n+3) dihedral relabelings
@@ -55,6 +58,7 @@ from .exactlin import (
     affine_frame,
     affinely_independent,
     dot,
+    exchange_inverse,
     integer_inverse,
     integer_normal,
     integer_scaling,
@@ -62,7 +66,6 @@ from .exactlin import (
     lane_failures,
     make_hyperplane,
     primitive_rows,
-    rank,
     # unused here, but perfbench's tracer test checks that this by-name
     # binding gets patched
     solve_linear,  # noqa: F401
@@ -81,7 +84,7 @@ class Hull(NamedTuple):
 
     rows: tuple  # the vertices scaled to ints by one positive factor
     scale: int  # that factor
-    independent: tuple  # indices of the first n+1 affinely independent vertices
+    independent: tuple  # vertex 0 and its flips, else the first n+1 affinely independent
     space: Subspace  # the direction space, in canonical form
 
     @property
@@ -137,9 +140,13 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     make them, or, with no scale, rationals (a map of another polytope),
     scaled here to integer rows over the lcm of their denominators.  Rows
     and scale are divided by their gcd, so the same vertices give the same
-    record either way.  The rows must be distinct and their affine hull
-    have dimension n; its elimination (`affine_frame` on the rows) is kept
-    with them as the polytope's `Hull` record.  No Fraction is made here:
+    record either way.  The rows must be distinct, each of length
+    `ambient_dim`, and their affine hull have dimension n.  The hull's
+    frame is vertex 0 and its n flips with the span of their differences
+    (`_flip_frame`: one elimination, then each row checked in the span on
+    ints), or, where that fails, `affine_frame` on all rows, which also
+    gives the dimension the error names; it is kept with the rows as the
+    polytope's `Hull` record.  No Fraction is made here:
     `LabeledPolytope.vertices` makes the Fraction coordinates only when
     they are read.
     """
@@ -147,6 +154,8 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     labels = tuple(label for _, label in pairs)
     if labels != polygon.all_triangulations(n):
         raise ValueError("labels are not exactly the triangulations")
+    if any(len(c) != ambient_dim for c, _ in pairs):
+        raise ValueError(f"vertex coordinates are not all of length {ambient_dim}")
     if scale is None:
         rows, scale = integer_scaling([c for c, _ in pairs])
     else:
@@ -157,7 +166,7 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     # one positive scale for all rows: distinct rows are distinct vertices
     if len(set(rows)) != len(rows):
         raise ValueError("vertex coordinates are not distinct")
-    independent, space = affine_frame(rows)
+    independent, space = _flip_frame(rows, n) or affine_frame(rows)
     if space.dim != n:
         raise ValueError(f"affine hull has dimension {space.dim}, expected {n}")
     return LabeledPolytope(
@@ -168,6 +177,31 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
         params=dict(params or {}),
         hull=Hull(tuple(rows), scale, tuple(independent), space),
     )
+
+
+def _flip_frame(rows, n):
+    """(independent, space) read off vertex 0 and its n flips: the flips'
+    indices after 0, and the canonical span of their differences from
+    rows[0], if it has dimension n and holds every row's difference; else
+    None.
+
+    With L the lcm of the basis' denominators, a difference x lies in the
+    span iff L x[j] = sum_k x[pivot_k] (L basis_k)[j] at every non-pivot
+    column j: (D - n) n multiplies per row on ints, no elimination.
+    """
+    flips = polygon.flip_table(n)[0]
+    base = rows[0]
+    reduced, pivots = exactlin.rref([vsub(rows[w], base) for w in flips])
+    if len(reduced) != n:
+        return None
+    basis, lead = integer_scaling(reduced)
+    columns = [(j, [b[j] for b in basis]) for j in range(len(base)) if j not in pivots]
+    for row in rows:
+        x = [a - b for a, b in zip(row, base)]
+        at_pivots = [x[k] for k in pivots]
+        if any(lead * x[j] != sum(map(mul, at_pivots, column)) for j, column in columns):
+            return None
+    return (0, *flips), Subspace(reduced, len(base))
 
 
 @dataclass(frozen=True)
@@ -317,21 +351,45 @@ def lattice_certificate(n, masks, normals):
 
     `masks[d]` is the member bitmask of d's facet over the vertices in
     `polygon.all_triangulations(n)` order and `normals[d]` its int normal
-    in hull coordinates.  At every vertex v: (a) the normals of the n facets
-    of v's label are independent, and (b) for each diagonal of v the other
-    n-1 facets meet in exactly v and its flip.  Then, with P' the set cut
-    out by the facet inequalities (P in P'), every vertex of P is a simple
-    vertex of P' whose n edges end at vertices of P; the graph of P' is
-    connected (Balinski), so P' has no other vertex and P' = P.  So the
-    facets are all the facets, the edges are the flips, and f_vector
-    counts vertices, certified edges and facets.
+    in hull coordinates (n entries).  At every vertex v: (a) the normals of
+    the n facets of v's label are independent, and (b) for each diagonal
+    of v the other n-1 facets meet in exactly v and its flip.  Then, with
+    P' the set cut out by the facet inequalities (P in P'), every vertex of
+    P is a simple vertex of P' whose n edges end at vertices of P; the
+    graph of P' is connected (Balinski), so P' has no other vertex and
+    P' = P.  So the facets are all the facets, the edges are the flips,
+    and f_vector counts vertices, certified edges and facets.
+
+    (a) walks the flip graph: v's normal matrix is an earlier flip's with
+    one row exchanged, so its integer inverse is one pivot
+    (`exactlin.exchange_inverse`) from the first earlier flip whose matrix
+    is invertible, and a zero pivot means dependent.  Only a vertex with
+    no such flip, vertex 0 among them, is eliminated (`integer_inverse`).
     """
     labels = polygon.all_triangulations(n)
+    table = polygon.flip_table(n)
     everything = (1 << len(labels)) - 1
-    problems, edges = [], 0
-    for v, (label, flips) in enumerate(zip(labels, polygon.flip_table(n))):
-        if rank([normals[d] for d in label]) != n:
+    # the inverses, None where dependent, of the walked vertices that have
+    # a flip still to walk
+    problems, edges, inverses = [], 0, {}
+    for v, (label, flips) in enumerate(zip(labels, table)):
+        u, at = next(((u, at) for at, u in enumerate(flips) if inverses.get(u)), (None, 0))
+        if u is None:
+            try:
+                inverse = integer_inverse([normals[d] for d in label])
+            except ValueError:
+                inverse = None
+        else:
+            m, denominator = inverses[u]
+            y = [sum(map(mul, normals[label[at]], column)) for column in zip(*m)]
+            inverse = exchange_inverse(m, denominator, table[u].index(v), y, at)
+        if inverse is None:
             problems.append(("dependent_normals", label))
+        if max(flips, default=v) > v:
+            inverses[v] = inverse
+        for u in flips:
+            if max(table[u]) == v:
+                inverses.pop(u, None)
         for k, w in enumerate(flips):
             meet = everything
             for j, d in enumerate(label):

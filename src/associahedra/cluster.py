@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import polygon
 from .analysis import make_polytope
 from .exactlin import rat_str
-from .fan import make_fan, tight_vertices, wall_slacks
+from .fan import make_fan, tight_vertices, wall_numerators
 
 
 def neg(i):
@@ -114,14 +114,16 @@ def polytopality_check(h, n):
     lhs = h(beta) + lam*h(beta') exceeds rhs = sum c_g*h(g) over the shared
     roots g.  Returns (ok, violations); each violation records the wall's
     exchanged roots and its deficit rhs - lhs >= 0 (the negated slack of
-    `fan.wall_slacks`).  The check runs on h scaled to ints.
+    `fan.wall_slacks`).  The check runs on h scaled to ints and reads each
+    wall's sign off its int numerator (`fan.wall_numerators`); a Fraction
+    is made only for a violation.
     """
     fan, d2r = _fan(n), _root_diagonal_maps(n)[1]
-    slacks = wall_slacks(fan, _by_diagonal(h, n))
+    numerators, scale = wall_numerators(fan, _by_diagonal(h, n))
     violations = [
-        (d2r[beta], d2r[beta_p], -slack)
-        for (beta, beta_p, *_), slack in zip(fan.relations, slacks)
-        if slack <= 0
+        (d2r[beta], d2r[beta_p], Fraction(-x, a * scale))
+        for (beta, beta_p, a, *_), x in zip(fan.relations, numerators)
+        if x <= 0
     ]
     return (not violations), violations
 

@@ -2,8 +2,9 @@
 
 Rays are int rows in (n+1)-space read modulo the all-ones vector; the
 cones are the triangulations and the walls their flips.  `make_fan` builds
-each cone's integer inverse, the walls with their integer relations and
-the exact fan certificate in one pass.  Support values h, one per
+the walls with their integer relations, each cone's integer inverse (one
+pivot across a wall from an earlier cone's) and the exact fan certificate
+in one pass.  Support values h, one per
 diagonal, that are strictly convex across every wall give the polytope
 with this normal fan: the vertex of a triangulation is the point of the
 sum-zero hyperplane where the inequalities <ray, x> <= h of its diagonals
@@ -19,7 +20,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exactlin import integer_inverse, integer_scaling, lane_failures
+from .exactlin import exchange_inverse, integer_inverse, integer_scaling, lane_failures
 
 
 class Cone(NamedTuple):
@@ -51,7 +52,12 @@ def make_fan(rays, triangulations):
     turn, its diagonals in order, a wall kept where the other cone comes
     later.  The relation of a wall exchanging beta in the earlier cone for
     beta' is a*beta + b*beta' = sum c_g*g over the shared diagonals g,
-    modulo the all-ones vector, in ints with a, b > 0.
+    modulo the all-ones vector, in ints with a, b > 0.  Its coefficients
+    y, beta' in the earlier cone's inverse, are also the one pivot that
+    inverts the later cone (`exactlin.exchange_inverse`): each cone's
+    inverse comes from the first earlier cone across a wall that has one,
+    and only a cone with none, cone 0 among them, is eliminated
+    (`integer_inverse`).
 
     The certificate (De Loera-Rambau-Santos, Triangulations, section 4.5):
     (a) the rays of each cone are independent modulo all-ones, (b) every
@@ -62,17 +68,20 @@ def make_fan(rays, triangulations):
     same everywhere, and (c) makes that number 1.
     """
     ones = (1,) * len(next(iter(rays.values())))
-    cones, problems, containing = [], [], {}
+    containing = {}
     for i, t in enumerate(triangulations):
-        try:
-            cones.append(Cone(t, *integer_inverse([rays[d] for d in t] + [ones])))
-        except ValueError:
-            cones.append(None)
-            problems.append(("dependent_cone", t))
         for k in range(len(t)):
             containing.setdefault(t[:k] + t[k + 1 :], []).append(i)
+    cones, dependent, problems = {}, [], []  # cone index -> Cone, None where dependent
     walls, relations = [], []
     for i, t in enumerate(triangulations):
+        if i not in cones:
+            try:
+                cones[i] = Cone(t, *integer_inverse([rays[d] for d in t] + [ones]))
+            except ValueError:
+                cones[i] = None
+        if cones[i] is None:
+            dependent.append(("dependent_cone", t))
         for k, beta in enumerate(t):
             ridge = t[:k] + t[k + 1 :]
             members = containing[ridge]
@@ -85,19 +94,25 @@ def make_fan(rays, triangulations):
                 continue
             (beta_p,) = set(triangulations[j]) - set(ridge)
             y = _coefficients(cones[i], rays[beta_p])
+            if j not in cones:
+                inverse = exchange_inverse(
+                    cones[i].inverse, cones[i].denominator, k, y, triangulations[j].index(beta_p)
+                )
+                cones[j] = inverse and Cone(triangulations[j], *inverse)
             if y[k] >= 0:
                 problems.append(("wall_not_separating", ridge))
                 continue
             walls.append((i, j))
             shared = tuple(zip(ridge, y[:k] + y[k + 1 : -1]))
             relations.append((beta, beta_p, -y[k], cones[i].denominator, shared))
+    cones = tuple(cones[i] for i in range(len(triangulations)))
     point = tuple(map(sum, zip(*(rays[d] for d in triangulations[0]))))
     covering = sum(
         all(y >= 0 for y in _coefficients(cone, point)[:-1]) for cone in cones if cone is not None
     )
     if covering != 1:
         problems.append(("point_covered_by", covering, point))
-    return Fan(rays, tuple(cones), tuple(walls), tuple(relations), tuple(problems))
+    return Fan(rays, cones, tuple(walls), tuple(relations), tuple(dependent + problems))
 
 
 def _scaled(h):
@@ -106,15 +121,24 @@ def _scaled(h):
     return dict(zip(h, row)), scale
 
 
+def wall_numerators(fan, h):
+    """(numerators, scale): the slack of wall i (`wall_slacks`) is
+    numerators[i] / (a_i scale), with a_i > 0 its relation's coefficient of
+    beta and scale > 0 the lcm of h's denominators, so its sign is the
+    int's."""
+    hs, scale = _scaled(h)
+    return [
+        a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs)
+        for beta, beta_p, a, b, cs in fan.relations
+    ], scale
+
+
 def wall_slacks(fan, h):
     """h(beta) + (b/a)*h(beta') - sum (c_g/a)*h(g) per wall, in wall order,
     computed on h scaled to ints: all positive iff h is strictly convex
     across every wall."""
-    hs, scale = _scaled(h)
-    return [
-        Fraction(a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs), a * scale)
-        for beta, beta_p, a, b, cs in fan.relations
-    ]
+    numerators, scale = wall_numerators(fan, h)
+    return [Fraction(x, a * scale) for x, (_, _, a, *_) in zip(numerators, fan.relations)]
 
 
 def tight_vertices(fan, h):

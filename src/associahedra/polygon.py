@@ -48,7 +48,27 @@ def noncrossing_sets(n):
 
 @lru_cache(maxsize=None)
 def all_triangulations(n):
-    return tuple(s for s in noncrossing_sets(n) if len(s) == n)
+    """The triangulations, sorted: the faces of `noncrossing_sets` with n
+    diagonals, in its order.
+
+    A triangulation of the sub-polygon a, a+1, ..., b has one triangle on
+    its edge (a, b), with apex k strictly between; the rest triangulates
+    a..k and k..b, each memoized per (a, b).  The diagonals among (a, k)
+    and (k, b) join those of the two sides.
+    """
+    memo = {}
+
+    def inside(a, b):
+        if (a, b) not in memo:
+            memo[a, b] = [()] if b - a < 2 else [
+                left + right + tuple(d for d in ((a, k), (k, b)) if d[1] - d[0] > 1)
+                for k in range(a + 1, b)
+                for left in inside(a, k)
+                for right in inside(k, b)
+            ]
+        return memo[a, b]
+
+    return tuple(sorted(tuple(sorted(t)) for t in inside(0, n + 2))) if n >= 0 else ()
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,7 @@ from associahedra.cluster import build_cluster_polytope, default_support_values
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     AffineMap,
+    affine_frame,
     affinely_independent,
     dot,
     hyperplane_through,
@@ -223,6 +224,16 @@ def test_make_polytope_rejects_degenerate_hull():
         ((F(k), F(0), F(0)), t) for k, t in enumerate(polygon.all_triangulations(2))
     ]
     with pytest.raises(ValueError, match="affine hull has dimension 1"):
+        make_polytope("secondary", 2, 3, pairs)
+
+
+def test_make_polytope_rejects_a_hull_beyond_the_flips():
+    # vertex 0 and its flips span a plane, and a vertex off them leaves it
+    ts = polygon.all_triangulations(2)
+    flips = polygon.flip_table(2)[0]
+    off = next(i for i in range(1, 5) if i not in flips)
+    pairs = [((i, i * i, int(i == off)), t) for i, t in enumerate(ts)]
+    with pytest.raises(ValueError, match="affine hull has dimension 3, expected 2"):
         make_polytope("secondary", 2, 3, pairs)
 
 
@@ -739,7 +750,7 @@ def test_hull_record_matches_references(construction, n):
         assert [tuple(q.hull.scale * x for x in c) for c in coords] == list(q.hull.rows)
         chart, _ = _reference_hull_chart(q)
         xs = [chart(c) for c in coords]
-        assert list(q.hull.independent) == reference_independent(xs, n)
+        assert q.hull.independent == (0, *polygon.flip_table(n)[0])
         # each vertex's weights over d are affine and give back its chart
         # coordinates from those of the independent vertices
         hull_chart = HullChart(q)
@@ -800,3 +811,121 @@ def test_lattice_certificate_rejects_an_extra_member():
     assert not report["ok"]
     assert ("edge_not_certified", label, labels[w]) in report["problems"]
     assert {kind for kind, *_ in report["problems"]} == {"edge_not_certified"}
+
+
+def reference_lattice_certificate(n, masks, normals):
+    """The certificate with one `rank` per vertex that the flip walk
+    replaced, kept verbatim."""
+    labels = polygon.all_triangulations(n)
+    everything = (1 << len(labels)) - 1
+    problems, edges = [], 0
+    for v, (label, flips) in enumerate(zip(labels, polygon.flip_table(n))):
+        if rank([normals[d] for d in label]) != n:
+            problems.append(("dependent_normals", label))
+        for k, w in enumerate(flips):
+            meet = everything
+            for j, d in enumerate(label):
+                if j != k:
+                    meet &= masks[d]
+            if meet != (1 << v) | (1 << w):
+                problems.append(("edge_not_certified", label, labels[w]))
+            elif v < w:
+                edges += 1
+    return {
+        "ok": not problems,
+        "f_vector": (len(labels), edges, len(masks)),
+        "problems": problems,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lattice_walk_matches_the_rank_reference(n):
+    rng = random.Random(30 + n)
+    labels, diagonals = polygon.all_triangulations(n), polygon.all_diagonals(n)
+    masks, normals = _lattice_inputs(builds(n)["cluster"])
+    assert lattice_certificate(n, masks, normals) == reference_lattice_certificate(n, masks, normals)
+    # a zero normal makes every vertex carrying it dependent, vertex 0 with
+    # (0, 2) and later ones only with the last diagonal: the walk reports
+    # each of them and goes on past it
+    for d in (diagonals[0], diagonals[-1]):
+        zeroed = {**normals, d: (0,) * n}
+        report = lattice_certificate(n, masks, zeroed)
+        assert report == reference_lattice_certificate(n, masks, zeroed)
+        assert [label for _, label in report["problems"]] == [t for t in labels if d in t]
+    # normals drawn from {-1, 0, 1}: dependent vertices scattered through
+    for _ in range(20):
+        drawn_normals = {d: tuple(rng.randint(-1, 1) for _ in range(n)) for d in diagonals}
+        assert lattice_certificate(n, masks, drawn_normals) == (
+            reference_lattice_certificate(n, masks, drawn_normals)
+        )
+
+
+def _counting_eliminations(monkeypatch):
+    calls = []
+    eliminate = exactlin._eliminate
+    monkeypatch.setattr(exactlin, "_eliminate", lambda m: calls.append(1) or eliminate(m))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_face_lattice_eliminates_only_vertex_0(monkeypatch, n):
+    for c in CONSTRUCTIONS.values():
+        p = c.build(c.default(n), n)
+        extract_facets(p)
+        calls = _counting_eliminations(monkeypatch)
+        assert analysis.face_lattice(p)["ok"]
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_hull_frame_is_vertex_0_and_its_flips(monkeypatch, construction, n):
+    c = CONSTRUCTIONS[construction]
+    for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(n))):
+        assert p.hull.independent == (0, *polygon.flip_table(n)[0])
+        assert p.hull.space == affine_frame(p.hull.rows)[1]
+        # remade from its rows: the span of the flips is the one elimination
+        calls = _counting_eliminations(monkeypatch)
+        pairs = zip(p.hull.rows, p.labels)
+        q = make_polytope(p.construction, n, p.ambient_dim, pairs, scale=p.hull.scale)
+        assert q.hull == p.hull and len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_hull_frame_falls_back_when_the_flips_are_dependent(monkeypatch, construction, n):
+    # no three vertices of a pentagon are collinear, but at n = 3 a swap
+    # can put vertex 0 and its flips on one plane
+    p = builds(n)[construction]
+    calls = []
+    _counting(monkeypatch, analysis, "affine_frame", calls)
+    fallbacks = 0
+    for i, j in itertools.combinations(range(len(p.labels)), 2):
+        calls.clear()
+        q = _swap_labels(p, i, j)
+        coords = [c for c, _ in q.vertices]
+        assert q.hull.space == subspace_from_differences(coords)
+        if calls:
+            fallbacks += 1
+            chart, _ = _reference_hull_chart(q)
+            assert list(q.hull.independent) == reference_independent([chart(c) for c in coords], n)
+        else:
+            assert q.hull.independent == (0, *polygon.flip_table(n)[0])
+    assert fallbacks == {2: 0, 3: 5}[n]
+
+
+@pytest.mark.parametrize(
+    "rows,ambient_dim",
+    [
+        # a long row after a short one, which the frame's zip would cut
+        (((0, 0), (1, 2, 3)), 2),
+        # a long row first
+        (((1, 2, 3), (0, 0)), 2),
+        # rows shorter than the ambient dimension
+        (((0, 0), (1, 2)), 5),
+    ],
+)
+def test_make_polytope_rejects_rows_off_the_ambient_dimension(rows, ambient_dim):
+    pairs = zip(rows, polygon.all_triangulations(1))
+    with pytest.raises(ValueError, match=f"not all of length {ambient_dim}"):
+        make_polytope("minkowski", 1, ambient_dim, pairs, scale=1)

@@ -178,6 +178,29 @@ def test_non_polytopal_h_matches_reference_and_raises(n):
         build_cluster_polytope(h, n)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wall_check_signs_are_the_wall_slacks(n):
+    # the violations read off the int numerators are the non-positive
+    # `wall_slacks`, negated: on jitters in sevenths and on a tie
+    rng = random.Random(40 + n)
+    fan, h = cluster._fan(n), default_support_values(n)
+    cases = [{r: v + F(rng.randint(-7 * size, 7 * size), 7) for r, v in h.items()} for size in (2, 4, 8)]
+    beta = diagonal_to_root(fan.relations[0][0], n)
+    cases.append({**h, beta: h[beta] - wall_slacks(fan, cluster._by_diagonal(h, n))[0]})
+    deficits = []
+    for g in cases:
+        ok, violations = polytopality_check(g, n)
+        slacks = wall_slacks(fan, cluster._by_diagonal(g, n))
+        want = [
+            (diagonal_to_root(b, n), diagonal_to_root(b_p, n), -slack)
+            for (b, b_p, *_), slack in zip(fan.relations, slacks)
+            if slack <= 0
+        ]
+        assert (ok, violations) == (not want, want) == reference_polytopality_check(g, n)
+        deficits += [deficit for *_, deficit in violations]
+    assert 0 in deficits and max(deficits) > 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_snake_fan_bounds_the_jitter(n):
     """What `sampling.perturbed_support_values` relies on: every wall

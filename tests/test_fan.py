@@ -13,8 +13,9 @@ from operator import mul
 
 import pytest
 
-from associahedra import cluster, polygon
-from associahedra.fan import _scaled, make_fan, tight_vertices, wall_slacks
+from associahedra import cluster, exactlin, polygon
+from associahedra.exactlin import integer_inverse
+from associahedra.fan import Cone, _scaled, make_fan, tight_vertices, wall_slacks
 from associahedra.minkowski import loday_vertex, ones_weights
 from associahedra.sampling import random_weights
 
@@ -132,3 +133,56 @@ def test_make_fan_reports_a_wall_that_does_not_separate():
     # n = 1: both rays on one side of the origin
     fan = make_fan({(0, 2): (1, 0), (1, 3): (2, 0)}, polygon.all_triangulations(1))
     assert ("wall_not_separating", ()) in fan.problems and not fan.walls
+
+
+def fresh_cones(fan, triangulations):
+    """Each cone's `integer_inverse`, None where its rays are dependent."""
+    ones = (1,) * len(next(iter(fan.rays.values())))
+    cones = []
+    for t in triangulations:
+        try:
+            cones.append(Cone(t, *integer_inverse([fan.rays[d] for d in t] + [ones])))
+        except ValueError:
+            cones.append(None)
+    return tuple(cones)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_every_cone_is_a_fresh_inverse(n):
+    ts = polygon.all_triangulations(n)
+    for fan in (loday_fan(n), cluster._fan(n)):
+        assert fan.cones == fresh_cones(fan, ts)
+
+
+def test_cones_off_a_fan_are_fresh_inverses():
+    # a double cover, a wall that does not separate, dependent cones, and a
+    # cone missing or repeated: the pivots still give every fresh inverse
+    plane = {(0, 2): (10, 0), (0, 3): (-8, 6), (1, 3): (3, -10), (1, 4): (3, 10), (2, 4): (-8, -6)}
+    # (0, 3) makes cone 0 dependent, which is eliminated; (2, 4) makes
+    # cone 1 dependent, which is a zero pivot from cone 0
+    dependent = []
+    for d in ((0, 3), (2, 4)):
+        rays = dict(cluster._fan(2).rays)
+        rays[d] = tuple(2 * x for x in rays[(0, 2)])
+        dependent.append((rays, polygon.all_triangulations(2)))
+    ts = list(polygon.all_triangulations(3))
+    cases = dependent + [
+        ({d: (x, y, 0) for d, (x, y) in plane.items()}, polygon.all_triangulations(2)),
+        ({(0, 2): (1, 0), (1, 3): (2, 0)}, polygon.all_triangulations(1)),
+        (cluster._fan(3).rays, ts[1:]),
+        (cluster._fan(3).rays, ts + ts[:1]),
+    ]
+    for rays, triangulations in cases:
+        fan = make_fan(rays, triangulations)
+        assert fan.cones == fresh_cones(fan, triangulations)
+    assert [make_fan(*case).cones.index(None) for case in dependent] == [0, 1]
+
+
+def test_make_fan_eliminates_once(monkeypatch):
+    # cone 0 is eliminated; every later cluster cone at n = 6 has an earlier
+    # flip and is one pivot from it
+    calls = []
+    eliminate = exactlin._eliminate
+    monkeypatch.setattr(exactlin, "_eliminate", lambda m: calls.append(1) or eliminate(m))
+    fan = make_fan(cluster._fan(6).rays, polygon.all_triangulations(6))
+    assert len(calls) == 1 and not fan.problems

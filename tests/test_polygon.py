@@ -55,6 +55,16 @@ def test_all_diagonals_counts():
         assert len(all_diagonals(n)) == n * (n + 3) // 2
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_all_triangulations_are_the_faces_with_n_diagonals(n):
+    # the recursion gives the search's triangulations in the search's order
+    assert all_triangulations(n) == tuple(s for s in noncrossing_sets(n) if len(s) == n)
+
+
+def test_no_triangulations_below_n_zero():
+    assert all_triangulations(-1) == tuple(s for s in noncrossing_sets(-1) if len(s) == -1) == ()
+
+
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 2), (2, 5), (3, 14), (4, 42), (5, 132)])
 def test_triangulation_counts(n, count):
     ts = all_triangulations(n)
