@@ -17,7 +17,8 @@ object certifies its facets once, on first use, and keeps them.  Facets
 are parallel iff their primitive integer normals (first nonzero entry
 positive) are equal: the normals lie in the hull's direction space, where
 a hyperplane's normal line fixes its direction space.  `face_lattice`
-certifies that these facets are all the facets and the flips the edges.
+certifies that these facets are all the facets and the flips the edges,
+from their member sets alone.
 
 A polytope is its labels and its `Hull` record: the vertices as integer
 rows over one positive scale, in lowest terms.  Everything here reads the
@@ -58,7 +59,6 @@ from .exactlin import (
     affine_frame,
     affinely_independent,
     dot,
-    exchange_inverse,
     integer_inverse,
     integer_normal,
     integer_scaling,
@@ -335,61 +335,45 @@ def parallel_pairs(facets):
 
 def face_lattice(p):
     """The face-lattice certificate of a polytope (`lattice_certificate`)
-    on its certified facets: member sets as int bitmasks, bit i for vertex
-    i, and normals in the hull's basis coordinates (the pivot entries)."""
-    pivots = p.hull.pivots
-    masks, normals = {}, {}
-    for f in p.certified_facets:
-        masks[f.diagonal] = sum(1 << i for i in f.vertex_indices)
-        normals[f.diagonal] = tuple(f.normal[k] for k in pivots)
-    return lattice_certificate(p.n, masks, normals)
+    on its certified facets, which it reads first: member sets as int
+    bitmasks, bit i for vertex i."""
+    masks = {f.diagonal: sum(1 << i for i in f.vertex_indices) for f in p.certified_facets}
+    return lattice_certificate(p.n, masks)
 
 
-def lattice_certificate(n, masks, normals):
-    """Whether the facets given per diagonal are all the facets of their
-    polytope, with the flips as its edges; {"ok", "f_vector", "problems"}.
+def lattice_certificate(n, masks):
+    """Whether certified facets, given per diagonal, are all the facets of
+    their polytope, with the flips as its edges; {"ok", "f_vector",
+    "problems"}.
 
     `masks[d]` is the member bitmask of d's facet over the vertices in
-    `polygon.all_triangulations(n)` order and `normals[d]` its int normal
-    in hull coordinates (n entries).  At every vertex v: (a) the normals of
-    the n facets of v's label are independent, and (b) for each diagonal
-    of v the other n-1 facets meet in exactly v and its flip.  Then, with
-    P' the set cut out by the facet inequalities (P in P'), every vertex of
-    P is a simple vertex of P' whose n edges end at vertices of P; the
-    graph of P' is connected (Balinski), so P' has no other vertex and
-    P' = P.  So the facets are all the facets, the edges are the flips,
-    and f_vector counts vertices, certified edges and facets.
+    `polygon.all_triangulations(n)` order.  The facets are certified
+    (`LabeledPolytope.certified_facets`): d's members are exactly the
+    vertices whose label carries d, all on its hyperplane, and every other
+    vertex strictly on one side.  At every vertex v:
 
-    (a) walks the flip graph: v's normal matrix is an earlier flip's with
-    one row exchanged, so its integer inverse is one pivot
-    (`exactlin.exchange_inverse`) from the first earlier flip whose matrix
-    is invertible, and a zero pivot means dependent.  Only a vertex with
-    no such flip, vertex 0 among them, is eliminated (`integer_inverse`).
+    (a) the normals N_1..N_n of the facets of v's label d_1..d_n are
+    independent.  This follows from the facet certificate and is not
+    computed: suppose sum_j c_j N_j = 0 with c_k != 0, and let w be v's
+    flip at d_k.  w carries every d_j but d_k, so it lies on those n-1
+    hyperplanes with v, and N_k.(w - v) = -(1/c_k) sum_{j != k} c_j
+    N_j.(w - v) = 0; but w does not carry d_k, so the certificate puts it
+    strictly off d_k's hyperplane, a contradiction.
+
+    (b) for each diagonal of v the other n-1 facets meet in exactly v and
+    its flip; this is checked on the masks.
+
+    Then, with P' the set cut out by the facet inequalities (P in P'),
+    every vertex of P is a simple vertex of P' whose n edges end at
+    vertices of P; the graph of P' is connected (Balinski), so P' has no
+    other vertex and P' = P.  So the facets are all the facets, the edges
+    are the flips, and f_vector counts vertices, certified edges and
+    facets.
     """
     labels = polygon.all_triangulations(n)
-    table = polygon.flip_table(n)
     everything = (1 << len(labels)) - 1
-    # the inverses, None where dependent, of the walked vertices that have
-    # a flip still to walk
-    problems, edges, inverses = [], 0, {}
-    for v, (label, flips) in enumerate(zip(labels, table)):
-        u, at = next(((u, at) for at, u in enumerate(flips) if inverses.get(u)), (None, 0))
-        if u is None:
-            try:
-                inverse = integer_inverse([normals[d] for d in label])
-            except ValueError:
-                inverse = None
-        else:
-            m, denominator = inverses[u]
-            y = [sum(map(mul, normals[label[at]], column)) for column in zip(*m)]
-            inverse = exchange_inverse(m, denominator, table[u].index(v), y, at)
-        if inverse is None:
-            problems.append(("dependent_normals", label))
-        if max(flips, default=v) > v:
-            inverses[v] = inverse
-        for u in flips:
-            if max(table[u]) == v:
-                inverses.pop(u, None)
+    problems, edges = [], 0
+    for v, (label, flips) in enumerate(zip(labels, polygon.flip_table(n))):
         for k, w in enumerate(flips):
             meet = everything
             for j, d in enumerate(label):
@@ -463,7 +447,8 @@ class HullChart:
     `weights[v]` are vertex v's affine weights on those n+1 vertices over
     one denominator d > 0, from one `integer_inverse` of their rows
     augmented by 1: sum_k weights[v][k] * (rows[independent[k]], 1) equals
-    d * (rows[v], 1).
+    d * (rows[v], 1).  Only a search's source chart reads them, so they
+    are made on first read.
     """
 
     def __init__(self, p):
@@ -473,11 +458,19 @@ class HullChart:
         self.labels = p.labels
         self.index = {label: i for i, label in enumerate(self.labels)}
         self.independent = p.hull.independent
-        inverse, self.d = integer_inverse([self.rows[i] + (1,) for i in self.independent])
-        columns = transpose(inverse)
-        self.weights = [
-            tuple(sum(map(mul, row + (1,), col)) for col in columns) for row in self.rows
-        ]
+
+    @cached_property
+    def _inverse(self):
+        return integer_inverse([self.rows[i] + (1,) for i in self.independent])
+
+    @property
+    def d(self):
+        return self._inverse[1]
+
+    @cached_property
+    def weights(self):
+        columns = transpose(self._inverse[0])
+        return [tuple(sum(map(mul, row + (1,), col)) for col in columns) for row in self.rows]
 
 
 def fit_affine_map(src, dst, perm):
@@ -498,11 +491,11 @@ def fit_affine_map(src, dst, perm):
 
     images = [image(i) for i in src.independent]
     columns = list(zip(*(dst.rows[j] for j in images)))
-    targets = []
+    targets, d = [], src.d
     for v, weights in enumerate(src.weights):
         targets.append(image(v))
         y = dst.rows[targets[-1]]
-        if any(sum(map(mul, weights, col)) != src.d * a for col, a in zip(columns, y)):
+        if any(sum(map(mul, weights, col)) != d * a for col, a in zip(columns, y)):
             return None
     return _lift(src, dst, images, targets)
 

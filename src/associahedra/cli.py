@@ -12,7 +12,8 @@ Exit codes are a stable contract:
 
 A file is malformed also when its `n` is not an int, its `params` is not
 an object, its `params.n` differs from its `n`, or its `vertices`, or a
-vertex's `coords` or `triangulation`, is not a list.  Where a file needs an
+vertex's `coords` or `triangulation`, is not a list, and when it is nested
+too deeply for the JSON decoder (a RecursionError).  Where a file needs an
 int (a polytope file's `n` and `params.n`, the endpoints of a vertex's
 `triangulation`, a build params file's `n`), a JSON boolean or a float is
 malformed too, although `true == 1` and `1.0 == 1` in Python (rc 2).
@@ -58,7 +59,7 @@ def _load(path):
     """The polytope in `path`, or None after reporting a malformed file."""
     try:
         return serialize.load_polytope(path)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
         print(f"error: malformed polytope file: {exc}", file=sys.stderr)
         return None
 

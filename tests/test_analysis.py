@@ -218,6 +218,17 @@ def test_equivalence_self_witness():
         assert report.witness.apply(c) == c
 
 
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_equivalence_default_against_a_draw_is_inconclusive(construction):
+    # same parallel pairs and profiles, and no relabeling fits an affine map
+    c = CONSTRUCTIONS[construction]
+    p, q = c.build(c.default(3), 3), c.build(c.draw(3, random.Random(1)), 3)
+    report = equivalence_search(p, q)
+    assert report.verdict == "inconclusive"
+    assert report.witness is None
+    assert not any(fired for _, fired, _ in report.obstructions)
+
+
 def test_make_polytope_rejects_degenerate_hull():
     # distinct collinear points for the five triangulations of the pentagon
     pairs = [
@@ -590,6 +601,19 @@ def test_miss_path_makes_no_fraction_map(monkeypatch):
                 assert sorted(set(calls)) == (["AffineMap", "invert"] if hit else [])
 
 
+def test_equivalence_search_weighs_only_the_source_chart(monkeypatch):
+    # fitting and lifting read the destination chart's rows and index only:
+    # a search's one chart inverse is the source's, hit or miss
+    calls = []
+    _counting(monkeypatch, analysis, "integer_inverse", calls)
+    b = builds(3)
+    for p, q in ((b["secondary"], b["cluster"]), (b["minkowski"], b["minkowski"])):
+        calls.clear()
+        report = equivalence_search(p, q)
+        assert (report.witness is not None) == (p is q)
+        assert calls == ["integer_inverse"]
+
+
 def _swap_labels(p, i, j):
     pairs = [list(v) for v in p.vertices]
     pairs[i][1], pairs[j][1] = pairs[j][1], pairs[i][1]
@@ -781,23 +805,13 @@ def _lattice_inputs(p):
 def test_face_lattice_reads_the_certified_facets(construction):
     p = builds(3)[construction]
     report = analysis.face_lattice(p)
-    assert report == lattice_certificate(3, *_lattice_inputs(p))
+    masks, _ = _lattice_inputs(p)
+    assert report == lattice_certificate(3, masks)
     assert report == {"ok": True, "f_vector": (14, 21, 9), "problems": []}
 
 
-def test_lattice_certificate_rejects_dependent_normals():
-    masks, normals = _lattice_inputs(builds(3)["minkowski"])
-    label = polygon.all_triangulations(3)[0]
-    d1, d2, d3 = label
-    normals[d3] = tuple(a + b for a, b in zip(normals[d1], normals[d2]))
-    report = lattice_certificate(3, masks, normals)
-    assert not report["ok"]
-    assert ("dependent_normals", label) in report["problems"]
-    assert {kind for kind, *_ in report["problems"]} == {"dependent_normals"}
-
-
 def test_lattice_certificate_rejects_an_extra_member():
-    masks, normals = _lattice_inputs(builds(3)["minkowski"])
+    masks, _ = _lattice_inputs(builds(3)["minkowski"])
     labels, flips = polygon.all_triangulations(3), polygon.flip_table(3)
     # w flips label[0] of vertex 0 and u then flips label[1]: u carries
     # label[2] only, so with u added to label[1]'s members the facets of
@@ -807,7 +821,7 @@ def test_lattice_certificate_rejects_an_extra_member():
     u = flips[w][labels[w].index(label[1])]
     assert label[1] not in labels[u] and label[2] in labels[u]
     masks[label[1]] |= 1 << u
-    report = lattice_certificate(3, masks, normals)
+    report = lattice_certificate(3, masks)
     assert not report["ok"]
     assert ("edge_not_certified", label, labels[w]) in report["problems"]
     assert {kind for kind, *_ in report["problems"]} == {"edge_not_certified"}
@@ -838,26 +852,16 @@ def reference_lattice_certificate(n, masks, normals):
     }
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_lattice_walk_matches_the_rank_reference(n):
-    rng = random.Random(30 + n)
-    labels, diagonals = polygon.all_triangulations(n), polygon.all_diagonals(n)
-    masks, normals = _lattice_inputs(builds(n)["cluster"])
-    assert lattice_certificate(n, masks, normals) == reference_lattice_certificate(n, masks, normals)
-    # a zero normal makes every vertex carrying it dependent, vertex 0 with
-    # (0, 2) and later ones only with the last diagonal: the walk reports
-    # each of them and goes on past it
-    for d in (diagonals[0], diagonals[-1]):
-        zeroed = {**normals, d: (0,) * n}
-        report = lattice_certificate(n, masks, zeroed)
-        assert report == reference_lattice_certificate(n, masks, zeroed)
-        assert [label for _, label in report["problems"]] == [t for t in labels if d in t]
-    # normals drawn from {-1, 0, 1}: dependent vertices scattered through
-    for _ in range(20):
-        drawn_normals = {d: tuple(rng.randint(-1, 1) for _ in range(n)) for d in diagonals}
-        assert lattice_certificate(n, masks, drawn_normals) == (
-            reference_lattice_certificate(n, masks, drawn_normals)
-        )
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_face_lattice_matches_the_rank_reference(n):
+    # the reference ranks every vertex's facet normals, which the facet
+    # certificate makes independent: no vertex is dependent on the
+    # defaults or on draws, so the two certificates agree
+    for construction, c in CONSTRUCTIONS.items():
+        for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(40 + n))):
+            report = analysis.face_lattice(p)
+            assert report["ok"], report["problems"][:3]
+            assert report == reference_lattice_certificate(n, *_lattice_inputs(p))
 
 
 def _counting_eliminations(monkeypatch):
@@ -868,13 +872,14 @@ def _counting_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_face_lattice_eliminates_only_vertex_0(monkeypatch, n):
+def test_face_lattice_eliminates_nothing_once_certified(monkeypatch, n):
+    assert not hasattr(analysis, "exchange_inverse")
     for c in CONSTRUCTIONS.values():
         p = c.build(c.default(n), n)
         extract_facets(p)
         calls = _counting_eliminations(monkeypatch)
         assert analysis.face_lattice(p)["ok"]
-        assert len(calls) == 1
+        assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

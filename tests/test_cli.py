@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -174,6 +175,25 @@ def test_compare_translated_copy(tmp_path, capsys):
     assert "witness" in json.loads(out)
 
 
+def test_compare_default_against_a_draw_exit_5(tmp_path, capsys):
+    c = CONSTRUCTIONS["cluster"]
+    default = _built(tmp_path, capsys, "cluster", 3)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n": 3, c.key: c.encode(c.draw(3, random.Random(1)))}))
+    drawn = tmp_path / "drawn.json"
+    code, _, _ = run(
+        ["build", "--construction", "cluster", "--n", "3",
+         "--params", str(params), "--out", str(drawn)],
+        capsys,
+    )
+    assert code == 0
+    code, out, _ = run(["compare", str(default), str(drawn)], capsys)
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["verdict"] == "inconclusive"
+    assert "witness" not in doc
+
+
 def test_compare_mismatched_n(tmp_path, capsys):
     a = _built(tmp_path, capsys, "minkowski", 2)
     b = _built(tmp_path, capsys, "minkowski", 3)
@@ -195,18 +215,14 @@ def test_verify_out_of_range(capsys):
         assert "out of range 1..7" in err
 
 
-def test_verify_accepts_the_build_cap(capsys, monkeypatch):
-    # the n_max = 7 manifest takes about 15 s; the range check is what is tested
-    calls = []
-
-    def fake_manifest(n_max, seed):
-        calls.append((n_max, seed))
-        return [("vertex_counts_catalan", True, {"expected": [2, 5]})]
-
-    monkeypatch.setattr(verification, "run_manifest", fake_manifest)
+def test_verify_accepts_the_build_cap(capsys):
+    # the whole manifest at the cap, about 2 s in a fresh interpreter
     code, out, _ = run(["verify", "--n-max", str(practical_bound()), "--seed", "7"], capsys)
-    assert code == 0 and "PASS" in out
-    assert calls == [(7, 7)]
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(verification.MANIFEST)
+    assert all(line.split()[1] == "PASS" for line in lines)
+    assert "Catalan counts 2, 5, 14, 42, 132, 429, 1430" in out
 
 
 def test_export_csv(tmp_path, capsys):
@@ -400,6 +416,26 @@ def test_export_unreadable_file_exit_2(tmp_path, capsys, contents):
     code, _, err = run(["export", str(path), "--format", "csv"], capsys)
     assert code == 2
     assert "malformed polytope file" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "export", "build"])
+def test_deeply_nested_file_exit_2(tmp_path, capsys, command):
+    # the JSON decoder gives up on this depth with a RecursionError
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    out = str(tmp_path / "out.json")
+    argv = {
+        "analyze": ["analyze", str(nested)],
+        "compare": ["compare", str(nested), str(nested)],
+        "export": ["export", str(nested), "--format", "json"],
+        "build": ["build", "--construction", "minkowski", "--n", "2",
+                  "--params", str(nested), "--out", out],
+    }[command]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    message = "invalid parameters" if command == "build" else "malformed polytope file"
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("n", [0, -1])

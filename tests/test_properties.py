@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from associahedra import cluster, sampling
 from associahedra.analysis import extract_facets, face_lattice, parallel_pairs
+from associahedra.exactlin import rank
 from associahedra.fan import wall_slacks
 from associahedra.minkowski import build_minkowski
 from associahedra.secondary import build_secondary
@@ -100,6 +101,22 @@ def test_drawn_face_lattice_is_the_associahedron(construction, n, rng, data):
     report = face_lattice(_draw(construction, n, rng, data))
     assert report["ok"], report["problems"][:3]
     assert report["f_vector"] == (CATALAN[n + 1], n * CATALAN[n + 1] // 2, n * (n + 3) // 2)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    construction=st.sampled_from(["secondary", "cluster", "minkowski"]),
+    n=st.integers(1, 4),
+    rng=st.randoms(use_true_random=False),
+    data=st.data(),
+)
+def test_drawn_facet_normals_have_full_rank_at_every_vertex(construction, n, rng, data):
+    # the facet certificate makes the n facet normals at each vertex
+    # independent, which `face_lattice` relies on without computing it
+    p = _draw(construction, n, rng, data)
+    normals = {f.diagonal: f.normal for f in extract_facets(p)}
+    for label in p.labels:
+        assert rank([normals[d] for d in label]) == n
 
 
 def _parallel_by_direction(facets):
