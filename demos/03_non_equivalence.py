@@ -1,9 +1,12 @@
 """Show that the three realizations are pairwise affinely non-equivalent.
 
-For each pair the search first tries label-free obstructions (parallel
-pair counts, special-facet intersection profiles) and then exhaustively
-fits affine maps over all dihedral relabelings of the polygon; a sanity
-pass against a translated copy shows what a found witness looks like.
+For each pair the search reports label-free obstructions (parallel pair
+counts, special-facet intersection profiles), then exhaustively fits
+affine maps over all dihedral relabelings of the polygon.  The fit
+decides: every affine equivalence of two associahedra relabels the
+polygon dihedrally, so a miss over all relabelings proves non-equivalence,
+and a fired obstruction explains it.  A sanity pass against a translated
+copy shows what a found witness looks like.
 """
 
 from fractions import Fraction

@@ -4,21 +4,20 @@ Vertex i of every polytope here carries `polygon.all_triangulations(n)[i]`,
 and the analysis reads these labels where they save work, then certifies
 what it read.  A facet's members are the vertices whose label carries its
 diagonal.  Its normal is solved inside the affine hull through the first
-member and that member's flips of its other diagonals, or, only if those
-fail to span, through n members an elimination picks from all of them.
-Then every member must lie on the hyperplane and every other vertex
-strictly on one side: the lane certificate (`exactlin.lane_failures`)
-checks all n(n+3)/2 facet inequalities at a vertex row with one packed
-big-integer product per coordinate.  Each facet's value sits in its own
-lane of one Python int, wide enough (one bit over the bound
-|normal|_1 max|x| + |offset| + 1) that a negative value always borrows
-into its own lane's top bit, so two masks read the verdict.  Each polytope
-object certifies its facets once, on first use, and keeps them.  Facets
-are parallel iff their primitive integer normals (first nonzero entry
-positive) are equal: the normals lie in the hull's direction space, where
-a hyperplane's normal line fixes its direction space.  `face_lattice`
-certifies that these facets are all the facets and the flips the edges,
-from their member sets alone.
+member and that member's flips of its other diagonals.  Then every member
+must lie on the hyperplane and every other vertex strictly on one side:
+the lane certificate (`exactlin.lane_failures`) checks all n(n+3)/2 facet
+inequalities at a vertex row with one packed big-integer product per
+coordinate.  Each facet's value sits in its own lane of one Python int,
+wide enough (one bit over the bound |normal|_1 max|x| + |offset| + 1) that
+a negative value always borrows into its own lane's top bit, so two masks
+read the verdict.  Each polytope object certifies its facets once, on
+first use, and keeps them.  `face_lattice` certifies that these facets are
+all the facets and the flips the edges, from their member sets alone.
+What else a passed certificate settles is read off it, not decided again:
+parallelism from the normals (`parallel_pairs`), which facets meet from
+the diagonals (`special_profile`), and equivalence from the dihedral
+relabelings alone (`equivalence_search`).
 
 A polytope is its labels and its `Hull` record: the vertices as integer
 rows over one positive scale, in lowest terms.  Everything here reads the
@@ -27,8 +26,8 @@ caller reads one.  `LabeledPolytope.vertices` (the Fraction coordinates,
 for demos, viewers and tests) and `FacetDescriptor.hyperplane` (a facet's
 Fraction hyperplane) are made on first read and kept.  Besides these, the
 analysis makes Fractions only for a lifted witness and in `exactlin`'s
-canonical bases (the hull's direction space, a facet's `direction`).
-Files are coded straight to and from the rows (`serialize`).
+canonical basis of the hull's direction space.  Files are coded straight
+to and from the rows (`serialize`).
 
 Each polytope's affine hull is read off vertex 0 and its n flips when it
 is made: its `Hull` record holds the integer vertex rows and their common
@@ -57,7 +56,6 @@ from . import exactlin, polygon
 from .exactlin import (
     Subspace,
     affine_frame,
-    affinely_independent,
     dot,
     integer_inverse,
     integer_normal,
@@ -69,7 +67,6 @@ from .exactlin import (
     # unused here, but perfbench's tracer test checks that this by-name
     # binding gets patched
     solve_linear,  # noqa: F401
-    span,
     transpose,
     vsub,
 )
@@ -212,23 +209,12 @@ class FacetDescriptor:
     # the facet's hyperplane is normal . x = offset / scale, in lowest terms
     offset: int
     scale: int
-    # n affinely independent members and the polytope's integer rows, from
-    # which `direction` is spanned when it is read
-    spanning: tuple = field(compare=False, repr=False)
-    rows: tuple = field(compare=False, repr=False)
 
     @cached_property
     def hyperplane(self):
         """The Fraction hyperplane (`exactlin.make_hyperplane`, first
         nonzero normal entry 1), made on first read and kept."""
         return make_hyperplane(self.normal, Fraction(self.offset, self.scale))
-
-    @cached_property
-    def direction(self):
-        """The facet's direction space: the canonical span of its spanning
-        members' differences (a positive scale of the rows keeps it)."""
-        base = self.rows[self.spanning[0]]
-        return span([vsub(self.rows[i], base) for i in self.spanning[1:]], len(base))
 
 
 def extract_facets(p):
@@ -248,20 +234,28 @@ def _certify_facets(p):
     Its normal is solved (`integer_normal`) inside the hull's direction
     space, whose basis is made primitive once per polytope, through n
     members: the first member v and the flips of v's other n-1 diagonals
-    (`polygon.flip_table`), which carry the diagonal too.  Only if those do
-    not span a codim-1 flat of the hull are n affinely independent members
-    picked from all of them; the hyperplane through n members that all
-    members lie on is the same either way.  The normal is then oriented by
-    its sign at the first non-member, and the certificate is that at every
-    vertex row each facet's oriented functional normal . x - offset is 0 if
-    the vertex is a member and positive if not.  `exactlin.lane_failures`
-    checks all F = n(n+3)/2 of them at a row at once: slot f, that value
-    less 1 off the members, sits in a lane of one Python int W bits wide,
-    with W one more than the bit length of the bound
-    max_f(|normal_f|_1 max|x| + |offset_f| + 1), and a negative slot always
-    borrows into its own lane's top bit, so a row costs one packed product
-    per coordinate and two masks.  The Fraction hyperplane is made only
-    when a caller reads it (`FacetDescriptor.hyperplane`).
+    (`polygon.flip_table`), which carry the diagonal too.  The normal is
+    then oriented by its sign at the first non-member, and the certificate
+    is that at every vertex row each facet's oriented functional
+    normal . x - offset is 0 if the vertex is a member and positive if not.
+    `exactlin.lane_failures` checks all F = n(n+3)/2 of them at a row at
+    once: slot f, that value less 1 off the members, sits in a lane of one
+    Python int W bits wide, with W one more than the bit length of the
+    bound max_f(|normal_f|_1 max|x| + |offset_f| + 1), and a negative slot
+    always borrows into its own lane's top bit, so a row costs one packed
+    product per coordinate and two masks.  The Fraction hyperplane is made
+    only when a caller reads it (`FacetDescriptor.hyperplane`).
+
+    If v and those n-1 flips do not span a codim-1 flat of the hull, the
+    certificate cannot hold, so no other members are tried.  Suppose it
+    held.  Let d_1..d_n be v's diagonals, N_j their normals and w_j v's
+    flip at d_j.  w_j carries every d_i but d_j, so N_i.(w_j - v) = 0 for
+    i != j, and the certificate puts w_j strictly off d_j's hyperplane, so
+    N_j.(w_j - v) != 0.  Applying N_k to sum_j c_j (w_j - v) = 0 leaves
+    c_k N_k.(w_k - v) = 0, so the n vectors w_j - v are independent, and
+    the n-1 of them with d_j != d lie on d's hyperplane: v and its flips
+    would span it.
+
     Certification failure means the construction is broken, not the
     analysis, and raises CertificationError naming the diagonal: first
     "no vertices carry it" or "do not span", in diagonal order, as the
@@ -288,9 +282,6 @@ def _certify_facets(p):
         # None unless they span a codim-1 flat of the hull: fewer than n do not
         normal = integer_normal([rows[i] for i in spanning], basis)
         if normal is None:
-            spanning = [ordered[k] for k in affinely_independent([rows[i] for i in ordered], p.n)]
-            normal = integer_normal([rows[i] for i in spanning], basis)
-        if normal is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
         if next(a for a in normal if a) < 0:
             normal = [-a for a in normal]
@@ -307,8 +298,6 @@ def _certify_facets(p):
                 normal=tuple(normal),
                 offset=offset // g,
                 scale=scale // g,
-                spanning=tuple(spanning),
-                rows=rows,
             )
         )
     failures = lane_failures(functionals, rows, tight)
@@ -323,8 +312,9 @@ def _certify_facets(p):
 
 def parallel_pairs(facets):
     """Unordered pairs of distinct diagonals with equal direction subspaces,
-    found as equal normals (see the module docstring), in facet order
-    within a pair and sorted."""
+    in facet order within a pair and sorted.  A facet's direction space is
+    its normal's orthogonal complement in the hull's direction space, where
+    the normal lies, so the pairs are those of equal primitive normals."""
     classes = {}
     for f in facets:
         classes.setdefault(f.normal, []).append(f.diagonal)
@@ -390,31 +380,19 @@ def lattice_certificate(n, masks):
     }
 
 
-def facets_intersect(f1, f2):
-    """True iff the facets share a vertex; cross-checked against non-crossing."""
-    geometric = bool(f1.vertex_indices & f2.vertex_indices)
-    combinatorial = not polygon.crossing(f1.diagonal, f2.diagonal)
-    if geometric != combinatorial:
-        raise CertificationError(
-            f"intersection criteria disagree for {f1.diagonal} vs {f2.diagonal}"
-        )
-    return geometric
-
-
 def special_profile(facets):
     """For each special facet, how many other special facets it intersects.
 
-    A facet is special when it belongs to some parallel pair.
+    A facet is special when it belongs to some parallel pair.  Two facets
+    meet iff their diagonals do not cross: their members are the vertices
+    whose labels carry them, and two diagonals lie in a common
+    triangulation iff they do not cross.  So the count is of the other
+    special diagonals that do not cross the facet's own.
     """
-    pairs = parallel_pairs(facets)
-    special = sorted({d for pair in pairs for d in pair})
-    by_diag = {f.diagonal: f for f in facets}
-    profile = {}
-    for d in special:
-        profile[d] = sum(
-            1 for e in special if e != d and facets_intersect(by_diag[d], by_diag[e])
-        )
-    return profile
+    special = sorted({d for pair in parallel_pairs(facets) for d in pair})
+    return {
+        d: sum(1 for e in special if e != d and not polygon.crossing(d, e)) for d in special
+    }
 
 
 def dihedral_relabelings(n):
@@ -539,21 +517,35 @@ def _lift(src, dst, images, targets):
 
 @dataclass
 class EquivalenceReport:
+    """The obstructions as (name, fired, detail) and the witness, if any,
+    which alone decides the verdict (see `equivalence_search`)."""
+
     pair: tuple
     obstructions: list
     witness: object = None
 
     @property
     def verdict(self):
-        if self.witness is not None:
-            return "equivalent"
-        if any(fired for _, fired, _ in self.obstructions):
-            return "non_equivalent"
-        return "inconclusive"
+        return "equivalent" if self.witness is not None else "non_equivalent"
 
 
 def equivalence_search(p, q):
-    """Label-free obstructions plus an exhaustive dihedral affine-map fit."""
+    """Label-free obstructions (which only explain a non-equivalence) and
+    the first dihedral relabeling that fits an affine map, the witness.
+
+    A miss over all 2(n+3) relabelings proves non-equivalence.  Both
+    polytopes' facets are certified first: facet d's members are exactly
+    the vertices whose label carries d, and by `lattice_certificate` these
+    are all the facets.  An affine map f of p onto q maps facets to facets,
+    so it permutes the diagonals by some tau, and sends the vertex labelled
+    T, on the facets of T's diagonals, to the one vertex of q on those of
+    tau(T), labelled tau(T).  So tau keeps the triangulations, hence the
+    pairs of diagonals in a common one, the non-crossing pairs: tau is an
+    automorphism of the crossing graph, and each of those is the action of
+    a dihedral relabeling sigma (for n = 1 both are rotations; the tests
+    count them for every n that can be built).  f keeps affine weights, so
+    `fit_affine_map(src, dst, sigma)` passes, and `_lift` rechecks f.
+    """
     if p.n != q.n:
         raise ValueError("polytopes have different n")
     fp, fq = extract_facets(p), extract_facets(q)

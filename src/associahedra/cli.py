@@ -4,8 +4,8 @@ Exit codes are a stable contract:
   build:    0 ok, 2 invalid params or unwritable --out, 3 n out of
             practical range
   analyze:  0 ok, 2 malformed file, 4 facet certification failure
-  compare:  0 non-equivalent, 1 witness found, 2 mismatched n, 4 facet
-            certification failure, 5 inconclusive
+  compare:  0 non-equivalent, 1 witness found, 2 malformed file or
+            mismatched n, 4 facet certification failure
   verify:   0 all pass, 1 failure, 3 n_max out of range 1..7
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
@@ -45,7 +45,7 @@ def cmd_build(args):
             value = c.default(args.n)
         p = c.build(value, args.n)
     except (ValueError, RuntimeError, KeyError, TypeError, OSError) as exc:
-        print(f"error: invalid parameters: {exc}", file=sys.stderr)
+        print(f"error: invalid parameters: {_reason(exc)}", file=sys.stderr)
         return 2
     try:
         serialize.save_polytope(p, args.out)
@@ -55,12 +55,17 @@ def cmd_build(args):
     return 0
 
 
+def _reason(exc):
+    """What an error says: a KeyError's str is only the repr of its key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else exc
+
+
 def _load(path):
     """The polytope in `path`, or None after reporting a malformed file."""
     try:
         return serialize.load_polytope(path)
     except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
-        print(f"error: malformed polytope file: {exc}", file=sys.stderr)
+        print(f"error: malformed polytope file: {_reason(exc)}", file=sys.stderr)
         return None
 
 
@@ -120,11 +125,7 @@ def cmd_compare(args):
             "translation": [rat_str(x) for x in report.witness.translation],
         }
     sys.stdout.write(serialize.dumps(doc))
-    if report.verdict == "equivalent":
-        return 1
-    if report.verdict == "non_equivalent":
-        return 0
-    return 5
+    return 1 if report.witness is not None else 0
 
 
 def cmd_verify(args):

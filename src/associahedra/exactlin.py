@@ -84,10 +84,6 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def unit(i, dim):
-    return tuple(ONE if k == i else ZERO for k in range(dim))
-
-
 def _primitive(row):
     """The row divided by the gcd of its entries (a zero row is kept)."""
     g = gcd(*row)

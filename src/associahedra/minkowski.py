@@ -17,7 +17,7 @@ from itertools import combinations
 
 from . import polygon
 from .analysis import face_lattice, make_polytope
-from .exactlin import integer_scaling, span, unit, vsub
+from .exactlin import integer_scaling
 
 
 def all_summands(n):
@@ -79,12 +79,3 @@ def verify_correspondence(p, n):
         raise ValueError(f"polytope has n={p.n}, not {n}")
     return face_lattice(p)
 
-
-def block_pair_direction(blocks, n):
-    """Canonical span of the direction spaces of the two index-set simplices."""
-    gens = []
-    for block in blocks:
-        base = block[0]
-        for k in block[1:]:
-            gens.append(vsub(unit(k - 1, n + 1), unit(base - 1, n + 1)))
-    return span(gens, n + 1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -16,7 +17,6 @@ from associahedra.analysis import (
     dihedral_relabelings,
     equivalence_search,
     extract_facets,
-    facets_intersect,
     fit_affine_map,
     lattice_certificate,
     make_polytope,
@@ -66,7 +66,8 @@ def test_facet_counts_all_constructions(n):
         assert len(facets) == n * (n + 3) // 2
         for f in facets:
             assert len(f.vertex_indices) >= 2
-            assert f.direction.dim == n - 1
+            members = [p.vertices[i][0] for i in sorted(f.vertex_indices)]
+            assert subspace_from_differences(members).dim == n - 1
 
 
 def test_facets_n1_are_vertices():
@@ -108,13 +109,32 @@ def test_simplicity_and_edge_sharing(n):
 
 
 def test_facets_intersect_agreement():
-    n = 3
-    p = build_minkowski(ones_weights(n), n)
-    facets = {f.diagonal: f for f in extract_facets(p)}
-    assert not facets_intersect(facets[(1, 5)], facets[(0, 4)])
-    for d1, d2 in itertools.combinations(facets, 2):
-        # raises on geometric/combinatorial disagreement
-        facets_intersect(facets[d1], facets[d2])
+    # the premise of `special_profile`: two facets share a vertex iff
+    # their diagonals do not cross
+    for p in builds(3).values():
+        facets = extract_facets(p)
+        for f, g in itertools.combinations(facets, 2):
+            meet = bool(f.vertex_indices & g.vertex_indices)
+            assert meet == (not polygon.crossing(f.diagonal, g.diagonal))
+    facets = {f.diagonal: f for f in extract_facets(builds(3)["minkowski"])}
+    assert not facets[(1, 5)].vertex_indices & facets[(0, 4)].vertex_indices
+
+
+def reference_special_profile(facets):
+    """For each special facet, the other special facets whose member sets
+    overlap its own, counted on the member sets themselves."""
+    members = {f.diagonal: f.vertex_indices for f in facets}
+    special = sorted({d for pair in parallel_pairs(facets) for d in pair})
+    return {d: sum(1 for e in special if e != d and members[d] & members[e]) for d in special}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_special_profile_matches_the_member_overlap_reference(construction, n):
+    c = CONSTRUCTIONS[construction]
+    for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(30 + n))):
+        facets = extract_facets(p)
+        assert special_profile(facets) == reference_special_profile(facets)
 
 
 def test_parallel_pairs_per_construction():
@@ -154,6 +174,48 @@ def test_dihedral_relabelings_group():
     for a in maps:
         for b in maps:
             assert tuple(a[b[l]] for l in range(5)) in as_set
+
+
+def crossing_graph_automorphisms(n):
+    """Every permutation of the diagonals that keeps which pairs cross, as
+    a tuple of images in `polygon.all_diagonals(n)` order: a backtracking
+    search that places the diagonals in order, each on a diagonal of the
+    same degree that crosses exactly the images of the earlier diagonals it
+    crosses."""
+    diagonals = polygon.all_diagonals(n)
+    crosses = [[polygon.crossing(d, e) for e in diagonals] for d in diagonals]
+    degree = [sum(row) for row in crosses]
+    found, image = [], []
+
+    def place(k):
+        if k == len(diagonals):
+            found.append(tuple(diagonals[j] for j in image))
+            return
+        for j in range(len(diagonals)):
+            if j in image or degree[j] != degree[k]:
+                continue
+            if all(crosses[k][i] == crosses[j][m] for i, m in enumerate(image)):
+                image.append(j)
+                place(k + 1)
+                image.pop()
+
+    place(0)
+    return found
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_crossing_graph_automorphisms_are_the_dihedral_relabelings(n):
+    # the completeness premise of `equivalence_search`: an affine
+    # equivalence of certified polytopes permutes the diagonals as an
+    # automorphism of the crossing graph, and each of those is a dihedral
+    # relabeling (at n = 1 the 2(n+3) = 8 relabelings act as 2 maps)
+    automorphisms = set(crossing_graph_automorphisms(n))
+    diagonals = polygon.all_diagonals(n)
+    relabelings = {
+        tuple(relabel_diagonal(perm, d) for d in diagonals) for perm in dihedral_relabelings(n)
+    }
+    assert relabelings <= automorphisms
+    assert len(automorphisms) == len(relabelings) == (2 if n == 1 else 2 * (n + 3))
 
 
 def test_relabeling_preserves_triangulations():
@@ -219,12 +281,13 @@ def test_equivalence_self_witness():
 
 
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
-def test_equivalence_default_against_a_draw_is_inconclusive(construction):
-    # same parallel pairs and profiles, and no relabeling fits an affine map
+def test_equivalence_default_against_a_draw_is_non_equivalent(construction):
+    # same parallel pairs and profiles, so no obstruction fires; no
+    # relabeling fits an affine map, which decides non-equivalence
     c = CONSTRUCTIONS[construction]
     p, q = c.build(c.default(3), 3), c.build(c.draw(3, random.Random(1)), 3)
     report = equivalence_search(p, q)
-    assert report.verdict == "inconclusive"
+    assert report.verdict == "non_equivalent"
     assert report.witness is None
     assert not any(fired for _, fired, _ in report.obstructions)
 
@@ -295,8 +358,8 @@ def reference_extract_facets(p):
 
 
 def reference_certify_facets(p):
-    """The scalar certificate the lane certificate replaced, kept verbatim:
-    one integer dot product of each facet's normal per vertex row."""
+    """The scalar certificate the lane certificate replaced: one integer
+    dot product of each facet's normal per vertex row."""
     rows, scale, labels = p.hull.rows, p.hull.scale, p.labels
     basis = primitive_rows(p.hull.space.basis)
     flips = polygon.flip_table(p.n)
@@ -312,9 +375,6 @@ def reference_certify_facets(p):
         spanning = [v] + [w for e, w in zip(labels[v], flips[v]) if e != d]
         # None unless they span a codim-1 flat of the hull: fewer than n do not
         normal = integer_normal([rows[i] for i in spanning], basis)
-        if normal is None:
-            spanning = [ordered[k] for k in affinely_independent([rows[i] for i in ordered], p.n)]
-            normal = integer_normal([rows[i] for i in spanning], basis)
         if normal is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
         if next(a for a in normal if a) < 0:
@@ -335,8 +395,6 @@ def reference_certify_facets(p):
                 normal=tuple(normal),
                 offset=offset // g,
                 scale=scale // g,
-                spanning=tuple(spanning),
-                rows=rows,
             )
         )
     return facets
@@ -434,7 +492,7 @@ def reference_fit_affine_map(src, dst, label_map):
     p0 = src.vertices[0][0]
     f_p0 = f(p0)
     cols = [
-        vsub(f(vadd(p0, exactlin.unit(i, src.ambient_dim))), f_p0)
+        vsub(f(vadd(p0, tuple(F(int(k == i)) for k in range(src.ambient_dim)))), f_p0)
         for i in range(src.ambient_dim)
     ]
     matrix = tuple(
@@ -463,26 +521,34 @@ def test_extract_facets_matches_all_members_reference(construction, n):
 
 def _assert_matches_reference(p):
     facets, want = extract_facets(p), reference_extract_facets(p)
-    assert [(f.diagonal, f.vertex_indices, f.hyperplane, f.direction) for f in facets] == want
+    assert [(f.diagonal, f.vertex_indices, f.hyperplane) for f in facets] == [
+        (d, members, hp) for d, members, hp, _ in want
+    ]
     # the kept normal is the hyperplane's, primitive on ints, first entry > 0
     normals = primitive_rows([hp.normal for _, _, hp, _ in want])
     assert [f.normal for f in facets] == [tuple(row) for row in normals]
+    # and it fixes the facet's direction, spanned from all of its members:
+    # the (n-1)-space of the hull's directions orthogonal to it
+    hull = subspace_from_differences([c for c, _ in p.vertices])
+    for f, (_, _, _, direction) in zip(facets, want):
+        assert direction.dim == hull.dim - 1
+        assert all(dot(f.normal, b) == 0 for b in direction.basis)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
-def test_facets_fall_back_when_the_flips_do_not_span(monkeypatch, construction, n):
+def test_facets_fail_at_once_when_the_flips_do_not_span(monkeypatch, construction, n):
     # every flip of v recorded as v itself: the n chosen members are one
-    # point, so every facet needs the elimination over all of its members
+    # point, and no other members are tried (a certified polytope's flips
+    # always span, see `_certify_facets`)
     def stuck(m):
         return tuple((i,) * m for i in range(len(polygon.all_triangulations(m))))
 
     p = drawn(construction, n, random.Random(20 + n))
     monkeypatch.setattr(polygon, "flip_table", stuck)
-    calls = []
-    _counting(monkeypatch, analysis, "affinely_independent", calls)
-    _assert_matches_reference(p)
-    assert len(calls) == len(polygon.all_diagonals(n))
+    first = polygon.all_diagonals(n)[0]
+    with pytest.raises(CertificationError, match=re.escape(f"{first}: vertices do not span")):
+        extract_facets(p)
 
 
 def unimodular_relabelled_image(p, rng, perm=None):
@@ -631,9 +697,7 @@ def test_extract_facets_rejects_swapped_labels():
 def test_lane_certificate_matches_the_scalar_reference(construction, n):
     c = CONSTRUCTIONS[construction]
     for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(n))):
-        facets, want = analysis._certify_facets(p), reference_certify_facets(p)
-        assert facets == want
-        assert [f.spanning for f in facets] == [f.spanning for f in want]
+        assert analysis._certify_facets(p) == reference_certify_facets(p)
 
 
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
@@ -712,7 +776,7 @@ def test_extract_facets_certifies_once_per_polytope(monkeypatch):
     p = build_minkowski(ones_weights(3), 3)
     first = extract_facets(p)
     calls = []
-    for name in ("integer_normal", "affinely_independent"):
+    for name in ("integer_normal", "lane_failures"):
         _counting(monkeypatch, analysis, name, calls)
     second = extract_facets(p)
     assert second == first and second is not first

@@ -175,23 +175,26 @@ def test_compare_translated_copy(tmp_path, capsys):
     assert "witness" in json.loads(out)
 
 
-def test_compare_default_against_a_draw_exit_5(tmp_path, capsys):
-    c = CONSTRUCTIONS["cluster"]
-    default = _built(tmp_path, capsys, "cluster", 3)
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_compare_default_against_a_draw_exit_0(tmp_path, capsys, construction):
+    # no obstruction fires and no relabeling fits: certified non-equivalent
+    c = CONSTRUCTIONS[construction]
+    default = _built(tmp_path, capsys, construction, 3)
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"n": 3, c.key: c.encode(c.draw(3, random.Random(1)))}))
     drawn = tmp_path / "drawn.json"
     code, _, _ = run(
-        ["build", "--construction", "cluster", "--n", "3",
+        ["build", "--construction", construction, "--n", "3",
          "--params", str(params), "--out", str(drawn)],
         capsys,
     )
     assert code == 0
     code, out, _ = run(["compare", str(default), str(drawn)], capsys)
-    assert code == 5
+    assert code == 0
     doc = json.loads(out)
-    assert doc["verdict"] == "inconclusive"
+    assert doc["verdict"] == "non_equivalent"
     assert "witness" not in doc
+    assert not any(o["fired"] for o in doc["obstructions"])
 
 
 def test_compare_mismatched_n(tmp_path, capsys):
@@ -589,6 +592,34 @@ def test_file_with_params_of_wrong_shape_exit_2(tmp_path, capsys, construction, 
     assert code == 2
     assert out == ""
     assert "malformed polytope file" in err
+
+
+@pytest.mark.parametrize("command", ["build", "analyze", "compare", "export"])
+def test_a_missing_key_is_named(tmp_path, capsys, command):
+    # a params file without the construction's key, and a cluster file
+    # relabelled as Minkowski, whose params then lack the key "a"
+    if command == "build":
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"n": 2}))
+        argv = ["build", "--construction", "cluster", "--n", "2",
+                "--params", str(params), "--out", str(tmp_path / "x.json")]
+        want = "error: invalid parameters: missing key 'h'"
+    else:
+        good = _built(tmp_path, capsys, "cluster", 2)
+        doc = json.loads(good.read_text())
+        doc["construction"] = "minkowski"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = {
+            "analyze": ["analyze", str(bad)],
+            "compare": ["compare", str(bad), str(good)],
+            "export": ["export", str(bad), "--format", "json"],
+        }[command]
+        want = "error: malformed polytope file: missing key 'a'"
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == want + "\n"
 
 
 # vertex coordinates of the wrong JSON shape, whose characters or keys

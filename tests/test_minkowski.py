@@ -2,7 +2,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -14,7 +14,9 @@ from associahedra.minkowski import (
     ones_weights,
     verify_correspondence,
 )
+from associahedra.exactlin import nullspace, span
 from associahedra.sampling import random_weights
+from associahedra.verification import block_pair_normal
 
 F = Fraction
 
@@ -222,4 +224,33 @@ def test_verify_correspondence(n):
 def test_f_vector_n3():
     p = build_minkowski(ones_weights(3), 3)
     assert verify_correspondence(p, 3)["f_vector"] == (14, 21, 9)
+
+
+
+# -- the closed-form normal of a parallel pair, against the spans it replaced
+
+
+def reference_block_pair_direction(blocks, n):
+    """Canonical span of the direction spaces of the two index-set
+    simplices: e_k - e_base within each block."""
+    gens = []
+    for block in blocks:
+        base = block[0]
+        for k in block[1:]:
+            gen = [0] * (n + 1)
+            gen[k - 1], gen[base - 1] = 1, -1
+            gens.append(tuple(map(F, gen)))
+    return span(gens, n + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_block_pair_normal_fixes_the_block_pair_direction(n):
+    # inside the hull (coordinate sum constant) the facets' direction space
+    # is the kernel of the all-ones row and the normal
+    for i in range(1, n + 1):
+        normal = block_pair_normal(i, n)
+        blocks = (tuple(range(1, i + 1)), tuple(range(i + 1, n + 2)))
+        kernel = nullspace([tuple(F(1) for _ in range(n + 1)), tuple(map(F, normal))], n + 1)
+        assert span(kernel, n + 1) == reference_block_pair_direction(blocks, n)
+        assert gcd(*normal) == 1 and normal[0] > 0
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from associahedra import cluster, sampling
+from associahedra import cluster, polygon, sampling
 from associahedra.analysis import extract_facets, face_lattice, parallel_pairs
-from associahedra.exactlin import rank
+from associahedra.exactlin import rank, subspace_from_differences, vsub
 from associahedra.fan import wall_slacks
 from associahedra.minkowski import build_minkowski
 from associahedra.secondary import build_secondary
@@ -112,19 +112,28 @@ def test_drawn_face_lattice_is_the_associahedron(construction, n, rng, data):
 )
 def test_drawn_facet_normals_have_full_rank_at_every_vertex(construction, n, rng, data):
     # the facet certificate makes the n facet normals at each vertex
-    # independent, which `face_lattice` relies on without computing it
+    # independent, which `face_lattice` relies on without computing it, and
+    # the vertex's flips span the hull around it, so `_certify_facets`
+    # needs no other members to solve a facet's normal
     p = _draw(construction, n, rng, data)
     normals = {f.diagonal: f.normal for f in extract_facets(p)}
-    for label in p.labels:
+    rows = p.hull.rows
+    for v, (label, flips) in enumerate(zip(p.labels, polygon.flip_table(n))):
         assert rank([normals[d] for d in label]) == n
+        assert rank([vsub(rows[w], rows[v]) for w in flips]) == n
 
 
-def _parallel_by_direction(facets):
-    """Parallel pairs by canonical direction-subspace equality."""
+def _parallel_by_direction(p, facets):
+    """Parallel pairs by canonical direction-subspace equality, each
+    facet's direction spanned from its member coordinates."""
+    direction = {
+        f.diagonal: subspace_from_differences([p.vertices[i][0] for i in sorted(f.vertex_indices)])
+        for f in facets
+    }
     return sorted(
         (f.diagonal, g.diagonal)
         for f, g in itertools.combinations(facets, 2)
-        if f.direction == g.direction
+        if direction[f.diagonal] == direction[g.diagonal]
     )
 
 
@@ -132,7 +141,7 @@ def _parallel_by_direction(facets):
 def test_default_parallel_pairs_match_direction_equality(n):
     for p in build_all_defaults(n).values():
         facets = extract_facets(p)
-        assert parallel_pairs(facets) == _parallel_by_direction(facets)
+        assert parallel_pairs(facets) == _parallel_by_direction(p, facets)
 
 
 @settings(deadline=None, max_examples=15)
@@ -143,5 +152,6 @@ def test_default_parallel_pairs_match_direction_equality(n):
     data=st.data(),
 )
 def test_drawn_parallel_pairs_match_direction_equality(construction, n, rng, data):
-    facets = extract_facets(_draw(construction, n, rng, data))
-    assert parallel_pairs(facets) == _parallel_by_direction(facets)
+    p = _draw(construction, n, rng, data)
+    facets = extract_facets(p)
+    assert parallel_pairs(facets) == _parallel_by_direction(p, facets)
