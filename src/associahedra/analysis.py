@@ -3,18 +3,23 @@
 Vertex i of every polytope here carries `polygon.all_triangulations(n)[i]`,
 and the analysis reads these labels where they save work, then certifies
 what it read.  A facet's members are the vertices whose label carries its
-diagonal.  Its normal is solved inside the affine hull through the first
-member and that member's flips of its other diagonals.  Then every member
-must lie on the hyperplane and every other vertex strictly on one side:
-the lane certificate (`exactlin.lane_failures`) checks all n(n+3)/2 facet
-inequalities at a vertex row with one packed big-integer product per
-coordinate.  Each facet's value sits in its own lane of one Python int,
-wide enough (one bit over the bound |normal|_1 max|x| + |offset| + 1) that
-a negative value always borrows into its own lane's top bit, so two masks
-read the verdict.  Each polytope object certifies its facets once, on
-first use, and keeps them.  `face_lattice` certifies that these facets are
-all the facets and the flips the edges, from their member sets alone.
-What else a passed certificate settles is read off it, not decided again:
+diagonal.  Facets are certified in the hull's n-column chart: each
+vertex's entries at the pivot columns of the hull's basis, less vertex
+0's, where every affine functional of the hull keeps its signs and zeros.
+A facet's chart normal is the kernel of the differences of the first
+member and that member's flips of its other diagonals, and one projection
+per polytope lifts it to the ambient normal that is reported.  Then every
+member must lie on the hyperplane and every other vertex strictly on one
+side: the lane certificate (`exactlin.lane_failures`) checks all n(n+3)/2
+facet inequalities at a vertex's chart row with one packed big-integer
+product per chart column.  Each facet's value sits in its own lane of one
+Python int, wide enough (one bit over |c|_1 max|y| + |offset| + 1, for
+its chart normal c and the chart rows y) that a negative value always
+borrows into its own lane's top bit, so two masks read the verdict.
+Each polytope object certifies its facets once, on first use, and keeps
+them.  `face_lattice` certifies that these facets are all the facets and
+the flips the edges, from their member sets alone.  What else a passed
+certificate settles is read off it, not decided again:
 parallelism from the normals (`parallel_pairs`), which facets meet from
 the diagonals (`special_profile`), and equivalence from the dihedral
 relabelings alone (`equivalence_search`).
@@ -35,19 +40,19 @@ scale, those n+1 vertices and the canonical (reduced echelon) basis of the
 direction space, eliminated once from their n differences; every row is
 then checked to lie in it on ints.  Only if the flips do not span the hull
 are the first n+1 affinely independent vertices eliminated from all rows
-instead.  On the hull the entries at the basis' pivot columns
-are an affine chart, so the equivalence search keeps, per polytope, each
-vertex's integer pivot entries and its affine weights on the independent
-vertices over one denominator.  Each of the 2(n+3) dihedral relabelings
-is then an integer check per vertex that stops at the first mismatch.  Only
-a hit is lifted to a Fraction ambient map: the one its independent vertices
-and their images fix on the hull, extended off it by orthogonal projection,
-and checked again on every vertex.
+instead.  The facet certificate and the equivalence search share the chart
+(`Hull.chart`): the search keeps, per polytope, each vertex's chart row
+and its affine weights on the independent vertices over one denominator.
+Each of the 2(n+3) dihedral relabelings is then an integer check per
+vertex that stops at the first mismatch.  Only a hit is lifted to a
+Fraction ambient map: the one its independent vertices and their images
+fix on the hull, extended off it by orthogonal projection, and checked
+again on every vertex.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -58,12 +63,11 @@ from .exactlin import (
     affine_frame,
     dot,
     integer_inverse,
-    integer_normal,
+    integer_kernel,
     integer_scaling,
     invert,
     lane_failures,
     make_hyperplane,
-    primitive_rows,
     # unused here, but perfbench's tracer test checks that this by-name
     # binding gets patched
     solve_linear,  # noqa: F401
@@ -90,6 +94,14 @@ class Hull(NamedTuple):
         entries there chart it, and a vector of the direction space has
         its basis coordinates there."""
         return [next(k for k, a in enumerate(b) if a) for b in self.space.basis]
+
+    @property
+    def chart(self):
+        """Each row's entries at `pivots` less vertex 0's, as int tuples:
+        on the hull these n entries are an affine chart, one-to-one, so an
+        affine functional of the hull has the same signs and zeros there."""
+        columns = list(zip(*self.rows))
+        return list(zip(*([a - columns[k][0] for a in columns[k]] for k in self.pivots)))
 
 
 @dataclass(frozen=True)
@@ -231,30 +243,32 @@ def _certify_facets(p):
     """The facets of `extract_facets`, certified.
 
     The facet's members are the vertices whose label carries the diagonal.
-    Its normal is solved (`integer_normal`) inside the hull's direction
-    space, whose basis is made primitive once per polytope, through n
-    members: the first member v and the flips of v's other n-1 diagonals
-    (`polygon.flip_table`), which carry the diagonal too.  The normal is
-    then oriented by its sign at the first non-member, and the certificate
-    is that at every vertex row each facet's oriented functional
-    normal . x - offset is 0 if the vertex is a member and positive if not.
-    `exactlin.lane_failures` checks all F = n(n+3)/2 of them at a row at
-    once: slot f, that value less 1 off the members, sits in a lane of one
-    Python int W bits wide, with W one more than the bit length of the
-    bound max_f(|normal_f|_1 max|x| + |offset_f| + 1), and a negative slot
-    always borrows into its own lane's top bit, so a row costs one packed
-    product per coordinate and two masks.  The Fraction hyperplane is made
-    only when a caller reads it (`FacetDescriptor.hyperplane`).
+    It is certified in the hull's chart (`Hull.chart`).  A direction u of
+    the hull is sum_k u[pivot_k] basis_k, so the chart is affine and
+    one-to-one on the hull, and an affine functional of the hull has the
+    same signs and zeros there.  The chart normal c is the kernel
+    (`exactlin.integer_kernel`) of the chart differences w - v, for the
+    flips w of the first member v at its other n-1 diagonals
+    (`polygon.flip_table`), which carry the diagonal too; what depends on
+    n alone is laid out once per n (`_facet_plan`).  c is lifted to the primitive ambient normal,
+    first nonzero entry positive, by one matrix per polytope
+    (`_normal_lift`), and oriented by its sign at the first non-member (a
+    0 there fails either way).  `exactlin.lane_failures` then checks at
+    every chart row y, for all F = n(n+3)/2 facets at once in the lanes of
+    one Python int, that c.y - c.y_v is 0 on members and positive
+    elsewhere.  The Fraction hyperplane is made only when a caller reads
+    it (`FacetDescriptor.hyperplane`).
 
-    If v and those n-1 flips do not span a codim-1 flat of the hull, the
-    certificate cannot hold, so no other members are tried.  Suppose it
-    held.  Let d_1..d_n be v's diagonals, N_j their normals and w_j v's
-    flip at d_j.  w_j carries every d_i but d_j, so N_i.(w_j - v) = 0 for
-    i != j, and the certificate puts w_j strictly off d_j's hyperplane, so
-    N_j.(w_j - v) != 0.  Applying N_k to sum_j c_j (w_j - v) = 0 leaves
-    c_k N_k.(w_k - v) = 0, so the n vectors w_j - v are independent, and
-    the n-1 of them with d_j != d lie on d's hyperplane: v and its flips
-    would span it.
+    If v and those n-1 flips do not span a codim-1 flat of the hull (their
+    chart differences then have no kernel line, the chart being one-to-one
+    on directions), the certificate cannot hold, so no other members are
+    tried.  Suppose it held.  Let d_1..d_n be v's diagonals, N_j their
+    normals and w_j v's flip at d_j.  w_j carries every d_i but d_j, so
+    N_i.(w_j - v) = 0 for i != j, and the certificate puts w_j strictly off
+    d_j's hyperplane, so N_j.(w_j - v) != 0.  Applying N_k to
+    sum_j c_j (w_j - v) = 0 leaves c_k N_k.(w_k - v) = 0, so the n vectors
+    w_j - v are independent, and the n-1 of them with d_j != d lie on d's
+    hyperplane: v and its flips would span it.
 
     Certification failure means the construction is broken, not the
     analysis, and raises CertificationError naming the diagonal: first
@@ -263,44 +277,40 @@ def _certify_facets(p):
     and the first failing diagonal is named, "member off its hyperplane"
     before "hyperplane is not supporting".
     """
-    rows, scale, labels = p.hull.rows, p.hull.scale, p.labels
-    basis = primitive_rows(p.hull.space.basis)
-    flips = polygon.flip_table(p.n)
-    diagonals = polygon.all_diagonals(p.n)
-    index = {d: f for f, d in enumerate(diagonals)}
-    tight = [[index[d] for d in label] for label in labels]
-    carriers = [[] for _ in diagonals]
-    for i, t in enumerate(tight):
-        for f in t:
-            carriers[f].append(i)
+    diagonals, plan, tight = _facet_plan(p.n)
+    rows, scale, chart = p.hull.rows, p.hull.scale, p.hull.chart
+    lift = _normal_lift(p.hull)
     facets, functionals = [], []
-    for d, ordered in zip(diagonals, carriers):
-        if not ordered:
+    for d, facet in zip(diagonals, plan):
+        if facet is None:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
-        v = ordered[0]
-        spanning = [v] + [w for e, w in zip(labels[v], flips[v]) if e != d]
+        members, v, flips, out = facet
+        y = chart[v]
         # None unless they span a codim-1 flat of the hull: fewer than n do not
-        normal = integer_normal([rows[i] for i in spanning], basis)
-        if normal is None:
+        c = integer_kernel([vsub(chart[w], y) for w in flips], p.n)
+        if c is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
+        normal = [sum(map(mul, row, c)) for row in lift]
+        g = gcd(*normal)
         if next(a for a in normal if a) < 0:
-            normal = [-a for a in normal]
-        members = frozenset(ordered)
+            g = -g
+        normal = tuple(a // g for a in normal)
+        level = sum(map(mul, c, y))
+        if sum(map(mul, c, chart[out])) < level:
+            c, level = [-a for a in c], -level
+        functionals.append((c, level))
         offset = sum(map(mul, normal, rows[v]))
-        out = next((i for i in range(len(rows)) if i not in members), v)
-        sign = -1 if sum(map(mul, normal, rows[out])) < offset else 1
-        functionals.append(([sign * a for a in normal], sign * offset))
         g = gcd(offset, scale)
         facets.append(
             FacetDescriptor(
                 diagonal=d,
                 vertex_indices=members,
-                normal=tuple(normal),
+                normal=normal,
                 offset=offset // g,
                 scale=scale // g,
             )
         )
-    failures = lane_failures(functionals, rows, tight)
+    failures = lane_failures(functionals, chart, tight)
     if failures:
         failed = {(f, f in tight[i]) for i, fs in failures for f in fs}
         f = min(f for f, _ in failed)
@@ -308,6 +318,46 @@ def _certify_facets(p):
             raise CertificationError(f"diagonal {diagonals[f]}: member off its hyperplane")
         raise CertificationError(f"diagonal {diagonals[f]}: hyperplane is not supporting")
     return facets
+
+
+@lru_cache(maxsize=None)
+def _facet_plan(n):
+    """What `_certify_facets` reads of the labels at n: (diagonals, plan,
+    tight).  plan[f] is None if no label carries diagonals[f], else
+    (members, v, flips, out): its carriers as a frozenset, the first of
+    them, v's flips at its other diagonals and the first non-member (v if
+    there is none).  tight[i] lists the facets of vertex i's label."""
+    labels, flip_table = polygon.all_triangulations(n), polygon.flip_table(n)
+    diagonals = polygon.all_diagonals(n)
+    index = {d: f for f, d in enumerate(diagonals)}
+    tight = tuple(tuple(index[d] for d in label) for label in labels)
+    carriers = [[] for _ in diagonals]
+    for i, t in enumerate(tight):
+        for f in t:
+            carriers[f].append(i)
+    plan = []
+    for d, ordered in zip(diagonals, carriers):
+        if not ordered:
+            plan.append(None)
+            continue
+        v, members = ordered[0], frozenset(ordered)
+        flips = tuple(w for e, w in zip(labels[v], flip_table[v]) if e != d)
+        out = next((i for i in range(len(labels)) if i not in members), v)
+        plan.append((members, v, flips, out))
+    # cached and shared by every caller: nothing in it can be changed
+    return diagonals, tuple(plan), tight
+
+
+def _normal_lift(hull):
+    """An int matrix, D rows by n, taking a chart functional c to a positive
+    multiple of its normal in the direction space: B^T d G^-1, for B the
+    basis of `hull.space` over one common scale L, G = B B^T and d G^-1
+    its `integer_inverse`.  A direction u is (1/L) sum_k u[pivot_k] B_k,
+    so N = B^T G^-1 c lies in the space and N.u = (1/L) c.(u at the
+    pivots)."""
+    basis, _ = integer_scaling(hull.space.basis)
+    inverse, _ = integer_inverse([[sum(map(mul, a, b)) for b in basis] for a in basis])
+    return [[sum(map(mul, column, m)) for m in zip(*inverse)] for column in zip(*basis)]
 
 
 def parallel_pairs(facets):
@@ -380,8 +430,9 @@ def lattice_certificate(n, masks):
     }
 
 
-def special_profile(facets):
-    """For each special facet, how many other special facets it intersects.
+def special_profile(pairs):
+    """For each special facet, how many other special facets it intersects,
+    from the certified facets' `parallel_pairs`, which callers have made.
 
     A facet is special when it belongs to some parallel pair.  Two facets
     meet iff their diagonals do not cross: their members are the vertices
@@ -389,7 +440,7 @@ def special_profile(facets):
     triangulation iff they do not cross.  So the count is of the other
     special diagonals that do not cross the facet's own.
     """
-    special = sorted({d for pair in parallel_pairs(facets) for d in pair})
+    special = sorted({d for pair in pairs for d in pair})
     return {
         d: sum(1 for e in special if e != d and not polygon.crossing(d, e)) for d in special
     }
@@ -419,9 +470,10 @@ class HullChart:
     """What affine-map fitting needs of one polytope, built once per search.
 
     Its rows and weights are ints read off the hull record.  `rows` holds
-    each vertex's record row at the basis' pivot columns (on the hull these
-    chart it affinely), `labels` the vertex labels and `index` their vertex
-    indices, and `independent` the record's n+1 independent vertex indices.
+    each vertex's chart row (`Hull.chart`: on the hull the entries at the
+    basis' pivot columns, less vertex 0's, chart it affinely), `labels` the
+    vertex labels and `index` their vertex indices, and `independent` the
+    record's n+1 independent vertex indices.
     `weights[v]` are vertex v's affine weights on those n+1 vertices over
     one denominator d > 0, from one `integer_inverse` of their rows
     augmented by 1: sum_k weights[v][k] * (rows[independent[k]], 1) equals
@@ -431,8 +483,7 @@ class HullChart:
 
     def __init__(self, p):
         self.polytope = p
-        pivots = p.hull.pivots
-        self.rows = [tuple(r[k] for k in pivots) for r in p.hull.rows]
+        self.rows = p.hull.chart
         self.labels = p.labels
         self.index = {label: i for i, label in enumerate(self.labels)}
         self.independent = p.hull.independent
@@ -557,8 +608,8 @@ def equivalence_search(p, q):
             {"left": len(pp), "right": len(pq)},
         )
     ]
-    prof_p = sorted(special_profile(fp).values())
-    prof_q = sorted(special_profile(fq).values())
+    prof_p = sorted(special_profile(pp).values())
+    prof_q = sorted(special_profile(pq).values())
     obstructions.append(
         (
             "special_profile_multiset",

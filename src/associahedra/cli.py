@@ -11,9 +11,12 @@ Exit codes are a stable contract:
             4 facet certification failure (format off)
 
 A file is malformed also when its `n` is not an int, its `params` is not
-an object, its `params.n` differs from its `n`, or its `vertices`, or a
-vertex's `coords` or `triangulation`, is not a list, and when it is nested
-too deeply for the JSON decoder (a RecursionError).  Where a file needs an
+an object, its `params.n` differs from its `n`, its parameter is outside
+the domain its construction's builder checks (`Construction.check`: the
+roots of n, the summands of n with positive weights, or n+3 points in
+strictly convex position), or its `vertices`, or a vertex's `coords` or
+`triangulation`, is not a list, and when it is nested too deeply for the
+JSON decoder (a RecursionError).  Where a file needs an
 int (a polytope file's `n` and `params.n`, the endpoints of a vertex's
 `triangulation`, a build params file's `n`), a JSON boolean or a float is
 malformed too, although `true == 1` and `1.0 == 1` in Python (rc 2).
@@ -72,7 +75,7 @@ def _load(path):
 def analyze_report(p):
     facets = analysis.extract_facets(p)
     pairs = analysis.parallel_pairs(facets)
-    profile = analysis.special_profile(facets)
+    profile = analysis.special_profile(pairs)
     return {
         "construction": p.construction,
         "n": p.n,

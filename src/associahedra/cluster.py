@@ -158,6 +158,14 @@ def default_support_values(n):
     return h
 
 
+def check_roots(h, n):
+    """ValueError unless `h` holds exactly one value per root
+    (`build_cluster_polytope`, and a file's params)."""
+    roots = all_roots(n)
+    if set(h) != set(roots):
+        raise ValueError(f"support values must be given for exactly the {len(roots)} roots")
+
+
 def build_cluster_polytope(h, n):
     """One vertex per cluster: the point of the sum-zero hyperplane meeting
     all n root hyperplanes <rho, x> = h(rho) of the cluster.
@@ -166,9 +174,7 @@ def build_cluster_polytope(h, n):
     and every inequality for a root outside the cluster must then hold
     strictly at the vertex (`fan.tight_vertices`).
     """
-    roots = all_roots(n)
-    if set(h) != set(roots):
-        raise ValueError(f"support values must be given for exactly the {len(roots)} roots")
+    check_roots(h, n)
     ok, violations = polytopality_check(h, n)
     if not ok:
         walls = "; ".join(

@@ -2,7 +2,9 @@
 
 A record says how a construction's parameter is stored (its key in a
 polytope's `params`, and its JSON encoding), where a default or a seeded
-random parameter comes from, and how a polytope is built from it.  The
+random parameter comes from, which parameters are in its domain (the cheap
+checks its builder makes first, run on a file's params too), and how a
+polytope is built from it.  The
 records call their functions through the modules at call time, so a
 function replaced on its module (as a profiler does) is the one that runs.
 """
@@ -27,6 +29,7 @@ class Construction:
     decode: Callable  # JSON value -> parameter
     default: Callable  # n -> parameter
     draw: Callable  # (n, rng) -> parameter
+    check: Callable  # (parameter, n) -> None; ValueError off the domain `build` takes
     build: Callable  # (parameter, n) -> LabeledPolytope
 
 
@@ -65,6 +68,7 @@ CONSTRUCTIONS = {
             decode=_decode_coords,
             default=lambda n: secondary.parabola_geometry(n),
             draw=lambda n, rng: sampling.random_convex_geometry(n, rng),
+            check=lambda coords, n: secondary.check_geometry(coords, n),
             build=lambda coords, n: secondary.build_secondary(coords=coords, n=n),
         ),
         Construction(
@@ -76,6 +80,7 @@ CONSTRUCTIONS = {
             },
             default=lambda n: cluster.default_support_values(n),
             draw=lambda n, rng: sampling.perturbed_support_values(n, rng),
+            check=lambda h, n: cluster.check_roots(h, n),
             build=lambda h, n: cluster.build_cluster_polytope(h, n),
         ),
         Construction(
@@ -85,6 +90,7 @@ CONSTRUCTIONS = {
             decode=_decode_weights,
             default=lambda n: minkowski.ones_weights(n),
             draw=lambda n, rng: sampling.random_weights(n, rng),
+            check=lambda a, n: minkowski.check_weights(a, n),
             build=lambda a, n: minkowski.build_minkowski(a, n),
         ),
     )

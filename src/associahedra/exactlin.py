@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,7 +72,7 @@ def vadd(u, v):
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vscale(c, u):
@@ -195,12 +195,13 @@ def lane_failures(functionals, rows, tight):
         sum(a << s for a, s in zip(column, shifts))
         for column in zip(*(a for a, _ in functionals))
     ]
-    ones = sum(1 << s for s in shifts)
+    bits = [1 << s for s in shifts]
+    ones = sum(bits)
     base = sum(b << s for (_, b), s in zip(functionals, shifts)) + ones
     signs = ones << (width - 1)
     failures = []
     for i, (x, t) in enumerate(zip(rows, tight)):
-        low = sum(1 << shifts[f] for f in t)
+        low = sum(map(bits.__getitem__, t))
         packed = sum(map(mul, x, columns)) - base + low
         if packed & (signs | (low << width) - low):
             slots = _unpack(packed, width, len(shifts))
@@ -389,30 +390,39 @@ def make_hyperplane(normal, offset):
     return Hyperplane(normal=vscale(ONE / lead, normal), offset=Fraction(offset) / lead)
 
 
+def integer_kernel(rows, ncols):
+    """The kernel of the int `rows`, each of length `ncols`, as a primitive
+    int row if it is a line; else None.  One `_eliminate` of the rows made
+    primitive, then the kernel read off the reduced rows over the lcm of
+    their pivots."""
+    rows = [_primitive(row) for row in rows]
+    pivots = _eliminate(rows)
+    free = [k for k in range(ncols) if k not in pivots]
+    if len(free) != 1:
+        return None
+    scale = lcm(*(row[k] for row, k in zip(rows, pivots)))
+    c = [0] * ncols
+    c[free[0]] = scale
+    for row, k in zip(rows, pivots):
+        c[k] = -row[free[0]] * (scale // row[k])
+    return _primitive(c)
+
+
 def integer_normal(points, basis):
     """Normal, inside the span of the int rows `basis`, of the hyperplane
     through the int `points`, as a primitive int row; None unless the points
     affinely span a codimension-1 flat of that span.
 
     The normal is sum_k c_k basis_k with normal . (p - p0) = 0 for every
-    point p: one `_eliminate` of those constraints on c, whose kernel must
-    be a line, read off the reduced rows over the lcm of their pivots.
+    point p: c is the `integer_kernel` of those constraints, which must be
+    a line.
     """
     if not points or not basis:
         return None
     p0, *rest = points
     diffs = [vsub(p, p0) for p in rest]
-    m = [_primitive([sum(map(mul, b, d)) for b in basis]) for d in diffs]
-    pivots = _eliminate(m)
-    free = [k for k in range(len(basis)) if k not in pivots]
-    if len(free) != 1:
-        return None
-    scale = lcm(*(row[k] for row, k in zip(m, pivots)))
-    c = [0] * len(basis)
-    c[free[0]] = scale
-    for row, k in zip(m, pivots):
-        c[k] = -row[free[0]] * (scale // row[k])
-    return _primitive([sum(map(mul, c, col)) for col in zip(*basis)])
+    c = integer_kernel([[sum(map(mul, b, d)) for b in basis] for d in diffs], len(basis))
+    return None if c is None else _primitive([sum(map(mul, c, col)) for col in zip(*basis)])
 
 
 def hyperplane_through(points, ambient):

@@ -58,14 +58,20 @@ def loday_vertex(a, t, n):
     return tuple(Fraction(x, denominator) for x in _row(table, t, n))
 
 
-def build_minkowski(a, n):
-    """One vertex per triangulation, by Loday's formula; `a` must hold
-    exactly one positive weight per summand."""
+def check_weights(a, n):
+    """ValueError unless `a` holds exactly one positive weight per summand
+    (`build_minkowski`, and a file's params)."""
     if set(a) != set(all_summands(n)):
         raise ValueError(f"weights must be given for exactly the {len(all_summands(n))} summands")
     for s in all_summands(n):
         if a[s] <= 0:
             raise ValueError(f"weight a{s} must be positive")
+
+
+def build_minkowski(a, n):
+    """One vertex per triangulation, by Loday's formula; `a` must hold
+    exactly one positive weight per summand."""
+    check_weights(a, n)
     table, denominator = interval_table(a, n)
     pairs = [(_row(table, t, n), t) for t in polygon.all_triangulations(n)]
     return make_polytope("minkowski", n, n + 1, pairs, params={"a": dict(a)}, scale=denominator)

@@ -40,6 +40,16 @@ def geometry_problem(coords):
     return None
 
 
+def check_geometry(coords, n):
+    """ValueError unless `coords` are n + 3 points in strictly convex
+    counterclockwise position (`build_secondary`, and a file's params)."""
+    if len(coords) != n + 3:
+        raise ValueError(f"need n + 3 = {n + 3} points, got {len(coords)}")
+    problem = geometry_problem(coords)
+    if problem is not None:
+        raise ValueError(f"invalid polygon geometry: {problem}")
+
+
 def validate_geometry(coords):
     return geometry_problem(coords) is None
 
@@ -88,11 +98,7 @@ def build_secondary(coords=None, n=None):
     coords = tuple((Fraction(x), Fraction(y)) for x, y in coords)
     if n is None:
         n = len(coords) - 3
-    if len(coords) != n + 3:
-        raise ValueError(f"need n + 3 = {n + 3} points, got {len(coords)}")
-    problem = geometry_problem(coords)
-    if problem is not None:
-        raise ValueError(f"invalid polygon geometry: {problem}")
+    check_geometry(coords, n)
     table, denominator = area_table(coords)
     pairs = [(_area_row(table, t, n), t) for t in polygon.all_triangulations(n)]
     params = {"coords": coords}

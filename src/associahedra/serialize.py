@@ -71,7 +71,11 @@ def polytope_from_json(doc):
         raise ValueError("params is not an object")
     if "n" in params and (type(params["n"]) is not int or params["n"] != n):
         raise ValueError(f"params are for n={params['n']!r}, not n={n}")
-    params = {c.key: c.decode(params[c.key])} if params else {}
+    if params:
+        value = c.decode(params[c.key])
+        # the domain checks of `c.build`: a file's params are what it would take
+        c.check(value, n)
+        params = {c.key: value}
     # each p/q is in lowest terms, so this is `integer_scaling` of the Fractions
     scale = lcm(*(q for row in ratios for _, q in row))
     rows = [tuple(a * (scale // q) for a, q in row) for row in ratios]

@@ -143,7 +143,7 @@ def check_special_profiles(n_max, seed):
     for n in range(2, n_max + 1):
         built = build_all_defaults(n)
         for tag in ("cluster", "minkowski"):
-            profile = special_profile(extract_facets(built[tag]))
+            profile = special_profile(parallel_pairs(extract_facets(built[tag])))
             if len(profile) != 2 * n:
                 bad.append((n, tag, "special_count", len(profile)))
             if tag == "minkowski":

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from associahedra import analysis, exactlin, polygon, sampling
+from associahedra import analysis, exactlin, polygon, sampling, verification
 from associahedra.analysis import (
     CertificationError,
     FacetDescriptor,
@@ -134,7 +135,7 @@ def test_special_profile_matches_the_member_overlap_reference(construction, n):
     c = CONSTRUCTIONS[construction]
     for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(30 + n))):
         facets = extract_facets(p)
-        assert special_profile(facets) == reference_special_profile(facets)
+        assert special_profile(parallel_pairs(facets)) == reference_special_profile(facets)
 
 
 def test_parallel_pairs_per_construction():
@@ -149,7 +150,7 @@ def test_parallel_pairs_per_construction():
 
 def test_special_profile_minkowski_n3():
     p = build_minkowski(ones_weights(3), 3)
-    profile = special_profile(extract_facets(p))
+    profile = special_profile(parallel_pairs(extract_facets(p)))
     assert len(profile) == 6
     assert profile[(1, 5)] == 2 and profile[(0, 4)] == 2
     assert all(c > 2 for d, c in profile.items() if d not in ((1, 5), (0, 4)))
@@ -157,7 +158,7 @@ def test_special_profile_minkowski_n3():
 
 def test_special_profile_cluster_n3():
     p = build_cluster_polytope(default_support_values(3), 3)
-    profile = special_profile(extract_facets(p))
+    profile = special_profile(parallel_pairs(extract_facets(p)))
     assert len(profile) == 6
     low = [d for d, c in profile.items() if c == 2]
     assert low == [(2, 5)]  # the diagonal of the middle simple root
@@ -546,9 +547,18 @@ def test_facets_fail_at_once_when_the_flips_do_not_span(monkeypatch, constructio
 
     p = drawn(construction, n, random.Random(20 + n))
     monkeypatch.setattr(polygon, "flip_table", stuck)
+    _fresh_facet_plan(monkeypatch)
     first = polygon.all_diagonals(n)[0]
     with pytest.raises(CertificationError, match=re.escape(f"{first}: vertices do not span")):
         extract_facets(p)
+
+
+def _fresh_facet_plan(monkeypatch):
+    # `_certify_facets` reads the flip table and the diagonals through a
+    # plan cached per n: a fresh cache for the test sees the patched
+    # tables, and the module's own, restored afterwards, never holds them
+    fresh = functools.lru_cache(maxsize=None)(analysis._facet_plan.__wrapped__)
+    monkeypatch.setattr(analysis, "_facet_plan", fresh)
 
 
 def unimodular_relabelled_image(p, rng, perm=None):
@@ -674,6 +684,10 @@ def test_equivalence_search_weighs_only_the_source_chart(monkeypatch):
     _counting(monkeypatch, analysis, "integer_inverse", calls)
     b = builds(3)
     for p, q in ((b["secondary"], b["cluster"]), (b["minkowski"], b["minkowski"])):
+        # the facet certificate inverts each polytope's Gram matrix once:
+        # certify both first, so that the count is the search's own
+        for r in (p, q):
+            extract_facets(r)
         calls.clear()
         report = equivalence_search(p, q)
         assert (report.witness is not None) == (p is q)
@@ -692,12 +706,59 @@ def test_extract_facets_rejects_swapped_labels():
         extract_facets(p)
 
 
+def _images(p, rng):
+    """Hulls no builder makes, with other pivots, scales and ambient
+    dimensions: a unimodular relabelled image of p, its
+    `verification._shear_translate` image, its file round trip and a
+    full-dimensional copy in n-space, where there is nothing to lift."""
+    charted = [tuple(r[k] - p.hull.rows[0][k] for k in p.hull.pivots) for r in p.hull.rows]
+    full = make_polytope(p.construction, p.n, p.n, zip(charted, p.labels), scale=p.hull.scale)
+    assert full.ambient_dim == full.n and len(full.hull.space.basis) == p.n
+    return [
+        unimodular_relabelled_image(p, rng),
+        verification._shear_translate(p),
+        polytope_from_json(polytope_to_json(p)),
+        full,
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
 def test_lane_certificate_matches_the_scalar_reference(construction, n):
     c = CONSTRUCTIONS[construction]
+    rng = random.Random(50 + n)
     for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(n))):
-        assert analysis._certify_facets(p) == reference_certify_facets(p)
+        for q in [p, *_images(p, rng)]:
+            assert analysis._certify_facets(q) == reference_certify_facets(q)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_certificate_solves_on_chart_rows(monkeypatch, n):
+    # one Gram inverse for the lift, then F kernels of n-1 chart rows by
+    # n columns, and one lane pass over rows of n columns: a return to
+    # ambient-width rows shows here without any timing
+    shapes, widths = [], []
+    eliminate, lanes = exactlin._eliminate, analysis.lane_failures
+
+    def eliminating(m):
+        shapes.append((len(m), len(m[0])))
+        return eliminate(m)
+
+    def checking(functionals, rows, tight):
+        widths.append({len(r) for r in rows})
+        return lanes(functionals, rows, tight)
+
+    monkeypatch.setattr(exactlin, "_eliminate", eliminating)
+    monkeypatch.setattr(analysis, "lane_failures", checking)
+    count = n * (n + 3) // 2
+    for c in CONSTRUCTIONS.values():
+        p = c.build(c.default(n), n)
+        assert p.ambient_dim > n
+        shapes.clear()
+        widths.clear()
+        analysis._certify_facets(p)
+        assert shapes == [(n, 2 * n)] + [(n - 1, n)] * count
+        assert widths == [{n}]
 
 
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
@@ -710,11 +771,13 @@ def test_extract_facets_matches_all_members_reference_on_n6_draws(construction):
 def test_swapped_labels_fail_as_the_scalar_reference_says(construction, n):
     c = CONSTRUCTIONS[construction]
     p = c.build(c.default(n), n)
-    for i, j in itertools.combinations(range(len(p.labels)), 2):
-        q = _swap_labels(p, i, j)
-        assert _certificate_outcome(analysis._certify_facets, q) == _certificate_outcome(
-            reference_certify_facets, q
-        )
+    image = unimodular_relabelled_image(p, random.Random(60 + n))
+    for base in (p, image):
+        for i, j in itertools.combinations(range(len(p.labels)), 2):
+            q = _swap_labels(base, i, j)
+            assert _certificate_outcome(analysis._certify_facets, q) == _certificate_outcome(
+                reference_certify_facets, q
+            )
 
 
 def test_two_failing_facets_name_the_earlier_diagonal():
@@ -751,22 +814,27 @@ def test_an_earlier_unsupporting_facet_comes_before_a_later_member_off():
 
 def test_unsolved_normals_are_named_before_the_lane_certificate_runs(monkeypatch):
     p = _swap_labels(build_minkowski(ones_weights(3), 3), 0, 1)
-    last = polygon.all_diagonals(3)[-1]
-    last_rows = {p.hull.rows[i] for i, label in enumerate(p.labels) if last in label}
-    solve = analysis.integer_normal
+    # the kernels are solved in diagonal order: the last call is the last
+    # diagonal's
+    count = len(polygon.all_diagonals(3))
+    solved = []
+    solve = analysis.integer_kernel
 
-    def fails_on_the_last(points, basis):
-        return None if set(points) <= last_rows else solve(points, basis)
+    def fails_on_the_last(rows, ncols):
+        solved.append(rows)
+        return None if len(solved) == count else solve(rows, ncols)
 
     calls = []
     _counting(monkeypatch, analysis, "lane_failures", calls)
-    monkeypatch.setattr(analysis, "integer_normal", fails_on_the_last)
+    monkeypatch.setattr(analysis, "integer_kernel", fails_on_the_last)
     with pytest.raises(CertificationError, match=r"\(3, 5\): vertices do not span"):
         extract_facets(p)
-    monkeypatch.setattr(analysis, "integer_normal", solve)
+    assert len(solved) == count
+    monkeypatch.setattr(analysis, "integer_kernel", solve)
     # a diagonal no label carries, listed last
     diagonals = polygon.all_diagonals(3) + ((0, 5),)
     monkeypatch.setattr(polygon, "all_diagonals", lambda n: diagonals)
+    _fresh_facet_plan(monkeypatch)
     with pytest.raises(CertificationError, match=r"\(0, 5\): no vertices carry it"):
         extract_facets(p)
     assert calls == []
@@ -776,7 +844,7 @@ def test_extract_facets_certifies_once_per_polytope(monkeypatch):
     p = build_minkowski(ones_weights(3), 3)
     first = extract_facets(p)
     calls = []
-    for name in ("integer_normal", "lane_failures"):
+    for name in ("integer_kernel", "lane_failures"):
         _counting(monkeypatch, analysis, name, calls)
     second = extract_facets(p)
     assert second == first and second is not first

@@ -822,3 +822,45 @@ def test_file_with_non_int_n_or_non_object_params_exit_2(tmp_path, capsys, comma
     assert code == 2
     assert out == ""
     assert "malformed polytope file" in err
+
+
+OFF_THE_DOMAIN = {
+    # (construction, the n = 2 parameter changed, the reason `build` gives)
+    "cluster_missing_root": ("cluster", lambda h: dict(sorted(h.items())[1:]), "exactly the 5 roots"),
+    "minkowski_missing_summand": (
+        "minkowski", lambda a: dict(sorted(a.items())[1:]), "exactly the 6 summands"
+    ),
+    "minkowski_zero_weight": ("minkowski", lambda a: {**a, "1,2": "0"}, "must be positive"),
+    "secondary_not_convex": (
+        "secondary", lambda coords: [coords[1], coords[0], *coords[2:]], "invalid polygon geometry"
+    ),
+    "secondary_too_few_points": ("secondary", lambda coords: coords[:-1], "need n + 3 = 5 points"),
+}
+
+
+@pytest.mark.parametrize("command", ["build", "analyze", "compare", "export"])
+@pytest.mark.parametrize("case", sorted(OFF_THE_DOMAIN))
+def test_params_off_the_domain_exit_2(tmp_path, capsys, case, command):
+    # a file's params pass the checks its builder makes, or the file is
+    # malformed: before, `analyze` read a cluster file missing a root and
+    # `export` wrote it back
+    construction, change, reason = OFF_THE_DOMAIN[case]
+    good = _built(tmp_path, capsys, construction, 2)
+    doc = json.loads(good.read_text())
+    key = CONSTRUCTIONS[construction].key
+    doc["params"][key] = change(doc["params"][key])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc["params"] if command == "build" else doc))
+    argv = {
+        "build": ["build", "--construction", construction, "--n", "2",
+                  "--params", str(bad), "--out", str(tmp_path / "x.json")],
+        "analyze": ["analyze", str(bad)],
+        "compare": ["compare", str(bad), str(good)],
+        "export": ["export", str(bad), "--format", "json"],
+    }[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    message = "invalid parameters" if command == "build" else "malformed polytope file"
+    assert err.startswith(f"error: {message}: ") and reason in err
+    assert not (tmp_path / "x.json").exists()
