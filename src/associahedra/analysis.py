@@ -41,13 +41,14 @@ direction space, eliminated once from their n differences; every row is
 then checked to lie in it on ints.  Only if the flips do not span the hull
 are the first n+1 affinely independent vertices eliminated from all rows
 instead.  The facet certificate and the equivalence search share the chart
-(`Hull.chart`): the search keeps, per polytope, each vertex's chart row
-and its affine weights on the independent vertices over one denominator.
-Each of the 2(n+3) dihedral relabelings is then an integer check per
-vertex that stops at the first mismatch.  Only a hit is lifted to a
-Fraction ambient map: the one its independent vertices and their images
-fix on the hull, extended off it by orthogonal projection, and checked
-again on every vertex.
+(`Hull.chart`).  The search tries each of the 2(n+3) dihedral relabelings
+on one probe vertex, the source's first vertex outside its independent
+ones: its affine weights on them, from one `integer_inverse` per search,
+must give its image's chart row from theirs.  Only a relabeling whose
+probe fits is checked on every vertex, in one integer pass, with the
+ambient map the independent vertices and their images fix on the hull,
+extended off it by orthogonal projection; only a map that passes is made
+of Fractions.
 """
 
 from dataclasses import dataclass, field
@@ -61,17 +62,14 @@ from . import exactlin, polygon
 from .exactlin import (
     Subspace,
     affine_frame,
-    dot,
     integer_inverse,
     integer_kernel,
     integer_scaling,
-    invert,
     lane_failures,
     make_hyperplane,
     # unused here, but perfbench's tracer test checks that this by-name
     # binding gets patched
     solve_linear,  # noqa: F401
-    transpose,
     vsub,
 )
 
@@ -469,16 +467,12 @@ def relabel_triangulation(perm, t):
 class HullChart:
     """What affine-map fitting needs of one polytope, built once per search.
 
-    Its rows and weights are ints read off the hull record.  `rows` holds
-    each vertex's chart row (`Hull.chart`: on the hull the entries at the
-    basis' pivot columns, less vertex 0's, chart it affinely), `labels` the
-    vertex labels and `index` their vertex indices, and `independent` the
-    record's n+1 independent vertex indices.
-    `weights[v]` are vertex v's affine weights on those n+1 vertices over
-    one denominator d > 0, from one `integer_inverse` of their rows
-    augmented by 1: sum_k weights[v][k] * (rows[independent[k]], 1) equals
-    d * (rows[v], 1).  Only a search's source chart reads them, so they
-    are made on first read.
+    `rows` holds each vertex's chart row (`Hull.chart`: on the hull the
+    entries at the basis' pivot columns, less vertex 0's, chart it
+    affinely), `labels` the vertex labels and `index` their vertex
+    indices, and `independent` the hull record's n+1 independent vertex
+    indices, the frame.  `probe` is made on first read, so only a
+    search's source chart makes it.
     """
 
     def __init__(self, p):
@@ -489,17 +483,18 @@ class HullChart:
         self.independent = p.hull.independent
 
     @cached_property
-    def _inverse(self):
-        return integer_inverse([self.rows[i] + (1,) for i in self.independent])
-
-    @property
-    def d(self):
-        return self._inverse[1]
-
-    @cached_property
-    def weights(self):
-        columns = transpose(self._inverse[0])
-        return [tuple(sum(map(mul, row + (1,), col)) for col in columns) for row in self.rows]
+    def probe(self):
+        """(v, weights, d) for v the first vertex outside the frame, or None
+        if there is none (n = 1): v's affine weights on the frame over one
+        d > 0, (rows[v], 1) . M for (M, d) the `integer_inverse` of the
+        frame's rows augmented by 1, so that sum_k weights[k] *
+        (rows[independent[k]], 1) equals d * (rows[v], 1)."""
+        frame = set(self.independent)
+        v = next((v for v in range(len(self.rows)) if v not in frame), None)
+        if v is None:
+            return None
+        inverse, d = integer_inverse([self.rows[i] + (1,) for i in self.independent])
+        return v, [sum(map(mul, self.rows[v] + (1,), col)) for col in zip(*inverse)], d
 
 
 def fit_affine_map(src, dst, perm):
@@ -507,63 +502,62 @@ def fit_affine_map(src, dst, perm):
     its own relabelled by the dihedral `perm`; None if there is none.
 
     `src` and `dst` are the HullCharts of the two polytopes, built once per
-    search; only `perm` changes between calls, and only the labels read are
-    relabelled.  The map is fixed by src's independent vertices, so it
-    exists iff each src vertex's weights, applied to the dst rows of those
-    vertices' images, give the dst row of its own image: d * y(v) equals
-    sum_k weights[v][k] * y(image of independent k), all in ints (the
-    weights are affine, so translations and the two scales cancel).  The
-    check stops at the first vertex that fails; only a hit is lifted.
+    search; only `perm` changes between calls.  On the hull the map is
+    fixed by src's frame and the frame's images, so it fails at src's
+    probe vertex unless the probe's weights, applied to the dst chart rows
+    of the frame's images, give d times the dst chart row of the probe's
+    image, all in ints (the weights are affine, so translations and the
+    two scales cancel).  Only a probe that fits, or a frame with no vertex
+    outside it, goes on to `_lift`, which decides on every vertex; a miss
+    at the probe relabels and reads n+2 vertices and makes no Fraction.
     """
     def image(i):
         return dst.index[relabel_triangulation(perm, src.labels[i])]
 
     images = [image(i) for i in src.independent]
-    columns = list(zip(*(dst.rows[j] for j in images)))
-    targets, d = [], src.d
-    for v, weights in enumerate(src.weights):
-        targets.append(image(v))
-        y = dst.rows[targets[-1]]
+    if src.probe is not None:
+        v, weights, d = src.probe
+        columns = zip(*(dst.rows[j] for j in images))
+        y = dst.rows[image(v)]
         if any(sum(map(mul, weights, col)) != d * a for col, a in zip(columns, y)):
             return None
-    return _lift(src, dst, images, targets)
+    return _lift(src, dst, perm, images)
 
 
-def _lift(src, dst, images, targets):
-    """A hit of `fit_affine_map` as an ambient map, checked on every vertex.
+def _lift(src, dst, perm, images):
+    """The ambient map the frame's `images` fix, if it sends every src
+    vertex to its image under `perm`; else None.
 
-    X holds the differences of src's independent vertices from the first of
-    them and Y the same differences for their images.  The map is
-    x -> y_0 + M (x - x_0) with M = Y^T (X X^T)^-1 X: it sends each
-    independent vertex to its image, so the whole hull as the hit fixes
-    it, and kills the orthogonal complement of the hull's direction space.
-    M is formed on the integer hull rows (the scales s come back as
-    s_src / s_dst), and the translation y_0 - M x_0 on the rows of x_0 and
-    y_0 over their scales.  With M and T the matrix and translation times the lcm
-    D of their denominators, vertex row r with image row r_d checks as
-    s_dst (M r + s_src T) == s_src D r_d in ints.
+    X holds the differences of src's frame rows from the first, x_0, and Y
+    those of their images' rows from y_0, all on the integer hull rows
+    (scales s_src and s_dst).  The map is x -> y_0 + M (x - x_0) with
+    M = Y^T (X X^T)^-1 X times s_src / s_dst: it sends each frame vertex
+    to its image, so the whole hull as the frame fixes it, and kills the
+    orthogonal complement of the hull's direction space.  With (G, g) the
+    `integer_inverse` of X X^T, K = Y^T (G X) is g M on the rows, an int
+    matrix, and vertex row r with image row e passes iff
+    K r + (g y_0 - K x_0) == g e: one int pass over the vertices decides
+    exactly.  Only a map that passes is made of Fractions, the matrix
+    s_src K / (s_dst g) and the translation (g y_0 - K x_0) / (s_dst g).
     """
     p, q = src.polytope, dst.polytope
-    s_src, s_dst = p.hull.scale, q.hull.scale
-    x0, y0 = p.hull.rows[src.independent[0]], q.hull.rows[images[0]]
-    xs = [vsub(p.hull.rows[i], x0) for i in src.independent[1:]]
-    ys = [vsub(q.hull.rows[j], y0) for j in images[1:]]
-    inverse = invert([[sum(map(mul, a, b)) for b in xs] for a in xs])
-    ratio = Fraction(s_src, s_dst)
-    # (X X^T)^-1 X on the int rows, times s_src / s_dst: x - x_0 to the
-    # coordinates of its projection on the rows of X
-    coordinates = [[ratio * dot(g, col) for col in zip(*xs)] for g in inverse]
-    matrix = tuple(tuple(dot(y, c) for c in zip(*coordinates)) for y in zip(*ys))
-    translation = tuple(Fraction(b, s_dst) - dot(row, x0) / s_src for row, b in zip(matrix, y0))
-    (*m, t), denom = integer_scaling(matrix + (translation,))
-    for r, j in zip(p.hull.rows, targets):
-        expected = q.hull.rows[j]
-        if any(
-            s_dst * (sum(map(mul, row, r)) + s_src * b) != s_src * denom * e
-            for row, b, e in zip(m, t, expected)
-        ):
+    rows, dst_rows = p.hull.rows, q.hull.rows
+    x0, y0 = rows[src.independent[0]], dst_rows[images[0]]
+    xs = [vsub(rows[i], x0) for i in src.independent[1:]]
+    ys = [vsub(dst_rows[j], y0) for j in images[1:]]
+    inverse, g = integer_inverse([[sum(map(mul, a, b)) for b in xs] for a in xs])
+    projected = [[sum(map(mul, row, col)) for col in zip(*xs)] for row in inverse]
+    matrix = [[sum(map(mul, y, col)) for col in zip(*projected)] for y in zip(*ys)]
+    shift = [g * b - sum(map(mul, k, x0)) for k, b in zip(matrix, y0)]
+    for r, label in zip(rows, src.labels):
+        e = dst_rows[dst.index[relabel_triangulation(perm, label)]]
+        if any(sum(map(mul, k, r)) + b != g * a for k, b, a in zip(matrix, shift, e)):
             return None
-    return exactlin.AffineMap(matrix=matrix, translation=translation)
+    s, t = p.hull.scale, q.hull.scale * g
+    return exactlin.AffineMap(
+        matrix=tuple(tuple(Fraction(s * a, t) for a in k) for k in matrix),
+        translation=tuple(Fraction(b, t) for b in shift),
+    )
 
 
 @dataclass
@@ -594,8 +588,11 @@ def equivalence_search(p, q):
     pairs of diagonals in a common one, the non-crossing pairs: tau is an
     automorphism of the crossing graph, and each of those is the action of
     a dihedral relabeling sigma (for n = 1 both are rotations; the tests
-    count them for every n that can be built).  f keeps affine weights, so
-    `fit_affine_map(src, dst, sigma)` passes, and `_lift` rechecks f.
+    count them for every n that can be built).  f keeps affine weights and
+    is fixed on the hull by src's frame, so `fit_affine_map(src, dst,
+    sigma)` passes at the probe and `_lift` finds f there.  Conversely a
+    map `_lift` returns sends every vertex of p to the vertex of q with the
+    relabelled label, so a witness proves equivalence.
     """
     if p.n != q.n:
         raise ValueError("polytopes have different n")

@@ -10,13 +10,15 @@ Exit codes are a stable contract:
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
 
-A file is malformed also when its `n` is not an int, its `params` is not
-an object, its `params.n` differs from its `n`, its parameter is outside
-the domain its construction's builder checks (`Construction.check`: the
-roots of n, the summands of n with positive weights, or n+3 points in
-strictly convex position), or its `vertices`, or a vertex's `coords` or
-`triangulation`, is not a list, and when it is nested too deeply for the
-JSON decoder (a RecursionError).  Where a file needs an
+A file is malformed also when its `n` is not an int, its vertex count is
+not Catalan(n+1), the number of triangulations (checked before any
+coordinate is read), its `params` is not an object, its `params.n`
+differs from its `n`, its parameter is outside the domain its
+construction's builder checks (`Construction.check`: the roots of n, the
+summands of n with positive weights, or n+3 points in strictly convex
+position), or its `vertices`, or a vertex's `coords` or `triangulation`,
+is not a list, and when it is nested too deeply for the JSON decoder (a
+RecursionError).  Where a file needs an
 int (a polytope file's `n` and `params.n`, the endpoints of a vertex's
 `triangulation`, a build params file's `n`), a JSON boolean or a float is
 malformed too, although `true == 1` and `1.0 == 1` in Python (rc 2).

@@ -223,10 +223,6 @@ def _unpack(packed, width, count):
     return slots
 
 
-def transpose(rows):
-    return tuple(zip(*rows))
-
-
 def mat_vec(rows, x):
     return tuple(dot(row, x) for row in rows)
 

@@ -49,26 +49,38 @@ def noncrossing_sets(n):
 @lru_cache(maxsize=None)
 def all_triangulations(n):
     """The triangulations, sorted: the faces of `noncrossing_sets` with n
-    diagonals, in its order.
+    diagonals, in its order (the keys of `_triangles_by_triangulation`)."""
+    return tuple(_triangles_by_triangulation(n))
 
-    A triangulation of the sub-polygon a, a+1, ..., b has one triangle on
-    its edge (a, b), with apex k strictly between; the rest triangulates
-    a..k and k..b, each memoized per (a, b).  The diagonals among (a, k)
-    and (k, b) join those of the two sides.
+
+@lru_cache(maxsize=None)
+def _triangles_by_triangulation(n):
+    """{triangulation: its n+1 triangles (a, b, c), a < b < c, sorted},
+    in sorted order of the triangulations.
+
+    A triangulation of the sub-polygon a, a+1, ..., b has one triangle
+    (a, k, b) on its edge (a, b), with apex k strictly between; the rest
+    triangulates a..k and k..b, each memoized per (a, b).  The diagonals
+    among (a, k) and (k, b) join those of the two sides, and the triangle
+    joins theirs.
     """
     memo = {}
 
     def inside(a, b):
         if (a, b) not in memo:
-            memo[a, b] = [()] if b - a < 2 else [
-                left + right + tuple(d for d in ((a, k), (k, b)) if d[1] - d[0] > 1)
+            memo[a, b] = [((), ())] if b - a < 2 else [
+                (
+                    left + right + tuple(d for d in ((a, k), (k, b)) if d[1] - d[0] > 1),
+                    lt + rt + ((a, k, b),),
+                )
                 for k in range(a + 1, b)
-                for left in inside(a, k)
-                for right in inside(k, b)
+                for left, lt in inside(a, k)
+                for right, rt in inside(k, b)
             ]
         return memo[a, b]
 
-    return tuple(sorted(tuple(sorted(t)) for t in inside(0, n + 2))) if n >= 0 else ()
+    pairs = inside(0, n + 2) if n >= 0 else []
+    return dict(sorted((tuple(sorted(t)), tuple(sorted(tri))) for t, tri in pairs))
 
 
 @lru_cache(maxsize=None)
@@ -87,31 +99,13 @@ def flip_table(n):
     )
 
 
-def cells(subdivision, n):
-    """The cells of a subdivision, each as a sorted tuple of vertex labels."""
-
-    def rec(cycle, diags):
-        if not diags:
-            return [tuple(cycle)]
-        (a, b), rest = diags[0], diags[1:]
-        ia, ib = sorted((cycle.index(a), cycle.index(b)))
-        side1 = cycle[ia : ib + 1]
-        side2 = cycle[ib:] + cycle[: ia + 1]
-        in1 = [d for d in rest if d[0] in side1 and d[1] in side1]
-        in2 = [d for d in rest if d not in in1]
-        return rec(side1, in1) + rec(side2, in2)
-
-    result = rec(list(range(n + 3)), sorted(subdivision))
-    return sorted(tuple(sorted(c)) for c in result)
-
-
-@lru_cache(maxsize=None)
 def triangles(t, n):
-    """The n+1 triangles (a, b, c), a < b < c, of a triangulation, sorted."""
-    tri = cells(t, n)
-    if any(len(c) != 3 for c in tri):
+    """The n+1 triangles (a, b, c), a < b < c, of a triangulation, sorted;
+    ValueError if t is not a triangulation of the (n+3)-gon."""
+    tri = _triangles_by_triangulation(n).get(tuple(sorted(t)))
+    if tri is None:
         raise ValueError("not a triangulation")
-    return tuple(tri)
+    return tri
 
 
 def flip(t, d, n):

@@ -7,7 +7,7 @@ lcm of its denominators, the record the same vertices give as Fractions.
 """
 
 import json
-from math import lcm
+from math import comb, lcm
 
 from .analysis import make_polytope
 from .constructions import CONSTRUCTIONS, practical_bound
@@ -56,13 +56,16 @@ def polytope_from_json(doc):
     n = doc["n"]
     if type(n) is not int or not 1 <= n <= practical_bound():
         raise ValueError(f"n={n!r} is not an integer in 1..{practical_bound()}")
+    vertices = _list(doc["vertices"], "vertices")
+    # the Catalan number: a wrong count is refused before any coordinate is decoded
+    count = comb(2 * n + 2, n + 1) // (n + 2)
+    if len(vertices) != count:
+        raise ValueError(f"{len(vertices)} vertices, but n={n} has {count} triangulations")
     ratios, labels = [], []
-    for v in _list(doc["vertices"], "vertices"):
+    for v in vertices:
         ratios.append([parse_ratio(x) for x in _list(v["coords"], "vertex coords")])
         label = _list(v["triangulation"], "vertex triangulation")
         labels.append(tuple(sorted((_endpoint(a), _endpoint(b)) for a, b in label)))
-    if not ratios:
-        raise ValueError("no vertices")
     ambient_dim = len(ratios[0])
     if any(len(row) != ambient_dim for row in ratios):
         raise ValueError("vertex coordinate rows have unequal lengths")

@@ -660,8 +660,7 @@ def _counting(monkeypatch, module, name, calls):
 
 def test_miss_path_makes_no_fraction_map(monkeypatch):
     calls = []
-    for module in (exactlin, analysis):
-        _counting(monkeypatch, module, "invert", calls)
+    _counting(monkeypatch, analysis, "Fraction", calls)
     _counting(monkeypatch, exactlin, "AffineMap", calls)
     b = builds(4)
     report = equivalence_search(b["secondary"], b["cluster"])
@@ -674,24 +673,141 @@ def test_miss_path_makes_no_fraction_map(monkeypatch):
             for perm in dihedral_relabelings(n):
                 calls.clear()
                 hit = fit_affine_map(src, dst, perm) is not None
-                assert sorted(set(calls)) == (["AffineMap", "invert"] if hit else [])
+                assert sorted(set(calls)) == (["AffineMap", "Fraction"] if hit else [])
 
 
 def test_equivalence_search_weighs_only_the_source_chart(monkeypatch):
-    # fitting and lifting read the destination chart's rows and index only:
-    # a search's one chart inverse is the source's, hit or miss
+    # fitting reads the destination chart's rows and index only: a search
+    # inverts the source frame's chart rows once, hit or miss, and a hit
+    # inverts the Gram matrix of the source frame's differences once more
     calls = []
-    _counting(monkeypatch, analysis, "integer_inverse", calls)
+    original = analysis.integer_inverse
+
+    def recording(rows):
+        calls.append([tuple(row) for row in rows])
+        return original(rows)
+
+    monkeypatch.setattr(analysis, "integer_inverse", recording)
     b = builds(3)
     for p, q in ((b["secondary"], b["cluster"]), (b["minkowski"], b["minkowski"])):
         # the facet certificate inverts each polytope's Gram matrix once:
-        # certify both first, so that the count is the search's own
+        # certify both first, so that the calls are the search's own
         for r in (p, q):
             extract_facets(r)
         calls.clear()
         report = equivalence_search(p, q)
         assert (report.witness is not None) == (p is q)
-        assert calls == ["integer_inverse"]
+        chart, frame = p.hull.chart, p.hull.independent
+        want = [[chart[i] + (1,) for i in frame]]
+        if p is q:
+            xs = [vsub(p.hull.rows[i], p.hull.rows[frame[0]]) for i in frame[1:]]
+            want.append([tuple(dot(a, b) for b in xs) for a in xs])
+        assert calls == want
+
+
+def reference_lift(src, dst, images, targets):
+    """The Fraction lift that the one-pass integer `_lift` replaced: the map
+    x -> y_0 + M (x - x_0), M = Y^T (X X^T)^-1 X, formed with `invert` and
+    `dot` over Fractions and checked on every vertex; None if one fails.
+    `images` are the dst vertices of src's frame, `targets` those of every
+    src vertex."""
+    p, q = src.polytope, dst.polytope
+    s_src, s_dst = p.hull.scale, q.hull.scale
+    x0, y0 = p.hull.rows[src.independent[0]], q.hull.rows[images[0]]
+    xs = [vsub(p.hull.rows[i], x0) for i in src.independent[1:]]
+    ys = [vsub(q.hull.rows[j], y0) for j in images[1:]]
+    inverse = invert([[sum(map(mul, a, b)) for b in xs] for a in xs])
+    ratio = Fraction(s_src, s_dst)
+    coordinates = [[ratio * dot(g, col) for col in zip(*xs)] for g in inverse]
+    matrix = tuple(tuple(dot(y, c) for c in zip(*coordinates)) for y in zip(*ys))
+    translation = tuple(Fraction(b, s_dst) - dot(row, x0) / s_src for row, b in zip(matrix, y0))
+    (*m, t), denom = exactlin.integer_scaling(matrix + (translation,))
+    for r, j in zip(p.hull.rows, targets):
+        expected = q.hull.rows[j]
+        if any(
+            s_dst * (sum(map(mul, row, r)) + s_src * b) != s_src * denom * e
+            for row, b, e in zip(m, t, expected)
+        ):
+            return None
+    return AffineMap(matrix=matrix, translation=translation)
+
+
+def _reference_lift_of(src, dst, perm):
+    def image(i):
+        return dst.index[relabel_triangulation(perm, src.labels[i])]
+
+    images = [image(i) for i in src.independent]
+    return reference_lift(src, dst, images, [image(i) for i in range(len(src.labels))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_witness_equals_the_fraction_reference_lift_on_every_hit(n):
+    # defaults and draws, each against itself, a unimodular relabelled
+    # image and the manifest's shear; the defaults also against each other
+    rng = random.Random(40 + n)
+    built = builds(n)
+    draws = [drawn(c, n, rng) for c in CONSTRUCTIONS if n < 6 or c != "cluster"]
+    cross = list(itertools.permutations(built.values(), 2))
+    controls = []
+    for p in [*built.values(), *draws]:
+        image = unimodular_relabelled_image(p, rng)
+        controls += [(p, p), (p, image), (image, p), (p, verification._shear_translate(p))]
+    for k, (p, q) in enumerate(cross + controls):
+        src, dst = HullChart(p), HullChart(q)
+        hits = 0
+        for perm in dihedral_relabelings(n):
+            got = fit_affine_map(src, dst, perm)
+            if got is not None:
+                hits += 1
+                assert got == _reference_lift_of(src, dst, perm)
+            elif n <= 3:
+                # a miss is a miss of the reference too
+                assert _reference_lift_of(src, dst, perm) is None
+        # every control is an affine image of its source
+        assert hits or k < len(cross)
+
+
+class _Reads(tuple):
+    """A tuple that records the indices read from it one at a time."""
+
+    def __new__(cls, items, log):
+        self = super().__new__(cls, items)
+        self.log = log
+        return self
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_miss_reads_one_vertex_outside_the_frame(monkeypatch, n):
+    # across constructions every relabeling misses (from n = 3; at n = 2
+    # the default cluster and Minkowski pentagons are affinely equivalent),
+    # at the probe: it relabels the frame and the probe, reads the dst rows
+    # of their images only, makes no Fraction and never lifts
+    calls = []
+    _counting(monkeypatch, analysis, "Fraction", calls)
+    _counting(monkeypatch, analysis, "_lift", calls)
+    _counting(monkeypatch, exactlin, "AffineMap", calls)
+    rng = random.Random(n)
+    polytopes = [*builds(n).values(), *(drawn(c, n, rng) for c in CONSTRUCTIONS)]
+    for p, q in itertools.combinations(polytopes, 2):
+        if p.construction == q.construction:
+            continue
+        src, dst = HullChart(p), HullChart(q)
+        v, _, _ = src.probe
+        assert v not in src.independent
+        assert all(i in src.independent for i in range(v))
+        read, rows_read = [], []
+        src.labels, dst.rows = _Reads(src.labels, read), _Reads(dst.rows, rows_read)
+        for perm in dihedral_relabelings(n):
+            read.clear(), rows_read.clear()
+            assert fit_affine_map(src, dst, perm) is None
+            assert read == [*src.independent, v]
+            images = {dst.index[relabel_triangulation(perm, p.labels[i])] for i in read}
+            assert set(rows_read) == images
+        assert calls == []
 
 
 def _swap_labels(p, i, j):
@@ -907,15 +1023,19 @@ def test_hull_record_matches_references(construction, n):
         chart, _ = _reference_hull_chart(q)
         xs = [chart(c) for c in coords]
         assert q.hull.independent == (0, *polygon.flip_table(n)[0])
-        # each vertex's weights over d are affine and give back its chart
-        # coordinates from those of the independent vertices
-        hull_chart = HullChart(q)
-        d, independent = hull_chart.d, [xs[i] for i in q.hull.independent]
-        for weights, x in zip(hull_chart.weights, xs):
-            assert sum(weights) == d
+        # the probe, the first vertex outside the frame, has affine weights
+        # over d that give back its chart coordinates from the frame's
+        probe = HullChart(q).probe
+        if n == 1:
+            assert probe is None and len(coords) == len(q.hull.independent)
+        else:
+            v, weights, d = probe
+            assert v == min(set(range(len(coords))) - set(q.hull.independent))
+            independent = [xs[i] for i in q.hull.independent]
+            assert sum(weights) == d > 0
             assert tuple(
                 sum(F(w, d) * y[k] for w, y in zip(weights, independent)) for k in range(n)
-            ) == x
+            ) == xs[v]
         reloaded = polytope_from_json(polytope_to_json(q))
         assert reloaded == q and reloaded.hull == q.hull
         assert "hull" not in repr(q) and "Hull" not in repr(q)

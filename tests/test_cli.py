@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from associahedra import serialize, verification
+from associahedra import analysis, serialize, verification
 from associahedra.cli import _rat_decimal, main
 from associahedra.constructions import CONSTRUCTIONS, practical_bound
 from associahedra.cluster import all_roots, default_support_values, parse_root_key, root_key
@@ -197,6 +198,34 @@ def test_compare_default_against_a_draw_exit_0(tmp_path, capsys, construction):
     assert not any(o["fired"] for o in doc["obstructions"])
 
 
+# sha256 of `assoc compare`'s output on each n = 4 default and its image
+# under (x_0, x_1, ...) -> (x_0 + x_1 + 1, x_1 - 2, ...), relabelled by the
+# given dihedral relabeling: the witness and report of each positive control
+COMPARE_GOLDEN = {
+    "secondary": (3, "ea002a59dea4c47738ae89a3ce55f53ba8e0d4a9cd4a15aad04d2bf82c907ff0"),
+    "cluster": (9, "7bc7d0b5bcd0965ad937fc8b26832dbc7480b6401491b6cbfb4f1896d4dbdd4c"),
+    "minkowski": (13, "018c52ba14d66bfbefa832d65fe598781c4b88aaf1f1ecf0fc19d23119858bf2"),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(COMPARE_GOLDEN))
+def test_compare_positive_control_output_is_golden(tmp_path, capsys, construction):
+    k, digest = COMPARE_GOLDEN[construction]
+    path = _built(tmp_path, capsys, construction, 4)
+    p = serialize.load_polytope(path)
+    perm, s = analysis.dihedral_relabelings(4)[k], p.hull.scale
+    pairs = [
+        ((r[0] + r[1] + s, r[1] - 2 * s, *r[2:]), analysis.relabel_triangulation(perm, label))
+        for r, label in zip(p.hull.rows, p.labels)
+    ]
+    image = tmp_path / "image.json"
+    q = analysis.make_polytope(p.construction, 4, p.ambient_dim, pairs, scale=s)
+    serialize.save_polytope(q, image)
+    code, out, err = run(["compare", str(path), str(image)], capsys)
+    assert (code, err, json.loads(out)["verdict"]) == (1, "", "equivalent")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_compare_mismatched_n(tmp_path, capsys):
     a = _built(tmp_path, capsys, "minkowski", 2)
     b = _built(tmp_path, capsys, "minkowski", 3)
@@ -314,6 +343,11 @@ def _extra_coordinate_on(k):
     return mutate
 
 
+def _one_vertex_too_many(doc):
+    doc["vertices"].append(doc["vertices"][0])
+    return doc
+
+
 def _number_coords(doc):
     doc["vertices"][0]["coords"] = 5
     return doc
@@ -348,6 +382,7 @@ MALFORMED = {
     "float_coord": _coord(0.1),
     "bool_coord": _coord(True),
     "empty_vertices": _empty_vertices,
+    "vertex_count_not_catalan": _one_vertex_too_many,
     "extra_coordinate_vertex0": _extra_coordinate_on(0),
     "extra_coordinate_vertex2": _extra_coordinate_on(2),
     # would enumerate the triangulations of a 21-gon if not rejected first
@@ -377,6 +412,22 @@ def test_malformed_vertices_exit_2(tmp_path, capsys, command, case):
     assert code == 2
     assert out == ""
     assert "malformed polytope file" in err
+
+
+def test_vertex_count_is_checked_before_any_coordinate_is_decoded(tmp_path, capsys, monkeypatch):
+    # an n = 1 file with 10**4 copies of a vertex: refused on its count,
+    # naming both counts, without a coordinate decoded
+    mink = _built(tmp_path, capsys, "minkowski", 1)
+    doc = json.loads(mink.read_text())
+    doc["vertices"] *= 5000
+    bad = tmp_path / "many.json"
+    bad.write_text(json.dumps(doc))
+    parsed = []
+    monkeypatch.setattr(serialize, "parse_ratio", lambda s: parsed.append(s))
+    code, out, err = run(["analyze", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert "10000 vertices, but n=1 has 2 triangulations" in err
+    assert parsed == []
 
 
 def _swapped_labels(tmp_path, capsys):

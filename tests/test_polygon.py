@@ -6,11 +6,11 @@ import pytest
 from associahedra.polygon import (
     all_diagonals,
     all_triangulations,
-    cells,
     crossing,
     flip,
     flip_table,
     noncrossing_sets,
+    triangles,
 )
 
 
@@ -20,6 +20,25 @@ def catalan(k):
     for m in range(1, k + 1):
         c.append(sum(c[i] * c[m - 1 - i] for i in range(m)))
     return c[k]
+
+
+def cells(subdivision, n):
+    """The reference for `triangles`: the cells of a subdivision, each as a
+    sorted tuple of vertex labels, split off one diagonal at a time."""
+
+    def rec(cycle, diags):
+        if not diags:
+            return [tuple(cycle)]
+        (a, b), rest = diags[0], diags[1:]
+        ia, ib = sorted((cycle.index(a), cycle.index(b)))
+        side1 = cycle[ia : ib + 1]
+        side2 = cycle[ib:] + cycle[: ia + 1]
+        in1 = [d for d in rest if d[0] in side1 and d[1] in side1]
+        in2 = [d for d in rest if d not in in1]
+        return rec(side1, in1) + rec(side2, in2)
+
+    result = rec(list(range(n + 3)), sorted(subdivision))
+    return sorted(tuple(sorted(c)) for c in result)
 
 
 def brute_force_triangulations(n):
@@ -169,6 +188,29 @@ def test_cells_partition_triangles():
         tri = cells(t, 3)
         assert len(tri) == 4
         assert all(len(c) == 3 for c in tri)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+def test_triangles_match_the_cells_reference(n):
+    # the triangles the enumeration records are the cells of each triangulation
+    for t in all_triangulations(n):
+        assert triangles(t, n) == tuple(cells(t, n))
+        assert triangles(tuple(reversed(t)), n) == triangles(t, n)
+
+
+@pytest.mark.parametrize(
+    "t, n",
+    [
+        (((0, 2),), 2),  # a subdivision, not a triangulation
+        (((0, 2), (1, 3)), 2),  # crossing diagonals
+        (((0, 2), (0, 2)), 2),  # a repeated diagonal
+        (((0, 2), (0, 3)), 3),  # a triangulation of the pentagon, not the hexagon
+        ((), -1),
+    ],
+)
+def test_triangles_rejects_a_non_triangulation(t, n):
+    with pytest.raises(ValueError, match="not a triangulation"):
+        triangles(t, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
