@@ -1,7 +1,9 @@
 """Command-line surface: build, analyze, compare, verify, export.
 
 Exit codes are a stable contract:
-  build:    0 ok, 2 invalid params or unwritable --out, 3 n out of
+  build:    0 ok, 2 invalid params, unwritable --out or a polytope too
+            large to write (a coordinate past Python's 4300-digit
+            int-to-str limit; --out is left as it was), 3 n out of
             practical range
   analyze:  0 ok, 2 malformed file, 4 facet certification failure
   compare:  0 non-equivalent, 1 witness found, 2 malformed file or
@@ -54,7 +56,8 @@ def cmd_build(args):
         return 2
     try:
         serialize.save_polytope(p, args.out)
-    except OSError as exc:
+    # a ValueError: a coordinate too long for Python's int-to-str limit
+    except (OSError, ValueError) as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0

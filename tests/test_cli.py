@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -392,6 +393,9 @@ MALFORMED = {
     "number_coords": _number_coords,
     "bool_endpoint": _endpoint_1_as(True),
     "float_endpoint": _endpoint_1_as(1.0),
+    # unhashable: the reader's table of distinct strings cannot hold them
+    "list_coord": _coord(["1", "2"]),
+    "object_coord": _coord({"p": "1"}),
 }
 
 
@@ -428,6 +432,30 @@ def test_vertex_count_is_checked_before_any_coordinate_is_decoded(tmp_path, caps
     assert (code, out) == (2, "")
     assert "10000 vertices, but n=1 has 2 triangulations" in err
     assert parsed == []
+
+
+# (first, second) bad coordinates: the reader names the first in file
+# order, whichever sorts or hashes first and whether either is unhashable
+TWO_BAD_COORDS = {
+    "strings": ("z/0", "a/0"),
+    "string_then_list": ("1/0", ["1"]),
+    "object_then_string": ({"p": "1"}, "0/0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_BAD_COORDS))
+def test_the_first_bad_coordinate_in_file_order_is_named(tmp_path, capsys, case):
+    first, second = TWO_BAD_COORDS[case]
+    mink = _built(tmp_path, capsys, "minkowski", 2)
+    doc = json.loads(mink.read_text())
+    doc["vertices"][1]["coords"][2] = first
+    doc["vertices"][3]["coords"][0] = second
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(["analyze", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert f"not a rational 'p' or 'p/q': {first!r}" in err
+    assert repr(second) not in err
 
 
 def _swapped_labels(tmp_path, capsys):
@@ -843,6 +871,29 @@ def test_unwritable_out_exit_2(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write output")
+
+
+def test_build_too_large_to_write_exit_2_and_out_untouched(tmp_path, capsys):
+    # the four corners scaled by 10**3000: the GKZ coordinates have about
+    # 6000 digits, past Python's int-to-str limit (4300 by default)
+    big = "1" + "0" * 3000
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n": 1, "coords": [["0", "0"], [big, "0"], [big, big], ["0", big]]}))
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, stdout, err = run(
+            ["build", "--construction", "secondary", "--n", "1",
+             "--params", str(params), "--out", str(out)],
+            capsys,
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: cannot write output")
+    assert out.read_text() == "kept\n"
 
 
 NOT_INT_N_OR_NOT_OBJECT_PARAMS = {

@@ -6,15 +6,23 @@ straight between "p/q" strings and the rows, with the same results as the
 Fraction codec the int one replaced (kept below as the reference).
 """
 
+import json
 import random
+from operator import mul
 
 import pytest
 
 from associahedra import serialize, verification
-from associahedra.analysis import equivalence_search, extract_facets, make_polytope
+from associahedra.analysis import (
+    dihedral_relabelings,
+    equivalence_search,
+    extract_facets,
+    make_polytope,
+    relabel_triangulation,
+)
 from associahedra.cli import analyze_report
 from associahedra.constructions import CONSTRUCTIONS
-from associahedra.exactlin import integer_scaling, parse_rat, rat_str
+from associahedra.exactlin import integer_scaling, parse_rat, parse_ratio, rat_str, ratio_str
 
 NS = [1, 2, 3, 4, 5]
 
@@ -100,14 +108,67 @@ def handed_rows(monkeypatch, doc):
     return seen["rows"], seen["scale"], p
 
 
-@pytest.mark.parametrize("n", NS)
+def unimodular_image(p, rng):
+    """A seeded integer affine image of p with determinant 1, relabelled by
+    a seeded dihedral symmetry, made as a map's image is: from Fraction
+    coordinates, with no params and no scale."""
+    d = p.ambient_dim
+    # unit upper triangular: determinant 1, invertible over the integers
+    shear = [[rng.randint(-2, 2) * (j > i) + (j == i) for j in range(d)] for i in range(d)]
+    shift = [rng.randint(-3, 3) for _ in range(d)]
+    perm = rng.choice(dihedral_relabelings(p.n))
+    pairs = [
+        (
+            tuple(sum(map(mul, row, coords)) + t for row, t in zip(shear, shift)),
+            relabel_triangulation(perm, label),
+        )
+        for coords, label in p.vertices
+    ]
+    return make_polytope(p.construction, p.n, d, pairs)
+
+
+@pytest.mark.parametrize("n", NS + [6])
 def test_int_codec_matches_fraction_reference(monkeypatch, n):
-    for p in fresh_polytopes(n):
+    ps = fresh_polytopes(n)
+    rng = random.Random(n)
+    for p in ps + [unimodular_image(p, rng) for p in ps[::2]]:
         doc = serialize.polytope_to_json(p)
+        text = serialize.polytope_text(p)
+        # the line written directly is the document's compact JSON, byte for byte
+        assert text == json.dumps(doc, sort_keys=True) + "\n"
         assert serialize.dumps(doc) == serialize.dumps(reference_polytope_to_json(p))
-        rows, scale, q = handed_rows(monkeypatch, doc)
+        rows, scale, q = handed_rows(monkeypatch, json.loads(text))
         assert (rows, scale) == reference_rows(doc)
         assert q == p and (q.hull.rows, q.hull.scale) == (p.hull.rows, p.hull.scale)
+        assert q.params == p.params
+        assert serialize.polytope_text(q) == text
+
+
+def test_codecs_work_once_per_distinct_value(tmp_path, monkeypatch):
+    c = CONSTRUCTIONS["secondary"]
+    p = c.build(c.default(6), 6)
+    entries = [a for row in p.hull.rows for a in row]
+    assert (len(set(entries)), len(entries)) == (34, 3861)
+    formatted, parsed = [], []
+
+    def counted_ratio_str(a, b):
+        formatted.append(a)
+        return ratio_str(a, b)
+
+    def counted_parse_ratio(x):
+        parsed.append(x)
+        return parse_ratio(x)
+
+    monkeypatch.setattr(serialize, "ratio_str", counted_ratio_str)
+    monkeypatch.setattr(serialize, "parse_ratio", counted_parse_ratio)
+    path = tmp_path / "p.json"
+    serialize.save_polytope(p, path)
+    # one ratio_str per distinct row entry, one parse_ratio per distinct string
+    assert sorted(formatted) == sorted(set(entries))
+    q = serialize.load_polytope(path)
+    strings = [x for v in json.loads(path.read_text())["vertices"] for x in v["coords"]]
+    assert parsed == list(dict.fromkeys(strings)) and len(parsed) == 34
+    assert q == p
 
 
 P = 2**127 - 1  # a Mersenne prime
