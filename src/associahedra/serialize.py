@@ -91,10 +91,16 @@ def polytope_from_json(doc):
     if len(vertices) != count:
         raise ValueError(f"{len(vertices)} vertices, but n={n} has {count} triangulations")
     strings, labels = [], []
-    for v in vertices:
-        strings.append(_list(v["coords"], "vertex coords"))
-        label = _list(v["triangulation"], "vertex triangulation")
-        labels.append(tuple(sorted((_endpoint(a), _endpoint(b)) for a, b in label)))
+    try:
+        for v in vertices:
+            strings.append(_list(v["coords"], "vertex coords"))
+            label = _list(v["triangulation"], "vertex triangulation")
+            labels.append(tuple(sorted((_endpoint(a), _endpoint(b)) for a, b in label)))
+    except Exception:
+        # a vertex's coordinates come before its triangulation and the
+        # vertices after it: a bad coordinate read so far is named first
+        _distinct_ratios(strings)
+        raise
     ratios = _distinct_ratios(strings)
     ambient_dim = len(strings[0])
     if any(len(row) != ambient_dim for row in strings):

@@ -458,6 +458,55 @@ def test_the_first_bad_coordinate_in_file_order_is_named(tmp_path, capsys, case)
     assert repr(second) not in err
 
 
+def _bad_coord_at(k):
+    def mutate(doc):
+        doc["vertices"][k]["coords"][0] = "1/0"
+        return doc
+
+    return mutate
+
+
+def _bad_endpoint_at(k):
+    def mutate(doc):
+        doc["vertices"][k]["triangulation"][0][0] = "1"
+        return doc
+
+    return mutate
+
+
+def _string_coords_at(k):
+    def mutate(doc):
+        doc["vertices"][k]["coords"] = "0"
+        return doc
+
+    return mutate
+
+
+COORD_ERROR = "not a rational 'p' or 'p/q': '1/0'"
+ENDPOINT_ERROR = "triangulation endpoint '1' is not an integer"
+SHAPE_ERROR = "vertex coords is a str"
+# (first, second, the error named, the error not named): vertex by vertex,
+# a vertex's coordinates before its triangulation, as in the file
+BAD_COORD_AND_STRUCTURE = {
+    "coord_then_later_coords_shape": (_bad_coord_at(0), _string_coords_at(1), COORD_ERROR, SHAPE_ERROR),
+    "coord_then_later_endpoint": (_bad_coord_at(0), _bad_endpoint_at(1), COORD_ERROR, ENDPOINT_ERROR),
+    "coord_then_own_endpoint": (_bad_coord_at(1), _bad_endpoint_at(1), COORD_ERROR, ENDPOINT_ERROR),
+    "endpoint_then_later_coord": (_bad_endpoint_at(0), _bad_coord_at(1), ENDPOINT_ERROR, COORD_ERROR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COORD_AND_STRUCTURE))
+def test_a_bad_coordinate_and_a_bad_structure_name_the_first_in_file_order(tmp_path, capsys, case):
+    first, second, named, not_named = BAD_COORD_AND_STRUCTURE[case]
+    mink = _built(tmp_path, capsys, "minkowski", 2)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(second(first(json.loads(mink.read_text())))))
+    code, out, err = run(["analyze", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert named in err
+    assert not_named not in err
+
+
 def _swapped_labels(tmp_path, capsys):
     """A Minkowski n = 2 file with two vertex labels swapped: it loads, but
     its facets fail certification."""
