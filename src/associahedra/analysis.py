@@ -17,9 +17,9 @@ Python int, wide enough (one bit over |c|_1 max|y| + |offset| + 1, for
 its chart normal c and the chart rows y) that a negative value always
 borrows into its own lane's top bit, so two masks read the verdict.
 Each polytope object certifies its facets once, on first use, and keeps
-them.  `face_lattice` certifies that these facets are all the facets and
-the flips the edges, from their member sets alone.  What else a passed
-certificate settles is read off it, not decided again:
+them.  `face_lattice` reads off them and the polygon's ridge incidence
+that these facets are all the facets and the flips the edges.  What else
+a passed certificate settles is read off it, not decided again:
 parallelism from the normals (`parallel_pairs`), which facets meet from
 the diagonals (`special_profile`), and equivalence from the dihedral
 relabelings alone (`equivalence_search`).
@@ -30,17 +30,17 @@ labels and the rows; no Fraction is made for a vertex or a facet unless a
 caller reads one.  `LabeledPolytope.vertices` (the Fraction coordinates,
 for demos, viewers and tests) and `FacetDescriptor.hyperplane` (a facet's
 Fraction hyperplane) are made on first read and kept.  Besides these, the
-analysis makes Fractions only for a lifted witness and in `exactlin`'s
-canonical basis of the hull's direction space.  Files are coded straight
-to and from the rows (`serialize`).
+analysis makes Fractions only for a lifted witness.  Files are coded
+straight to and from the rows (`serialize`).
 
 Each polytope's affine hull is read off vertex 0 and its n flips when it
 is made: its `Hull` record holds the integer vertex rows and their common
-scale, those n+1 vertices and the canonical (reduced echelon) basis of the
-direction space, eliminated once from their n differences; every row is
-then checked to lie in it on ints.  Only if the flips do not span the hull
-are the first n+1 affinely independent vertices eliminated from all rows
-instead.  The facet certificate and the equivalence search share the chart
+scale, those n+1 vertices, and the reduced echelon basis of the direction
+space as int rows with its pivot columns, eliminated once from their n
+differences (`exactlin.echelon_basis`); every row is then checked to lie
+in it on ints.  Only if the flips do not span the hull are the first n+1
+affinely independent vertices eliminated from all rows instead.  The
+facet certificate and the equivalence search share the chart
 (`Hull.chart`).  The search tries each of the 2(n+3) dihedral relabelings
 on one probe vertex, the source's first vertex outside its independent
 ones: its affine weights on them, from one `integer_inverse` per search,
@@ -54,14 +54,14 @@ of Fractions.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
 from . import exactlin, polygon
 from .exactlin import (
-    Subspace,
     affine_frame,
+    echelon_basis,
     integer_inverse,
     integer_kernel,
     integer_scaling,
@@ -84,14 +84,8 @@ class Hull(NamedTuple):
     rows: tuple  # the vertices scaled to ints by one positive factor
     scale: int  # that factor
     independent: tuple  # vertex 0 and its flips, else the first n+1 affinely independent
-    space: Subspace  # the direction space, in canonical form
-
-    @property
-    def pivots(self):
-        """The pivot column of each basis row of `space`: on the hull the
-        entries there chart it, and a vector of the direction space has
-        its basis coordinates there."""
-        return [next(k for k, a in enumerate(b) if a) for b in self.space.basis]
+    basis: tuple  # the direction space's `exactlin.echelon_basis`: int rows
+    pivots: tuple  # their pivot columns, where the hull has its chart
 
     @property
     def chart(self):
@@ -149,17 +143,16 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     and scale are divided by their gcd, so the same vertices give the same
     record either way.  The rows must be distinct, each of length
     `ambient_dim`, and their affine hull have dimension n.  The hull's
-    frame is vertex 0 and its n flips with the span of their differences
-    (`_flip_frame`: one elimination, then each row checked in the span on
-    ints), or, where that fails, `affine_frame` on all rows, which also
-    gives the dimension the error names; it is kept with the rows as the
-    polytope's `Hull` record.  No Fraction is made here:
-    `LabeledPolytope.vertices` makes the Fraction coordinates only when
-    they are read.
+    frame is vertex 0 and its n flips (`_flip_frame`), or, where they do
+    not span it, `affine_frame` on all rows, which also gives the
+    dimension the error names; it is kept with the rows as the polytope's
+    `Hull` record.  No Fraction is made here: `LabeledPolytope.vertices`
+    makes the Fraction coordinates only when they are read.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
-    labels = tuple(label for _, label in pairs)
-    if labels != polygon.all_triangulations(n):
+    # the cached triangulations are kept, not the caller's equal copies
+    labels = polygon.all_triangulations(n)
+    if tuple(label for _, label in pairs) != labels:
         raise ValueError("labels are not exactly the triangulations")
     if any(len(c) != ambient_dim for c, _ in pairs):
         raise ValueError(f"vertex coordinates are not all of length {ambient_dim}")
@@ -173,42 +166,39 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     # one positive scale for all rows: distinct rows are distinct vertices
     if len(set(rows)) != len(rows):
         raise ValueError("vertex coordinates are not distinct")
-    independent, space = _flip_frame(rows, n) or affine_frame(rows)
-    if space.dim != n:
-        raise ValueError(f"affine hull has dimension {space.dim}, expected {n}")
+    independent, basis, pivots = _flip_frame(rows, n) or affine_frame(rows)
+    if len(basis) != n:
+        raise ValueError(f"affine hull has dimension {len(basis)}, expected {n}")
     return LabeledPolytope(
         construction=construction,
         n=n,
         ambient_dim=ambient_dim,
         labels=labels,
         params=dict(params or {}),
-        hull=Hull(tuple(rows), scale, tuple(independent), space),
+        hull=Hull(tuple(rows), scale, tuple(independent), basis, pivots),
     )
 
 
 def _flip_frame(rows, n):
-    """(independent, space) read off vertex 0 and its n flips: the flips'
-    indices after 0, and the canonical span of their differences from
-    rows[0], if it has dimension n and holds every row's difference; else
-    None.
-
-    With L the lcm of the basis' denominators, a difference x lies in the
-    span iff L x[j] = sum_k x[pivot_k] (L basis_k)[j] at every non-pivot
-    column j: (D - n) n multiplies per row on ints, no elimination.
-    """
+    """(independent, basis, pivots) read off vertex 0 and its n flips: the
+    flips' indices after 0 and the `echelon_basis` of their differences
+    from rows[0], if it has n rows and spans every row's difference; else
+    None.  With L the basis' pivot entry, a difference x lies in the span
+    iff L x[j] = sum_k basis_k[j] x[pivot_k] at every non-pivot column j:
+    (D - n) n multiplies per row on ints, no elimination."""
     flips = polygon.flip_table(n)[0]
     base = rows[0]
-    reduced, pivots = exactlin.rref([vsub(rows[w], base) for w in flips])
-    if len(reduced) != n:
+    basis, pivots = echelon_basis([vsub(rows[w], base) for w in flips])
+    if len(basis) != n:
         return None
-    basis, lead = integer_scaling(reduced)
+    lead = lcm(*(b[k] for b, k in zip(basis, pivots)))
     columns = [(j, [b[j] for b in basis]) for j in range(len(base)) if j not in pivots]
     for row in rows:
         x = [a - b for a, b in zip(row, base)]
         at_pivots = [x[k] for k in pivots]
         if any(lead * x[j] != sum(map(mul, at_pivots, column)) for j, column in columns):
             return None
-    return (0, *flips), Subspace(reduced, len(base))
+    return (0, *flips), basis, pivots
 
 
 @dataclass(frozen=True)
@@ -348,21 +338,22 @@ def _facet_plan(n):
 
 def _normal_lift(hull):
     """An int matrix, D rows by n, taking a chart functional c to a positive
-    multiple of its normal in the direction space: B^T d G^-1, for B the
-    basis of `hull.space` over one common scale L, G = B B^T and d G^-1
-    its `integer_inverse`.  A direction u is (1/L) sum_k u[pivot_k] B_k,
-    so N = B^T G^-1 c lies in the space and N.u = (1/L) c.(u at the
+    multiple of its normal in the direction space: B^T d G^-1, for B
+    `hull.basis` over its pivot entry L, G = B B^T and d G^-1 its
+    `integer_inverse`.  A direction u is (1/L) sum_k u[pivot_k] B_k, so
+    N = B^T G^-1 c lies in the space and N.u = (1/L) c.(u at the
     pivots)."""
-    basis, _ = integer_scaling(hull.space.basis)
+    basis = hull.basis
     inverse, _ = integer_inverse([[sum(map(mul, a, b)) for b in basis] for a in basis])
     return [[sum(map(mul, column, m)) for m in zip(*inverse)] for column in zip(*basis)]
 
 
 def parallel_pairs(facets):
     """Unordered pairs of distinct diagonals with equal direction subspaces,
-    in facet order within a pair and sorted.  A facet's direction space is
-    its normal's orthogonal complement in the hull's direction space, where
-    the normal lies, so the pairs are those of equal primitive normals."""
+    sorted within a pair (facets come in diagonal order) and between pairs.
+    A facet's direction space is its normal's orthogonal complement in the
+    hull's direction space, where the normal lies, so the pairs are those
+    of equal primitive normals."""
     classes = {}
     for f in facets:
         classes.setdefault(f.normal, []).append(f.diagonal)
@@ -372,60 +363,32 @@ def parallel_pairs(facets):
 
 
 def face_lattice(p):
-    """The face-lattice certificate of a polytope (`lattice_certificate`)
-    on its certified facets, which it reads first: member sets as int
-    bitmasks, bit i for vertex i."""
-    masks = {f.diagonal: sum(1 << i for i in f.vertex_indices) for f in p.certified_facets}
-    return lattice_certificate(p.n, masks)
-
-
-def lattice_certificate(n, masks):
-    """Whether certified facets, given per diagonal, are all the facets of
-    their polytope, with the flips as its edges; {"ok", "f_vector",
-    "problems"}.
-
-    `masks[d]` is the member bitmask of d's facet over the vertices in
-    `polygon.all_triangulations(n)` order.  The facets are certified
-    (`LabeledPolytope.certified_facets`): d's members are exactly the
-    vertices whose label carries d, all on its hyperplane, and every other
-    vertex strictly on one side.  At every vertex v:
+    """The f-vector (V, n V / 2, number of facets) of p, read off
+    `p.certified_facets` (CertificationError unless they hold): d's
+    members are exactly the vertices whose label carries d, all on its
+    hyperplane, and every other vertex strictly on one side.  These are
+    all the facets, and the flips are the edges.  At every vertex v:
 
     (a) the normals N_1..N_n of the facets of v's label d_1..d_n are
-    independent.  This follows from the facet certificate and is not
-    computed: suppose sum_j c_j N_j = 0 with c_k != 0, and let w be v's
-    flip at d_k.  w carries every d_j but d_k, so it lies on those n-1
+    independent.  Suppose sum_j c_j N_j = 0 with c_k != 0, and let w be
+    v's flip at d_k.  w carries every d_j but d_k, so it lies on those n-1
     hyperplanes with v, and N_k.(w - v) = -(1/c_k) sum_{j != k} c_j
     N_j.(w - v) = 0; but w does not carry d_k, so the certificate puts it
     strictly off d_k's hyperplane, a contradiction.
 
-    (b) for each diagonal of v the other n-1 facets meet in exactly v and
-    its flip; this is checked on the masks.
+    (b) for each diagonal d_k of v the other n-1 facets meet in the
+    triangulations that hold the ridge v minus d_k: exactly v and its flip
+    at d_k (`polygon.flip_table` raises AssertionError otherwise, once per n).
 
     Then, with P' the set cut out by the facet inequalities (P in P'),
     every vertex of P is a simple vertex of P' whose n edges end at
     vertices of P; the graph of P' is connected (Balinski), so P' has no
-    other vertex and P' = P.  So the facets are all the facets, the edges
-    are the flips, and f_vector counts vertices, certified edges and
-    facets.
+    other vertex and P' = P: n edges at each of the V vertices, two
+    vertices to an edge.
     """
-    labels = polygon.all_triangulations(n)
-    everything = (1 << len(labels)) - 1
-    problems, edges = [], 0
-    for v, (label, flips) in enumerate(zip(labels, polygon.flip_table(n))):
-        for k, w in enumerate(flips):
-            meet = everything
-            for j, d in enumerate(label):
-                if j != k:
-                    meet &= masks[d]
-            if meet != (1 << v) | (1 << w):
-                problems.append(("edge_not_certified", label, labels[w]))
-            elif v < w:
-                edges += 1
-    return {
-        "ok": not problems,
-        "f_vector": (len(labels), edges, len(masks)),
-        "problems": problems,
-    }
+    facets = p.certified_facets
+    polygon.flip_table(p.n)
+    return len(p.labels), p.n * len(p.labels) // 2, len(facets)
 
 
 def special_profile(pairs):
@@ -580,8 +543,8 @@ def equivalence_search(p, q):
 
     A miss over all 2(n+3) relabelings proves non-equivalence.  Both
     polytopes' facets are certified first: facet d's members are exactly
-    the vertices whose label carries d, and by `lattice_certificate` these
-    are all the facets.  An affine map f of p onto q maps facets to facets,
+    the vertices whose label carries d, and by `face_lattice` these are
+    all the facets.  An affine map f of p onto q maps facets to facets,
     so it permutes the diagonals by some tau, and sends the vertex labelled
     T, on the facets of T's diagonals, to the one vertex of q on those of
     tau(T), labelled tau(T).  So tau keeps the triangulations, hence the

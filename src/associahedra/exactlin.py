@@ -3,14 +3,16 @@
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
 predicates (rank, parallelism, subspace equality) are exact; there is no
 floating point anywhere.  Eliminations run fraction-free on Python ints
-(rows or point sets scaled once by the lcm of their denominators); every
-value handed back is a Fraction in canonical form.  Rationals are written
-and read as "p/q" strings; `ratio_str` and `parse_ratio` code them straight
-to and from int pairs, and `rat_str` and `parse_rat` wrap them for Fractions.
+(rows or point sets scaled once by the lcm of their denominators), and
+hand back ints or canonical Fractions.  Rationals are written and read as
+"p/q" strings; `ratio_str` and `parse_ratio` code them straight to and
+from int pairs, and `rat_str` and `parse_rat` wrap them for Fractions.
 """
 
 import re
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -30,11 +32,21 @@ class Underdetermined:
 UNDERDETERMINED = Underdetermined()
 
 
+def _digit_limit(digits):
+    """A number's digits past `sys.get_int_max_str_digits()`, as an error."""
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"a number of {digits} digits is past the {limit}-digit limit")
+
+
 def ratio_str(a, b):
     """The rational a/b of ints (b > 0) as "p/q" in lowest terms, or "p"
-    when it is an integer."""
+    when it is an integer; ValueError if a part has too many digits."""
     g = gcd(a, b)
-    return str(a // g) if b == g else f"{a // g}/{b // g}"
+    try:
+        return str(a // g) if b == g else f"{a // g}/{b // g}"
+    except ValueError:
+        # Decimal takes an int of any length exactly
+        raise _digit_limit(Decimal(max(abs(a), b) // g).adjusted() + 1) from None
 
 
 def rat_str(x):
@@ -48,14 +60,22 @@ _RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 def parse_ratio(s):
     """(p, q) in lowest terms with q > 0 for a "p" or "p/q" string (q > 0);
-    else ValueError."""
+    else ValueError, also if a part has too many digits."""
     m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
-    q = int(m[2] or 1) if m else 0
+    q = _int(m[2] or "1") if m else 0
     if q == 0:
         raise ValueError(f"not a rational 'p' or 'p/q': {s!r}")
-    p = int(m[1])
+    p = _int(m[1])
     g = gcd(p, q)
     return p // g, q // g
+
+
+def _int(digits):
+    """int(digits), or ValueError naming their count past the limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _digit_limit(len(digits.lstrip("+-"))) from None
 
 
 def parse_rat(s):
@@ -101,16 +121,11 @@ def integer_scaling(points):
     return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points], scale
 
 
-def integer_points(points):
-    """The rows of `integer_scaling`, without the scale."""
-    return integer_scaling(points)[0]
-
-
 def primitive_rows(rows):
     """Each row times its own positive factor, as a primitive int row; an
     int row needs no scaling and goes straight to `_primitive`."""
     return [
-        _primitive(row if all(type(a) is int for a in row) else integer_points([row])[0])
+        _primitive(row if all(type(a) is int for a in row) else integer_scaling([row])[0][0])
         for row in rows
     ]
 
@@ -156,6 +171,17 @@ def rref(rows):
         for row, c in zip(m, pivots)
     )
     return reduced, tuple(pivots)
+
+
+def echelon_basis(vectors):
+    """`integer_scaling(rref(vectors)[0])[0]` and `rref`'s pivots for int
+    `vectors`, by one `_eliminate` on the rows made primitive: a primitive
+    pivot row over its pivot p has denominator |p|, so it is scaled by L / p,
+    L the lcm of the pivots (1 if there are none)."""
+    m = [_primitive(v) for v in vectors]
+    pivots = tuple(_eliminate(m))
+    lead = lcm(*(row[c] for row, c in zip(m, pivots)))
+    return tuple(tuple(a * (lead // row[c]) for a in row) for row, c in zip(m, pivots)), pivots
 
 
 def rank(rows):
@@ -318,7 +344,7 @@ def affinely_independent(points, count):
     """Indices of the first `count` affinely independent points, taken
     greedily in order starting with index 0.
 
-    The points are int tuples (see `integer_points`).  One `_eliminate` on
+    The points are int tuples (see `integer_scaling`).  One `_eliminate` on
     the differences p_i - p_0 taken as columns: a column is a pivot exactly
     when it is independent of the earlier ones, so point i is picked iff
     column i-1 is a pivot.  Returns fewer than `count` indices when the
@@ -351,21 +377,18 @@ def span(vectors, ambient_dim):
 
 
 def affine_frame(rows):
-    """(chosen, space) for a non-empty list of int rows: the indices
-    `affinely_independent` picks from all of them (count = ambient dim + 1,
-    so none is skipped unless the span is already the whole space), and
-    the canonical span of their differences from rows[0], which is the
-    direction space of the rows' affine hull."""
+    """(chosen, basis, pivots) for non-empty int rows: the indices
+    `affinely_independent` picks from all of them (count = ambient dim + 1)
+    and the `echelon_basis` of their differences from rows[0]."""
     chosen = affinely_independent(rows, len(rows[0]) + 1)
-    return chosen, span([vsub(rows[i], rows[0]) for i in chosen[1:]], len(rows[0]))
+    return (chosen, *echelon_basis([vsub(rows[i], rows[0]) for i in chosen[1:]]))
 
 
 def subspace_from_differences(points):
-    """Canonical span of {p_i - p_0}; zero subspace if all points equal.
-    A positive scale of the points keeps the span, so it is taken on ints."""
+    """Canonical span of {p_i - p_0}; zero subspace if all points equal."""
     if len(points) < 1:
         raise ValueError("need at least one point")
-    return affine_frame(integer_points(points))[1]
+    return span([vsub(p, points[0]) for p in points[1:]], len(points[0]))
 
 
 @dataclass(frozen=True)
@@ -428,7 +451,7 @@ def hyperplane_through(points, ambient):
     `ambient`.  `integer_normal` solves on the points and basis rows scaled
     to ints, which `make_hyperplane` normalizes away.
     """
-    normal = integer_normal(integer_points(points), primitive_rows(ambient.basis))
+    normal = integer_normal(integer_scaling(points)[0], primitive_rows(ambient.basis))
     return None if normal is None else make_hyperplane(normal, dot(normal, points[0]))
 
 

@@ -21,6 +21,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .exactlin import exchange_inverse, integer_inverse, integer_scaling, lane_failures
+from .polygon import ridge_incidence
 
 
 class Cone(NamedTuple):
@@ -68,10 +69,7 @@ def make_fan(rays, triangulations):
     same everywhere, and (c) makes that number 1.
     """
     ones = (1,) * len(next(iter(rays.values())))
-    containing = {}
-    for i, t in enumerate(triangulations):
-        for k in range(len(t)):
-            containing.setdefault(t[:k] + t[k + 1 :], []).append(i)
+    containing = ridge_incidence(triangulations)
     cones, dependent, problems = {}, [], []  # cone index -> Cone, None where dependent
     walls, relations = [], []
     for i, t in enumerate(triangulations):

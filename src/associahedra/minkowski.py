@@ -78,9 +78,8 @@ def build_minkowski(a, n):
 
 
 def verify_correspondence(p, n):
-    """The face-lattice certificate (`analysis.face_lattice`) of the
-    Minkowski polytope p of dimension n: its facets are the diagonals' and
-    its edges the flips."""
+    """The f-vector of the Minkowski polytope p of dimension n
+    (`analysis.face_lattice`): its facets are the diagonals', its edges the flips."""
     if n != p.n:
         raise ValueError(f"polytope has n={p.n}, not {n}")
     return face_lattice(p)

@@ -6,6 +6,7 @@ lexicographic everywhere so outputs are reproducible.
 """
 
 from functools import lru_cache
+from math import comb
 
 
 def crossing(d1, d2):
@@ -13,6 +14,11 @@ def crossing(d1, d2):
     a1, b1 = d1
     a2, b2 = d2
     return (a1 < a2 < b1 < b2) or (a2 < a1 < b2 < b1)
+
+
+def catalan(m):
+    """The m-th Catalan number; the (n+3)-gon has catalan(n + 1) triangulations."""
+    return comb(2 * m, m) // (m + 1)
 
 
 @lru_cache(maxsize=None)
@@ -83,17 +89,27 @@ def _triangles_by_triangulation(n):
     return dict(sorted((tuple(sorted(t)), tuple(sorted(tri))) for t, tri in pairs))
 
 
+def ridge_incidence(triangulations):
+    """{ridge: indices of the triangulations that hold it, in order}."""
+    containing = {}
+    for i, t in enumerate(triangulations):
+        for k in range(len(t)):
+            containing.setdefault(t[:k] + t[k + 1 :], []).append(i)
+    return containing
+
+
 @lru_cache(maxsize=None)
 def flip_table(n):
     """For each triangulation, in `all_triangulations` order, the indices of
     its n flips: entry k is the triangulation that replaces its k-th
     diagonal.  A ridge (a triangulation minus one diagonal) lies in exactly
-    two triangulations, which are the flip pair across it."""
+    two triangulations, the flip pair across it (AssertionError if not:
+    `analysis.face_lattice` relies on it)."""
     ts = all_triangulations(n)
-    by_ridge = {}
-    for i, t in enumerate(ts):
-        for k in range(n):
-            by_ridge.setdefault(t[:k] + t[k + 1 :], []).append(i)
+    by_ridge = ridge_incidence(ts)
+    for ridge, members in by_ridge.items():
+        if len(members) != 2:
+            raise AssertionError(f"ridge {ridge} lies in {len(members)} triangulations, not 2")
     return tuple(
         tuple(sum(by_ridge[t[:k] + t[k + 1 :]]) - i for k in range(n)) for i, t in enumerate(ts)
     )

@@ -14,7 +14,7 @@ strings among their 3003 to 3861 coordinates.
 import json
 from functools import lru_cache
 from itertools import chain
-from math import comb, lcm
+from math import lcm
 
 from . import polygon
 from .analysis import make_polytope
@@ -87,7 +87,7 @@ def polytope_from_json(doc):
         raise ValueError(f"n={n!r} is not an integer in 1..{practical_bound()}")
     vertices = _list(doc["vertices"], "vertices")
     # the Catalan number: a wrong count is refused before any coordinate is decoded
-    count = comb(2 * n + 2, n + 1) // (n + 2)
+    count = polygon.catalan(n + 1)
     if len(vertices) != count:
         raise ValueError(f"{len(vertices)} vertices, but n={n} has {count} triangulations")
     strings, labels = [], []

@@ -19,7 +19,6 @@ from associahedra.analysis import (
     equivalence_search,
     extract_facets,
     fit_affine_map,
-    lattice_certificate,
     make_polytope,
     parallel_pairs,
     relabel_diagonal,
@@ -35,11 +34,12 @@ from associahedra.exactlin import (
     dot,
     hyperplane_through,
     integer_normal,
-    integer_points,
+    integer_scaling,
     invert,
     mat_vec,
     primitive_rows,
     rank,
+    rref,
     solve_linear,
     subspace_from_differences,
     vadd,
@@ -312,6 +312,35 @@ def test_make_polytope_rejects_a_hull_beyond_the_flips():
         make_polytope("secondary", 2, 3, pairs)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_a_row_nudged_off_the_hull_falls_back_and_is_refused(monkeypatch, construction, n):
+    # a vertex outside the frame moved by one in a column off the basis'
+    # pivots leaves the hull: the check on ints refuses the flips' frame,
+    # and the elimination of all rows finds the extra dimension
+    p = builds(n)[construction]
+    v = next(i for i in range(len(p.labels)) if i not in p.hull.independent)
+    j = next(j for j in range(p.ambient_dim) if j not in p.hull.pivots)
+    rows = [list(r) for r in p.hull.rows]
+    rows[v][j] += 1
+    calls = []
+    _counting(monkeypatch, analysis, "affine_frame", calls)
+    with pytest.raises(ValueError, match=f"affine hull has dimension {n + 1}, expected {n}"):
+        make_polytope(p.construction, n, p.ambient_dim, zip(rows, p.labels), scale=p.hull.scale)
+    assert calls == ["affine_frame"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_parallel_pairs_come_sorted_within_and_between_pairs(n):
+    # facets come in diagonal order, so the manifest compares the pairs
+    # with its expected ones as they come, with no second sort
+    rng = random.Random(60 + n)
+    for c in CONSTRUCTIONS.values():
+        for p in (c.build(c.default(n), n), c.build(c.draw(n, rng), n)):
+            pairs = parallel_pairs(extract_facets(p))
+            assert pairs == sorted(tuple(sorted(pair)) for pair in pairs)
+
+
 def test_equivalence_translated_copy():
     p = builds(2)["minkowski"]
     shift = tuple(F(2, 7) for _ in range(p.ambient_dim))
@@ -362,7 +391,7 @@ def reference_certify_facets(p):
     """The scalar certificate the lane certificate replaced: one integer
     dot product of each facet's normal per vertex row."""
     rows, scale, labels = p.hull.rows, p.hull.scale, p.labels
-    basis = primitive_rows(p.hull.space.basis)
+    basis = primitive_rows(subspace_from_differences([c for c, _ in p.vertices]).basis)
     flips = polygon.flip_table(p.n)
     carriers = {d: [] for d in polygon.all_diagonals(p.n)}
     for i, label in enumerate(labels):
@@ -407,7 +436,7 @@ def reference_facet_problems(p):
     fitted through n affinely independent members; a diagonal with none is
     left out."""
     rows, labels = p.hull.rows, p.labels
-    basis = primitive_rows(p.hull.space.basis)
+    basis = primitive_rows(subspace_from_differences([c for c, _ in p.vertices]).basis)
     out = []
     for d in polygon.all_diagonals(p.n):
         members = [i for i, label in enumerate(labels) if d in label]
@@ -467,6 +496,14 @@ def reference_independent(xs, n):
         if rank(diffs) == len(diffs):
             chosen.append(i)
     return chosen
+
+
+def reference_basis(coords):
+    """The hull record's (basis, pivots) from the Fraction `rref` of every
+    vertex's difference from vertex 0: its rows over their common
+    denominator."""
+    reduced, pivots = rref([vsub(c, coords[0]) for c in coords[1:]])
+    return tuple(integer_scaling(reduced)[0]), pivots
 
 
 def reference_fit_affine_map(src, dst, label_map):
@@ -829,7 +866,7 @@ def _images(p, rng):
     full-dimensional copy in n-space, where there is nothing to lift."""
     charted = [tuple(r[k] - p.hull.rows[0][k] for k in p.hull.pivots) for r in p.hull.rows]
     full = make_polytope(p.construction, p.n, p.n, zip(charted, p.labels), scale=p.hull.scale)
-    assert full.ambient_dim == full.n and len(full.hull.space.basis) == p.n
+    assert full.ambient_dim == full.n and len(full.hull.basis) == p.n
     return [
         unimodular_relabelled_image(p, rng),
         verification._shear_translate(p),
@@ -1017,8 +1054,8 @@ def test_hull_record_matches_references(construction, n):
     p = drawn(construction, n, rng)
     for q in (builds(n)[construction], p, unimodular_relabelled_image(p, rng)):
         coords = [c for c, _ in q.vertices]
-        assert q.hull.space == subspace_from_differences(coords)
-        assert list(q.hull.rows) == integer_points(coords)
+        assert q.hull[3:] == reference_basis(coords)
+        assert list(q.hull.rows) == integer_scaling(coords)[0]
         assert [tuple(q.hull.scale * x for x in c) for c in coords] == list(q.hull.rows)
         chart, _ = _reference_hull_chart(q)
         xs = [chart(c) for c in coords]
@@ -1045,7 +1082,7 @@ def test_hull_record_matches_references(construction, n):
 
 
 def _lattice_inputs(p):
-    """The member bitmasks and hull-coordinate normals `face_lattice` reads."""
+    """The member bitmasks and hull-coordinate normals the reference reads."""
     pivots = p.hull.pivots
     facets = extract_facets(p)
     masks = {f.diagonal: sum(1 << i for i in f.vertex_indices) for f in facets}
@@ -1056,27 +1093,9 @@ def _lattice_inputs(p):
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
 def test_face_lattice_reads_the_certified_facets(construction):
     p = builds(3)[construction]
-    report = analysis.face_lattice(p)
-    masks, _ = _lattice_inputs(p)
-    assert report == lattice_certificate(3, masks)
-    assert report == {"ok": True, "f_vector": (14, 21, 9), "problems": []}
-
-
-def test_lattice_certificate_rejects_an_extra_member():
-    masks, _ = _lattice_inputs(builds(3)["minkowski"])
-    labels, flips = polygon.all_triangulations(3), polygon.flip_table(3)
-    # w flips label[0] of vertex 0 and u then flips label[1]: u carries
-    # label[2] only, so with u added to label[1]'s members the facets of
-    # label[1] and label[2] meet in 0, w and u
-    label = labels[0]
-    w = flips[0][0]
-    u = flips[w][labels[w].index(label[1])]
-    assert label[1] not in labels[u] and label[2] in labels[u]
-    masks[label[1]] |= 1 << u
-    report = lattice_certificate(3, masks)
-    assert not report["ok"]
-    assert ("edge_not_certified", label, labels[w]) in report["problems"]
-    assert {kind for kind, *_ in report["problems"]} == {"edge_not_certified"}
+    reference = reference_lattice_certificate(3, *_lattice_inputs(p))
+    assert reference == {"ok": True, "f_vector": (14, 21, 9), "problems": []}
+    assert analysis.face_lattice(p) == reference["f_vector"]
 
 
 def reference_lattice_certificate(n, masks, normals):
@@ -1111,9 +1130,9 @@ def test_face_lattice_matches_the_rank_reference(n):
     # defaults or on draws, so the two certificates agree
     for construction, c in CONSTRUCTIONS.items():
         for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(40 + n))):
-            report = analysis.face_lattice(p)
-            assert report["ok"], report["problems"][:3]
-            assert report == reference_lattice_certificate(n, *_lattice_inputs(p))
+            reference = reference_lattice_certificate(n, *_lattice_inputs(p))
+            assert reference["ok"], reference["problems"][:3]
+            assert analysis.face_lattice(p) == reference["f_vector"]
 
 
 def _counting_eliminations(monkeypatch):
@@ -1130,7 +1149,7 @@ def test_face_lattice_eliminates_nothing_once_certified(monkeypatch, n):
         p = c.build(c.default(n), n)
         extract_facets(p)
         calls = _counting_eliminations(monkeypatch)
-        assert analysis.face_lattice(p)["ok"]
+        assert analysis.face_lattice(p)[2] == n * (n + 3) // 2
         assert calls == []
 
 
@@ -1140,7 +1159,7 @@ def test_hull_frame_is_vertex_0_and_its_flips(monkeypatch, construction, n):
     c = CONSTRUCTIONS[construction]
     for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(n))):
         assert p.hull.independent == (0, *polygon.flip_table(n)[0])
-        assert p.hull.space == affine_frame(p.hull.rows)[1]
+        assert p.hull[3:] == affine_frame(p.hull.rows)[1:]
         # remade from its rows: the span of the flips is the one elimination
         calls = _counting_eliminations(monkeypatch)
         pairs = zip(p.hull.rows, p.labels)
@@ -1161,7 +1180,7 @@ def test_hull_frame_falls_back_when_the_flips_are_dependent(monkeypatch, constru
         calls.clear()
         q = _swap_labels(p, i, j)
         coords = [c for c, _ in q.vertices]
-        assert q.hull.space == subspace_from_differences(coords)
+        assert q.hull[3:] == reference_basis(coords)
         if calls:
             fallbacks += 1
             chart, _ = _reference_hull_chart(q)

@@ -945,6 +945,62 @@ def test_build_too_large_to_write_exit_2_and_out_untouched(tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
+@pytest.fixture
+def digit_limit():
+    """Python's default int-str limit of 4300 digits, restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+def _weights_params(tmp_path, weight):
+    params = tmp_path / "params.json"
+    a = {key: weight for key in ("1,1", "1,2", "2,2")}
+    params.write_text(json.dumps({"n": 1, "a": a}))
+    return params
+
+
+def test_analyze_names_the_digits_of_a_coordinate_past_the_limit(tmp_path, capsys, digit_limit):
+    path = _built(tmp_path, capsys, "minkowski", 1)
+    doc = json.loads(path.read_text())
+    doc["vertices"][1]["coords"][0] = "1" * 5001
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["analyze", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: malformed polytope file: a number of 5001 digits is past the 4300-digit limit\n"
+    )
+
+
+def test_build_names_the_digits_of_a_weight_past_the_limit(tmp_path, capsys, digit_limit):
+    params = _weights_params(tmp_path, "7" * 4301)
+    out = tmp_path / "out.json"
+    code, stdout, err = run(
+        ["build", "--construction", "minkowski", "--n", "1",
+         "--params", str(params), "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: invalid parameters: a number of 4301 digits is past the 4300-digit limit\n"
+    assert not out.exists()
+
+
+def test_build_names_the_digits_of_a_sum_too_long_to_write(tmp_path, capsys, digit_limit):
+    # every weight has 4300 digits, which read, but a vertex coordinate sums
+    # two of them into 4301 digits, which do not write
+    params = _weights_params(tmp_path, "9" * 4300)
+    out = tmp_path / "out.json"
+    code, stdout, err = run(
+        ["build", "--construction", "minkowski", "--n", "1",
+         "--params", str(params), "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: cannot write output: a number of 4301 digits is past the 4300-digit limit\n"
+    assert not out.exists()
+
+
 NOT_INT_N_OR_NOT_OBJECT_PARAMS = {
     # true == 1 and 1.0 == 1, so a range check alone lets both through
     "n_true": (1, lambda doc: {**doc, "n": True}),

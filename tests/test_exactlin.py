@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from associahedra import cluster, exactlin, minkowski, secondary, verification
+from associahedra import analysis, cluster, exactlin, minkowski, secondary, verification
 from associahedra.analysis import HullChart, extract_facets, fit_affine_map
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
@@ -15,10 +15,11 @@ from associahedra.exactlin import (
     Subspace,
     affinely_independent,
     dot,
+    echelon_basis,
     exchange_inverse,
     hyperplane_through,
     integer_inverse,
-    integer_points,
+    integer_scaling,
     invert,
     make_hyperplane,
     nullspace,
@@ -137,7 +138,7 @@ def test_affinely_independent_matches_fraction_reference(shape):
     for _ in range(20):
         points = random_rational_matrix(rng, *shape)
         for count in range(1, shape[1] + 3):
-            assert affinely_independent(integer_points(points), count) == (
+            assert affinely_independent(integer_scaling(points)[0], count) == (
                 reference_affinely_independent(points, count)
             )
 
@@ -149,7 +150,7 @@ def test_affinely_independent_matches_fraction_reference(shape):
 )
 def test_affinely_independent_on_degenerate_points(points):
     for count in range(len(points[0]) + 3):
-        assert affinely_independent(integer_points(points), count) == (
+        assert affinely_independent(integer_scaling(points)[0], count) == (
             reference_affinely_independent(points, count)
         )
 
@@ -201,8 +202,8 @@ def _exact(x):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_no_float_enters_a_predicate(n, monkeypatch):
     # Fraction(1, 2) == 0.5, so equality tests cannot see a float: check types
-    reduced, tables = [], []
-    _recording(monkeypatch, exactlin, "rref", reduced)
+    bases, tables = [], []
+    _recording(monkeypatch, analysis, "echelon_basis", bases)
     _recording(monkeypatch, secondary, "area_table", tables)
     _recording(monkeypatch, minkowski, "interval_table", tables)
     for p in construction_polytopes(n, draws=1):
@@ -219,8 +220,9 @@ def test_no_float_enters_a_predicate(n, monkeypatch):
         witness = fit_affine_map(chart, chart, tuple(range(n + 3)))
         entries = [x for row in witness.matrix for x in row] + list(witness.translation)
         assert all(type(x) is Fraction for x in entries)
-    assert reduced
-    assert all(_exact(x) for rows, _ in reduced for row in rows for x in row)
+    # each hull's basis is int rows, eliminated on ints
+    assert bases
+    assert all(type(x) is int for basis, _ in bases for row in basis for x in row)
     # one area table and one interval table per secondary and Minkowski build
     assert len(tables) == 4
     assert all(type(x) is int for table, d in tables for x in (d, *table.values()))
@@ -249,6 +251,26 @@ def matrices(min_rows, max_rows):
 @given(matrices(0, 6))
 def test_rref_property_matches_fraction_reference(rows):
     assert rref(rows) == reference_rref(rows)
+
+
+int_rows = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols).map(tuple), max_size=6
+    )
+)
+
+
+@settings(deadline=None)
+@given(int_rows)
+@example([])
+@example([(0, 0, 0)])
+@example([(-2, 4, 1), (0, 0, 0), (-1, 2, 3), (4, -8, -2)])
+def test_echelon_basis_is_the_integer_scaling_of_rref(rows):
+    # rank-deficient, zero and negative-pivot rows included: each reduced
+    # row over its pivot has the pivot's absolute value as denominator
+    basis, pivots = echelon_basis(rows)
+    reduced, want = rref(rows)
+    assert (list(basis), pivots) == (integer_scaling(reduced)[0], want)
 
 
 @settings(deadline=None)
@@ -327,7 +349,7 @@ def test_exchange_inverse_is_a_fresh_integer_inverse(case):
 @settings(deadline=None)
 @given(matrices(1, 8), st.integers(1, 7))
 def test_affinely_independent_property_matches_fraction_reference(points, count):
-    assert affinely_independent(integer_points(points), count) == (
+    assert affinely_independent(integer_scaling(points)[0], count) == (
         reference_affinely_independent(points, count)
     )
 

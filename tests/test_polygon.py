@@ -3,6 +3,8 @@ from collections import Counter
 
 import pytest
 
+from associahedra import polygon
+from associahedra.constructions import practical_bound
 from associahedra.polygon import (
     all_diagonals,
     all_triangulations,
@@ -211,6 +213,29 @@ def test_triangles_match_the_cells_reference(n):
 def test_triangles_rejects_a_non_triangulation(t, n):
     with pytest.raises(ValueError, match="not a triangulation"):
         triangles(t, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_catalan_matches_the_recurrence_and_the_triangulations(n):
+    assert polygon.catalan(n + 1) == catalan(n + 1) == len(all_triangulations(n))
+
+
+def test_verification_catalan_covers_every_buildable_n():
+    from associahedra.verification import CATALAN
+
+    assert CATALAN == [catalan(m) for m in range(practical_bound() + 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("index", [0, -1])
+def test_flip_table_refuses_a_ridge_in_one_triangulation(monkeypatch, n, index):
+    # with one triangulation dropped, each of its n ridges lies in one
+    # other triangulation only, and the flip pair across it is gone
+    ts = list(all_triangulations(n))
+    del ts[index]
+    monkeypatch.setattr(polygon, "all_triangulations", lambda m: tuple(ts))
+    with pytest.raises(AssertionError, match="triangulations, not 2"):
+        flip_table.__wrapped__(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
