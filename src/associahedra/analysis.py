@@ -38,7 +38,8 @@ is made: its `Hull` record holds the integer vertex rows and their common
 scale, those n+1 vertices, and the reduced echelon basis of the direction
 space as int rows with its pivot columns, eliminated once from their n
 differences (`exactlin.echelon_basis`); every row is then checked to lie
-in it on ints.  Only if the flips do not span the hull are the first n+1
+in it on ints, by the D - n integer equations that cut the hull out of
+D-space.  Only if the flips do not span the hull are the first n+1
 affinely independent vertices eliminated from all rows instead.  The
 facet certificate and the equivalence search share the chart
 (`Hull.chart`).  The search tries each of the 2(n+3) dihedral relabelings
@@ -54,6 +55,7 @@ of Fractions.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -160,7 +162,7 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
         rows, scale = integer_scaling([c for c, _ in pairs])
     else:
         rows = [tuple(c) for c, _ in pairs]
-        g = gcd(scale, *(a for row in rows for a in row))
+        g = gcd(scale, *chain.from_iterable(rows))
         if g > 1:
             rows, scale = [tuple(a // g for a in row) for row in rows], scale // g
     # one positive scale for all rows: distinct rows are distinct vertices
@@ -184,19 +186,26 @@ def _flip_frame(rows, n):
     flips' indices after 0 and the `echelon_basis` of their differences
     from rows[0], if it has n rows and spans every row's difference; else
     None.  With L the basis' pivot entry, a difference x lies in the span
-    iff L x[j] = sum_k basis_k[j] x[pivot_k] at every non-pivot column j:
-    (D - n) n multiplies per row on ints, no elimination."""
+    iff L x[j] = sum_k basis_k[j] x[pivot_k] at every non-pivot column j,
+    so the hull is cut out by the D - n integer equations
+    f_j = L e_j - sum_k basis_k[j] e_{pivot_k}: every row must have
+    f_j . row = f_j . rows[0], one D-term dot product per equation and
+    row, no elimination."""
     flips = polygon.flip_table(n)[0]
     base = rows[0]
     basis, pivots = echelon_basis([vsub(rows[w], base) for w in flips])
     if len(basis) != n:
         return None
     lead = lcm(*(b[k] for b, k in zip(basis, pivots)))
-    columns = [(j, [b[j] for b in basis]) for j in range(len(base)) if j not in pivots]
-    for row in rows:
-        x = [a - b for a, b in zip(row, base)]
-        at_pivots = [x[k] for k in pivots]
-        if any(lead * x[j] != sum(map(mul, at_pivots, column)) for j, column in columns):
+    for j in range(len(base)):
+        if j in pivots:
+            continue
+        f = [0] * len(base)
+        f[j] = lead
+        for b, k in zip(basis, pivots):
+            f[k] = -b[j]
+        value = sum(map(mul, base, f))
+        if any(sum(map(mul, row, f)) != value for row in rows):
             return None
     return (0, *flips), basis, pivots
 

@@ -6,8 +6,10 @@ Exit codes are a stable contract:
             int-to-str limit; --out is left as it was), 3 n out of
             practical range
   analyze:  0 ok, 2 malformed file, 4 facet certification failure
-  compare:  0 non-equivalent, 1 witness found, 2 malformed file or
-            mismatched n, 4 facet certification failure
+  compare:  0 non-equivalent, 1 witness found, 2 malformed file,
+            mismatched n or a witness too large to write (a number past
+            the 4300-digit int-to-str limit; nothing is written to
+            stdout), 4 facet certification failure
   verify:   0 all pass, 1 failure, 3 n_max out of range 1..7
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
@@ -128,10 +130,15 @@ def cmd_compare(args):
         ],
     }
     if report.witness is not None:
-        doc["witness"] = {
-            "matrix": [[rat_str(x) for x in row] for row in report.witness.matrix],
-            "translation": [rat_str(x) for x in report.witness.translation],
-        }
+        try:
+            doc["witness"] = {
+                "matrix": [[rat_str(x) for x in row] for row in report.witness.matrix],
+                "translation": [rat_str(x) for x in report.witness.translation],
+            }
+        # a number of the witness past Python's int-to-str limit: nothing is written
+        except ValueError as exc:
+            print(f"error: cannot write witness: {exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(serialize.dumps(doc))
     return 1 if report.witness is not None else 0
 

@@ -311,25 +311,27 @@ def exchange_inverse(inverse, d, k, y, at):
     (Sherman-Morrison) gives the inverse times d y_k whose column k is
     d M[:,k] and column l != k is y_k M[:,l] - y_l M[:,k], so A' is
     singular iff y_k = 0.  Moving row k of A' to `at` moves column k of
-    its inverse to `at`.  With its sign made positive and divided by the
-    gcd of d y_k and its entries this is A'^-1 times the least common
-    denominator of its entries, and that denominator: `integer_inverse`'s
-    output exactly.
+    its inverse to `at`.  With its sign made positive (by the sign of y_k,
+    taken into each row's multiplier) and divided by the gcd of d |y_k|
+    and its entries, where that gcd is not 1, this is A'^-1 times the
+    least common denominator of its entries, and that denominator:
+    `integer_inverse`'s output exactly.
     """
     yk = y[k]
     if not yk:
         return None
+    sign, yk = (1, yk) if yk > 0 else (-1, -yk)
     rows = []
     for row in inverse:
-        m = row[k]
-        new = [yk * a - m * b for a, b in zip(row, y)]
+        m = sign * row[k]
+        new = list(map(sub, map(yk.__mul__, row), map(m.__mul__, y)))
         del new[k]
         new.insert(at, d * m)
         rows.append(new)
     g = gcd(d * yk, *chain.from_iterable(rows))
-    if yk < 0:
-        g = -g
-    return tuple(tuple(a // g for a in row) for row in rows), d * yk // g
+    if g > 1:
+        rows = [map(g.__rfloordiv__, row) for row in rows]
+    return tuple(map(tuple, rows)), d * yk // g
 
 
 def invert(rows):

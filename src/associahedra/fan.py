@@ -4,7 +4,12 @@ Rays are int rows in (n+1)-space read modulo the all-ones vector; the
 cones are the triangulations and the walls their flips.  `make_fan` builds
 the walls with their integer relations, each cone's integer inverse (one
 pivot across a wall from an earlier cone's) and the exact fan certificate
-in one pass.  Support values h, one per
+in one walk over a wall table made first from one ridge incidence pass
+(per cone, its later neighbours, the diagonal each exchange brings in and
+its position there), so no wall slices, hashes or searches a ridge.  A
+ray's coefficients in a cone are the sum of the inverse's rows at the
+ray's few nonzero entries, and the covering check (c) stops at a cone's
+first negative coefficient.  Support values h, one per
 diagonal, that are strictly convex across every wall give the polytope
 with this normal fan: the vertex of a triangulation is the point of the
 sum-zero hyperplane where the inequalities <ray, x> <= h of its diagonals
@@ -16,8 +21,9 @@ borrows into its own lane's top bit and two masks read the verdict.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .exactlin import exchange_inverse, integer_inverse, integer_scaling, lane_failures
@@ -41,9 +47,34 @@ class Fan(NamedTuple):
     problems: tuple  # what fails the certificate; empty iff it holds
 
 
-def _coefficients(cone, v):
-    """d times the coefficients of v in the cone's rays, then the all-ones row."""
-    return [sum(map(mul, v, col)) for col in zip(*cone.inverse)]
+def _coefficients(inverse, terms):
+    """d times the coefficients of a ray in a cone's rays, then the all-ones
+    row: the sum of c times the inverse's row r over the ray's nonzero
+    entries (r, c), `terms`."""
+    y = [0] * len(inverse)
+    for r, c in terms:
+        y = list(map(add, y, map(c.__mul__, inverse[r])))
+    return y
+
+
+def _wall_table(triangulations):
+    """(table, problems) from one `polygon.ridge_incidence` pass.
+
+    table[i] lists the walls of cone i to later cones, in order of the
+    position k of the diagonal cone i gives up, as (k, j, ridge, beta', at):
+    cone j holds the ridge and beta' = triangulations[j][at].  A ridge not
+    in exactly two cones is a problem, (i, k, ("ridge_in_cones", count,
+    ridge)) at its first cone i, in order of (i, k)."""
+    table = [[] for _ in triangulations]
+    problems = []
+    for ridge, members in ridge_incidence(triangulations).items():
+        (i, k), *others = members
+        if len(members) != 2:
+            problems.append((i, k, ("ridge_in_cones", len(members), ridge)))
+            continue
+        ((j, at),) = others
+        table[i].append((k, j, ridge, triangulations[j][at], at))
+    return table, problems
 
 
 def make_fan(rays, triangulations):
@@ -51,26 +82,30 @@ def make_fan(rays, triangulations):
 
     Walls come from ridge incidence in flip order: each triangulation in
     turn, its diagonals in order, a wall kept where the other cone comes
-    later.  The relation of a wall exchanging beta in the earlier cone for
-    beta' is a*beta + b*beta' = sum c_g*g over the shared diagonals g,
-    modulo the all-ones vector, in ints with a, b > 0.  Its coefficients
-    y, beta' in the earlier cone's inverse, are also the one pivot that
-    inverts the later cone (`exactlin.exchange_inverse`): each cone's
-    inverse comes from the first earlier cone across a wall that has one,
-    and only a cone with none, cone 0 among them, is eliminated
-    (`integer_inverse`).
+    later, all read off one table made before the walk (`_wall_table`).
+    The relation of a wall exchanging beta in the earlier cone for beta'
+    is a*beta + b*beta' = sum c_g*g over the shared diagonals g, modulo
+    the all-ones vector, in ints with a, b > 0.  Its coefficients y,
+    beta' in the earlier cone's inverse, are the sum of the inverse's rows
+    at beta''s nonzero entries (two for a cluster ray, `_coefficients`).
+    They are also the one pivot that inverts the later cone
+    (`exactlin.exchange_inverse`): each cone's inverse comes from the
+    first earlier cone across a wall that has one, and only a cone with
+    none, cone 0 among them, is eliminated (`integer_inverse`).
 
     The certificate (De Loera-Rambau-Santos, Triangulations, section 4.5):
     (a) the rays of each cone are independent modulo all-ones, (b) every
     ridge lies in exactly two cones, whose exchanged rays lie on opposite
     sides of it, and (c) the sum of the rays of the first cone lies in
-    exactly one closed cone.  (b) makes the cones a pseudomanifold without
+    exactly one closed cone, each cone tested up to its first negative
+    coefficient.  (b) makes the cones a pseudomanifold without
     boundary, so the number of cones covering a point off the walls is the
     same everywhere, and (c) makes that number 1.
     """
     ones = (1,) * len(next(iter(rays.values())))
-    containing = ridge_incidence(triangulations)
-    cones, dependent, problems = {}, [], []  # cone index -> Cone, None where dependent
+    terms = {d: [(r, c) for r, c in enumerate(ray) if c] for d, ray in rays.items()}
+    table, ridge_problems = _wall_table(triangulations)
+    cones, dependent, wall_problems = {}, [], []  # cone index -> Cone, None where dependent
     walls, relations = [], []
     for i, t in enumerate(triangulations):
         if i not in cones:
@@ -80,34 +115,31 @@ def make_fan(rays, triangulations):
                 cones[i] = None
         if cones[i] is None:
             dependent.append(("dependent_cone", t))
-        for k, beta in enumerate(t):
-            ridge = t[:k] + t[k + 1 :]
-            members = containing[ridge]
-            if len(members) != 2:
-                if members[0] == i:
-                    problems.append(("ridge_in_cones", len(members), ridge))
-                continue
-            j = sum(members) - i
-            if j < i or cones[i] is None:
-                continue
-            (beta_p,) = set(triangulations[j]) - set(ridge)
-            y = _coefficients(cones[i], rays[beta_p])
+            continue
+        inverse, denominator = cones[i].inverse, cones[i].denominator
+        for k, j, ridge, beta_p, at in table[i]:
+            y = _coefficients(inverse, terms[beta_p])
             if j not in cones:
-                inverse = exchange_inverse(
-                    cones[i].inverse, cones[i].denominator, k, y, triangulations[j].index(beta_p)
-                )
-                cones[j] = inverse and Cone(triangulations[j], *inverse)
-            if y[k] >= 0:
-                problems.append(("wall_not_separating", ridge))
+                inverse_j = exchange_inverse(inverse, denominator, k, y, at)
+                cones[j] = inverse_j and Cone(triangulations[j], *inverse_j)
+            a = -y.pop(k)
+            if a <= 0:
+                wall_problems.append((i, k, ("wall_not_separating", ridge)))
                 continue
             walls.append((i, j))
-            shared = tuple(zip(ridge, y[:k] + y[k + 1 : -1]))
-            relations.append((beta, beta_p, -y[k], cones[i].denominator, shared))
+            # y less its entry k: the shared diagonals' coefficients, then all-ones'
+            relations.append((t[k], beta_p, a, denominator, tuple(zip(ridge, y))))
     cones = tuple(cones[i] for i in range(len(triangulations)))
     point = tuple(map(sum, zip(*(rays[d] for d in triangulations[0]))))
+    # the point's coefficients in a cone's rays, column by column of its
+    # inverse up to the first negative one
     covering = sum(
-        all(y >= 0 for y in _coefficients(cone, point)[:-1]) for cone in cones if cone is not None
+        all(sum(map(mul, point, col)) >= 0 for col in islice(zip(*cone.inverse), len(point) - 1))
+        for cone in cones
+        if cone is not None
     )
+    # both kinds keyed by (i, k), a ridge of cone i: merged in walk order
+    problems = [problem for *_, problem in sorted(ridge_problems + wall_problems)]
     if covering != 1:
         problems.append(("point_covered_by", covering, point))
     return Fan(rays, cones, tuple(walls), tuple(relations), tuple(dependent + problems))

@@ -90,11 +90,13 @@ def _triangles_by_triangulation(n):
 
 
 def ridge_incidence(triangulations):
-    """{ridge: indices of the triangulations that hold it, in order}."""
+    """{ridge: [(i, k), ...]}: each triangulation i that holds the ridge,
+    in order, with the position k of its diagonal that the ridge lacks;
+    ridges in order of their first (i, k)."""
     containing = {}
     for i, t in enumerate(triangulations):
         for k in range(len(t)):
-            containing.setdefault(t[:k] + t[k + 1 :], []).append(i)
+            containing.setdefault(t[:k] + t[k + 1 :], []).append((i, k))
     return containing
 
 
@@ -106,13 +108,13 @@ def flip_table(n):
     two triangulations, the flip pair across it (AssertionError if not:
     `analysis.face_lattice` relies on it)."""
     ts = all_triangulations(n)
-    by_ridge = ridge_incidence(ts)
-    for ridge, members in by_ridge.items():
+    table = [[None] * n for _ in ts]
+    for ridge, members in ridge_incidence(ts).items():
         if len(members) != 2:
             raise AssertionError(f"ridge {ridge} lies in {len(members)} triangulations, not 2")
-    return tuple(
-        tuple(sum(by_ridge[t[:k] + t[k + 1 :]]) - i for k in range(n)) for i, t in enumerate(ts)
-    )
+        (i, k), (j, at) = members
+        table[i][k], table[j][at] = j, i
+    return tuple(map(tuple, table))
 
 
 def triangles(t, n):

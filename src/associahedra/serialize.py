@@ -78,6 +78,42 @@ def _distinct_ratios(strings):
     return {x: parse_ratio(x) for x in distinct}
 
 
+def _read_as_written(vertices, n):
+    """(strings, labels) of a file whose vertices are as files are written:
+    coordinates in a list, and the triangulations of the (n+3)-gon in
+    order, each with its diagonals in order as [a, b] int pairs, so the
+    labels are the per-n table `polygon.all_triangulations(n)` itself.
+    None for any other file, which `_read_vertices` reads."""
+    try:
+        strings = [_list(v["coords"], "vertex coords") for v in vertices]
+        raw = [v["triangulation"] for v in vertices]
+        types = set(map(type, chain.from_iterable(chain.from_iterable(raw))))
+        labels = polygon.all_triangulations(n)
+        # a JSON boolean equals 0 or 1 and would pass the comparison
+        if types == {int} and all(tuple(map(tuple, a)) == b for a, b in zip(raw, labels)):
+            return strings, labels
+    except (KeyError, TypeError, ValueError):
+        pass
+    return None
+
+
+def _read_vertices(vertices):
+    """Each vertex's coordinate strings and label, read and checked vertex
+    by vertex in file order, so the first error in the file is named."""
+    strings, labels = [], []
+    try:
+        for v in vertices:
+            strings.append(_list(v["coords"], "vertex coords"))
+            label = _list(v["triangulation"], "vertex triangulation")
+            labels.append(tuple(sorted((_endpoint(a), _endpoint(b)) for a, b in label)))
+    except Exception:
+        # a vertex's coordinates come before its triangulation and the
+        # vertices after it: a bad coordinate read so far is named first
+        _distinct_ratios(strings)
+        raise
+    return strings, labels
+
+
 def polytope_from_json(doc):
     c = CONSTRUCTIONS.get(doc["construction"])
     if c is None:
@@ -90,17 +126,7 @@ def polytope_from_json(doc):
     count = polygon.catalan(n + 1)
     if len(vertices) != count:
         raise ValueError(f"{len(vertices)} vertices, but n={n} has {count} triangulations")
-    strings, labels = [], []
-    try:
-        for v in vertices:
-            strings.append(_list(v["coords"], "vertex coords"))
-            label = _list(v["triangulation"], "vertex triangulation")
-            labels.append(tuple(sorted((_endpoint(a), _endpoint(b)) for a, b in label)))
-    except Exception:
-        # a vertex's coordinates come before its triangulation and the
-        # vertices after it: a bad coordinate read so far is named first
-        _distinct_ratios(strings)
-        raise
+    strings, labels = _read_as_written(vertices, n) or _read_vertices(vertices)
     ratios = _distinct_ratios(strings)
     ambient_dim = len(strings[0])
     if any(len(row) != ambient_dim for row in strings):
@@ -133,7 +159,7 @@ def _vertex_tails(n):
     the triangulations of the (n+3)-gon in order: the labels
     `make_polytope` gives every polytope."""
     return tuple(
-        f', "triangulation": {json.dumps([[a, b] for a, b in label])}}}'
+        f', "triangulation": [{", ".join(f"[{a}, {b}]" for a, b in label)}]}}'
         for label in polygon.all_triangulations(n)
     )
 

@@ -316,18 +316,26 @@ def test_make_polytope_rejects_a_hull_beyond_the_flips():
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
 def test_a_row_nudged_off_the_hull_falls_back_and_is_refused(monkeypatch, construction, n):
     # a vertex outside the frame moved by one in a column off the basis'
-    # pivots leaves the hull: the check on ints refuses the flips' frame,
-    # and the elimination of all rows finds the extra dimension
+    # pivots leaves the hull: one of the hull equations refuses the flips'
+    # frame, and the elimination of all rows finds the extra dimension.
+    # Every such column (each its own equation; secondary has three) is
+    # nudged, at the first and at the last vertex outside the frame
     p = builds(n)[construction]
-    v = next(i for i in range(len(p.labels)) if i not in p.hull.independent)
-    j = next(j for j in range(p.ambient_dim) if j not in p.hull.pivots)
-    rows = [list(r) for r in p.hull.rows]
-    rows[v][j] += 1
+    outside = [i for i in range(len(p.labels)) if i not in p.hull.independent]
+    columns = [j for j in range(p.ambient_dim) if j not in p.hull.pivots]
+    assert len(columns) == p.ambient_dim - n
     calls = []
     _counting(monkeypatch, analysis, "affine_frame", calls)
-    with pytest.raises(ValueError, match=f"affine hull has dimension {n + 1}, expected {n}"):
-        make_polytope(p.construction, n, p.ambient_dim, zip(rows, p.labels), scale=p.hull.scale)
-    assert calls == ["affine_frame"]
+    for v in (outside[0], outside[-1]):
+        for j in columns:
+            rows = [list(r) for r in p.hull.rows]
+            rows[v][j] += 1
+            calls.clear()
+            with pytest.raises(ValueError, match=f"affine hull has dimension {n + 1}, expected {n}"):
+                make_polytope(
+                    p.construction, n, p.ambient_dim, zip(rows, p.labels), scale=p.hull.scale
+                )
+            assert calls == ["affine_frame"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

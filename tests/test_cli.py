@@ -56,6 +56,32 @@ def test_polytope_json_roundtrip(tmp_path):
     assert (tmp_path / "p.json").read_bytes() == (tmp_path / "q.json").read_bytes()
 
 
+def test_written_labels_are_read_from_the_table(monkeypatch):
+    # a file as written lists the triangulations in order, each with its
+    # diagonals in order: its labels are compared with the cached ones, with
+    # no endpoint checked one by one and no label sorted; the same labels
+    # with their diagonals in another order take the checked path
+    p = build_minkowski(ones_weights(3), 3)
+    doc = json.loads(serialize.polytope_text(p))
+    endpoints, sorts = [], []
+    endpoint = serialize._endpoint
+    monkeypatch.setattr(serialize, "_endpoint", lambda a: endpoints.append(a) or endpoint(a))
+    monkeypatch.setattr(serialize, "sorted", lambda x: sorts.append(1) or sorted(x), raising=False)
+    assert serialize.polytope_from_json(doc) == p
+    assert endpoints == sorts == []
+    for v in doc["vertices"]:
+        v["triangulation"].reverse()
+    assert serialize.polytope_from_json(doc) == p
+    assert len(endpoints) == 2 * 3 * len(p.labels) and len(sorts) == len(p.labels)
+    # and so do the vertices in another order
+    for v in doc["vertices"]:
+        v["triangulation"].reverse()
+    doc["vertices"].reverse()
+    endpoints.clear()
+    assert serialize.polytope_from_json(doc) == p
+    assert len(endpoints) == 2 * 3 * len(p.labels)
+
+
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
 def test_polytope_files_are_one_compact_json_line(tmp_path, capsys, construction):
     built, exported, saved = (tmp_path / f"{k}.json" for k in ("built", "exported", "saved"))
@@ -999,6 +1025,26 @@ def test_build_names_the_digits_of_a_sum_too_long_to_write(tmp_path, capsys, dig
     assert (code, stdout) == (2, "")
     assert err == "error: cannot write output: a number of 4301 digits is past the 4300-digit limit\n"
     assert not out.exists()
+
+
+def test_compare_names_the_digits_of_a_witness_too_long_to_write(tmp_path, capsys, digit_limit):
+    # two n = 1 segments, one 10**8400 times the other: equivalent, and the
+    # witness matrix holds 10**8400, which has 8401 digits
+    big = "1" + "0" * 4200
+    paths = []
+    for name, x in (("large", big), ("small", f"1/{big}")):
+        path = tmp_path / f"{name}.json"
+        vertices = [
+            {"coords": [x, "0"], "triangulation": [[0, 2]]},
+            {"coords": ["0", x], "triangulation": [[1, 3]]},
+        ]
+        path.write_text(json.dumps(
+            {"construction": "minkowski", "n": 1, "params": {}, "vertices": vertices}
+        ))
+        paths.append(str(path))
+    code, out, err = run(["compare", *paths], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write witness: a number of 8401 digits is past the 4300-digit limit\n"
 
 
 NOT_INT_N_OR_NOT_OBJECT_PARAMS = {

@@ -14,8 +14,8 @@ from operator import mul
 import pytest
 
 from associahedra import cluster, exactlin, polygon
-from associahedra.exactlin import integer_inverse
-from associahedra.fan import Cone, _scaled, make_fan, tight_vertices, wall_slacks
+from associahedra.exactlin import exchange_inverse, integer_inverse
+from associahedra.fan import Cone, Fan, _scaled, make_fan, tight_vertices, wall_slacks
 from associahedra.minkowski import loday_vertex, ones_weights
 from associahedra.sampling import random_weights
 
@@ -147,7 +147,7 @@ def fresh_cones(fan, triangulations):
     return tuple(cones)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_every_cone_is_a_fresh_inverse(n):
     ts = polygon.all_triangulations(n)
     for fan in (loday_fan(n), cluster._fan(n)):
@@ -186,3 +186,84 @@ def test_make_fan_eliminates_once(monkeypatch):
     monkeypatch.setattr(exactlin, "_eliminate", lambda m: calls.append(1) or eliminate(m))
     fan = make_fan(cluster._fan(6).rays, polygon.all_triangulations(6))
     assert len(calls) == 1 and not fan.problems
+
+
+def reference_make_fan(rays, triangulations):
+    """The walk the wall table replaced, kept verbatim: each wall slices
+    and hashes its ridge, finds beta' by set difference and its position
+    by `index`, and takes a dense product with the inverse's columns."""
+
+    def coefficients(cone, v):
+        return [sum(map(mul, v, col)) for col in zip(*cone.inverse)]
+
+    ones = (1,) * len(next(iter(rays.values())))
+    containing = {}
+    for i, t in enumerate(triangulations):
+        for k in range(len(t)):
+            containing.setdefault(t[:k] + t[k + 1 :], []).append(i)
+    cones, dependent, problems = {}, [], []
+    walls, relations = [], []
+    for i, t in enumerate(triangulations):
+        if i not in cones:
+            try:
+                cones[i] = Cone(t, *integer_inverse([rays[d] for d in t] + [ones]))
+            except ValueError:
+                cones[i] = None
+        if cones[i] is None:
+            dependent.append(("dependent_cone", t))
+        for k, beta in enumerate(t):
+            ridge = t[:k] + t[k + 1 :]
+            members = containing[ridge]
+            if len(members) != 2:
+                if members[0] == i:
+                    problems.append(("ridge_in_cones", len(members), ridge))
+                continue
+            j = sum(members) - i
+            if j < i or cones[i] is None:
+                continue
+            (beta_p,) = set(triangulations[j]) - set(ridge)
+            y = coefficients(cones[i], rays[beta_p])
+            if j not in cones:
+                inverse = exchange_inverse(
+                    cones[i].inverse, cones[i].denominator, k, y, triangulations[j].index(beta_p)
+                )
+                cones[j] = inverse and Cone(triangulations[j], *inverse)
+            if y[k] >= 0:
+                problems.append(("wall_not_separating", ridge))
+                continue
+            walls.append((i, j))
+            shared = tuple(zip(ridge, y[:k] + y[k + 1 : -1]))
+            relations.append((beta, beta_p, -y[k], cones[i].denominator, shared))
+    cones = tuple(cones[i] for i in range(len(triangulations)))
+    point = tuple(map(sum, zip(*(rays[d] for d in triangulations[0]))))
+    covering = sum(
+        all(y >= 0 for y in coefficients(cone, point)[:-1]) for cone in cones if cone is not None
+    )
+    if covering != 1:
+        problems.append(("point_covered_by", covering, point))
+    return Fan(rays, cones, tuple(walls), tuple(relations), tuple(dependent + problems))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_make_fan_matches_the_reference_walk(n):
+    # cones, walls, relations and problems, in order
+    ts = polygon.all_triangulations(n)
+    for fan in (cluster._fan(n), loday_fan(n)):
+        assert fan == reference_make_fan(fan.rays, ts)
+
+
+def test_make_fan_matches_the_reference_walk_off_a_fan():
+    # every problem kind, ridge problems between walls that do not
+    # separate: the table's two problem lists merge in walk order
+    rays = dict(cluster._fan(3).rays)
+    rays[(1, 4)] = tuple(-x for x in rays[(1, 4)])
+    dependent = dict(rays)
+    dependent[(0, 3)] = tuple(2 * x for x in rays[(0, 2)])
+    ts = list(polygon.all_triangulations(3))
+    kinds = set()
+    for case in (rays, dependent):
+        for triangulations in (ts, ts[1:], ts[:5] + ts[6:], ts + ts[2:3]):
+            fan = make_fan(case, triangulations)
+            assert fan == reference_make_fan(case, triangulations)
+            kinds |= {p[0] for p in fan.problems}
+    assert kinds == {"dependent_cone", "ridge_in_cones", "wall_not_separating", "point_covered_by"}
