@@ -31,6 +31,7 @@ malformed too, although `true == 1` and `1.0 == 1` in Python (rc 2).
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import analysis, serialize, verification
 from .analysis import CertificationError
@@ -212,7 +213,11 @@ def cmd_export(args):
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The `assoc` parser, built on first use and kept: each parser is a
+    cycle of actions and containers, which a fresh one per `main` call
+    would leave to the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="assoc",
         description="Build, analyze, and compare exact-rational associahedron realizations.",

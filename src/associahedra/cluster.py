@@ -99,7 +99,7 @@ def diagonal_to_root(d, n):
 def _fan(n):
     """The cluster fan: each diagonal's ray is its root's coordinates."""
     rays = {d: root_coordinates(r, n) for r, d in _root_diagonal_maps(n)[0].items()}
-    return make_fan(rays, polygon.all_triangulations(n))
+    return make_fan(rays, n)
 
 
 def _by_diagonal(h, n):

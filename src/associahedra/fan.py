@@ -4,12 +4,11 @@ Rays are int rows in (n+1)-space read modulo the all-ones vector; the
 cones are the triangulations and the walls their flips.  `make_fan` builds
 the walls with their integer relations, each cone's integer inverse (one
 pivot across a wall from an earlier cone's) and the exact fan certificate
-in one walk over a wall table made first from one ridge incidence pass
-(per cone, its later neighbours, the diagonal each exchange brings in and
-its position there), so no wall slices, hashes or searches a ridge.  A
-ray's coefficients in a cone are the sum of the inverse's rows at the
-ray's few nonzero entries, and the covering check (c) stops at a cone's
-first negative coefficient.  Support values h, one per
+in one walk over `polygon.flip_table(n)`, whose one ridge incidence pass
+per n proves that every ridge lies in exactly two cones, so no wall hashes
+a ridge.  A ray's coefficients in a cone are the sum of the inverse's rows
+at the ray's few nonzero entries, and the covering check (c) stops at a
+cone's first negative coefficient.  Support values h, one per
 diagonal, that are strictly convex across every wall give the polytope
 with this normal fan: the vertex of a triangulation is the point of the
 sum-zero hyperplane where the inequalities <ray, x> <= h of its diagonals
@@ -26,8 +25,8 @@ from math import lcm
 from operator import add, mul
 from typing import NamedTuple
 
+from . import polygon
 from .exactlin import exchange_inverse, integer_inverse, integer_scaling, lane_failures
-from .polygon import ridge_incidence
 
 
 class Cone(NamedTuple):
@@ -57,39 +56,21 @@ def _coefficients(inverse, terms):
     return y
 
 
-def _wall_table(triangulations):
-    """(table, problems) from one `polygon.ridge_incidence` pass.
+def make_fan(rays, n):
+    """The fan on `rays` whose cones are the triangulations of the
+    (n+3)-gon, `polygon.all_triangulations(n)`.
 
-    table[i] lists the walls of cone i to later cones, in order of the
-    position k of the diagonal cone i gives up, as (k, j, ridge, beta', at):
-    cone j holds the ridge and beta' = triangulations[j][at].  A ridge not
-    in exactly two cones is a problem, (i, k, ("ridge_in_cones", count,
-    ridge)) at its first cone i, in order of (i, k)."""
-    table = [[] for _ in triangulations]
-    problems = []
-    for ridge, members in ridge_incidence(triangulations).items():
-        (i, k), *others = members
-        if len(members) != 2:
-            problems.append((i, k, ("ridge_in_cones", len(members), ridge)))
-            continue
-        ((j, at),) = others
-        table[i].append((k, j, ridge, triangulations[j][at], at))
-    return table, problems
-
-
-def make_fan(rays, triangulations):
-    """The fan of `triangulations` (sorted tuples of diagonals) on `rays`.
-
-    Walls come from ridge incidence in flip order: each triangulation in
-    turn, its diagonals in order, a wall kept where the other cone comes
-    later, all read off one table made before the walk (`_wall_table`).
-    The relation of a wall exchanging beta in the earlier cone for beta'
-    is a*beta + b*beta' = sum c_g*g over the shared diagonals g, modulo
-    the all-ones vector, in ints with a, b > 0.  Its coefficients y,
-    beta' in the earlier cone's inverse, are the sum of the inverse's rows
-    at beta''s nonzero entries (two for a cluster ray, `_coefficients`).
-    They are also the one pivot that inverts the later cone
-    (`exactlin.exchange_inverse`): each cone's inverse comes from the
+    Walls come from `polygon.flip_table(n)` in flip order: each
+    triangulation i in turn, its diagonals in order, a wall kept where the
+    flip j across position k comes later; beta' is the diagonal of cone j
+    at the position `at` where j flips back to i, and the ridge is cone i
+    less its position k.  The relation of a wall exchanging beta in the
+    earlier cone for beta' is a*beta + b*beta' = sum c_g*g over the
+    shared diagonals g, modulo the all-ones vector, in ints with a, b > 0.
+    Its coefficients y, beta' in the earlier cone's inverse, are the sum of
+    the inverse's rows at beta''s nonzero entries (two for a cluster ray,
+    `_coefficients`).  They are also the one pivot that inverts the later
+    cone (`exactlin.exchange_inverse`): each cone's inverse comes from the
     first earlier cone across a wall that has one, and only a cone with
     none, cone 0 among them, is eliminated (`integer_inverse`).
 
@@ -98,14 +79,16 @@ def make_fan(rays, triangulations):
     ridge lies in exactly two cones, whose exchanged rays lie on opposite
     sides of it, and (c) the sum of the rays of the first cone lies in
     exactly one closed cone, each cone tested up to its first negative
-    coefficient.  (b) makes the cones a pseudomanifold without
+    coefficient.  The combinatorial half of (b) is `flip_table`'s, which
+    raises AssertionError unless it holds, once per n; the opposite sides
+    are checked here.  (b) makes the cones a pseudomanifold without
     boundary, so the number of cones covering a point off the walls is the
     same everywhere, and (c) makes that number 1.
     """
+    triangulations, flips = polygon.all_triangulations(n), polygon.flip_table(n)
     ones = (1,) * len(next(iter(rays.values())))
     terms = {d: [(r, c) for r, c in enumerate(ray) if c] for d, ray in rays.items()}
-    table, ridge_problems = _wall_table(triangulations)
-    cones, dependent, wall_problems = {}, [], []  # cone index -> Cone, None where dependent
+    cones, dependent, problems = {}, [], []  # cone index -> Cone, None where dependent
     walls, relations = [], []
     for i, t in enumerate(triangulations):
         if i not in cones:
@@ -117,14 +100,19 @@ def make_fan(rays, triangulations):
             dependent.append(("dependent_cone", t))
             continue
         inverse, denominator = cones[i].inverse, cones[i].denominator
-        for k, j, ridge, beta_p, at in table[i]:
+        for k, j in enumerate(flips[i]):
+            if j < i:
+                continue
+            at = flips[j].index(i)
+            beta_p = triangulations[j][at]
             y = _coefficients(inverse, terms[beta_p])
             if j not in cones:
                 inverse_j = exchange_inverse(inverse, denominator, k, y, at)
                 cones[j] = inverse_j and Cone(triangulations[j], *inverse_j)
             a = -y.pop(k)
+            ridge = t[:k] + t[k + 1 :]
             if a <= 0:
-                wall_problems.append((i, k, ("wall_not_separating", ridge)))
+                problems.append(("wall_not_separating", ridge))
                 continue
             walls.append((i, j))
             # y less its entry k: the shared diagonals' coefficients, then all-ones'
@@ -138,8 +126,6 @@ def make_fan(rays, triangulations):
         for cone in cones
         if cone is not None
     )
-    # both kinds keyed by (i, k), a ridge of cone i: merged in walk order
-    problems = [problem for *_, problem in sorted(ridge_problems + wall_problems)]
     if covering != 1:
         problems.append(("point_covered_by", covering, point))
     return Fan(rays, cones, tuple(walls), tuple(relations), tuple(dependent + problems))

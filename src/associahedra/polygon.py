@@ -89,27 +89,22 @@ def _triangles_by_triangulation(n):
     return dict(sorted((tuple(sorted(t)), tuple(sorted(tri))) for t, tri in pairs))
 
 
-def ridge_incidence(triangulations):
-    """{ridge: [(i, k), ...]}: each triangulation i that holds the ridge,
-    in order, with the position k of its diagonal that the ridge lacks;
-    ridges in order of their first (i, k)."""
-    containing = {}
-    for i, t in enumerate(triangulations):
-        for k in range(len(t)):
-            containing.setdefault(t[:k] + t[k + 1 :], []).append((i, k))
-    return containing
-
-
 @lru_cache(maxsize=None)
 def flip_table(n):
     """For each triangulation, in `all_triangulations` order, the indices of
     its n flips: entry k is the triangulation that replaces its k-th
     diagonal.  A ridge (a triangulation minus one diagonal) lies in exactly
     two triangulations, the flip pair across it (AssertionError if not:
-    `analysis.face_lattice` relies on it)."""
+    `fan.make_fan` and `analysis.face_lattice` rely on it, so the check
+    runs once per n).  One pass records, per ridge, each triangulation
+    holding it with the position of the diagonal the ridge lacks."""
     ts = all_triangulations(n)
+    containing = {}
+    for i, t in enumerate(ts):
+        for k in range(len(t)):
+            containing.setdefault(t[:k] + t[k + 1 :], []).append((i, k))
     table = [[None] * n for _ in ts]
-    for ridge, members in ridge_incidence(ts).items():
+    for ridge, members in containing.items():
         if len(members) != 2:
             raise AssertionError(f"ridge {ridge} lies in {len(members)} triangulations, not 2")
         (i, k), (j, at) = members

@@ -92,12 +92,10 @@ def gkz_vector(coords, t, n):
     return tuple(Fraction(x, denominator) for x in _area_row(table, t, n))
 
 
-def build_secondary(coords=None, n=None):
+def build_secondary(coords=None, *, n):
     if coords is None:
         coords = parabola_geometry(n)
     coords = tuple((Fraction(x), Fraction(y)) for x, y in coords)
-    if n is None:
-        n = len(coords) - 3
     check_geometry(coords, n)
     table, denominator = area_table(coords)
     pairs = [(_area_row(table, t, n), t) for t in polygon.all_triangulations(n)]

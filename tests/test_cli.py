@@ -1,3 +1,5 @@
+import argparse
+import gc
 import hashlib
 import json
 import random
@@ -80,6 +82,23 @@ def test_written_labels_are_read_from_the_table(monkeypatch):
     endpoints.clear()
     assert serialize.polytope_from_json(doc) == p
     assert len(endpoints) == 2 * 3 * len(p.labels)
+
+
+def test_one_vertex_off_the_table_is_the_only_one_checked(monkeypatch):
+    # the table is compared vertex by vertex: one middle vertex with its
+    # diagonals reversed takes the checked path alone, 2n endpoints and one
+    # sort, and every other vertex takes the cached label
+    n = 4
+    p = build_minkowski(ones_weights(n), n)
+    doc = json.loads(serialize.polytope_text(p))
+    middle = len(p.labels) // 2
+    doc["vertices"][middle]["triangulation"].reverse()
+    endpoints, sorts = [], []
+    endpoint = serialize._endpoint
+    monkeypatch.setattr(serialize, "_endpoint", lambda a: endpoints.append(a) or endpoint(a))
+    monkeypatch.setattr(serialize, "sorted", lambda x: sorts.append(1) or sorted(x), raising=False)
+    assert serialize.polytope_from_json(doc) == p
+    assert len(endpoints) == 2 * n and len(sorts) == 1
 
 
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
@@ -265,6 +284,23 @@ def test_verify_small(capsys):
     assert code == 0
     assert "Catalan counts 2, 5" in out
     assert "FAIL" not in out
+
+
+def test_main_leaves_no_parser_to_the_cyclic_collector(capsys):
+    # a parser is a cycle of actions and containers: one built per call
+    # would be garbage each time, and DEBUG_SAVEALL keeps what is collected
+    gc.collect()
+    flags, start = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert run(["verify", "--n-max", "1"], capsys)[0] == 0
+        gc.collect()
+        parsers = [x for x in gc.garbage[start:] if isinstance(x, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+    assert parsers == []
 
 
 def test_verify_out_of_range(capsys):
