@@ -6,13 +6,14 @@ what it read.  A facet's members are the vertices whose label carries its
 diagonal.  Facets are certified in the hull's n-column chart: each
 vertex's entries at the pivot columns of the hull's basis, less vertex
 0's, where every affine functional of the hull keeps its signs and zeros.
-A facet's chart normal is the kernel of the differences of the first
-member and that member's flips of its other diagonals, and one projection
-per polytope lifts it to the ambient normal that is reported.  Then every
-member must lie on the hyperplane and every other vertex strictly on one
-side: the lane certificate (`exactlin.lane_failures`) checks all n(n+3)/2
-facet inequalities at a vertex's chart row with one packed big-integer
-product per chart column.  Each facet's value sits in its own lane of one
+A facet's chart normal is its construction's closed form if the polytope
+has params and that passes, else the kernel of the differences of the
+first member and that member's flips of its other diagonals, and one
+projection per polytope lifts it to the ambient normal that is reported.
+Then every member must lie on the hyperplane and every other vertex
+strictly on one side: the lane certificate (`exactlin.lane_failures`)
+checks all n(n+3)/2 facet inequalities at a vertex's chart row with one
+packed big-integer product per chart column.  Each facet's value sits in its own lane of one
 Python int, wide enough (one bit over |c|_1 max|y| + |offset| + 1, for
 its chart normal c and the chart rows y) that a negative value always
 borrows into its own lane's top bit, so two masks read the verdict.
@@ -69,6 +70,7 @@ from .exactlin import (
     integer_scaling,
     lane_failures,
     make_hyperplane,
+    primitive_rows,
     # unused here, but perfbench's tracer test checks that this by-name
     # binding gets patched
     solve_linear,  # noqa: F401
@@ -236,55 +238,57 @@ def extract_facets(p):
     return list(p.certified_facets)
 
 
-def _certify_facets(p):
+def _certify_facets(p, kernels=False):
     """The facets of `extract_facets`, certified.
 
     The facet's members are the vertices whose label carries the diagonal.
     It is certified in the hull's chart (`Hull.chart`).  A direction u of
     the hull is sum_k u[pivot_k] basis_k, so the chart is affine and
     one-to-one on the hull, and an affine functional of the hull has the
-    same signs and zeros there.  The chart normal c is the kernel
-    (`exactlin.integer_kernel`) of the chart differences w - v, for the
-    flips w of the first member v at its other n-1 diagonals
-    (`polygon.flip_table`), which carry the diagonal too; what depends on
-    n alone is laid out once per n (`_facet_plan`).  c is lifted to the primitive ambient normal,
-    first nonzero entry positive, by one matrix per polytope
-    (`_normal_lift`), and oriented by its sign at the first non-member (a
-    0 there fails either way).  `exactlin.lane_failures` then checks at
-    every chart row y, for all F = n(n+3)/2 facets at once in the lanes of
-    one Python int, that c.y - c.y_v is 0 on members and positive
-    elsewhere.  The Fraction hyperplane is made only when a caller reads
-    it (`FacetDescriptor.hyperplane`).
+    same signs and zeros there.  The chart normal c is proposed in closed
+    form if p has params (`_proposed_normals`); else, or with `kernels`, it
+    is the kernel (`exactlin.integer_kernel`) of the chart differences
+    w - v, for the flips w of the first member v at its other n-1
+    diagonals (`polygon.flip_table`), which carry the diagonal too; what
+    depends on n alone is laid out once per n (`_facet_plan`).  c is lifted
+    to the primitive ambient normal, first nonzero entry positive, by one
+    matrix per polytope (`_normal_lift`), and oriented by its sign at the
+    first non-member (a 0 there fails either way).  `exactlin.lane_failures`
+    then checks at every chart row y, for all F = n(n+3)/2 facets at once
+    in the lanes of one Python int, that c.y - c.y_v is 0 on members and
+    positive elsewhere.  The Fraction hyperplane is made only when a caller
+    reads it (`FacetDescriptor.hyperplane`).
 
-    If v and those n-1 flips do not span a codim-1 flat of the hull (their
-    chart differences then have no kernel line, the chart being one-to-one
-    on directions), the certificate cannot hold, so no other members are
-    tried.  Suppose it held.  Let d_1..d_n be v's diagonals, N_j their
-    normals and w_j v's flip at d_j.  w_j carries every d_i but d_j, so
-    N_i.(w_j - v) = 0 for i != j, and the certificate puts w_j strictly off
-    d_j's hyperplane, so N_j.(w_j - v) != 0.  Applying N_k to
+    Suppose the certificate holds.  Let d_1..d_n be v's diagonals, N_j
+    their normals and w_j v's flip at d_j.  w_j carries every d_i but d_j,
+    so N_i.(w_j - v) = 0 for i != j, and the certificate puts w_j strictly
+    off d_j's hyperplane, so N_j.(w_j - v) != 0.  Applying N_k to
     sum_j c_j (w_j - v) = 0 leaves c_k N_k.(w_k - v) = 0, so the n vectors
     w_j - v are independent, and the n-1 of them with d_j != d lie on d's
-    hyperplane: v and its flips would span it.
+    hyperplane.  So a proposal that passes is the kernel's primitive c and
+    gives its facets, and if v and those flips do not span a codim-1 flat
+    of the hull, the certificate cannot hold: no other members are tried.
 
     Certification failure means the construction is broken, not the
-    analysis, and raises CertificationError naming the diagonal: first
-    "no vertices carry it" or "do not span", in diagonal order, as the
-    normals are solved; then, only if a row fails, its slots are unpacked
-    and the first failing diagonal is named, "member off its hyperplane"
-    before "hyperplane is not supporting".
+    analysis; a failed proposal proves nothing, so the kernels rerun and
+    raise CertificationError naming the diagonal: first "no vertices carry
+    it" or "do not span", in diagonal order, as the normals are solved;
+    then, only if a row fails, its slots are unpacked and the first failing
+    diagonal is named, "member off its hyperplane" before "hyperplane is
+    not supporting".
     """
+    proposal = None if kernels else _proposed_normals(p)
     diagonals, plan, tight = _facet_plan(p.n)
     rows, scale, chart = p.hull.rows, p.hull.scale, p.hull.chart
     lift = _normal_lift(p.hull)
     facets, functionals = [], []
-    for d, facet in zip(diagonals, plan):
+    for f, (d, facet) in enumerate(zip(diagonals, plan)):
         if facet is None:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
         members, v, flips, out = facet
         y = chart[v]
-        # None unless they span a codim-1 flat of the hull: fewer than n do not
-        c = integer_kernel([vsub(chart[w], y) for w in flips], p.n)
+        # a kernel is None unless they span a codim-1 flat of the hull: fewer than n do not
+        c = proposal[f] if proposal else integer_kernel([vsub(chart[w], y) for w in flips], p.n)
         if c is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
         normal = [sum(map(mul, row, c)) for row in lift]
@@ -308,6 +312,8 @@ def _certify_facets(p):
             )
         )
     failures = lane_failures(functionals, chart, tight)
+    if failures and proposal:
+        return _certify_facets(p, kernels=True)
     if failures:
         failed = {(f, f in tight[i]) for i, fs in failures for f in fs}
         f = min(f for f, _ in failed)
@@ -315,6 +321,19 @@ def _certify_facets(p):
             raise CertificationError(f"diagonal {diagonals[f]}: member off its hyperplane")
         raise CertificationError(f"diagonal {diagonals[f]}: hyperplane is not supporting")
     return facets
+
+
+def _proposed_normals(p):
+    """Its construction's facet normals (`Construction.normals`) on p's
+    chart, primitive; None without params or if one is 0 on the hull."""
+    from .constructions import CONSTRUCTIONS  # it imports the builders, which import this
+
+    c = CONSTRUCTIONS.get(p.construction)
+    if c is None or c.key not in p.params:
+        return None
+    normals = c.normals(p.params[c.key], p.n)
+    proposal = primitive_rows([[sum(map(mul, b, a)) for b in p.hull.basis] for a in normals])
+    return proposal if all(map(any, proposal)) else None
 
 
 @lru_cache(maxsize=None)

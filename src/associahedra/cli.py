@@ -14,9 +14,11 @@ Exit codes are a stable contract:
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
 
-A file is malformed also when its `n` is not an int, its vertex count is
-not Catalan(n+1), the number of triangulations (checked before any
-coordinate is read), its `params` is not an object, its `params.n`
+A polytope file is malformed also when it has more bytes than
+`serialize.max_file_bytes()` (2 KiB per vertex at n = 7: 2928640 bytes,
+checked before it is decoded), when its `n` is not an int, its vertex
+count is not Catalan(n+1), the number of triangulations (checked before
+any coordinate is read), its `params` is not an object, its `params.n`
 differs from its `n`, its parameter is outside the domain its
 construction's builder checks (`Construction.check`: the roots of n, the
 summands of n with positive weights, or n+3 points in strictly convex

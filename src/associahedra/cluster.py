@@ -95,11 +95,15 @@ def diagonal_to_root(d, n):
     return _root_diagonal_maps(n)[1][d]
 
 
+def ray_normals(n):
+    """The facet normals, per diagonal: its ray, its root's coordinates."""
+    return [root_coordinates(diagonal_to_root(d, n), n) for d in polygon.all_diagonals(n)]
+
+
 @lru_cache(maxsize=None)
 def _fan(n):
-    """The cluster fan: each diagonal's ray is its root's coordinates."""
-    rays = {d: root_coordinates(r, n) for r, d in _root_diagonal_maps(n)[0].items()}
-    return make_fan(rays, n)
+    """The cluster fan: each diagonal's ray is its facet normal."""
+    return make_fan(dict(zip(polygon.all_diagonals(n), ray_normals(n))), n)
 
 
 def _by_diagonal(h, n):

@@ -3,10 +3,10 @@
 A record says how a construction's parameter is stored (its key in a
 polytope's `params`, and its JSON encoding), where a default or a seeded
 random parameter comes from, which parameters are in its domain (the cheap
-checks its builder makes first, run on a file's params too), and how a
-polytope is built from it.  The
-records call their functions through the modules at call time, so a
-function replaced on its module (as a profiler does) is the one that runs.
+checks its builder makes first, run on a file's params too), how a
+polytope is built from it and its facet normals, which `analysis`
+certifies in place of solving for them.  The records call their functions
+through the modules at call time, so a replaced function is the one run.
 """
 
 from dataclasses import dataclass
@@ -31,6 +31,7 @@ class Construction:
     draw: Callable  # (n, rng) -> parameter
     check: Callable  # (parameter, n) -> None; ValueError off the domain `build` takes
     build: Callable  # (parameter, n) -> LabeledPolytope
+    normals: Callable  # (parameter, n) -> an int facet normal per `polygon.all_diagonals(n)`
 
 
 def _object_items(doc):
@@ -70,6 +71,7 @@ CONSTRUCTIONS = {
             draw=lambda n, rng: sampling.random_convex_geometry(n, rng),
             check=lambda coords, n: secondary.check_geometry(coords, n),
             build=lambda coords, n: secondary.build_secondary(coords=coords, n=n),
+            normals=lambda coords, n: secondary.fold_normals(coords, n),
         ),
         Construction(
             "cluster",
@@ -82,6 +84,7 @@ CONSTRUCTIONS = {
             draw=lambda n, rng: sampling.perturbed_support_values(n, rng),
             check=lambda h, n: cluster.check_roots(h, n),
             build=lambda h, n: cluster.build_cluster_polytope(h, n),
+            normals=lambda h, n: cluster.ray_normals(n),
         ),
         Construction(
             "minkowski",
@@ -92,6 +95,7 @@ CONSTRUCTIONS = {
             draw=lambda n, rng: sampling.random_weights(n, rng),
             check=lambda a, n: minkowski.check_weights(a, n),
             build=lambda a, n: minkowski.build_minkowski(a, n),
+            normals=lambda a, n: minkowski.interval_normals(n),
         ),
     )
 }

@@ -51,6 +51,11 @@ def _row(table, t, n):
     return tuple(v)
 
 
+def interval_normals(n):
+    """The facet normals, per diagonal (a, b): the indicator of a < k < b."""
+    return [[int(a < k < b) for k in range(1, n + 2)] for a, b in polygon.all_diagonals(n)]
+
+
 def loday_vertex(a, t, n):
     """The vertex of triangulation t: each triangle (lo, k, hi) sets x_k to
     the total weight of the intervals [i..j] with lo < i <= k <= j < hi."""

@@ -29,12 +29,14 @@ def signed_area2(p, q, r):
 
 
 def geometry_problem(coords):
-    """None if the points are in strictly convex counterclockwise position."""
+    """None if the points are in strictly convex counterclockwise position
+    (decided on ints: one positive scale keeps signs and distinct points)."""
+    rows, _ = integer_scaling(coords)
     m = len(coords)
-    if len(set(coords)) != m:
+    if len(set(rows)) != m:
         return "duplicate points"
     for i in range(m):
-        a2 = signed_area2(coords[i], coords[(i + 1) % m], coords[(i + 2) % m])
+        a2 = signed_area2(rows[i], rows[(i + 1) % m], rows[(i + 2) % m])
         if a2 <= 0:
             return f"non-positive turn at vertex {(i + 1) % m}"
     return None
@@ -74,6 +76,16 @@ def area_table(coords):
         for tri in combinations(range(len(rows)), 3)
     }
     return table, 2 * scale * scale
+
+
+def fold_normals(coords, n):
+    """The facet normals, per diagonal (i, j): its GKZ fold height on the
+    points scaled to ints, 0 at i..j and det(p_j - p_i, p_k - p_i) at other k."""
+    rows, _ = integer_scaling(coords)
+    return [
+        [0 if i <= k <= j else signed_area2(rows[i], rows[j], rows[k]) for k in range(n + 3)]
+        for i, j in polygon.all_diagonals(n)
+    ]
 
 
 def _area_row(table, t, n):

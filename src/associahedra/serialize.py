@@ -12,6 +12,7 @@ strings among their 3003 to 3861 coordinates.
 """
 
 import json
+import os
 from functools import lru_cache
 from itertools import chain
 from math import lcm
@@ -180,6 +181,15 @@ def save_polytope(p, path):
         f.write(text)
 
 
+def max_file_bytes():
+    """The largest polytope file read: 2 KiB per vertex at the largest n,
+    over three times the largest drawn n = 7 file (0.87 MB)."""
+    return 2048 * polygon.catalan(practical_bound() + 1)
+
+
 def load_polytope(path):
     with open(path, encoding="utf-8") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size > max_file_bytes():
+            raise ValueError(f"file has {size} bytes, over the {max_file_bytes()}-byte cap")
         return polytope_from_json(json.load(f))

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from associahedra import analysis, exactlin, polygon, sampling, verification
+from associahedra import (
+    analysis,
+    cluster,
+    exactlin,
+    minkowski,
+    polygon,
+    sampling,
+    secondary,
+    verification,
+)
 from associahedra.analysis import (
     CertificationError,
     FacetDescriptor,
@@ -591,11 +600,22 @@ def test_facets_fail_at_once_when_the_flips_do_not_span(monkeypatch, constructio
         return tuple((i,) * m for i in range(len(polygon.all_triangulations(m))))
 
     p = drawn(construction, n, random.Random(20 + n))
+    want = analysis._certify_facets(p)
     monkeypatch.setattr(polygon, "flip_table", stuck)
     _fresh_facet_plan(monkeypatch)
     first = polygon.all_diagonals(n)[0]
     with pytest.raises(CertificationError, match=re.escape(f"{first}: vertices do not span")):
-        extract_facets(p)
+        extract_facets(_without_params(p))
+    # the proposed normals read no flip: with its params p certifies as before
+    assert extract_facets(p) == want
+
+
+def _without_params(p):
+    """p's vertices and labels with no params, so nothing proposes its
+    normals and every facet's normal is solved as a kernel."""
+    return make_polytope(
+        p.construction, p.n, p.ambient_dim, zip(p.hull.rows, p.labels), scale=p.hull.scale
+    )
 
 
 def _fresh_facet_plan(monkeypatch):
@@ -855,10 +875,12 @@ def test_a_miss_reads_one_vertex_outside_the_frame(monkeypatch, n):
         assert calls == []
 
 
-def _swap_labels(p, i, j):
+def _swap_labels(p, i, j, params=None):
     pairs = [list(v) for v in p.vertices]
     pairs[i][1], pairs[j][1] = pairs[j][1], pairs[i][1]
-    return make_polytope(p.construction, p.n, p.ambient_dim, [tuple(v) for v in pairs])
+    return make_polytope(
+        p.construction, p.n, p.ambient_dim, [tuple(v) for v in pairs], params=params
+    )
 
 
 def test_extract_facets_rejects_swapped_labels():
@@ -893,11 +915,64 @@ def test_lane_certificate_matches_the_scalar_reference(construction, n):
             assert analysis._certify_facets(q) == reference_certify_facets(q)
 
 
+# the module function each record's `normals` calls
+NORMALS = {
+    "secondary": (secondary, "fold_normals"),
+    "cluster": (cluster, "ray_normals"),
+    "minkowski": (minkowski, "interval_normals"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_built_and_loaded_polytopes_certify_their_proposed_normals(
+    monkeypatch, construction, n
+):
+    c = CONSTRUCTIONS[construction]
+    rng = random.Random(70 + n)
+    calls = []
+    _counting(monkeypatch, analysis, "integer_kernel", calls)
+    for value in [c.default(n)] + [c.draw(n, rng) for _ in range(3)]:
+        p = c.build(value, n)
+        for q in (p, polytope_from_json(polytope_to_json(p))):
+            assert analysis._certify_facets(q) == reference_certify_facets(q)
+    assert calls == []
+
+
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_a_wrong_proposal_falls_back_to_the_kernels(monkeypatch, construction):
+    n = 3
+    c = CONSTRUCTIONS[construction]
+    p = c.build(c.draw(n, random.Random(80)), n)
+    want = reference_certify_facets(p)
+    module, name = NORMALS[construction]
+    normals = getattr(module, name)
+
+    def exchanged(*args):
+        rows = normals(*args)
+        rows[0], rows[1] = rows[1], rows[0]
+        return rows
+
+    def flat(*args):
+        # constant on the hull (the GKZ vectors' coordinates sum to three
+        # times the area, the others' to 0 or the total weight): nothing to propose
+        return [[1] * p.ambient_dim for _ in normals(*args)]
+
+    calls = []
+    _counting(monkeypatch, analysis, "integer_kernel", calls)
+    for wrong in (exchanged, flat):
+        monkeypatch.setattr(module, name, wrong)
+        calls.clear()
+        assert analysis._certify_facets(p) == want
+        assert len(calls) == n * (n + 3) // 2
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_certificate_solves_on_chart_rows(monkeypatch, n):
     # one Gram inverse for the lift, then F kernels of n-1 chart rows by
     # n columns, and one lane pass over rows of n columns: a return to
-    # ambient-width rows shows here without any timing
+    # ambient-width rows shows here without any timing.  With its params a
+    # polytope's normals are proposed: the Gram inverse is all it solves
     shapes, widths = [], []
     eliminate, lanes = exactlin._eliminate, analysis.lane_failures
 
@@ -915,11 +990,12 @@ def test_certificate_solves_on_chart_rows(monkeypatch, n):
     for c in CONSTRUCTIONS.values():
         p = c.build(c.default(n), n)
         assert p.ambient_dim > n
-        shapes.clear()
-        widths.clear()
-        analysis._certify_facets(p)
-        assert shapes == [(n, 2 * n)] + [(n - 1, n)] * count
-        assert widths == [{n}]
+        for q, solved in ((_without_params(p), [(n - 1, n)] * count), (p, [])):
+            shapes.clear()
+            widths.clear()
+            analysis._certify_facets(q)
+            assert shapes == [(n, 2 * n)] + solved
+            assert widths == [{n}]
 
 
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
@@ -933,9 +1009,10 @@ def test_swapped_labels_fail_as_the_scalar_reference_says(construction, n):
     c = CONSTRUCTIONS[construction]
     p = c.build(c.default(n), n)
     image = unimodular_relabelled_image(p, random.Random(60 + n))
-    for base in (p, image):
+    # p's params kept: its proposed normals fail, and the kernels name the fault
+    for base, params in ((p, None), (image, None), (p, p.params)):
         for i, j in itertools.combinations(range(len(p.labels)), 2):
-            q = _swap_labels(base, i, j)
+            q = _swap_labels(base, i, j, params)
             assert _certificate_outcome(analysis._certify_facets, q) == _certificate_outcome(
                 reference_certify_facets, q
             )

@@ -496,6 +496,36 @@ def test_vertex_count_is_checked_before_any_coordinate_is_decoded(tmp_path, caps
     assert parsed == []
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
+def test_files_over_the_byte_cap_are_refused_before_decoding(
+    tmp_path, capsys, monkeypatch, command
+):
+    # a file padded with trailing spaces: at the cap it decodes, one byte
+    # over it is refused, naming both sizes, before the JSON decoder runs
+    text = _built(tmp_path, capsys, "minkowski", 1).read_text()
+    cap = serialize.max_file_bytes()
+    decoded = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda f: decoded.append(f) or load(f))
+    for size, want in ((cap, {"analyze": 0, "compare": 1, "export": 0}[command]), (cap + 1, 2)):
+        path = tmp_path / f"{size}.json"
+        path.write_text(text + " " * (size - len(text)))
+        assert path.stat().st_size == size
+        decoded.clear()
+        argv = {
+            "analyze": ["analyze", str(path)],
+            "compare": ["compare", str(path), str(path)],
+            "export": ["export", str(path), "--format", "json"],
+        }[command]
+        code, _, err = run(argv, capsys)
+        assert code == want
+        if size > cap:
+            assert decoded == []
+            assert f"malformed polytope file: file has {size} bytes, over the {cap}-byte cap" in err
+        else:
+            assert decoded
+
+
 # (first, second) bad coordinates: the reader names the first in file
 # order, whichever sorts or hashes first and whether either is unhashable
 TWO_BAD_COORDS = {

@@ -3,24 +3,29 @@ import random
 import pytest
 
 from associahedra import cluster, minkowski, sampling, secondary, serialize, verification
+from associahedra.analysis import extract_facets
 from associahedra.constructions import CONSTRUCTIONS
 
-# per construction: the module functions its record's default, draw and build call
+# per construction: the module functions its record's default, draw, build
+# and normals call
 CALLED = {
     "secondary": [
         (secondary, "parabola_geometry"),
         (sampling, "random_convex_geometry"),
         (secondary, "build_secondary"),
+        (secondary, "fold_normals"),
     ],
     "cluster": [
         (cluster, "default_support_values"),
         (sampling, "perturbed_support_values"),
         (cluster, "build_cluster_polytope"),
+        (cluster, "ray_normals"),
     ],
     "minkowski": [
         (minkowski, "ones_weights"),
         (sampling, "random_weights"),
         (minkowski, "build_minkowski"),
+        (minkowski, "interval_normals"),
     ],
 }
 
@@ -42,10 +47,13 @@ def test_records_call_functions_patched_on_their_modules(monkeypatch, name):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, spy)
-    default, draw, build = (attr for _, attr in CALLED[name])
+    default, draw, build, normals = (attr for _, attr in CALLED[name])
     c = CONSTRUCTIONS[name]
-    c.build(c.default(2), 2)
+    p = c.build(c.default(2), 2)
     assert calls == [default, build]
+    # certifying the facets reads the normals off the record
+    extract_facets(p)
+    assert calls == [default, build, normals]
     calls.clear()
     c.build(c.draw(2, random.Random(5)), 2)
     # a draw may start from the default (the cluster draw perturbs it)

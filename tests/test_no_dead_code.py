@@ -17,7 +17,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 # test-only reference formulas: (module, name) -> what the tests read it for
 ALLOWED = {
-    ("cluster", "diagonal_to_root"): "the cluster tests name walls and compatibility by root",
     ("exactlin", "vec"): "Fraction vector literals in the exact-algebra tests",
     ("exactlin", "rank"): "the rank oracle for facet normals, flip differences and frames",
     ("exactlin", "subspace_from_differences"): "facet directions and hulls spanned from all members",

@@ -38,6 +38,34 @@ def test_integer_builder_matches_fraction_reference(n):
         assert list(build_secondary(coords=coords, n=n).vertices) == want
 
 
+def reference_geometry_problem(coords):
+    """`geometry_problem` on the Fraction points themselves."""
+    m = len(coords)
+    if len(set(coords)) != m:
+        return "duplicate points"
+    for i in range(m):
+        if signed_area2(coords[i], coords[(i + 1) % m], coords[(i + 2) % m]) <= 0:
+            return f"non-positive turn at vertex {(i + 1) % m}"
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_integer_geometry_check_matches_fraction_reference(n):
+    rng = random.Random(300 + n)
+    problems = set()
+    for _ in range(10):
+        coords = random_convex_geometry(n, rng)
+        shuffled = list(coords)
+        rng.shuffle(shuffled)
+        repeated = list(coords)
+        repeated[rng.randrange(n + 3)] = rng.choice(coords)
+        for case in (coords, coords[::-1], shuffled, repeated):
+            want = reference_geometry_problem(tuple(case))
+            assert geometry_problem(tuple(case)) == want
+            problems.add(want if want is None else want.split(" at ")[0])
+    assert problems == {None, "non-positive turn", "duplicate points"}
+
+
 def test_validate_square():
     assert validate_geometry(SQUARE)
 
