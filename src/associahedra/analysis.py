@@ -42,15 +42,19 @@ differences (`exactlin.echelon_basis`); every row is then checked to lie
 in it on ints, by the D - n integer equations that cut the hull out of
 D-space.  Only if the flips do not span the hull are the first n+1
 affinely independent vertices eliminated from all rows instead.  The
-facet certificate and the equivalence search share the chart
-(`Hull.chart`).  The search tries each of the 2(n+3) dihedral relabelings
-on one probe vertex, the source's first vertex outside its independent
-ones: its affine weights on them, from one `integer_inverse` per search,
-must give its image's chart row from theirs.  Only a relabeling whose
-probe fits is checked on every vertex, in one integer pass, with the
-ambient map the independent vertices and their images fix on the hull,
-extended off it by orthogonal projection; only a map that passes is made
-of Fractions.
+facet certificate reads the hull's chart (`Hull.chart`).  The equivalence
+search works on vertex indices: vertex i of every polytope carries the
+i-th triangulation, so a dihedral relabeling is a permutation of the
+indices that depends on n alone, tabulated once per n
+(`dihedral_images`).  The search tries each of the 2(n+3) relabelings on
+one probe vertex, the source's first vertex outside its independent ones
+(`Hull.probe`): its affine weights on them, from one `integer_inverse`
+per search, must give its image's integer hull row from theirs, so a
+miss reads n+2 rows of the target and makes no chart of it.  Only a
+relabeling whose probe fits is checked on every vertex, in one integer
+pass, with the ambient map the independent vertices and their images fix
+on the hull, extended off it by orthogonal projection; only a map that
+passes is made of Fractions.
 """
 
 from dataclasses import dataclass, field
@@ -98,6 +102,25 @@ class Hull(NamedTuple):
         affine functional of the hull has the same signs and zeros there."""
         columns = list(zip(*self.rows))
         return list(zip(*([a - columns[k][0] for a in columns[k]] for k in self.pivots)))
+
+    @property
+    def probe(self):
+        """(v, weights, d) for v the first vertex outside the frame
+        `independent`, or None if there is none (n = 1): v's affine weights
+        on the frame over one d > 0, (y_v, 1) . M for (M, d) the
+        `integer_inverse` of the frame's chart rows y augmented by 1, so
+        that sum_k weights[k] (y_{independent[k]}, 1) = d (y_v, 1).  Made
+        on each read, from those n+2 chart rows alone."""
+        v = next((v for v in range(len(self.rows)) if v not in self.independent), None)
+        if v is None:
+            return None
+        base = self.rows[0]
+
+        def chart(i):
+            return tuple(self.rows[i][k] - base[k] for k in self.pivots) + (1,)
+
+        inverse, d = integer_inverse([chart(i) for i in self.independent])
+        return v, [sum(map(mul, chart(v), col)) for col in zip(*inverse)], d
 
 
 @dataclass(frozen=True)
@@ -436,7 +459,8 @@ def special_profile(pairs):
 
 
 def dihedral_relabelings(n):
-    """The 2(n+3) rotations and reflections of the polygon labels."""
+    """The 2(n+3) rotations and reflections of the polygon labels:
+    l -> l + k at k, then l -> k - l at n+3+k, for k = 0..n+2."""
     size = n + 3
     maps = []
     for k in range(size):
@@ -455,93 +479,78 @@ def relabel_triangulation(perm, t):
     return tuple(sorted(relabel_diagonal(perm, d) for d in t))
 
 
-class HullChart:
-    """What affine-map fitting needs of one polytope, built once per search.
+@lru_cache(maxsize=None)
+def dihedral_images(n):
+    """Entry s holds at i the index in `polygon.all_triangulations(n)`,
+    every polytope's labels, of the i-th one under the s-th of
+    `dihedral_relabelings(n)`.  Cached and shared: nothing in it can be
+    changed.  Only the rotation by one and the mirror l -> -l relabel
+    labels; rotation k is that step k times, and reflection k is rotation
+    k after the mirror, composed on indices."""
+    labels = polygon.all_triangulations(n)
+    index = {t: i for i, t in enumerate(labels)}
+    relabelings = dihedral_relabelings(n)
+    step, mirror = (
+        [index[relabel_triangulation(relabelings[k], t)] for t in labels] for k in (1, n + 3)
+    )
+    rotations = [tuple(range(len(labels)))]
+    for _ in range(n + 2):
+        rotations.append(tuple(step[i] for i in rotations[-1]))
+    return tuple(rotations + [tuple(r[i] for i in mirror) for r in rotations])
 
-    `rows` holds each vertex's chart row (`Hull.chart`: on the hull the
-    entries at the basis' pivot columns, less vertex 0's, chart it
-    affinely), `labels` the vertex labels and `index` their vertex
-    indices, and `independent` the hull record's n+1 independent vertex
-    indices, the frame.  `probe` is made on first read, so only a
-    search's source chart makes it.
+
+def fit_affine_map(p, q, images, probe):
+    """Affine map sending vertex i of p to vertex images[i] of q, for
+    `images` an entry of `dihedral_images(p.n)`; None if there is none.
+
+    `probe` is p's `Hull.probe`, made once per search; only `images`
+    changes between calls.  On the hull the map is fixed by p's frame and
+    the frame's images, so it fails at the probe vertex unless the probe's
+    weights, applied to q's integer hull rows of the frame's images, give
+    d times q's row of the probe's image.  The weights w are affine
+    (sum w = d), and an affine chart phi of q's hull is one-to-one on it,
+    so sum w_k phi(y_k) = d phi(y_v) iff sum w_k y_k = d y_v: the test
+    reads the rows themselves, and q's chart is never made.  Only a probe
+    that fits, or a frame with no vertex outside it, goes on to `_lift`,
+    which decides on every vertex; a miss reads n+2 rows of q and makes no
+    Fraction.
     """
-
-    def __init__(self, p):
-        self.polytope = p
-        self.rows = p.hull.chart
-        self.labels = p.labels
-        self.index = {label: i for i, label in enumerate(self.labels)}
-        self.independent = p.hull.independent
-
-    @cached_property
-    def probe(self):
-        """(v, weights, d) for v the first vertex outside the frame, or None
-        if there is none (n = 1): v's affine weights on the frame over one
-        d > 0, (rows[v], 1) . M for (M, d) the `integer_inverse` of the
-        frame's rows augmented by 1, so that sum_k weights[k] *
-        (rows[independent[k]], 1) equals d * (rows[v], 1)."""
-        frame = set(self.independent)
-        v = next((v for v in range(len(self.rows)) if v not in frame), None)
-        if v is None:
-            return None
-        inverse, d = integer_inverse([self.rows[i] + (1,) for i in self.independent])
-        return v, [sum(map(mul, self.rows[v] + (1,), col)) for col in zip(*inverse)], d
-
-
-def fit_affine_map(src, dst, perm):
-    """Affine map sending each src vertex to the dst vertex whose label is
-    its own relabelled by the dihedral `perm`; None if there is none.
-
-    `src` and `dst` are the HullCharts of the two polytopes, built once per
-    search; only `perm` changes between calls.  On the hull the map is
-    fixed by src's frame and the frame's images, so it fails at src's
-    probe vertex unless the probe's weights, applied to the dst chart rows
-    of the frame's images, give d times the dst chart row of the probe's
-    image, all in ints (the weights are affine, so translations and the
-    two scales cancel).  Only a probe that fits, or a frame with no vertex
-    outside it, goes on to `_lift`, which decides on every vertex; a miss
-    at the probe relabels and reads n+2 vertices and makes no Fraction.
-    """
-    def image(i):
-        return dst.index[relabel_triangulation(perm, src.labels[i])]
-
-    images = [image(i) for i in src.independent]
-    if src.probe is not None:
-        v, weights, d = src.probe
-        columns = zip(*(dst.rows[j] for j in images))
-        y = dst.rows[image(v)]
+    if probe is not None:
+        v, weights, d = probe
+        rows = q.hull.rows
+        columns = zip(*(rows[images[i]] for i in p.hull.independent))
+        y = rows[images[v]]
         if any(sum(map(mul, weights, col)) != d * a for col, a in zip(columns, y)):
             return None
-    return _lift(src, dst, perm, images)
+    return _lift(p, q, images)
 
 
-def _lift(src, dst, perm, images):
-    """The ambient map the frame's `images` fix, if it sends every src
-    vertex to its image under `perm`; else None.
+def _lift(p, q, images):
+    """The ambient map p's frame and its `images` fix, if it sends every
+    vertex i of p to vertex images[i] of q; else None.
 
-    X holds the differences of src's frame rows from the first, x_0, and Y
+    X holds the differences of p's frame rows from the first, x_0, and Y
     those of their images' rows from y_0, all on the integer hull rows
-    (scales s_src and s_dst).  The map is x -> y_0 + M (x - x_0) with
-    M = Y^T (X X^T)^-1 X times s_src / s_dst: it sends each frame vertex
-    to its image, so the whole hull as the frame fixes it, and kills the
+    (scales s_p and s_q).  The map is x -> y_0 + M (x - x_0) with
+    M = Y^T (X X^T)^-1 X times s_p / s_q: it sends each frame vertex to
+    its image, so the whole hull as the frame fixes it, and kills the
     orthogonal complement of the hull's direction space.  With (G, g) the
     `integer_inverse` of X X^T, K = Y^T (G X) is g M on the rows, an int
     matrix, and vertex row r with image row e passes iff
     K r + (g y_0 - K x_0) == g e: one int pass over the vertices decides
     exactly.  Only a map that passes is made of Fractions, the matrix
-    s_src K / (s_dst g) and the translation (g y_0 - K x_0) / (s_dst g).
+    s_p K / (s_q g) and the translation (g y_0 - K x_0) / (s_q g).
     """
-    p, q = src.polytope, dst.polytope
-    rows, dst_rows = p.hull.rows, q.hull.rows
-    x0, y0 = rows[src.independent[0]], dst_rows[images[0]]
-    xs = [vsub(rows[i], x0) for i in src.independent[1:]]
-    ys = [vsub(dst_rows[j], y0) for j in images[1:]]
+    frame, rows, dst_rows = p.hull.independent, p.hull.rows, q.hull.rows
+    x0, y0 = rows[frame[0]], dst_rows[images[frame[0]]]
+    xs = [vsub(rows[i], x0) for i in frame[1:]]
+    ys = [vsub(dst_rows[images[i]], y0) for i in frame[1:]]
     inverse, g = integer_inverse([[sum(map(mul, a, b)) for b in xs] for a in xs])
     projected = [[sum(map(mul, row, col)) for col in zip(*xs)] for row in inverse]
     matrix = [[sum(map(mul, y, col)) for col in zip(*projected)] for y in zip(*ys)]
     shift = [g * b - sum(map(mul, k, x0)) for k, b in zip(matrix, y0)]
-    for r, label in zip(rows, src.labels):
-        e = dst_rows[dst.index[relabel_triangulation(perm, label)]]
+    for r, j in zip(rows, images):
+        e = dst_rows[j]
         if any(sum(map(mul, k, r)) + b != g * a for k, b, a in zip(matrix, shift, e)):
             return None
     s, t = p.hull.scale, q.hull.scale * g
@@ -580,10 +589,11 @@ def equivalence_search(p, q):
     automorphism of the crossing graph, and each of those is the action of
     a dihedral relabeling sigma (for n = 1 both are rotations; the tests
     count them for every n that can be built).  f keeps affine weights and
-    is fixed on the hull by src's frame, so `fit_affine_map(src, dst,
-    sigma)` passes at the probe and `_lift` finds f there.  Conversely a
-    map `_lift` returns sends every vertex of p to the vertex of q with the
-    relabelled label, so a witness proves equivalence.
+    is fixed on the hull by p's frame, so `fit_affine_map(p, q, images,
+    probe)`, for sigma's entry of `dihedral_images(n)`, passes at the
+    probe and `_lift` finds f there.  Conversely a map `_lift` returns
+    sends every vertex of p to the vertex of q with the relabelled label,
+    so a witness proves equivalence.
     """
     if p.n != q.n:
         raise ValueError("polytopes have different n")
@@ -605,12 +615,10 @@ def equivalence_search(p, q):
             {"left": prof_p, "right": prof_q},
         )
     )
-    witness = None
-    src, dst = HullChart(p), HullChart(q)
-    for perm in dihedral_relabelings(p.n):
-        fit = fit_affine_map(src, dst, perm)
-        if fit is not None:
-            witness = fit
+    probe = p.hull.probe
+    for images in dihedral_images(p.n):
+        witness = fit_affine_map(p, q, images, probe)
+        if witness is not None:
             break
     return EquivalenceReport(
         pair=(p.construction, q.construction),

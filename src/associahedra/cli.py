@@ -14,9 +14,10 @@ Exit codes are a stable contract:
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
 
-A polytope file is malformed also when it has more bytes than
-`serialize.max_file_bytes()` (2 KiB per vertex at n = 7: 2928640 bytes,
-checked before it is decoded), when its `n` is not an int, its vertex
+A build params file is invalid (rc 2), and a polytope file malformed,
+when it has more bytes than `serialize.max_file_bytes()` (2 KiB per
+vertex at n = 7: 2928640 bytes, checked before it is decoded).  A
+polytope file is malformed also when its `n` is not an int, its vertex
 count is not Catalan(n+1), the number of triangulations (checked before
 any coordinate is read), its `params` is not an object, its `params.n`
 differs from its `n`, its parameter is outside the domain its
@@ -48,8 +49,7 @@ def cmd_build(args):
     c = CONSTRUCTIONS[args.construction]
     try:
         if args.params:
-            with open(args.params, encoding="utf-8") as f:
-                doc = json.load(f)
+            doc = serialize.read_json(args.params)
             if type(doc["n"]) is not int or doc["n"] != args.n:
                 raise ValueError(f"params are for n={doc['n']}, not n={args.n}")
             value = c.decode(doc[c.key])

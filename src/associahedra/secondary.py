@@ -52,10 +52,6 @@ def check_geometry(coords, n):
         raise ValueError(f"invalid polygon geometry: {problem}")
 
 
-def validate_geometry(coords):
-    return geometry_problem(coords) is None
-
-
 def polygon_area(coords):
     total = Fraction(0)
     m = len(coords)

@@ -182,14 +182,21 @@ def save_polytope(p, path):
 
 
 def max_file_bytes():
-    """The largest polytope file read: 2 KiB per vertex at the largest n,
-    over three times the largest drawn n = 7 file (0.87 MB)."""
+    """The largest polytope or params file read: 2 KiB per vertex at the
+    largest n, over three times the largest drawn n = 7 polytope file
+    (0.87 MB)."""
     return 2048 * polygon.catalan(practical_bound() + 1)
 
 
-def load_polytope(path):
+def read_json(path):
+    """The JSON document in `path`; a ValueError naming both sizes, before
+    it is decoded, if the file has more than `max_file_bytes()` bytes."""
     with open(path, encoding="utf-8") as f:
         size = os.fstat(f.fileno()).st_size
         if size > max_file_bytes():
             raise ValueError(f"file has {size} bytes, over the {max_file_bytes()}-byte cap")
-        return polytope_from_json(json.load(f))
+        return json.load(f)
+
+
+def load_polytope(path):
+    return polytope_from_json(read_json(path))

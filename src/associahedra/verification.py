@@ -47,15 +47,31 @@ def check_facet_counts(n_max, seed):
     return not bad, {"bad": bad}
 
 
-def check_secondary_no_parallel(n_max, seed):
+def _parallel_row(name, expected, normal, n_max, seed):
+    """At each n = 2..n_max, the default `name` polytope and three seeded
+    draws have exactly the parallel pairs `expected(n)`, else
+    (n, got, want); with `normal`, the two facets of the i-th pair
+    (i = 1..n) have the primitive normal `normal(i, n)`, else
+    (n, "direction_mismatch", d) for each facet d that does not."""
     rng = random.Random(seed)
     bad = []
     for n in range(2, n_max + 1):
-        for p in _default_and_draws("secondary", n, rng):
-            pairs = parallel_pairs(extract_facets(p))
-            if pairs:
-                bad.append((n, pairs))
+        want = expected(n)
+        for p in _default_and_draws(name, n, rng):
+            facets = extract_facets(p)
+            got = parallel_pairs(facets)
+            if got != want:
+                bad.append((n, got, want))
+            elif normal is not None:
+                by_diag = {f.diagonal: f.normal for f in facets}
+                for i, pair in enumerate(want, 1):
+                    wrong = [d for d in pair if by_diag[d] != normal(i, n)]
+                    bad += [(n, "direction_mismatch", d) for d in wrong]
     return not bad, {"bad": bad}
+
+
+def check_secondary_no_parallel(n_max, seed):
+    return _parallel_row("secondary", lambda n: [], None, n_max, seed)
 
 
 def cluster_expected_pairs(n):
@@ -68,15 +84,7 @@ def cluster_expected_pairs(n):
 
 
 def check_cluster_parallel(n_max, seed):
-    rng = random.Random(seed)
-    bad = []
-    for n in range(2, n_max + 1):
-        expected = cluster_expected_pairs(n)
-        for p in _default_and_draws("cluster", n, rng):
-            got = parallel_pairs(extract_facets(p))
-            if got != expected:
-                bad.append((n, got, expected))
-    return not bad, {"bad": bad}
+    return _parallel_row("cluster", cluster_expected_pairs, None, n_max, seed)
 
 
 def check_cluster_fan(n_max, seed):
@@ -89,6 +97,7 @@ def check_cluster_fan(n_max, seed):
 
 
 def minkowski_expected_pairs(n):
+    """The pairs ((0, i+1), (i, n+2)), in order of i = 1..n."""
     return sorted(
         tuple(sorted(((i, n + 2), (0, i + 1)))) for i in range(1, n + 1)
     )
@@ -105,23 +114,7 @@ def block_pair_normal(i, n):
 
 
 def check_minkowski_parallel(n_max, seed):
-    rng = random.Random(seed)
-    bad = []
-    for n in range(2, n_max + 1):
-        expected = minkowski_expected_pairs(n)
-        for p in _default_and_draws("minkowski", n, rng):
-            facets = extract_facets(p)
-            got = parallel_pairs(facets)
-            if got != expected:
-                bad.append((n, got, expected))
-                continue
-            by_diag = {f.diagonal: f for f in facets}
-            for i in range(1, n + 1):
-                want = block_pair_normal(i, n)
-                for d in ((i, n + 2), (0, i + 1)):
-                    if by_diag[d].normal != want:
-                        bad.append((n, "direction_mismatch", d))
-    return not bad, {"bad": bad}
+    return _parallel_row("minkowski", minkowski_expected_pairs, block_pair_normal, n_max, seed)
 
 
 def check_face_lattice(n_max, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -23,7 +24,7 @@ from associahedra import (
 from associahedra.analysis import (
     CertificationError,
     FacetDescriptor,
-    HullChart,
+    dihedral_images,
     dihedral_relabelings,
     equivalence_search,
     extract_facets,
@@ -236,9 +237,36 @@ def test_relabeling_preserves_triangulations():
             assert relabel_triangulation(perm, t) in ts
 
 
+def _fit(p, q, perm):
+    """`fit_affine_map` of p onto q under the dihedral relabeling `perm`,
+    through its entry of the index table and p's probe."""
+    images = dihedral_images(p.n)[dihedral_relabelings(p.n).index(perm)]
+    return fit_affine_map(p, q, images, p.hull.probe)
+
+
+def naive_dihedral_images(n):
+    """Each relabeling applied to every label and looked up by label."""
+    labels = polygon.all_triangulations(n)
+    index = {t: i for i, t in enumerate(labels)}
+    return [
+        tuple(index[relabel_triangulation(perm, t)] for t in labels)
+        for perm in dihedral_relabelings(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_dihedral_images_is_the_naive_relabel_and_index_table(n):
+    table = dihedral_images(n)
+    assert list(table) == naive_dihedral_images(n)
+    size = len(polygon.all_triangulations(n))
+    assert all(sorted(images) == list(range(size)) for images in table)
+    # the identity first, and one table per n, shared
+    assert table[0] == tuple(range(size)) and dihedral_images(n) is table
+
+
 def test_fit_identity():
     p = build_minkowski(ones_weights(2), 2)
-    witness = fit_affine_map(HullChart(p), HullChart(p), tuple(range(5)))
+    witness = _fit(p, p, tuple(range(5)))
     assert witness is not None
     for c, _ in p.vertices:
         assert witness.apply(c) == c
@@ -251,7 +279,7 @@ def test_fit_translation():
         p.construction, p.n, p.ambient_dim,
         [(vadd(c, shift), label) for c, label in p.vertices],
     )
-    witness = fit_affine_map(HullChart(p), HullChart(moved), tuple(range(5)))
+    witness = _fit(p, moved, tuple(range(5)))
     assert witness is not None
     for c, _ in p.vertices:
         assert witness.apply(c) == vadd(c, shift)
@@ -657,11 +685,10 @@ def test_fit_matches_reference_on_unimodular_image(construction):
     rng = random.Random(3)
     p = drawn(construction, 3, rng)
     q = unimodular_relabelled_image(p, rng)
-    src, dst = HullChart(p), HullChart(q)
     hits = 0
     for perm in dihedral_relabelings(3):
         label_map = _label_map(p, perm)
-        got = fit_affine_map(src, dst, perm)
+        got = _fit(p, q, perm)
         assert got == reference_fit_affine_map(p, q, label_map)
         if got is not None:
             hits += 1
@@ -682,8 +709,7 @@ def test_unimodular_image_always_yields_the_reference_witness(construction, n, r
     p = drawn(construction, n, rng)
     perm = data.draw(st.sampled_from(dihedral_relabelings(n)))
     q = unimodular_relabelled_image(p, rng, perm)
-    src, dst = HullChart(p), HullChart(q)
-    fits = {other: fit_affine_map(src, dst, other) for other in dihedral_relabelings(n)}
+    fits = {other: _fit(p, q, other) for other in dihedral_relabelings(n)}
     for other, got in fits.items():
         assert got == reference_fit_affine_map(p, q, _label_map(p, other))
     assert fits[perm] is not None
@@ -701,10 +727,9 @@ def test_witness_between_constructions_matches_reference(n, a, b):
     # a non-square matrix, in both directions
     built = builds(n)
     for p, q in ((built[a], built[b]), (built[b], built[a])):
-        src, dst = HullChart(p), HullChart(q)
         hits = 0
         for perm in dihedral_relabelings(n):
-            got = fit_affine_map(src, dst, perm)
+            got = _fit(p, q, perm)
             assert got == reference_fit_affine_map(p, q, _label_map(p, perm))
             if got is not None:
                 hits += 1
@@ -733,18 +758,17 @@ def test_miss_path_makes_no_fraction_map(monkeypatch):
     assert calls == []
     # every relabeling between the defaults, hit or miss: Fractions only on a hit
     for n in (2, 3):
-        charts = [HullChart(p) for p in builds(n).values()]
-        for src, dst in itertools.product(charts, repeat=2):
+        for p, q in itertools.product(builds(n).values(), repeat=2):
             for perm in dihedral_relabelings(n):
                 calls.clear()
-                hit = fit_affine_map(src, dst, perm) is not None
+                hit = _fit(p, q, perm) is not None
                 assert sorted(set(calls)) == (["AffineMap", "Fraction"] if hit else [])
 
 
 def test_equivalence_search_weighs_only_the_source_chart(monkeypatch):
-    # fitting reads the destination chart's rows and index only: a search
-    # inverts the source frame's chart rows once, hit or miss, and a hit
-    # inverts the Gram matrix of the source frame's differences once more
+    # fitting reads the destination's hull rows only: a search inverts the
+    # source frame's chart rows once, hit or miss, and a hit inverts the
+    # Gram matrix of the source frame's differences once more
     calls = []
     original = analysis.integer_inverse
 
@@ -770,16 +794,16 @@ def test_equivalence_search_weighs_only_the_source_chart(monkeypatch):
         assert calls == want
 
 
-def reference_lift(src, dst, images, targets):
+def reference_lift(p, q, images, targets):
     """The Fraction lift that the one-pass integer `_lift` replaced: the map
     x -> y_0 + M (x - x_0), M = Y^T (X X^T)^-1 X, formed with `invert` and
     `dot` over Fractions and checked on every vertex; None if one fails.
-    `images` are the dst vertices of src's frame, `targets` those of every
-    src vertex."""
-    p, q = src.polytope, dst.polytope
+    `images` are the q vertices of p's frame, `targets` those of every
+    p vertex."""
     s_src, s_dst = p.hull.scale, q.hull.scale
-    x0, y0 = p.hull.rows[src.independent[0]], q.hull.rows[images[0]]
-    xs = [vsub(p.hull.rows[i], x0) for i in src.independent[1:]]
+    frame = p.hull.independent
+    x0, y0 = p.hull.rows[frame[0]], q.hull.rows[images[0]]
+    xs = [vsub(p.hull.rows[i], x0) for i in frame[1:]]
     ys = [vsub(q.hull.rows[j], y0) for j in images[1:]]
     inverse = invert([[sum(map(mul, a, b)) for b in xs] for a in xs])
     ratio = Fraction(s_src, s_dst)
@@ -797,12 +821,11 @@ def reference_lift(src, dst, images, targets):
     return AffineMap(matrix=matrix, translation=translation)
 
 
-def _reference_lift_of(src, dst, perm):
-    def image(i):
-        return dst.index[relabel_triangulation(perm, src.labels[i])]
-
-    images = [image(i) for i in src.independent]
-    return reference_lift(src, dst, images, [image(i) for i in range(len(src.labels))])
+def _reference_lift_of(p, q, perm):
+    # the images looked up label by label, not read off the index table
+    index = {label: j for j, label in enumerate(q.labels)}
+    targets = [index[relabel_triangulation(perm, label)] for label in p.labels]
+    return reference_lift(p, q, [targets[i] for i in p.hull.independent], targets)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -818,16 +841,15 @@ def test_witness_equals_the_fraction_reference_lift_on_every_hit(n):
         image = unimodular_relabelled_image(p, rng)
         controls += [(p, p), (p, image), (image, p), (p, verification._shear_translate(p))]
     for k, (p, q) in enumerate(cross + controls):
-        src, dst = HullChart(p), HullChart(q)
         hits = 0
         for perm in dihedral_relabelings(n):
-            got = fit_affine_map(src, dst, perm)
+            got = _fit(p, q, perm)
             if got is not None:
                 hits += 1
-                assert got == _reference_lift_of(src, dst, perm)
+                assert got == _reference_lift_of(p, q, perm)
             elif n <= 3:
                 # a miss is a miss of the reference too
-                assert _reference_lift_of(src, dst, perm) is None
+                assert _reference_lift_of(p, q, perm) is None
         # every control is an affine image of its source
         assert hits or k < len(cross)
 
@@ -849,30 +871,40 @@ class _Reads(tuple):
 def test_a_miss_reads_one_vertex_outside_the_frame(monkeypatch, n):
     # across constructions every relabeling misses (from n = 3; at n = 2
     # the default cluster and Minkowski pentagons are affinely equivalent),
-    # at the probe: it relabels the frame and the probe, reads the dst rows
-    # of their images only, makes no Fraction and never lifts
-    calls = []
-    _counting(monkeypatch, analysis, "Fraction", calls)
-    _counting(monkeypatch, analysis, "_lift", calls)
-    _counting(monkeypatch, exactlin, "AffineMap", calls)
+    # at the probe: once the index table for n is built, it relabels no
+    # label, reads the table at the frame and the probe and q's hull rows
+    # of their images only, makes no chart of q and no Fraction and never
+    # lifts
+    table = dihedral_images(n)
+    calls, charts = [], []
+    for module, name in [
+        (analysis, "Fraction"),
+        (analysis, "_lift"),
+        (analysis, "relabel_triangulation"),
+        (exactlin, "AffineMap"),
+    ]:
+        _counting(monkeypatch, module, name, calls)
+    chart = analysis.Hull.chart.fget
+    monkeypatch.setattr(
+        analysis.Hull, "chart", property(lambda hull: charts.append(hull) or chart(hull))
+    )
     rng = random.Random(n)
     polytopes = [*builds(n).values(), *(drawn(c, n, rng) for c in CONSTRUCTIONS)]
     for p, q in itertools.combinations(polytopes, 2):
         if p.construction == q.construction:
             continue
-        src, dst = HullChart(p), HullChart(q)
-        v, _, _ = src.probe
-        assert v not in src.independent
-        assert all(i in src.independent for i in range(v))
+        probe = p.hull.probe
+        v, frame = probe[0], p.hull.independent
+        assert v not in frame
+        assert all(i in frame for i in range(v))
         read, rows_read = [], []
-        src.labels, dst.rows = _Reads(src.labels, read), _Reads(dst.rows, rows_read)
-        for perm in dihedral_relabelings(n):
+        q = dataclasses.replace(q, hull=q.hull._replace(rows=_Reads(q.hull.rows, rows_read)))
+        for images in table:
             read.clear(), rows_read.clear()
-            assert fit_affine_map(src, dst, perm) is None
-            assert read == [*src.independent, v]
-            images = {dst.index[relabel_triangulation(perm, p.labels[i])] for i in read}
-            assert set(rows_read) == images
-        assert calls == []
+            assert fit_affine_map(p, q, _Reads(images, read), probe) is None
+            assert read == [*frame, v]
+            assert rows_read == [images[i] for i in read]
+        assert calls == [] and charts == []
 
 
 def _swap_labels(p, i, j, params=None):
@@ -1147,7 +1179,7 @@ def test_hull_record_matches_references(construction, n):
         assert q.hull.independent == (0, *polygon.flip_table(n)[0])
         # the probe, the first vertex outside the frame, has affine weights
         # over d that give back its chart coordinates from the frame's
-        probe = HullChart(q).probe
+        probe = q.hull.probe
         if n == 1:
             assert probe is None and len(coords) == len(q.hull.independent)
         else:

@@ -526,6 +526,35 @@ def test_files_over_the_byte_cap_are_refused_before_decoding(
             assert decoded
 
 
+def test_params_files_over_the_byte_cap_are_refused_before_decoding(
+    tmp_path, capsys, monkeypatch
+):
+    # the polytope file's cap and check: a params file padded to the cap
+    # builds, one byte more exits 2 naming both sizes, and is never decoded
+    text = json.dumps({"n": 1, "a": {"1,1": "1", "1,2": "1", "2,2": "1"}})
+    cap = serialize.max_file_bytes()
+    decoded = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda f: decoded.append(f) or load(f))
+    for size, want in ((cap, 0), (cap + 1, 2)):
+        params, out = tmp_path / f"{size}.json", tmp_path / f"m{size}.json"
+        params.write_text(text + " " * (size - len(text)))
+        assert params.stat().st_size == size
+        decoded.clear()
+        argv = ["build", "--construction", "minkowski", "--n", "1",
+                "--params", str(params), "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == want
+        if size > cap:
+            assert decoded == [] and not out.exists()
+            assert err == (
+                f"error: invalid parameters: file has {size} bytes, over the {cap}-byte cap\n"
+            )
+        else:
+            assert decoded and err == ""
+            assert len(json.loads(out.read_text())["vertices"]) == 2
+
+
 # (first, second) bad coordinates: the reader names the first in file
 # order, whichever sorts or hashes first and whether either is unhashable
 TWO_BAD_COORDS = {

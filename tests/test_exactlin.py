@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from associahedra import analysis, cluster, exactlin, minkowski, secondary, verification
-from associahedra.analysis import HullChart, extract_facets, fit_affine_map
+from associahedra.analysis import dihedral_images, extract_facets, fit_affine_map
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     UNDERDETERMINED,
@@ -212,12 +212,12 @@ def test_no_float_enters_a_predicate(n, monkeypatch):
         for f in extract_facets(p):
             assert all(_exact(x) for x in f.hyperplane.normal + (f.hyperplane.offset,))
         # the search runs on ints and hands back a Fraction witness
-        chart = HullChart(p)
+        probe = p.hull.probe
         assert type(p.hull.scale) is int
         if n > 1:
-            _, weights, d = chart.probe
+            _, weights, d = probe
             assert all(type(w) is int for w in (d, *weights))
-        witness = fit_affine_map(chart, chart, tuple(range(n + 3)))
+        witness = fit_affine_map(p, p, dihedral_images(n)[0], probe)
         entries = [x for row in witness.matrix for x in row] + list(witness.translation)
         assert all(type(x) is Fraction for x in entries)
     # each hull's basis is int rows, eliminated on ints

@@ -12,7 +12,6 @@ from associahedra.secondary import (
     parabola_geometry,
     polygon_area,
     signed_area2,
-    validate_geometry,
 )
 
 F = Fraction
@@ -67,15 +66,15 @@ def test_integer_geometry_check_matches_fraction_reference(n):
 
 
 def test_validate_square():
-    assert validate_geometry(SQUARE)
+    assert geometry_problem(SQUARE) is None
 
 
 def test_validate_parabola():
-    assert validate_geometry(tuple((F(k), F(k * k)) for k in range(1, 7)))
+    assert geometry_problem(tuple((F(k), F(k * k)) for k in range(1, 7))) is None
 
 
 def test_validate_clockwise_rejected():
-    assert not validate_geometry(tuple(reversed(SQUARE)))
+    assert geometry_problem(tuple(reversed(SQUARE))) == "non-positive turn at vertex 1"
 
 
 def test_validate_duplicate_rejected():
@@ -155,7 +154,7 @@ def test_random_geometries_are_valid():
     rng = random.Random(5)
     for n in range(2, 5):
         for _ in range(3):
-            assert validate_geometry(random_convex_geometry(n, rng))
+            assert geometry_problem(random_convex_geometry(n, rng)) is None
 
 
 def _image(coords, matrix, shift):
