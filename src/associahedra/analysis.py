@@ -35,26 +35,26 @@ analysis makes Fractions only for a lifted witness.  Files are coded
 straight to and from the rows (`serialize`).
 
 Each polytope's affine hull is read off vertex 0 and its n flips when it
-is made: its `Hull` record holds the integer vertex rows and their common
-scale, those n+1 vertices, and the reduced echelon basis of the direction
-space as int rows with its pivot columns, eliminated once from their n
-differences (`exactlin.echelon_basis`); every row is then checked to lie
-in it on ints, by the D - n integer equations that cut the hull out of
-D-space.  Only if the flips do not span the hull are the first n+1
-affinely independent vertices eliminated from all rows instead.  The
-facet certificate reads the hull's chart (`Hull.chart`).  The equivalence
-search works on vertex indices: vertex i of every polytope carries the
-i-th triangulation, so a dihedral relabeling is a permutation of the
-indices that depends on n alone, tabulated once per n
+is made, its frame (`polygon.flip_table`): its `Hull` record holds the
+integer vertex rows and their common scale, and the reduced echelon basis
+of the direction space as int rows with its pivot columns, eliminated
+once from the frame's n differences (`exactlin.echelon_basis`); every row
+is then checked to lie in it on ints, by the D - n integer equations that
+cut the hull out of D-space.  A polytope whose frame does not span its
+hull is refused, since no such polytope can pass the facet certificate.
+The facet certificate reads the hull's chart (`Hull.chart`).  The
+equivalence search works on vertex indices: vertex i of every polytope
+carries the i-th triangulation, so a dihedral relabeling is a permutation
+of the indices that depends on n alone, tabulated once per n
 (`dihedral_images`).  The search tries each of the 2(n+3) relabelings on
-one probe vertex, the source's first vertex outside its independent ones
-(`Hull.probe`): its affine weights on them, from one `integer_inverse`
-per search, must give its image's integer hull row from theirs, so a
-miss reads n+2 rows of the target and makes no chart of it.  Only a
-relabeling whose probe fits is checked on every vertex, in one integer
-pass, with the ambient map the independent vertices and their images fix
-on the hull, extended off it by orthogonal projection; only a map that
-passes is made of Fractions.
+one probe vertex, the source's first vertex outside its frame
+(`Hull.probe`): its affine weights on the frame, from one
+`integer_inverse` per search, must give its image's integer hull row from
+theirs, so a miss reads n+2 rows of the target and makes no chart of it.
+Only a relabeling whose probe fits is checked on every vertex, in one
+integer pass, with the ambient map the frame and its images fix on the
+hull, extended off it by orthogonal projection; only a map that passes
+is made of Fractions.
 """
 
 from dataclasses import dataclass, field
@@ -67,7 +67,6 @@ from typing import NamedTuple
 
 from . import exactlin, polygon
 from .exactlin import (
-    affine_frame,
     echelon_basis,
     integer_inverse,
     integer_kernel,
@@ -91,7 +90,6 @@ class Hull(NamedTuple):
 
     rows: tuple  # the vertices scaled to ints by one positive factor
     scale: int  # that factor
-    independent: tuple  # vertex 0 and its flips, else the first n+1 affinely independent
     basis: tuple  # the direction space's `exactlin.echelon_basis`: int rows
     pivots: tuple  # their pivot columns, where the hull has its chart
 
@@ -105,13 +103,14 @@ class Hull(NamedTuple):
 
     @property
     def probe(self):
-        """(v, weights, d) for v the first vertex outside the frame
-        `independent`, or None if there is none (n = 1): v's affine weights
-        on the frame over one d > 0, (y_v, 1) . M for (M, d) the
+        """(v, weights, d) for v the first vertex outside the frame (n the
+        basis' length), or None if there is none (n = 1): v's affine
+        weights on the frame over one d > 0, (y_v, 1) . M for (M, d) the
         `integer_inverse` of the frame's chart rows y augmented by 1, so
-        that sum_k weights[k] (y_{independent[k]}, 1) = d (y_v, 1).  Made
-        on each read, from those n+2 chart rows alone."""
-        v = next((v for v in range(len(self.rows)) if v not in self.independent), None)
+        that sum_k weights[k] (y_{frame[k]}, 1) = d (y_v, 1).  Made on
+        each read, from those n+2 chart rows alone."""
+        frame = _frame(len(self.basis))
+        v = next((v for v in range(len(self.rows)) if v not in frame), None)
         if v is None:
             return None
         base = self.rows[0]
@@ -119,7 +118,7 @@ class Hull(NamedTuple):
         def chart(i):
             return tuple(self.rows[i][k] - base[k] for k in self.pivots) + (1,)
 
-        inverse, d = integer_inverse([chart(i) for i in self.independent])
+        inverse, d = integer_inverse([chart(i) for i in frame])
         return v, [sum(map(mul, chart(v), col)) for col in zip(*inverse)], d
 
 
@@ -169,12 +168,13 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     scaled here to integer rows over the lcm of their denominators.  Rows
     and scale are divided by their gcd, so the same vertices give the same
     record either way.  The rows must be distinct, each of length
-    `ambient_dim`, and their affine hull have dimension n.  The hull's
-    frame is vertex 0 and its n flips (`_flip_frame`), or, where they do
-    not span it, `affine_frame` on all rows, which also gives the
-    dimension the error names; it is kept with the rows as the polytope's
-    `Hull` record.  No Fraction is made here: `LabeledPolytope.vertices`
-    makes the Fraction coordinates only when they are read.
+    `ambient_dim`, and their affine hull n-dimensional and spanned by the
+    frame, vertex 0 and its n flips (`_flip_basis`), whose basis is the
+    `Hull` record's.  No other polytope passes the facet certificate:
+    with N_k the normal of vertex 0's k-th diagonal and w_j its j-th flip,
+    N_k . (w_j - v_0) is 0 for j != k and not 0 for j = k, so the frame's
+    differences are independent.  No Fraction is made here:
+    `LabeledPolytope.vertices` makes the Fraction coordinates on first read.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
     # the cached triangulations are kept, not the caller's equal copies
@@ -193,46 +193,46 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     # one positive scale for all rows: distinct rows are distinct vertices
     if len(set(rows)) != len(rows):
         raise ValueError("vertex coordinates are not distinct")
-    independent, basis, pivots = _flip_frame(rows, n) or affine_frame(rows)
-    if len(basis) != n:
-        raise ValueError(f"affine hull has dimension {len(basis)}, expected {n}")
+    basis, pivots = _flip_basis(rows, n)
     return LabeledPolytope(
         construction=construction,
         n=n,
         ambient_dim=ambient_dim,
         labels=labels,
         params=dict(params or {}),
-        hull=Hull(tuple(rows), scale, tuple(independent), basis, pivots),
+        hull=Hull(tuple(rows), scale, basis, pivots),
     )
 
 
-def _flip_frame(rows, n):
-    """(independent, basis, pivots) read off vertex 0 and its n flips: the
-    flips' indices after 0 and the `echelon_basis` of their differences
-    from rows[0], if it has n rows and spans every row's difference; else
-    None.  With L the basis' pivot entry, a difference x lies in the span
-    iff L x[j] = sum_k basis_k[j] x[pivot_k] at every non-pivot column j,
-    so the hull is cut out by the D - n integer equations
-    f_j = L e_j - sum_k basis_k[j] e_{pivot_k}: every row must have
-    f_j . row = f_j . rows[0], one D-term dot product per equation and
-    row, no elimination."""
-    flips = polygon.flip_table(n)[0]
+def _frame(n):
+    """Vertex 0 and its n flips (`polygon.flip_table`): every hull's frame."""
+    return (0, *polygon.flip_table(n)[0])
+
+
+def _flip_basis(rows, n):
+    """(basis, pivots): the `echelon_basis` of the frame's differences
+    from rows[0], if it has n rows and spans every row's difference, else
+    a ValueError naming the hull's dimension, or the frame if that is n.
+    With L the basis' pivot entry, x is in the span iff f_j . x = 0 for
+    f_j = L e_j - sum_k basis_k[j] e_{pivot_k} at each non-pivot column j:
+    D - n integer equations, one D-term dot product per row each."""
+    _, *flips = _frame(n)
     base = rows[0]
     basis, pivots = echelon_basis([vsub(rows[w], base) for w in flips])
-    if len(basis) != n:
-        return None
     lead = lcm(*(b[k] for b, k in zip(basis, pivots)))
-    for j in range(len(base)):
-        if j in pivots:
-            continue
+    equations = []
+    for j in (j for j in range(len(base)) if j not in pivots):
         f = [0] * len(base)
         f[j] = lead
         for b, k in zip(basis, pivots):
             f[k] = -b[j]
-        value = sum(map(mul, base, f))
-        if any(sum(map(mul, row, f)) != value for row in rows):
-            return None
-    return (0, *flips), basis, pivots
+        equations.append((f, sum(map(mul, base, f))))
+    if len(basis) == n and all(sum(map(mul, r, f)) == v for f, v in equations for r in rows):
+        return basis, pivots
+    dimension = len(echelon_basis([vsub(row, base) for row in rows[1:]])[0])
+    if dimension != n:
+        raise ValueError(f"affine hull has dimension {dimension}, expected {n}")
+    raise ValueError(f"vertex 0 and its flips {tuple(flips)} do not span the affine hull")
 
 
 @dataclass(frozen=True)
@@ -518,7 +518,7 @@ def fit_affine_map(p, q, images, probe):
     if probe is not None:
         v, weights, d = probe
         rows = q.hull.rows
-        columns = zip(*(rows[images[i]] for i in p.hull.independent))
+        columns = zip(*(rows[images[i]] for i in _frame(p.n)))
         y = rows[images[v]]
         if any(sum(map(mul, weights, col)) != d * a for col, a in zip(columns, y)):
             return None
@@ -541,7 +541,7 @@ def _lift(p, q, images):
     exactly.  Only a map that passes is made of Fractions, the matrix
     s_p K / (s_q g) and the translation (g y_0 - K x_0) / (s_q g).
     """
-    frame, rows, dst_rows = p.hull.independent, p.hull.rows, q.hull.rows
+    frame, rows, dst_rows = _frame(p.n), p.hull.rows, q.hull.rows
     x0, y0 = rows[frame[0]], dst_rows[images[frame[0]]]
     xs = [vsub(rows[i], x0) for i in frame[1:]]
     ys = [vsub(dst_rows[images[i]], y0) for i in frame[1:]]

@@ -10,25 +10,34 @@ Exit codes are a stable contract:
             mismatched n or a witness too large to write (a number past
             the 4300-digit int-to-str limit; nothing is written to
             stdout), 4 facet certification failure
-  verify:   0 all pass, 1 failure, 3 n_max out of range 1..7
+  verify:   0 all pass, 1 failure, 3 n_max out of range 1..7,
+            4 facet certification failure
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
+A refusal writes one `error:` line to stderr (`main`) and no stdout.
 
 A build params file is invalid (rc 2), and a polytope file malformed,
 when it has more bytes than `serialize.max_file_bytes()` (2 KiB per
-vertex at n = 7: 2928640 bytes, checked before it is decoded).  A
-polytope file is malformed also when its `n` is not an int, its vertex
-count is not Catalan(n+1), the number of triangulations (checked before
-any coordinate is read), its `params` is not an object, its `params.n`
-differs from its `n`, its parameter is outside the domain its
+vertex at n = 7: 2928640 bytes, checked before it is decoded).  A params
+document, a build params file or a polytope file's non-empty `params`,
+is exactly {"n": n, key: value} (`serialize.read_params`): a missing or
+unknown key is refused, and the value must be in the domain the
 construction's builder checks (`Construction.check`: the roots of n, the
 summands of n with positive weights, or n+3 points in strictly convex
-position), or its `vertices`, or a vertex's `coords` or `triangulation`,
-is not a list, and when it is nested too deeply for the JSON decoder (a
-RecursionError).  Where a file needs an
-int (a polytope file's `n` and `params.n`, the endpoints of a vertex's
-`triangulation`, a build params file's `n`), a JSON boolean or a float is
-malformed too, although `true == 1` and `1.0 == 1` in Python (rc 2).
+position).  A polytope file is malformed also when its `n` is not an
+int, its vertex count is not Catalan(n+1), the number of triangulations
+(checked before any coordinate is read), its `params` is not an object,
+its `vertices`, or a vertex's `coords` or `triangulation`, is not a list,
+the lcm of its denominators passes `serialize.LCM_BITS` (1024) bits
+(checked as it is built, before any row is scaled: n = 7 polytopes with
+no params at the budget took up to 0.9 s to analyze and 2.6 s to compare
+on a 2-vCPU host; numerators are bounded by the byte cap alone), vertex
+0 and its flips do not span its affine hull (then no facet certificate
+can pass), or it is nested too deeply for the JSON decoder (a
+RecursionError).  Where a file needs an int (a polytope file's `n` and
+`params.n`, the endpoints of a vertex's `triangulation`, a build params
+file's `n`), a JSON boolean or a float is malformed too, although
+`true == 1` and `1.0 == 1` in Python (rc 2).
 """
 
 import argparse
@@ -42,29 +51,27 @@ from .constructions import CONSTRUCTIONS, practical_bound
 from .exactlin import rat_str
 
 
+class _Refusal(Exception):
+    """_Refusal(code, message): `main` writes `error: <message>`, returns `code`."""
+
+
 def cmd_build(args):
     if not 1 <= args.n <= practical_bound():
-        print(f"error: n={args.n} out of range 1..{practical_bound()}", file=sys.stderr)
-        return 3
+        raise _Refusal(3, f"n={args.n} out of range 1..{practical_bound()}")
     c = CONSTRUCTIONS[args.construction]
     try:
         if args.params:
-            doc = serialize.read_json(args.params)
-            if type(doc["n"]) is not int or doc["n"] != args.n:
-                raise ValueError(f"params are for n={doc['n']}, not n={args.n}")
-            value = c.decode(doc[c.key])
+            value = serialize.read_params(serialize.read_json(args.params), c, args.n)
         else:
             value = c.default(args.n)
         p = c.build(value, args.n)
     except (ValueError, RuntimeError, KeyError, TypeError, OSError) as exc:
-        print(f"error: invalid parameters: {_reason(exc)}", file=sys.stderr)
-        return 2
+        raise _Refusal(2, f"invalid parameters: {_reason(exc)}")
     try:
         serialize.save_polytope(p, args.out)
     # a ValueError: a coordinate too long for Python's int-to-str limit
     except (OSError, ValueError) as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(2, f"cannot write output: {exc}")
     return 0
 
 
@@ -74,12 +81,11 @@ def _reason(exc):
 
 
 def _load(path):
-    """The polytope in `path`, or None after reporting a malformed file."""
+    """The polytope in `path`; a malformed file is refused (rc 2)."""
     try:
         return serialize.load_polytope(path)
     except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
-        print(f"error: malformed polytope file: {_reason(exc)}", file=sys.stderr)
-        return None
+        raise _Refusal(2, f"malformed polytope file: {_reason(exc)}")
 
 
 def analyze_report(p):
@@ -100,30 +106,15 @@ def analyze_report(p):
 
 
 def cmd_analyze(args):
-    p = _load(args.polytope)
-    if p is None:
-        return 2
-    try:
-        report = analyze_report(p)
-    except CertificationError as exc:
-        print(f"error: facet certification failed: {exc}", file=sys.stderr)
-        return 4
-    sys.stdout.write(serialize.dumps(report))
+    sys.stdout.write(serialize.dumps(analyze_report(_load(args.polytope))))
     return 0
 
 
 def cmd_compare(args):
     pa, pb = _load(args.polytope_a), _load(args.polytope_b)
-    if pa is None or pb is None:
-        return 2
     if pa.n != pb.n:
-        print("error: polytopes have different n", file=sys.stderr)
-        return 2
-    try:
-        report = analysis.equivalence_search(pa, pb)
-    except CertificationError as exc:
-        print(f"error: facet certification failed: {exc}", file=sys.stderr)
-        return 4
+        raise _Refusal(2, "polytopes have different n")
+    report = analysis.equivalence_search(pa, pb)
     doc = {
         "pair": list(report.pair),
         "verdict": report.verdict,
@@ -140,16 +131,14 @@ def cmd_compare(args):
             }
         # a number of the witness past Python's int-to-str limit: nothing is written
         except ValueError as exc:
-            print(f"error: cannot write witness: {exc}", file=sys.stderr)
-            return 2
+            raise _Refusal(2, f"cannot write witness: {exc}")
     sys.stdout.write(serialize.dumps(doc))
     return 1 if report.witness is not None else 0
 
 
 def cmd_verify(args):
     if not 1 <= args.n_max <= practical_bound():
-        print(f"error: n_max={args.n_max} out of range 1..{practical_bound()}", file=sys.stderr)
-        return 3
+        raise _Refusal(3, f"n_max={args.n_max} out of range 1..{practical_bound()}")
     results = verification.run_manifest(args.n_max, args.seed)
     width = max(len(name) for name, _, _ in results)
     all_ok = True
@@ -175,11 +164,8 @@ def _rat_decimal(x, digits=12):
 
 def cmd_export(args):
     if args.format not in ("json", "csv", "off"):
-        print(f"error: unknown format {args.format!r}", file=sys.stderr)
-        return 2
+        raise _Refusal(2, f"unknown format {args.format!r}")
     p = _load(args.polytope)
-    if p is None:
-        return 2
     if args.format == "json":
         out = serialize.polytope_text(p)
     elif args.format == "csv":
@@ -191,11 +177,7 @@ def cmd_export(args):
             lines.append(",".join(cells))
         out = "\n".join(lines) + "\n"
     else:
-        try:
-            facets = analysis.extract_facets(p)
-        except CertificationError as exc:
-            print(f"error: facet certification failed: {exc}", file=sys.stderr)
-            return 4
+        facets = analysis.extract_facets(p)
         lines = ["OFF", f"{len(p.labels)} {len(facets)} 0"]
         for coords, _ in p.vertices:
             lines.append(" ".join(_rat_decimal(c) for c in coords))
@@ -210,8 +192,7 @@ def cmd_export(args):
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(out)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(2, f"cannot write output: {exc}")
     return 0
 
 
@@ -256,8 +237,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command: its exit code, each refusal reported here alone."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _Refusal as exc:
+        code, message = exc.args
+    except CertificationError as exc:
+        code, message = 4, f"facet certification failed: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ default support values h, one per root.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from . import polygon
 from .analysis import make_polytope
@@ -70,9 +71,11 @@ def snake_diagonal(i, n):
 @lru_cache(maxsize=None)
 def _root_diagonal_maps(n):
     """Snake diagonal i is neg(i); any other diagonal is pos(i, j) for the
-    interval [i, j] of the snake diagonals it crosses."""
+    interval [i, j] of the snake diagonals it crosses.  The n snake
+    diagonals are checked to be distinct and pairwise non-crossing, which
+    makes them a triangulation, with no triangulation enumerated."""
     snakes = [snake_diagonal(i, n) for i in range(1, n + 1)]
-    if tuple(sorted(snakes)) not in polygon.all_triangulations(n):
+    if len(set(snakes)) != n or any(polygon.crossing(d, e) for d, e in combinations(snakes, 2)):
         raise AssertionError("snake diagonals are not a triangulation")
     d2r = {d: neg(i) for i, d in enumerate(snakes, 1)}
     for d in polygon.all_diagonals(n):

@@ -342,21 +342,6 @@ def invert(rows):
     return tuple(tuple(Fraction(a * s, d) for a, s in zip(row, scales)) for row in m)
 
 
-def affinely_independent(points, count):
-    """Indices of the first `count` affinely independent points, taken
-    greedily in order starting with index 0.
-
-    The points are int tuples (see `integer_scaling`).  One `_eliminate` on
-    the differences p_i - p_0 taken as columns: a column is a pivot exactly
-    when it is independent of the earlier ones, so point i is picked iff
-    column i-1 is a pivot.  Returns fewer than `count` indices when the
-    points span less.
-    """
-    p0 = points[0]
-    columns = [_primitive([p[k] - a for p in points[1:]]) for k, a in enumerate(p0)]
-    return ([0] + [c + 1 for c in _eliminate(columns)])[:count]
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace in canonical reduced-echelon form.
@@ -376,14 +361,6 @@ class Subspace:
 def span(vectors, ambient_dim):
     red, _ = rref(vectors) if vectors else ((), ())
     return Subspace(basis=red, ambient_dim=ambient_dim)
-
-
-def affine_frame(rows):
-    """(chosen, basis, pivots) for non-empty int rows: the indices
-    `affinely_independent` picks from all of them (count = ambient dim + 1)
-    and the `echelon_basis` of their differences from rows[0]."""
-    chosen = affinely_independent(rows, len(rows[0]) + 1)
-    return (chosen, *echelon_basis([vsub(rows[i], rows[0]) for i in chosen[1:]]))
 
 
 def subspace_from_differences(points):

@@ -22,6 +22,10 @@ from .analysis import make_polytope
 from .constructions import CONSTRUCTIONS, practical_bound
 from .exactlin import parse_ratio, ratio_str
 
+# the budget, in bits, of the lcm of a polytope file's denominators (its
+# hull scale): built files at n = 5..7, drawn or default, reach 191 bits
+LCM_BITS = 1024
+
 
 def coordinate_strings(p):
     """Each vertex's coordinates as "p/q" strings, in vertex order; each
@@ -109,6 +113,39 @@ def _read_vertices(vertices, n):
     return strings, labels
 
 
+def read_params(doc, c, n):
+    """The parameter of construction `c` in a params document, exactly
+    {"n": n, c.key: value}: `n` an int equal to n (not a JSON boolean or
+    float), the value decoded by `c.decode` and in the domain of `c.check`.
+    A missing key is a KeyError naming it, checked first; the first other
+    key in the document is a ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError("params is not an object")
+    if type(doc["n"]) is not int or doc["n"] != n:
+        raise ValueError(f"params are for n={doc['n']!r}, not n={n}")
+    encoded = doc[c.key]
+    unknown = next((key for key in doc if key not in ("n", c.key)), None)
+    if unknown is not None:
+        raise ValueError(f"unknown key {unknown!r} in the {c.name} params")
+    value = c.decode(encoded)
+    c.check(value, n)
+    return value
+
+
+def _denominator_lcm(ratios):
+    """The lcm of the (p, q) `ratios`' denominators, one distinct q at a
+    time: a ValueError as soon as it passes `LCM_BITS`, not after."""
+    scale = 1
+    for q in dict.fromkeys(q for _, q in ratios):
+        scale = lcm(scale, q)
+        if scale.bit_length() > LCM_BITS:
+            raise ValueError(
+                f"the lcm of the denominators has {scale.bit_length()} bits, "
+                f"over the {LCM_BITS}-bit budget"
+            )
+    return scale
+
+
 def polytope_from_json(doc):
     c = CONSTRUCTIONS.get(doc["construction"])
     if c is None:
@@ -126,18 +163,11 @@ def polytope_from_json(doc):
     ambient_dim = len(strings[0])
     if any(len(row) != ambient_dim for row in strings):
         raise ValueError("vertex coordinate rows have unequal lengths")
+    # {} is no params; any other value, 0 or [] too, is read and checked
     params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("params is not an object")
-    if "n" in params and (type(params["n"]) is not int or params["n"] != n):
-        raise ValueError(f"params are for n={params['n']!r}, not n={n}")
-    if params:
-        value = c.decode(params[c.key])
-        # the domain checks of `c.build`: a file's params are what it would take
-        c.check(value, n)
-        params = {c.key: value}
-    # each p/q is in lowest terms, so this is `integer_scaling` of the Fractions
-    scale = lcm(*{q for _, q in ratios.values()})
+    if params != {}:
+        params = {c.key: read_params(params, c, n)}
+    scale = _denominator_lcm(ratios.values())
     scaled = {x: a * (scale // q) for x, (a, q) in ratios.items()}
     rows = [tuple(map(scaled.__getitem__, row)) for row in strings]
     return make_polytope(c.name, n, ambient_dim, zip(rows, labels), params=params, scale=scale)

@@ -39,9 +39,8 @@ from associahedra.cluster import build_cluster_polytope, default_support_values
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     AffineMap,
-    affine_frame,
-    affinely_independent,
     dot,
+    echelon_basis,
     hyperplane_through,
     integer_normal,
     integer_scaling,
@@ -60,6 +59,11 @@ from associahedra.secondary import build_secondary
 from associahedra.serialize import polytope_from_json, polytope_to_json
 
 F = Fraction
+
+
+def frame(n):
+    """Vertex 0 and its n flips: every hull's frame."""
+    return (0, *polygon.flip_table(n)[0])
 
 
 def builds(n):
@@ -354,15 +358,16 @@ def test_make_polytope_rejects_a_hull_beyond_the_flips():
 def test_a_row_nudged_off_the_hull_falls_back_and_is_refused(monkeypatch, construction, n):
     # a vertex outside the frame moved by one in a column off the basis'
     # pivots leaves the hull: one of the hull equations refuses the flips'
-    # frame, and the elimination of all rows finds the extra dimension.
-    # Every such column (each its own equation; secondary has three) is
-    # nudged, at the first and at the last vertex outside the frame
+    # basis, and the error path's one elimination of all rows finds the
+    # extra dimension.  Every such column (each its own equation; secondary
+    # has three) is nudged, at the first and at the last vertex outside the
+    # frame
     p = builds(n)[construction]
-    outside = [i for i in range(len(p.labels)) if i not in p.hull.independent]
+    outside = [i for i in range(len(p.labels)) if i not in frame(n)]
     columns = [j for j in range(p.ambient_dim) if j not in p.hull.pivots]
     assert len(columns) == p.ambient_dim - n
     calls = []
-    _counting(monkeypatch, analysis, "affine_frame", calls)
+    _counting(monkeypatch, analysis, "echelon_basis", calls)
     for v in (outside[0], outside[-1]):
         for j in columns:
             rows = [list(r) for r in p.hull.rows]
@@ -372,7 +377,7 @@ def test_a_row_nudged_off_the_hull_falls_back_and_is_refused(monkeypatch, constr
                 make_polytope(
                     p.construction, n, p.ambient_dim, zip(rows, p.labels), scale=p.hull.scale
                 )
-            assert calls == ["affine_frame"]
+            assert calls == ["echelon_basis"] * 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -485,7 +490,8 @@ def reference_facet_problems(p):
     out = []
     for d in polygon.all_diagonals(p.n):
         members = [i for i, label in enumerate(labels) if d in label]
-        spanning = [members[k] for k in affinely_independent([rows[i] for i in members], p.n)]
+        chosen = reference_independent([rows[i] for i in members], p.n - 1)
+        spanning = [members[k] for k in chosen]
         normal = integer_normal([rows[i] for i in spanning], basis)
         if normal is None:
             continue
@@ -629,11 +635,13 @@ def test_facets_fail_at_once_when_the_flips_do_not_span(monkeypatch, constructio
 
     p = drawn(construction, n, random.Random(20 + n))
     want = analysis._certify_facets(p)
+    # made before the patch: `make_polytope` reads the hull off the flips
+    bare = _without_params(p)
     monkeypatch.setattr(polygon, "flip_table", stuck)
     _fresh_facet_plan(monkeypatch)
     first = polygon.all_diagonals(n)[0]
     with pytest.raises(CertificationError, match=re.escape(f"{first}: vertices do not span")):
-        extract_facets(_without_params(p))
+        extract_facets(bare)
     # the proposed normals read no flip: with its params p certifies as before
     assert extract_facets(p) == want
 
@@ -786,10 +794,10 @@ def test_equivalence_search_weighs_only_the_source_chart(monkeypatch):
         calls.clear()
         report = equivalence_search(p, q)
         assert (report.witness is not None) == (p is q)
-        chart, frame = p.hull.chart, p.hull.independent
-        want = [[chart[i] + (1,) for i in frame]]
+        chart, independent = p.hull.chart, frame(p.n)
+        want = [[chart[i] + (1,) for i in independent]]
         if p is q:
-            xs = [vsub(p.hull.rows[i], p.hull.rows[frame[0]]) for i in frame[1:]]
+            xs = [vsub(p.hull.rows[i], p.hull.rows[0]) for i in independent[1:]]
             want.append([tuple(dot(a, b) for b in xs) for a in xs])
         assert calls == want
 
@@ -801,9 +809,8 @@ def reference_lift(p, q, images, targets):
     `images` are the q vertices of p's frame, `targets` those of every
     p vertex."""
     s_src, s_dst = p.hull.scale, q.hull.scale
-    frame = p.hull.independent
-    x0, y0 = p.hull.rows[frame[0]], q.hull.rows[images[0]]
-    xs = [vsub(p.hull.rows[i], x0) for i in frame[1:]]
+    x0, y0 = p.hull.rows[0], q.hull.rows[images[0]]
+    xs = [vsub(p.hull.rows[i], x0) for i in frame(p.n)[1:]]
     ys = [vsub(q.hull.rows[j], y0) for j in images[1:]]
     inverse = invert([[sum(map(mul, a, b)) for b in xs] for a in xs])
     ratio = Fraction(s_src, s_dst)
@@ -825,7 +832,7 @@ def _reference_lift_of(p, q, perm):
     # the images looked up label by label, not read off the index table
     index = {label: j for j, label in enumerate(q.labels)}
     targets = [index[relabel_triangulation(perm, label)] for label in p.labels]
-    return reference_lift(p, q, [targets[i] for i in p.hull.independent], targets)
+    return reference_lift(p, q, [targets[i] for i in frame(p.n)], targets)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -894,15 +901,15 @@ def test_a_miss_reads_one_vertex_outside_the_frame(monkeypatch, n):
         if p.construction == q.construction:
             continue
         probe = p.hull.probe
-        v, frame = probe[0], p.hull.independent
-        assert v not in frame
-        assert all(i in frame for i in range(v))
+        v, independent = probe[0], frame(n)
+        assert v not in independent
+        assert all(i in independent for i in range(v))
         read, rows_read = [], []
         q = dataclasses.replace(q, hull=q.hull._replace(rows=_Reads(q.hull.rows, rows_read)))
         for images in table:
             read.clear(), rows_read.clear()
             assert fit_affine_map(p, q, _Reads(images, read), probe) is None
-            assert read == [*frame, v]
+            assert read == [*independent, v]
             assert rows_read == [images[i] for i in read]
         assert calls == [] and charts == []
 
@@ -913,6 +920,24 @@ def _swap_labels(p, i, j, params=None):
     return make_polytope(
         p.construction, p.n, p.ambient_dim, [tuple(v) for v in pairs], params=params
     )
+
+
+def _swap_or_refusal(p, i, j, params=None):
+    """`_swap_labels`, or None if `make_polytope` refuses the swap because
+    vertex 0 and its flips no longer span the hull.  A refused swap fails
+    the scalar reference certificate too, on the same rows made into a
+    polytope with no frame check: a passing certificate makes the flips'
+    differences independent, so only such polytopes are refused."""
+    try:
+        return _swap_labels(p, i, j, params)
+    except ValueError as exc:
+        assert str(exc) == f"vertex 0 and its flips {frame(p.n)[1:]} do not span the affine hull"
+    rows = list(p.hull.rows)
+    rows[i], rows[j] = rows[j], rows[i]
+    hull = analysis.Hull(tuple(rows), p.hull.scale, (), ())
+    q = dataclasses.replace(p, hull=hull, params={})
+    assert isinstance(_certificate_outcome(reference_certify_facets, q), str)
+    return None
 
 
 def test_extract_facets_rejects_swapped_labels():
@@ -1044,7 +1069,9 @@ def test_swapped_labels_fail_as_the_scalar_reference_says(construction, n):
     # p's params kept: its proposed normals fail, and the kernels name the fault
     for base, params in ((p, None), (image, None), (p, p.params)):
         for i, j in itertools.combinations(range(len(p.labels)), 2):
-            q = _swap_labels(base, i, j, params)
+            q = _swap_or_refusal(base, i, j, params)
+            if q is None:
+                continue
             assert _certificate_outcome(analysis._certify_facets, q) == _certificate_outcome(
                 reference_certify_facets, q
             )
@@ -1171,21 +1198,20 @@ def test_hull_record_matches_references(construction, n):
     p = drawn(construction, n, rng)
     for q in (builds(n)[construction], p, unimodular_relabelled_image(p, rng)):
         coords = [c for c, _ in q.vertices]
-        assert q.hull[3:] == reference_basis(coords)
+        assert q.hull[2:] == reference_basis(coords)
         assert list(q.hull.rows) == integer_scaling(coords)[0]
         assert [tuple(q.hull.scale * x for x in c) for c in coords] == list(q.hull.rows)
         chart, _ = _reference_hull_chart(q)
         xs = [chart(c) for c in coords]
-        assert q.hull.independent == (0, *polygon.flip_table(n)[0])
         # the probe, the first vertex outside the frame, has affine weights
         # over d that give back its chart coordinates from the frame's
         probe = q.hull.probe
         if n == 1:
-            assert probe is None and len(coords) == len(q.hull.independent)
+            assert probe is None and len(coords) == len(frame(n))
         else:
             v, weights, d = probe
-            assert v == min(set(range(len(coords))) - set(q.hull.independent))
-            independent = [xs[i] for i in q.hull.independent]
+            assert v == min(set(range(len(coords))) - set(frame(n)))
+            independent = [xs[i] for i in frame(n)]
             assert sum(weights) == d > 0
             assert tuple(
                 sum(F(w, d) * y[k] for w, y in zip(weights, independent)) for k in range(n)
@@ -1275,8 +1301,8 @@ def test_face_lattice_eliminates_nothing_once_certified(monkeypatch, n):
 def test_hull_frame_is_vertex_0_and_its_flips(monkeypatch, construction, n):
     c = CONSTRUCTIONS[construction]
     for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(n))):
-        assert p.hull.independent == (0, *polygon.flip_table(n)[0])
-        assert p.hull[3:] == affine_frame(p.hull.rows)[1:]
+        rows = p.hull.rows
+        assert p.hull[2:] == echelon_basis([vsub(r, rows[0]) for r in rows[1:]])
         # remade from its rows: the span of the flips is the one elimination
         calls = _counting_eliminations(monkeypatch)
         pairs = zip(p.hull.rows, p.labels)
@@ -1286,25 +1312,20 @@ def test_hull_frame_is_vertex_0_and_its_flips(monkeypatch, construction, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
-def test_hull_frame_falls_back_when_the_flips_are_dependent(monkeypatch, construction, n):
+def test_hull_frame_falls_back_when_the_flips_are_dependent(construction, n):
     # no three vertices of a pentagon are collinear, but at n = 3 a swap
-    # can put vertex 0 and its flips on one plane
+    # can put vertex 0 and its flips on one plane: the error path's
+    # elimination of all rows finds the hull still 3-dimensional, and the
+    # polytope is refused naming the frame
     p = builds(n)[construction]
-    calls = []
-    _counting(monkeypatch, analysis, "affine_frame", calls)
-    fallbacks = 0
+    refused = 0
     for i, j in itertools.combinations(range(len(p.labels)), 2):
-        calls.clear()
-        q = _swap_labels(p, i, j)
-        coords = [c for c, _ in q.vertices]
-        assert q.hull[3:] == reference_basis(coords)
-        if calls:
-            fallbacks += 1
-            chart, _ = _reference_hull_chart(q)
-            assert list(q.hull.independent) == reference_independent([chart(c) for c in coords], n)
+        q = _swap_or_refusal(p, i, j)
+        if q is None:
+            refused += 1
         else:
-            assert q.hull.independent == (0, *polygon.flip_table(n)[0])
-    assert fallbacks == {2: 0, 3: 5}[n]
+            assert q.hull[2:] == reference_basis([c for c, _ in q.vertices])
+    assert refused == {2: 0, 3: 5}[n]
 
 
 @pytest.mark.parametrize(

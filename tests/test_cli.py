@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -1123,11 +1124,12 @@ def test_build_names_the_digits_of_a_sum_too_long_to_write(tmp_path, capsys, dig
 
 
 def test_compare_names_the_digits_of_a_witness_too_long_to_write(tmp_path, capsys, digit_limit):
-    # two n = 1 segments, one 10**8400 times the other: equivalent, and the
-    # witness matrix holds 10**8400, which has 8401 digits
+    # two n = 1 segments, one 10**4500 times the other: equivalent, and the
+    # witness matrix holds 10**-4500, whose denominator has 4501 digits (the
+    # small one's denominator, 10**300, is within the lcm budget)
     big = "1" + "0" * 4200
     paths = []
-    for name, x in (("large", big), ("small", f"1/{big}")):
+    for name, x in (("large", big), ("small", "1/1" + "0" * 300)):
         path = tmp_path / f"{name}.json"
         vertices = [
             {"coords": [x, "0"], "triangulation": [[0, 2]]},
@@ -1139,7 +1141,7 @@ def test_compare_names_the_digits_of_a_witness_too_long_to_write(tmp_path, capsy
         paths.append(str(path))
     code, out, err = run(["compare", *paths], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: cannot write witness: a number of 8401 digits is past the 4300-digit limit\n"
+    assert err == "error: cannot write witness: a number of 4501 digits is past the 4300-digit limit\n"
 
 
 NOT_INT_N_OR_NOT_OBJECT_PARAMS = {
@@ -1212,3 +1214,217 @@ def test_params_off_the_domain_exit_2(tmp_path, capsys, case, command):
     message = "invalid parameters" if command == "build" else "malformed polytope file"
     assert err.startswith(f"error: {message}: ") and reason in err
     assert not (tmp_path / "x.json").exists()
+
+
+# -- the exit-code contract: every documented refusal of every command,
+# through `main`, with its exact code and error line and nothing on stdout
+
+WEIGHTS_1 = {"1,1": "1", "1,2": "1", "2,2": "1"}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _minkowski_doc(n):
+    return serialize.polytope_to_json(build_minkowski(ones_weights(n), n))
+
+
+def _good(tmp_path, n=1):
+    return _write(tmp_path, f"good{n}.json", _minkowski_doc(n))
+
+
+def _with_labels_swapped(n, i, j):
+    doc = _minkowski_doc(n)
+    vs = doc["vertices"]
+    vs[i]["triangulation"], vs[j]["triangulation"] = vs[j]["triangulation"], vs[i]["triangulation"]
+    return doc
+
+
+def _over_denominators(qs):
+    """The Minkowski n = 1 file with its coordinates (2, 1) and (1, 2)
+    written as x / q, q cycling through the odd `qs`: the lcm of its
+    denominators is the lcm of `qs`."""
+    doc = _minkowski_doc(1)
+    k = 0
+    for v in doc["vertices"]:
+        row = []
+        for x in v["coords"]:
+            row.append(f"{x}/{qs[k % len(qs)]}")
+            k += 1
+        v["coords"] = row
+    return doc
+
+
+def _padded_params():
+    """A Minkowski n = 1 params document of 1.49 MB, under the byte cap:
+    the three weights, a 2 * 10**5-entry `pad` list and a `typo_key`."""
+    return {"n": 1, "a": WEIGHTS_1, "pad": list(range(200_000)), "typo_key": 1}
+
+
+def _build_argv(tmp_path, params=None, n=1, out=None):
+    argv = ["build", "--construction", "minkowski", "--n", str(n),
+            "--out", out or str(tmp_path / "out.json")]
+    if params is not None:
+        argv += ["--params", _write(tmp_path, "params.json", params)]
+    return argv
+
+
+# each file case: (the document, the error line every reader gives for it)
+NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+BAD_FILES = {
+    "not_json": ("{not json", f"malformed polytope file: {NOT_JSON}"),
+    "unknown_params_key": (
+        lambda: {**_minkowski_doc(1), "params": {"n": 1, "a": WEIGHTS_1, "junk": 1}},
+        "malformed polytope file: unknown key 'junk' in the minkowski params",
+    ),
+    "params_without_n": (
+        lambda: {**_minkowski_doc(1), "params": {"a": WEIGHTS_1}},
+        "malformed polytope file: missing key 'n'",
+    ),
+    "lcm_over_budget": (
+        lambda: _over_denominators([2**600 + 1, 2**600 + 3]),
+        "malformed polytope file: the lcm of the denominators has 1201 bits, "
+        "over the 1024-bit budget",
+    ),
+    # at n = 3, swapping the labels of vertices 1 and 7 leaves vertex 0 and
+    # its flips on a plane of the 3-dimensional hull
+    "frame_not_spanning": (
+        lambda: _with_labels_swapped(3, 1, 7),
+        "malformed polytope file: vertex 0 and its flips (5, 2, 1) do not span "
+        "the affine hull",
+    ),
+}
+CERTIFICATION_FAILURE = "facet certification failed: diagonal (0, 3): hyperplane is not supporting"
+
+
+def _bad_file(tmp_path, case):
+    doc, _ = BAD_FILES[case]
+    return _write(tmp_path, f"{case}.json", doc() if callable(doc) else doc)
+
+
+def _contract_cases():
+    """(id, make, rc, error line): make(tmp_path, monkeypatch) -> argv."""
+    cases = [
+        ("build-n-out-of-range", lambda t, m: _build_argv(t, n=0), 3,
+         "n=0 out of range 1..7"),
+        ("build-params-not-json", lambda t, m: _build_argv(t, "{not json"), 2,
+         f"invalid parameters: {NOT_JSON}"),
+        ("build-params-missing-key", lambda t, m: _build_argv(t, {"n": 1}), 2,
+         "invalid parameters: missing key 'a'"),
+        ("build-params-for-other-n", lambda t, m: _build_argv(t, {"n": 2, "a": WEIGHTS_1}), 2,
+         "invalid parameters: params are for n=2, not n=1"),
+        ("build-params-unknown-key",
+         lambda t, m: _build_argv(t, {"n": 1, "a": WEIGHTS_1, "typo_key": 1}), 2,
+         "invalid parameters: unknown key 'typo_key' in the minkowski params"),
+        ("build-params-padded", lambda t, m: _build_argv(t, _padded_params()), 2,
+         "invalid parameters: unknown key 'pad' in the minkowski params"),
+        ("build-unwritable-out", lambda t, m: _build_argv(t, out=str(t / "no" / "x.json")), 2,
+         None),
+        ("compare-different-n", lambda t, m: ["compare", _good(t, 1), _good(t, 2)], 2,
+         "polytopes have different n"),
+        ("compare-certification",
+         lambda t, m: ["compare", _good(t, 2),
+                       _write(t, "swapped.json", _with_labels_swapped(2, 0, 1))], 4,
+         CERTIFICATION_FAILURE),
+        ("analyze-certification",
+         lambda t, m: ["analyze", _write(t, "swapped.json", _with_labels_swapped(2, 0, 1))], 4,
+         CERTIFICATION_FAILURE),
+        ("export-off-certification",
+         lambda t, m: ["export", _write(t, "swapped.json", _with_labels_swapped(2, 0, 1)),
+                       "--format", "off"], 4,
+         CERTIFICATION_FAILURE),
+        ("export-unknown-format", lambda t, m: ["export", _good(t), "--format", "xml"], 2,
+         "unknown format 'xml'"),
+        ("export-unwritable-out",
+         lambda t, m: ["export", _good(t), "--format", "csv", "--out", str(t / "no" / "x")], 2,
+         None),
+        ("verify-n-max-out-of-range", lambda t, m: ["verify", "--n-max", "8"], 3,
+         "n_max=8 out of range 1..7"),
+        ("verify-certification", _verify_with_failing_certificate, 4,
+         "facet certification failed: patched in"),
+    ]
+    for case, (_, line) in BAD_FILES.items():
+        cases.append((f"analyze-{case}", lambda t, m, c=case: ["analyze", _bad_file(t, c)], 2, line))
+        cases.append((f"compare-{case}",
+                      lambda t, m, c=case: ["compare", _good(t), _bad_file(t, c)], 2, line))
+        for fmt in ("json", "csv", "off"):
+            cases.append((f"export-{fmt}-{case}",
+                          lambda t, m, c=case, f=fmt: ["export", _bad_file(t, c), "--format", f],
+                          2, line))
+    return cases
+
+
+def _verify_with_failing_certificate(tmp_path, monkeypatch):
+    def fail(p, kernels=False):
+        raise analysis.CertificationError("patched in")
+
+    monkeypatch.setattr(analysis, "_certify_facets", fail)
+    return ["verify", "--n-max", "1"]
+
+
+CONTRACT = _contract_cases()
+
+
+@pytest.mark.parametrize("make, rc, line", [c[1:] for c in CONTRACT], ids=[c[0] for c in CONTRACT])
+def test_every_refusal_honours_the_exit_code_contract(tmp_path, capsys, monkeypatch, make, rc, line):
+    argv = make(tmp_path, monkeypatch)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (rc, "")
+    if line is None:
+        # an OS error: its text is the system's, so only its start is pinned
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    else:
+        assert err == f"error: {line}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
+def test_a_file_at_the_lcm_budget_loads_and_one_bit_over_is_refused(
+    tmp_path, capsys, monkeypatch, command
+):
+    # one odd denominator of exactly LCM_BITS bits loads; one bit more is
+    # refused, naming both bit lengths, before any polytope is made
+    bits = serialize.LCM_BITS
+    made = []
+    make = serialize.make_polytope
+    monkeypatch.setattr(serialize, "make_polytope", lambda *a, **k: made.append(1) or make(*a, **k))
+    for q, want in ((2 ** (bits - 1) + 1, {"analyze": 0, "compare": 1, "export": 0}[command]),
+                    (2**bits + 1, 2)):
+        path = _write(tmp_path, f"{q.bit_length()}.json", _over_denominators([q]))
+        argv = {
+            "analyze": ["analyze", path],
+            "compare": ["compare", path, path],
+            "export": ["export", path, "--format", "json"],
+        }[command]
+        made.clear()
+        code, out, err = run(argv, capsys)
+        assert code == want
+        if want == 2:
+            assert (out, made) == ("", [])
+            assert err == (
+                f"error: malformed polytope file: the lcm of the denominators has {bits + 1} "
+                f"bits, over the {bits}-bit budget\n"
+            )
+        else:
+            assert err == "" and made
+
+
+def test_a_small_file_of_long_denominators_is_refused_at_once(tmp_path, capsys):
+    # 2 vertices of 40 coordinates 1/q, each q odd with 1000 digits: 80 KB,
+    # whose lcm of about 132000 bits once took analyze 13.8 s to scale
+    rng = random.Random(0)
+    doc = {"construction": "minkowski", "n": 1, "params": {}, "vertices": [
+        {"coords": [f"1/{rng.randrange(10**999, 10**1000) | 1}" for _ in range(40)],
+         "triangulation": label}
+        for label in ([[0, 2]], [[1, 3]])
+    ]}
+    path = _write(tmp_path, "long.json", doc)
+    assert 80_000 < Path(path).stat().st_size < 81_000
+    start = time.perf_counter()
+    code, out, err = run(["analyze", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed polytope file: the lcm of the denominators has ")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -455,3 +456,42 @@ def test_verify_fan_rejects_dependent_cluster():
     assert ("dependent_cone", ((0, 2), (0, 3))) in fan.problems
     with pytest.raises(ValueError):
         tight_vertices(fan, {d: F(1) for d in rays})
+
+
+# sha256 of repr([ray_normals(n) for n in 1..7]) as the snake check made
+# them when it looked the snake up among all triangulations
+RAY_NORMALS_DIGEST = "e5cdc657d68c7573dfb343949a7191403ca5420369cbc7ad9dd5187204f2f3bd"
+
+
+@pytest.fixture
+def fresh_root_maps():
+    """`cluster._root_diagonal_maps` with an empty cache, emptied again
+    afterwards, so that maps made under a patch are not kept."""
+    cluster._root_diagonal_maps.cache_clear()
+    yield
+    cluster._root_diagonal_maps.cache_clear()
+
+
+def test_ray_normals_are_unchanged(fresh_root_maps):
+    normals = [cluster.ray_normals(n) for n in range(1, 8)]
+    assert hashlib.sha256(repr(normals).encode()).hexdigest() == RAY_NORMALS_DIGEST
+
+
+def test_snake_check_enumerates_no_triangulation(monkeypatch, fresh_root_maps):
+    # the snake is checked pairwise: n = 12, with its 742900 triangulations,
+    # needs none of them
+    def refuse(n):
+        raise AssertionError("all_triangulations called")
+
+    monkeypatch.setattr(polygon, "all_triangulations", refuse)
+    normals = cluster.ray_normals(12)
+    assert len(normals) == 12 * 15 // 2 and len(set(normals)) == len(normals)
+
+
+@pytest.mark.parametrize(
+    "snakes", [[(0, 2), (1, 3)], [(1, 4), (1, 4)]], ids=["crossing", "repeated"]
+)
+def test_a_snake_that_is_no_triangulation_raises(monkeypatch, fresh_root_maps, snakes):
+    monkeypatch.setattr(cluster, "snake_diagonal", lambda i, n: snakes[i - 1])
+    with pytest.raises(AssertionError, match="snake diagonals are not a triangulation"):
+        cluster.ray_normals(2)

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from associahedra import analysis, cluster, exactlin, minkowski, secondary, verification
+from associahedra import analysis, cluster, exactlin, minkowski, secondary
 from associahedra.analysis import dihedral_images, extract_facets, fit_affine_map
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     UNDERDETERMINED,
     ZERO,
     Subspace,
-    affinely_independent,
     dot,
     echelon_basis,
     exchange_inverse,
@@ -29,7 +28,6 @@ from associahedra.exactlin import (
     span,
     subspace_from_differences,
     vec,
-    vscale,
     vsub,
 )
 
@@ -60,26 +58,6 @@ def reference_rref(rows):
         if r == nrows:
             break
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
-
-
-def reference_affinely_independent(points, count):
-    """The Fraction elimination the integer `affinely_independent` replaced,
-    kept verbatim; it takes the Fraction points themselves."""
-    chosen = [0]
-    kept = []  # (pivot column, row)
-    for i in range(1, len(points)):
-        if len(chosen) >= count:
-            break
-        v = vsub(points[i], points[0])
-        for pivot, row in kept:
-            f = v[pivot]
-            if f != 0:
-                v = tuple(a - f * b for a, b in zip(v, row))
-        pivot = next((c for c, a in enumerate(v) if a != 0), None)
-        if pivot is not None:
-            kept.append((pivot, vscale(1 / v[pivot], v)))
-            chosen.append(i)
-    return chosen[:count]
 
 
 def reference_hyperplane_through(points, ambient):
@@ -130,40 +108,6 @@ def test_rref_matches_fraction_reference(shape):
     for _ in range(20):
         rows = random_rational_matrix(rng, *shape)
         assert rref(rows) == reference_rref(rows)
-
-
-@pytest.mark.parametrize("shape", [(2, 1), (5, 3), (12, 4), (4, 8)])
-def test_affinely_independent_matches_fraction_reference(shape):
-    rng = random.Random(sum(shape))
-    for _ in range(20):
-        points = random_rational_matrix(rng, *shape)
-        for count in range(1, shape[1] + 3):
-            assert affinely_independent(integer_scaling(points)[0], count) == (
-                reference_affinely_independent(points, count)
-            )
-
-
-@pytest.mark.parametrize(
-    "points",
-    [[(F(1), F(2))], [(F(1), F(-2))] * 4, [(F(3, 2), F(0), F(1))] * 2 + [(F(0), F(0), F(1))]],
-    ids=["single_point", "repeated_point", "repeated_then_new"],
-)
-def test_affinely_independent_on_degenerate_points(points):
-    for count in range(len(points[0]) + 3):
-        assert affinely_independent(integer_scaling(points)[0], count) == (
-            reference_affinely_independent(points, count)
-        )
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_affinely_independent_on_default_hull_rows(n):
-    # the hull rows `make_polytope` eliminates, against the Fraction vertices
-    for p in verification.build_all_defaults(n).values():
-        coords = [c for c, _ in p.vertices]
-        for count in (0, 1, n, n + 1, p.ambient_dim + 1):
-            assert affinely_independent(p.hull.rows, count) == (
-                reference_affinely_independent(coords, count)
-            )
 
 
 def construction_polytopes(n, draws):
@@ -344,14 +288,6 @@ def test_exchange_inverse_is_a_fresh_integer_inverse(case):
         want = None
     assert exchange_inverse(inverse, d, k, y, at) == want
     assert (want is None) == (y[k] == 0)
-
-
-@settings(deadline=None)
-@given(matrices(1, 8), st.integers(1, 7))
-def test_affinely_independent_property_matches_fraction_reference(points, count):
-    assert affinely_independent(integer_scaling(points)[0], count) == (
-        reference_affinely_independent(points, count)
-    )
 
 
 def test_rank_identity():
