@@ -18,8 +18,11 @@ Python int, wide enough (one bit over |c|_1 max|y| + |offset| + 1, for
 its chart normal c and the chart rows y) that a negative value always
 borrows into its own lane's top bit, so two masks read the verdict.
 Each polytope object certifies its facets once, on first use, and keeps
-them.  `face_lattice` reads off them and the polygon's ridge incidence
-that these facets are all the facets and the flips the edges.  What else
+them, unless its builder has certified their normals and the polytope
+carries those (`make_polytope`'s `normals`: the cluster build, whose
+tight-vertex lane pass is this certificate on the fan's rays).  `face_lattice` reads
+off them and the polygon's ridge incidence that these facets are all the
+facets and the flips the edges.  What else
 a passed certificate settles is read off it, not decided again:
 parallelism from the normals (`parallel_pairs`), which facets meet from
 the diagonals (`special_profile`), and equivalence from the dihedral
@@ -138,6 +141,8 @@ class LabeledPolytope:
     labels: tuple  # the triangulations, sorted: `polygon.all_triangulations(n)`
     params: dict = field(default_factory=dict, compare=False)
     hull: Hull = field(repr=False, kw_only=True)
+    # the facet normals its builder certified (`make_polytope`'s `normals`), or None
+    carried_normals: dict = field(default=None, compare=False, repr=False, kw_only=True)
 
     @cached_property
     def vertices(self):
@@ -151,13 +156,24 @@ class LabeledPolytope:
 
     @cached_property
     def certified_facets(self):
-        """The facets, certified on first use and kept on this object (not
-        a field: equality, repr and files do not see it).  A failed
-        certificate is not kept, so it raises again on the next use."""
-        return tuple(_certify_facets(self))
+        """The facets, made on first use and kept on this object: from the
+        normals its builder certified (`carried_normals`, by `_descriptor`,
+        as `_certify_facets` makes them), or else certified here
+        (`_certify_facets`).  Neither is seen by equality, hash, repr or
+        files, so a polytope loaded from a file certifies from scratch.  A
+        failed certificate is not kept, so it raises again on the next
+        use."""
+        if self.carried_normals is None:
+            return tuple(_certify_facets(self))
+        diagonals, plan, _ = _facet_plan(self.n)
+        rows, scale = self.hull.rows, self.hull.scale
+        return tuple(
+            _descriptor(d, members, self.carried_normals[d], rows[v], scale)
+            for d, (members, v, *_) in zip(diagonals, plan)
+        )
 
 
-def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
+def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None, normals=None):
     """Validate and freeze a vertex-labeled polytope given as (coords,
     label) pairs.
 
@@ -175,6 +191,11 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
     N_k . (w_j - v_0) is 0 for j != k and not 0 for j = k, so the frame's
     differences are independent.  No Fraction is made here:
     `LabeledPolytope.vertices` makes the Fraction coordinates on first read.
+
+    A builder that has certified its facets itself passes `normals`, an int
+    normal in the hull's direction space per diagonal, each tight at its
+    members and strict elsewhere on the rows; the polytope carries them,
+    and its `certified_facets` are made from them on first use.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
     # the cached triangulations are kept, not the caller's equal copies
@@ -201,6 +222,7 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None):
         labels=labels,
         params=dict(params or {}),
         hull=Hull(tuple(rows), scale, basis, pivots),
+        carried_normals=normals,
     )
 
 
@@ -256,7 +278,9 @@ def extract_facets(p):
 
     A polytope's facets are certified once, on the first call for that
     polytope object, and kept on it (`LabeledPolytope.certified_facets`);
-    later calls copy them.  See `_certify_facets` for the certificate.
+    later calls copy them.  A cluster build carries the facet normals its
+    lane pass certified, so its facets are not certified again.  See
+    `_certify_facets` for the certificate.
     """
     return list(p.certified_facets)
 
@@ -314,26 +338,12 @@ def _certify_facets(p, kernels=False):
         c = proposal[f] if proposal else integer_kernel([vsub(chart[w], y) for w in flips], p.n)
         if c is None:
             raise CertificationError(f"diagonal {d}: vertices do not span a codim-1 flat")
-        normal = [sum(map(mul, row, c)) for row in lift]
-        g = gcd(*normal)
-        if next(a for a in normal if a) < 0:
-            g = -g
-        normal = tuple(a // g for a in normal)
         level = sum(map(mul, c, y))
         if sum(map(mul, c, chart[out])) < level:
             c, level = [-a for a in c], -level
         functionals.append((c, level))
-        offset = sum(map(mul, normal, rows[v]))
-        g = gcd(offset, scale)
-        facets.append(
-            FacetDescriptor(
-                diagonal=d,
-                vertex_indices=members,
-                normal=normal,
-                offset=offset // g,
-                scale=scale // g,
-            )
-        )
+        normal = [sum(map(mul, row, c)) for row in lift]
+        facets.append(_descriptor(d, members, normal, rows[v], scale))
     failures = lane_failures(functionals, chart, tight)
     if failures and proposal:
         return _certify_facets(p, kernels=True)
@@ -344,6 +354,22 @@ def _certify_facets(p, kernels=False):
             raise CertificationError(f"diagonal {diagonals[f]}: member off its hyperplane")
         raise CertificationError(f"diagonal {diagonals[f]}: hyperplane is not supporting")
     return facets
+
+
+def _descriptor(d, members, normal, row, scale):
+    """Diagonal d's facet, for its `members` and a nonzero int `normal` of
+    it in the hull's direction space: the normal made primitive with its
+    first nonzero entry positive, and the offset read at a member's `row`
+    over `scale`, in lowest terms."""
+    g = gcd(*normal)
+    if next(a for a in normal if a) < 0:
+        g = -g
+    normal = tuple(a // g for a in normal)
+    offset = sum(map(mul, normal, row))
+    g = gcd(offset, scale)
+    return FacetDescriptor(
+        diagonal=d, vertex_indices=members, normal=normal, offset=offset // g, scale=scale // g
+    )
 
 
 def _proposed_normals(p):

@@ -26,8 +26,12 @@ construction's builder checks (`Construction.check`: the roots of n, the
 summands of n with positive weights, or n+3 points in strictly convex
 position).  A polytope file is malformed also when its `n` is not an
 int, its vertex count is not Catalan(n+1), the number of triangulations
-(checked before any coordinate is read), its `params` is not an object,
-its `vertices`, or a vertex's `coords` or `triangulation`, is not a list,
+(checked before any coordinate is read), a vertex's coordinate row is not
+its construction's width (`Construction.ambient_dim`: n+3 for secondary,
+n+1 for cluster and Minkowski; checked before any coordinate is parsed,
+so a wide file of long numbers is refused at once), its `params` is not
+an object, its `vertices`, or a vertex's `coords` or `triangulation`, is
+not a list,
 the lcm of its denominators passes `serialize.LCM_BITS` (1024) bits
 (checked as it is built, before any row is scaled: n = 7 polytopes with
 no params at the budget took up to 0.9 s to analyze and 2.6 s to compare

@@ -8,7 +8,9 @@ the snake diagonals it crosses.  Compatible roots are non-crossing
 diagonals, so the clusters are the triangulations.  The fan is
 `fan.make_fan` on the rays e_i - e_j of the roots, built once per n; this
 module adds the root names and file keys, the root-diagonal map and the
-default support values h, one per root.
+default support values h, one per root.  A build is one lane pass over
+the fan's vertices (`fan.tight_vertices`), which is also its facet
+certificate: the polytope carries the facet normals it certified.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from itertools import combinations
 from . import polygon
 from .analysis import make_polytope
 from .exactlin import rat_str
-from .fan import make_fan, tight_vertices, wall_numerators
+from .fan import hull_normals, make_fan, tight_vertices, wall_numerators
 
 
 def neg(i):
@@ -124,6 +126,10 @@ def polytopality_check(h, n):
     `fan.wall_slacks`).  The check runs on h scaled to ints and reads each
     wall's sign off its int numerator (`fan.wall_numerators`); a Fraction
     is made only for a violation.
+
+    A build does not run it first: the tight-vertex lane pass holds iff
+    every wall is strict (`fan.wall_numerators`), so it runs only after
+    that pass has failed, to name the failing walls.
     """
     fan, d2r = _fan(n), _root_diagonal_maps(n)[1]
     numerators, scale = wall_numerators(fan, _by_diagonal(h, n))
@@ -156,7 +162,8 @@ def default_support_values(n):
     length of the diagonal (a, b) of rho.
 
     Every wall inequality holds with slack at least 2 (6 at n = 2, 8 at
-    n = 1); `build_cluster_polytope` certifies this on every call.
+    n = 1); `build_cluster_polytope`'s lane pass certifies this on every
+    call.
     """
     h = {}
     for r in all_roots(n):
@@ -177,21 +184,34 @@ def build_cluster_polytope(h, n):
     """One vertex per cluster: the point of the sum-zero hyperplane meeting
     all n root hyperplanes <rho, x> = h(rho) of the cluster.
 
-    h holds exactly one value per root.  A wall violation is a hard error,
-    and every inequality for a root outside the cluster must then hold
-    strictly at the vertex (`fan.tight_vertices`).
+    h holds exactly one value per root.  Every inequality for a root
+    outside the cluster must hold strictly at the vertex, one lane pass
+    over all vertices (`fan.tight_vertices`).  That pass is the facet
+    certificate, so the polytope carries its facet normals, each ray's
+    `fan.hull_normals` entry, and `analysis.extract_facets` certifies
+    nothing again.  It holds iff every wall is strict
+    (`fan.wall_numerators`), so the walls are checked only once it has
+    failed: `polytopality_check` names them in the ValueError.  A failed
+    pass with no failing wall cannot happen by that argument; should it,
+    its AssertionError is raised and nothing is built.
     """
     check_roots(h, n)
-    ok, violations = polytopality_check(h, n)
-    if not ok:
+    fan = _fan(n)
+    try:
+        rows, scale = tight_vertices(fan, _by_diagonal(h, n))
+    except AssertionError:
+        _, violations = polytopality_check(h, n)
+        if not violations:
+            raise
         walls = "; ".join(
             f"wall exchanging {root_key(beta)} and {root_key(beta_p)}: deficit {rat_str(deficit)}"
             for beta, beta_p, deficit in violations[:3]
         )
-        raise ValueError(f"support values fail the wall check: {walls}")
-    rows, scale = tight_vertices(_fan(n), _by_diagonal(h, n))
+        raise ValueError(f"support values fail the wall check: {walls}") from None
     pairs = zip(rows, polygon.all_triangulations(n))
-    return make_polytope("cluster", n, n + 1, pairs, params={"h": dict(h)}, scale=scale)
+    return make_polytope(
+        "cluster", n, n + 1, pairs, params={"h": dict(h)}, scale=scale, normals=hull_normals(fan)
+    )
 
 
 def verify_fan(n):

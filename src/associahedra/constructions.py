@@ -2,7 +2,8 @@
 
 A record says how a construction's parameter is stored (its key in a
 polytope's `params`, and its JSON encoding), where a default or a seeded
-random parameter comes from, which parameters are in its domain (the cheap
+random parameter comes from, the length of its vertex rows (a file's
+rows must have it), which parameters are in its domain (the cheap
 checks its builder makes first, run on a file's params too), how a
 polytope is built from it and its facet normals, which `analysis`
 certifies in place of solving for them.  The records call their functions
@@ -25,6 +26,7 @@ def practical_bound():
 class Construction:
     name: str
     key: str  # the parameter's key in `LabeledPolytope.params` and in files
+    ambient_dim: Callable  # n -> the length of every vertex row, built or read
     encode: Callable  # parameter -> JSON value
     decode: Callable  # JSON value -> parameter
     default: Callable  # n -> parameter
@@ -65,6 +67,7 @@ CONSTRUCTIONS = {
         Construction(
             "secondary",
             "coords",
+            ambient_dim=lambda n: n + 3,
             encode=lambda coords: [[rat_str(x), rat_str(y)] for x, y in coords],
             decode=_decode_coords,
             default=lambda n: secondary.parabola_geometry(n),
@@ -76,6 +79,7 @@ CONSTRUCTIONS = {
         Construction(
             "cluster",
             "h",
+            ambient_dim=lambda n: n + 1,
             encode=lambda h: {cluster.root_key(r): rat_str(v) for r, v in h.items()},
             decode=lambda doc: {
                 cluster.parse_root_key(k): parse_rat(v) for k, v in _object_items(doc)
@@ -89,6 +93,7 @@ CONSTRUCTIONS = {
         Construction(
             "minkowski",
             "a",
+            ambient_dim=lambda n: n + 1,
             encode=lambda a: {f"{i},{j}": rat_str(v) for (i, j), v in a.items()},
             decode=_decode_weights,
             default=lambda n: minkowski.ones_weights(n),

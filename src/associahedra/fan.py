@@ -16,7 +16,12 @@ are tight.  `tight_vertices` certifies that every other ray's inequality
 holds strictly there with the lane certificate (`exactlin.lane_failures`):
 at a vertex, all the rays' slacks sit in the W-bit lanes of one Python int,
 W one bit over the bound |ray|_1 max|x| + |h| + 1, so a negative slack
-borrows into its own lane's top bit and two masks read the verdict.
+borrows into its own lane's top bit and two masks read the verdict.  That
+pass is the polytope's facet certificate too: each ray's inequality is
+tight at the vertices of the cones holding it and strict at every other,
+so its projection into the sum-zero hyperplane (`hull_normals`) is its
+facet's normal, and it settles every wall's strict convexity
+(`wall_numerators`) with no pass over the walls.
 """
 
 from fractions import Fraction
@@ -141,7 +146,22 @@ def wall_numerators(fan, h):
     """(numerators, scale): the slack of wall i (`wall_slacks`) is
     numerators[i] / (a_i scale), with a_i > 0 its relation's coefficient of
     beta and scale > 0 the lcm of h's denominators, so its sign is the
-    int's."""
+    int's.
+
+    It is also the sign of one slack of `tight_vertices`' lane pass.  Let
+    the wall exchange beta in cone i for beta' in cone j, with relation
+    a beta + b beta' = sum c_g g + c 1 (b > 0, the cone's denominator), and
+    x_i cone i's vertex: beta . x_i = h(beta), g . x_i = h(g) on the
+    ridge's diagonals g and 1 . x_i = 0.  Applied to x_i the relation gives
+    numerator = scale (a h(beta) + b h(beta') - sum c_g h(g))
+    = scale b (h(beta') - beta' . x_i), a positive multiple of the slack of
+    beta''s inequality at cone i's vertex.  So the lane pass passes only if
+    every wall is strict.  Conversely a function on a complete fan, linear
+    on each cone and strictly convex across every wall, is strictly convex
+    on the whole space (the local-to-global step of De Loera-Rambau-Santos,
+    Triangulations): each cone's vertex then meets every other ray's
+    inequality strictly, and the lane pass passes.
+    """
     hs, scale = _scaled(h)
     return [
         a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs)
@@ -157,6 +177,16 @@ def wall_slacks(fan, h):
     return [Fraction(x, a * scale) for x, (_, _, a, *_) in zip(numerators, fan.relations)]
 
 
+def hull_normals(fan):
+    """{diagonal: D ray - (sum ray) 1}, for D the rays' length: each ray
+    projected into the sum-zero hyperplane, where `tight_vertices` puts
+    every vertex, and scaled to ints.  On that hyperplane it is the ray's
+    functional, so once `tight_vertices` has passed it is the normal of
+    the ray's facet in the polytope's direction space, which is the whole
+    hyperplane when the vertices span n dimensions."""
+    return {d: tuple(len(ray) * a - sum(ray) for a in ray) for d, ray in fan.rays.items()}
+
+
 def tight_vertices(fan, h):
     """(rows, scale): the vertex of each cone, in cone order, is its int
     row over the one positive scale.
@@ -170,8 +200,11 @@ def tight_vertices(fan, h):
     with W one more than the bit length of max(|ray|_1 max|x| + |h| + 1),
     and a negative slack borrows into its own lane's top bit, so a row is
     one packed product per coordinate and two masks.  A tie or violation
-    means h is not strictly convex; the first failing cone and, in ray
-    order, its first failing ray are named.
+    means h is not strictly convex, and the first failing cone and, in ray
+    order, its first failing ray are named (AssertionError).  The pass
+    holds iff every wall is strict (`wall_numerators`), so it needs no
+    wall check before it, and it certifies every ray's facet at once
+    (`hull_normals`).
     """
     if fan.problems:
         raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")

@@ -159,10 +159,15 @@ def polytope_from_json(doc):
     if len(vertices) != count:
         raise ValueError(f"{len(vertices)} vertices, but n={n} has {count} triangulations")
     strings, labels = _read_vertices(vertices, n)
+    # the construction's width: a wider row is refused before any coordinate is parsed
+    ambient_dim = c.ambient_dim(n)
+    bad = next((i for i, row in enumerate(strings) if len(row) != ambient_dim), None)
+    if bad is not None:
+        raise ValueError(
+            f"vertex {bad} has {len(strings[bad])} coordinates, "
+            f"but a {c.name} polytope at n={n} has {ambient_dim}"
+        )
     ratios = _distinct_ratios(strings)
-    ambient_dim = len(strings[0])
-    if any(len(row) != ambient_dim for row in strings):
-        raise ValueError("vertex coordinate rows have unequal lengths")
     # {} is no params; any other value, 0 or [] too, is read and checked
     params = doc.get("params", {})
     if params != {}:

@@ -5,8 +5,9 @@ import json
 import random
 import sys
 import time
-from pathlib import Path
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from associahedra.exactlin import parse_rat, rat_str
 from associahedra.minkowski import all_summands, build_minkowski, ones_weights
 
 F = Fraction
+# Catalan(n + 1), the vertex count at n, for n = 1, 2, ...: 2, 5, 14, ...
+CATALAN = [comb(2 * k, k) // (k + 1) for k in range(2, 14)]
 
 
 def run(argv, capsys):
@@ -308,7 +311,7 @@ def test_verify_out_of_range(capsys):
     for n_max in (0, practical_bound() + 1):
         code, _, err = run(["verify", "--n-max", str(n_max)], capsys)
         assert code == 3
-        assert "out of range 1..7" in err
+        assert f"out of range 1..{practical_bound()}" in err
 
 
 def test_verify_accepts_the_build_cap(capsys):
@@ -318,7 +321,7 @@ def test_verify_accepts_the_build_cap(capsys):
     lines = out.splitlines()
     assert len(lines) == len(verification.MANIFEST)
     assert all(line.split()[1] == "PASS" for line in lines)
-    assert "Catalan counts 2, 5, 14, 42, 132, 429, 1430" in out
+    assert "Catalan counts " + ", ".join(map(str, CATALAN[: practical_bound()])) in out
 
 
 def test_export_csv(tmp_path, capsys):
@@ -940,12 +943,12 @@ def test_compare_swapped_labels_exit_4(tmp_path, capsys, swapped_first):
 def test_build_cap_ignores_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ASSOC_MAX_N", "20")
     code, _, err = run(
-        ["build", "--construction", "minkowski", "--n", "8",
+        ["build", "--construction", "minkowski", "--n", str(practical_bound() + 1),
          "--out", str(tmp_path / "x.json")],
         capsys,
     )
     assert code == 3
-    assert "out of range 1..7" in err
+    assert f"out of range 1..{practical_bound()}" in err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -1258,6 +1261,13 @@ def _over_denominators(qs):
     return doc
 
 
+def _widened(doc, extra):
+    """`doc` with the coordinate strings `extra` appended to every row."""
+    for v in doc["vertices"]:
+        v["coords"] = v["coords"] + extra
+    return doc
+
+
 def _padded_params():
     """A Minkowski n = 1 params document of 1.49 MB, under the byte cap:
     the three weights, a 2 * 10**5-entry `pad` list and a `typo_key`."""
@@ -1284,6 +1294,12 @@ BAD_FILES = {
         lambda: {**_minkowski_doc(1), "params": {"a": WEIGHTS_1}},
         "malformed polytope file: missing key 'n'",
     ),
+    # a third coordinate at n = 1, where Minkowski rows have n + 1 = 2
+    "wide_rows": (
+        lambda: _widened(_minkowski_doc(1), ["0"]),
+        "malformed polytope file: vertex 0 has 3 coordinates, but a minkowski polytope "
+        "at n=1 has 2",
+    ),
     "lcm_over_budget": (
         lambda: _over_denominators([2**600 + 1, 2**600 + 3]),
         "malformed polytope file: the lcm of the denominators has 1201 bits, "
@@ -1309,7 +1325,7 @@ def _contract_cases():
     """(id, make, rc, error line): make(tmp_path, monkeypatch) -> argv."""
     cases = [
         ("build-n-out-of-range", lambda t, m: _build_argv(t, n=0), 3,
-         "n=0 out of range 1..7"),
+         f"n=0 out of range 1..{practical_bound()}"),
         ("build-params-not-json", lambda t, m: _build_argv(t, "{not json"), 2,
          f"invalid parameters: {NOT_JSON}"),
         ("build-params-missing-key", lambda t, m: _build_argv(t, {"n": 1}), 2,
@@ -1341,8 +1357,9 @@ def _contract_cases():
         ("export-unwritable-out",
          lambda t, m: ["export", _good(t), "--format", "csv", "--out", str(t / "no" / "x")], 2,
          None),
-        ("verify-n-max-out-of-range", lambda t, m: ["verify", "--n-max", "8"], 3,
-         "n_max=8 out of range 1..7"),
+        ("verify-n-max-out-of-range",
+         lambda t, m: ["verify", "--n-max", str(practical_bound() + 1)], 3,
+         f"n_max={practical_bound() + 1} out of range 1..{practical_bound()}"),
         ("verify-certification", _verify_with_failing_certificate, 4,
          "facet certification failed: patched in"),
     ]
@@ -1412,17 +1429,52 @@ def test_a_file_at_the_lcm_budget_loads_and_one_bit_over_is_refused(
             assert err == "" and made
 
 
-def test_a_small_file_of_long_denominators_is_refused_at_once(tmp_path, capsys):
-    # 2 vertices of 40 coordinates 1/q, each q odd with 1000 digits: 80 KB,
-    # whose lcm of about 132000 bits once took analyze 13.8 s to scale
-    rng = random.Random(0)
+@pytest.mark.parametrize("command", ["analyze", "compare", "export"])
+def test_a_wide_file_is_refused_before_any_coordinate_is_parsed(
+    tmp_path, capsys, monkeypatch, command
+):
+    # an n = 1 Minkowski file of 2 vertices by 256 columns of 14000-bit
+    # integers, 2.16 MB and under the byte cap: compare once ran 193 s on
+    # it; its rows are not the construction's width, so no entry is parsed
+    rng = random.Random(1)
     doc = {"construction": "minkowski", "n": 1, "params": {}, "vertices": [
-        {"coords": [f"1/{rng.randrange(10**999, 10**1000) | 1}" for _ in range(40)],
+        {"coords": [str(rng.getrandbits(14000) | 1 << 13999) for _ in range(256)],
          "triangulation": label}
         for label in ([[0, 2]], [[1, 3]])
     ]}
+    path = _write(tmp_path, "wide.json", doc)
+    assert 2_150_000 < Path(path).stat().st_size < serialize.max_file_bytes()
+    parsed = []
+    parse = serialize.parse_ratio
+    monkeypatch.setattr(serialize, "parse_ratio", lambda x: parsed.append(x) or parse(x))
+    argv = {
+        "analyze": ["analyze", path],
+        "compare": ["compare", path, path],
+        "export": ["export", path, "--format", "json"],
+    }[command]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out, parsed) == (2, "", [])
+    assert err == (
+        "error: malformed polytope file: vertex 0 has 256 coordinates, "
+        "but a minkowski polytope at n=1 has 2\n"
+    )
+
+
+def test_a_small_file_of_long_denominators_is_refused_at_once(tmp_path, capsys):
+    # the 14 vertices of n = 3, each of the construction's 4 coordinates
+    # 1/q, each q odd with 1400 digits: 79 KB, whose lcm passes the budget
+    # at its second denominator, before any row is scaled (2 vertices of
+    # 40 such coordinates at 1000 digits, whose lcm once took analyze
+    # 13.8 s to scale, are now refused for their width first)
+    rng = random.Random(0)
+    doc = _minkowski_doc(3)
+    doc["params"] = {}
+    for v in doc["vertices"]:
+        v["coords"] = [f"1/{rng.randrange(10**1399, 10**1400) | 1}" for _ in v["coords"]]
     path = _write(tmp_path, "long.json", doc)
-    assert 80_000 < Path(path).stat().st_size < 81_000
+    assert 79_000 < Path(path).stat().st_size < 81_000
     start = time.perf_counter()
     code, out, err = run(["analyze", path], capsys)
     assert time.perf_counter() - start < 1

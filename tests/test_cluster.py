@@ -6,8 +6,8 @@ from functools import lru_cache
 
 import pytest
 
-from associahedra import cluster, polygon
-from associahedra.analysis import make_polytope
+from associahedra import analysis, cluster, polygon, serialize
+from associahedra.analysis import extract_facets, make_polytope
 from associahedra.cluster import (
     all_roots,
     build_cluster_polytope,
@@ -17,11 +17,13 @@ from associahedra.cluster import (
     polytopality_check,
     pos,
     root_coordinates,
+    root_key,
     root_to_diagonal,
     snake_diagonal,
     verify_fan,
 )
-from associahedra.exactlin import UNDERDETERMINED, ZERO, dot, solve_linear
+from associahedra.constructions import practical_bound
+from associahedra.exactlin import UNDERDETERMINED, ZERO, dot, rat_str, solve_linear
 from associahedra.fan import make_fan, tight_vertices, wall_slacks
 from associahedra.sampling import perturbed_support_values
 
@@ -495,3 +497,93 @@ def test_a_snake_that_is_no_triangulation_raises(monkeypatch, fresh_root_maps, s
     monkeypatch.setattr(cluster, "snake_diagonal", lambda i, n: snakes[i - 1])
     with pytest.raises(AssertionError, match="snake diagonals are not a triangulation"):
         cluster.ray_normals(2)
+
+
+def reference_wall_error(h, n):
+    """The ValueError text of a build whose wall check ran first, from the
+    Fraction wall check."""
+    _, violations = reference_polytopality_check(h, n)
+    walls = "; ".join(
+        f"wall exchanging {root_key(beta)} and {root_key(beta_p)}: deficit {rat_str(deficit)}"
+        for beta, beta_p, deficit in violations[:3]
+    )
+    return f"support values fail the wall check: {walls}"
+
+
+def _lane_pass_fails(h, n):
+    try:
+        tight_vertices(cluster._fan(n), cluster._by_diagonal(h, n))
+    except AssertionError:
+        return True
+    return False
+
+
+def _counting(f, calls):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_lane_pass_fails_iff_a_wall_fails(monkeypatch, n):
+    # the default h, jitters in sevenths that break convexity at some
+    # walls, often several, and leave it at others, and a tie at wall 0
+    rng = random.Random(90 + n)
+    fan, h = cluster._fan(n), default_support_values(n)
+    cases = [{r: v + F(rng.randint(-7 * size, 7 * size), 7) for r, v in h.items()}
+             for size in (0, 1, 1, 3, 3, 10, 10, 30, 30)]
+    beta = diagonal_to_root(fan.relations[0][0], n)
+    cases.append({**h, beta: h[beta] - wall_slacks(fan, cluster._by_diagonal(h, n))[0]})
+    walls = []
+    monkeypatch.setattr(cluster, "polytopality_check", _counting(polytopality_check, walls))
+    outcomes = []
+    for g in cases:
+        failed = _lane_pass_fails(g, n)
+        assert failed == (not polytopality_check(g, n)[0])
+        walls.clear()
+        if failed:
+            with pytest.raises(ValueError) as err:
+                build_cluster_polytope(g, n)
+            assert str(err.value) == reference_wall_error(g, n)
+            assert len(walls) == 1
+        else:
+            # a passing build reads no wall
+            build_cluster_polytope(g, n)
+            assert walls == []
+        outcomes.append(failed)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_a_failed_lane_pass_with_no_failing_wall_still_raises(monkeypatch):
+    # were the wall check to miss a failing wall, the build raises the
+    # lane pass's AssertionError and makes no polytope
+    made = []
+    monkeypatch.setattr(cluster, "polytopality_check", lambda h, n: (True, []))
+    monkeypatch.setattr(cluster, "make_polytope", _counting(make_polytope, made))
+    h = {r: F(1) for r in all_roots(3)}
+    with pytest.raises(AssertionError, match="violates inequality"):
+        build_cluster_polytope(h, 3)
+    assert made == []
+
+
+@pytest.mark.parametrize("n", range(1, practical_bound() + 1))
+def test_a_build_carries_the_certified_facets(monkeypatch, tmp_path, n):
+    rng = random.Random(110 + n)
+    lanes = []
+    monkeypatch.setattr(analysis, "lane_failures", _counting(analysis.lane_failures, lanes))
+    for h in [default_support_values(n)] + [perturbed_support_values(n, rng) for _ in range(2)]:
+        p = build_cluster_polytope(h, n)
+        want = tuple(analysis._certify_facets(p))
+        assert p.carried_normals is not None
+        lanes.clear()
+        # extract_facets certifies nothing again
+        assert extract_facets(p) == list(want) and lanes == []
+        # equality, hash, repr and files do not see them: a loaded copy
+        # certifies from scratch, to the same facets
+        serialize.save_polytope(p, tmp_path / "p.json")
+        q = serialize.load_polytope(tmp_path / "p.json")
+        assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+        assert q.carried_normals is None
+        assert extract_facets(q) == list(want) and len(lanes) == 1

@@ -4,7 +4,7 @@ import pytest
 
 from associahedra import cluster, minkowski, sampling, secondary, serialize, verification
 from associahedra.analysis import extract_facets
-from associahedra.constructions import CONSTRUCTIONS
+from associahedra.constructions import CONSTRUCTIONS, practical_bound
 
 # per construction: the module functions its record's default, draw, build
 # and normals call
@@ -38,6 +38,10 @@ def test_registry_order_and_keys():
 
 @pytest.mark.parametrize("name", sorted(CALLED))
 def test_records_call_functions_patched_on_their_modules(monkeypatch, name):
+    c = CONSTRUCTIONS[name]
+    # one build first fills the per-n caches: the cluster fan reads
+    # ray_normals once per n, whichever test builds it first
+    c.build(c.default(2), 2)
     calls = []
     for module, attr in CALLED[name]:
         original = getattr(module, attr)
@@ -48,16 +52,29 @@ def test_records_call_functions_patched_on_their_modules(monkeypatch, name):
 
         monkeypatch.setattr(module, attr, spy)
     default, draw, build, normals = (attr for _, attr in CALLED[name])
-    c = CONSTRUCTIONS[name]
     p = c.build(c.default(2), 2)
     assert calls == [default, build]
-    # certifying the facets reads the normals off the record
+    # certifying the facets reads the normals off the record; a cluster
+    # build carries the normals its lane pass certified and reads none
     extract_facets(p)
-    assert calls == [default, build, normals]
+    assert calls == [default, build] + ([] if name == "cluster" else [normals])
+    # a polytope loaded from a file certifies from scratch, off the record
+    calls.clear()
+    extract_facets(serialize.polytope_from_json(serialize.polytope_to_json(p)))
+    assert calls == [normals]
     calls.clear()
     c.build(c.draw(2, random.Random(5)), 2)
     # a draw may start from the default (the cluster draw perturbs it)
     assert calls[0] == draw and calls[-1] == build
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTIONS))
+def test_builds_have_the_record_width(name):
+    # the width a file's rows are checked against is the width built
+    c = CONSTRUCTIONS[name]
+    for n in range(1, practical_bound() + 1):
+        assert c.ambient_dim(n) == n + (3 if name == "secondary" else 1)
+        assert verification.build_all_defaults(n)[name].ambient_dim == c.ambient_dim(n)
 
 
 @pytest.mark.parametrize("drawn", [False, True], ids=["default", "drawn"])
