@@ -28,10 +28,11 @@ parallelism from the normals (`parallel_pairs`), which facets meet from
 the diagonals (`special_profile`), and equivalence from the dihedral
 relabelings alone (`equivalence_search`).
 
-A polytope is its labels and its `Hull` record: the vertices as integer
-rows over one positive scale, in lowest terms.  Everything here reads the
-labels and the rows; no Fraction is made for a vertex or a facet unless a
-caller reads one.  `LabeledPolytope.vertices` (the Fraction coordinates,
+A polytope is its n, whose triangulations are its labels, and its `Hull`
+record: the vertices as integer rows over one positive scale, in lowest
+terms.  Everything here reads the labels and the rows; no Fraction is
+made for a vertex or a facet unless a caller reads one.
+`LabeledPolytope.vertices` (the Fraction coordinates,
 for demos, viewers and tests) and `FacetDescriptor.hyperplane` (a facet's
 Fraction hyperplane) are made on first read and kept.  Besides these, the
 analysis makes Fractions only for a lifted witness.  Files are coded
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -131,18 +132,27 @@ class LabeledPolytope:
     `labels` and the i-th row of `hull.rows` over `hull.scale`.
 
     The rows are in lowest terms over one positive scale, so equal hulls
-    are equal vertices: equality and hash mean the same construction, n,
-    ambient dimension, labels and exact vertices.
+    are equal vertices: equality and hash mean the same construction, n
+    and exact vertices.  `labels` and `ambient_dim` are read off n and the
+    rows, as `make_polytope` checks them, not stored.
     """
 
     construction: str
     n: int
-    ambient_dim: int
-    labels: tuple  # the triangulations, sorted: `polygon.all_triangulations(n)`
     params: dict = field(default_factory=dict, compare=False)
     hull: Hull = field(repr=False, kw_only=True)
     # the facet normals its builder certified (`make_polytope`'s `normals`), or None
     carried_normals: dict = field(default=None, compare=False, repr=False, kw_only=True)
+
+    @property
+    def labels(self):
+        """The cached `polygon.all_triangulations(n)`, sorted."""
+        return polygon.all_triangulations(self.n)
+
+    @property
+    def ambient_dim(self):
+        """The length of every vertex row."""
+        return len(self.hull.rows[0])
 
     @cached_property
     def vertices(self):
@@ -198,9 +208,7 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None, 
     and its `certified_facets` are made from them on first use.
     """
     pairs = sorted(pairs, key=lambda p: p[1])
-    # the cached triangulations are kept, not the caller's equal copies
-    labels = polygon.all_triangulations(n)
-    if tuple(label for _, label in pairs) != labels:
+    if tuple(label for _, label in pairs) != polygon.all_triangulations(n):
         raise ValueError("labels are not exactly the triangulations")
     if any(len(c) != ambient_dim for c, _ in pairs):
         raise ValueError(f"vertex coordinates are not all of length {ambient_dim}")
@@ -218,8 +226,6 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None, 
     return LabeledPolytope(
         construction=construction,
         n=n,
-        ambient_dim=ambient_dim,
-        labels=labels,
         params=dict(params or {}),
         hull=Hull(tuple(rows), scale, basis, pivots),
         carried_normals=normals,
@@ -241,7 +247,7 @@ def _flip_basis(rows, n):
     _, *flips = _frame(n)
     base = rows[0]
     basis, pivots = echelon_basis([vsub(rows[w], base) for w in flips])
-    lead = lcm(*(b[k] for b, k in zip(basis, pivots)))
+    lead = basis[0][pivots[0]] if basis else 1
     equations = []
     for j in (j for j in range(len(base)) if j not in pivots):
         f = [0] * len(base)

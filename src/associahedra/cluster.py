@@ -20,7 +20,7 @@ from itertools import combinations
 from . import polygon
 from .analysis import make_polytope
 from .exactlin import rat_str
-from .fan import hull_normals, make_fan, tight_vertices, wall_numerators
+from .fan import hull_normals, make_fan, tight_vertices, wall_slacks
 
 
 def neg(i):
@@ -122,21 +122,18 @@ def polytopality_check(h, n):
     The relation of a wall exchanging beta and beta' holds strictly iff
     lhs = h(beta) + lam*h(beta') exceeds rhs = sum c_g*h(g) over the shared
     roots g.  Returns (ok, violations); each violation records the wall's
-    exchanged roots and its deficit rhs - lhs >= 0 (the negated slack of
-    `fan.wall_slacks`).  The check runs on h scaled to ints and reads each
-    wall's sign off its int numerator (`fan.wall_numerators`); a Fraction
-    is made only for a violation.
+    exchanged roots and its deficit rhs - lhs >= 0, its `fan.wall_slacks`
+    entry negated.
 
     A build does not run it first: the tight-vertex lane pass holds iff
-    every wall is strict (`fan.wall_numerators`), so it runs only after
-    that pass has failed, to name the failing walls.
+    every wall is strict (`fan.wall_slacks`), so it runs only after that
+    pass has failed, to name the failing walls.
     """
     fan, d2r = _fan(n), _root_diagonal_maps(n)[1]
-    numerators, scale = wall_numerators(fan, _by_diagonal(h, n))
     violations = [
-        (d2r[beta], d2r[beta_p], Fraction(-x, a * scale))
-        for (beta, beta_p, a, *_), x in zip(fan.relations, numerators)
-        if x <= 0
+        (d2r[beta], d2r[beta_p], -slack)
+        for (beta, beta_p, *_), slack in zip(fan.relations, wall_slacks(fan, _by_diagonal(h, n)))
+        if slack <= 0
     ]
     return (not violations), violations
 
@@ -189,11 +186,11 @@ def build_cluster_polytope(h, n):
     over all vertices (`fan.tight_vertices`).  That pass is the facet
     certificate, so the polytope carries its facet normals, each ray's
     `fan.hull_normals` entry, and `analysis.extract_facets` certifies
-    nothing again.  It holds iff every wall is strict
-    (`fan.wall_numerators`), so the walls are checked only once it has
-    failed: `polytopality_check` names them in the ValueError.  A failed
-    pass with no failing wall cannot happen by that argument; should it,
-    its AssertionError is raised and nothing is built.
+    nothing again.  It holds iff every wall is strict (`fan.wall_slacks`),
+    so the walls are checked only once it has failed: `polytopality_check`
+    names them in the ValueError.  A failed pass with no failing wall
+    cannot happen by that argument; should it, its AssertionError is
+    raised and nothing is built.
     """
     check_roots(h, n)
     fan = _fan(n)

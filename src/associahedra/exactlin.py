@@ -1,10 +1,10 @@
 """Exact rational linear algebra on tuples of fractions.Fraction.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
-predicates (rank, parallelism, subspace equality) are exact; there is no
-floating point anywhere.  Eliminations run fraction-free on Python ints
-(rows or point sets scaled once by the lcm of their denominators), and
-hand back ints or canonical Fractions.  Rationals are written and read as
+predicates are exact; there is no floating point anywhere.  Eliminations
+run fraction-free on Python ints (rows or point sets scaled once by the
+lcm of their denominators), each read off one `echelon_basis`, and hand
+back ints or canonical Fractions.  Rationals are written and read as
 "p/q" strings; `ratio_str` and `parse_ratio` code them straight to and
 from int pairs, and `rat_str` and `parse_rat` wrap them for Fractions.
 """
@@ -83,10 +83,6 @@ def parse_rat(s):
     return Fraction(*parse_ratio(s))
 
 
-def vec(*entries):
-    return tuple(Fraction(e) for e in entries)
-
-
 def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
@@ -159,34 +155,29 @@ def _eliminate(m):
 def rref(rows):
     """Reduced row echelon form.
 
-    Returns (reduced_nonzero_rows, pivot_columns), pivots normalized to 1.
-    `_eliminate` runs on the rows scaled to primitive int rows, and pivot rows
-    are divided by their pivots at the end; the reduced echelon form of a row
-    space is unique, so this is exactly Gaussian elimination over Fraction.
+    Returns (reduced_nonzero_rows, pivot_columns), pivots normalized to 1:
+    the `echelon_basis` of the rows scaled to primitive int rows, each row
+    divided by its pivot entry L.  The reduced echelon form of a row space
+    is unique, so this is exactly Gaussian elimination over Fraction.
     """
-    m = primitive_rows(rows)
-    pivots = _eliminate(m)
+    basis, pivots = echelon_basis(primitive_rows(rows))
     reduced = tuple(
         tuple(Fraction(a, row[c]) if a else ZERO for a in row)
-        for row, c in zip(m, pivots)
+        for row, c in zip(basis, pivots)
     )
-    return reduced, tuple(pivots)
+    return reduced, pivots
 
 
 def echelon_basis(vectors):
-    """`integer_scaling(rref(vectors)[0])[0]` and `rref`'s pivots for int
-    `vectors`, by one `_eliminate` on the rows made primitive: a primitive
-    pivot row over its pivot p has denominator |p|, so it is scaled by L / p,
-    L the lcm of the pivots (1 if there are none)."""
+    """(basis, pivots): the int `vectors`' reduced echelon rows over one
+    pivot entry L, and their pivot columns, by one `_eliminate` on the rows
+    made primitive: a primitive pivot row over its pivot p has denominator
+    |p|, so it is scaled by L / p, L the lcm of the pivots (1 if there are
+    none).  `rref`, `integer_inverse` and `integer_kernel` read theirs off it."""
     m = [_primitive(v) for v in vectors]
     pivots = tuple(_eliminate(m))
     lead = lcm(*(row[c] for row, c in zip(m, pivots)))
     return tuple(tuple(a * (lead // row[c]) for a in row) for row, c in zip(m, pivots)), pivots
-
-
-def rank(rows):
-    """The rank of Fraction or int rows, by `_eliminate` on primitive rows."""
-    return len(_eliminate(primitive_rows(rows)))
 
 
 def lane_failures(functionals, rows, tight):
@@ -292,13 +283,14 @@ def nullspace(rows, ncols=None):
 
 def integer_inverse(rows):
     """(M, d) with M an int matrix, d > 0 and M/d the inverse of the square
-    int matrix `rows`, by `_eliminate` on [rows | I]; raises on singular input."""
+    int matrix `rows`: the right half of `echelon_basis([rows | I])`, whose
+    left half is d I for d its pivot entry; raises on singular input."""
     k = len(rows)
-    m = [_primitive(list(row) + [int(i == j) for j in range(k)]) for i, row in enumerate(rows)]
-    if any(len(row) != 2 * k for row in m) or _eliminate(m) != list(range(k)):
+    m = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    basis, pivots = echelon_basis(m) if all(len(row) == 2 * k for row in m) else ((), ())
+    if pivots != tuple(range(k)):
         raise ValueError("matrix is singular")
-    d = lcm(*(row[i] for i, row in enumerate(m)))
-    return tuple(tuple(a * (d // row[i]) for a in row[k:]) for i, row in enumerate(m)), d
+    return tuple(row[k:] for row in basis), basis[0][0] if k else 1
 
 
 def exchange_inverse(inverse, d, k, y, at):
@@ -343,34 +335,6 @@ def invert(rows):
 
 
 @dataclass(frozen=True)
-class Subspace:
-    """Linear subspace in canonical reduced-echelon form.
-
-    Two equal subspaces have identical representations, so equality of
-    direction spaces (facet parallelism) is a syntactic comparison.
-    """
-
-    basis: tuple
-    ambient_dim: int
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-
-def span(vectors, ambient_dim):
-    red, _ = rref(vectors) if vectors else ((), ())
-    return Subspace(basis=red, ambient_dim=ambient_dim)
-
-
-def subspace_from_differences(points):
-    """Canonical span of {p_i - p_0}; zero subspace if all points equal."""
-    if len(points) < 1:
-        raise ValueError("need at least one point")
-    return span([vsub(p, points[0]) for p in points[1:]], len(points[0]))
-
-
-@dataclass(frozen=True)
 class Hyperplane:
     """Points x with <normal, x> = offset; first nonzero normal entry is +1."""
 
@@ -390,19 +354,18 @@ def make_hyperplane(normal, offset):
 
 def integer_kernel(rows, ncols):
     """The kernel of the int `rows`, each of length `ncols`, as a primitive
-    int row if it is a line; else None.  One `_eliminate` of the rows made
-    primitive, then the kernel read off the reduced rows over the lcm of
-    their pivots."""
-    rows = [_primitive(row) for row in rows]
-    pivots = _eliminate(rows)
+    int row if it is a line; else None.  It is read off their
+    `echelon_basis`, whose rows have the entry L at their pivots: the line
+    has L at the one free column f and -row[f] at each row's pivot."""
+    basis, pivots = echelon_basis(rows)
     free = [k for k in range(ncols) if k not in pivots]
     if len(free) != 1:
         return None
-    scale = lcm(*(row[k] for row, k in zip(rows, pivots)))
+    (f,) = free
     c = [0] * ncols
-    c[free[0]] = scale
-    for row, k in zip(rows, pivots):
-        c[k] = -row[free[0]] * (scale // row[k])
+    c[f] = basis[0][pivots[0]] if basis else 1
+    for row, k in zip(basis, pivots):
+        c[k] = -row[f]
     return _primitive(c)
 
 

@@ -21,7 +21,7 @@ pass is the polytope's facet certificate too: each ray's inequality is
 tight at the vertices of the cones holding it and strict at every other,
 so its projection into the sum-zero hyperplane (`hull_normals`) is its
 facet's normal, and it settles every wall's strict convexity
-(`wall_numerators`) with no pass over the walls.
+(`wall_slacks`) with no pass over the walls.
 """
 
 from fractions import Fraction
@@ -142,39 +142,29 @@ def _scaled(h):
     return dict(zip(h, row)), scale
 
 
-def wall_numerators(fan, h):
-    """(numerators, scale): the slack of wall i (`wall_slacks`) is
-    numerators[i] / (a_i scale), with a_i > 0 its relation's coefficient of
-    beta and scale > 0 the lcm of h's denominators, so its sign is the
-    int's.
+def wall_slacks(fan, h):
+    """h(beta) + (b/a) h(beta') - sum (c_g/a) h(g) per wall, in wall order,
+    as Fractions, each relation evaluated on h scaled to ints: all positive
+    iff h is strictly convex across every wall.
 
-    It is also the sign of one slack of `tight_vertices`' lane pass.  Let
-    the wall exchange beta in cone i for beta' in cone j, with relation
-    a beta + b beta' = sum c_g g + c 1 (b > 0, the cone's denominator), and
-    x_i cone i's vertex: beta . x_i = h(beta), g . x_i = h(g) on the
-    ridge's diagonals g and 1 . x_i = 0.  Applied to x_i the relation gives
-    numerator = scale (a h(beta) + b h(beta') - sum c_g h(g))
-    = scale b (h(beta') - beta' . x_i), a positive multiple of the slack of
-    beta''s inequality at cone i's vertex.  So the lane pass passes only if
-    every wall is strict.  Conversely a function on a complete fan, linear
-    on each cone and strictly convex across every wall, is strictly convex
-    on the whole space (the local-to-global step of De Loera-Rambau-Santos,
-    Triangulations): each cone's vertex then meets every other ray's
-    inequality strictly, and the lane pass passes.
+    Let the wall exchange beta in cone i for beta' in cone j, with relation
+    a beta + b beta' = sum c_g g + c 1 (a, b > 0), and x_i cone i's vertex:
+    beta . x_i = h(beta), g . x_i = h(g) on the ridge's diagonals g and
+    1 . x_i = 0.  Applied to x_i the relation makes the slack
+    (b/a) (h(beta') - beta' . x_i), a positive multiple of the slack of
+    beta''s inequality at cone i's vertex in `tight_vertices`' lane pass,
+    so that pass passes only if every wall is strict.  Conversely a
+    function on a complete fan, linear on each cone and strictly convex
+    across every wall, is strictly convex on the whole space (the
+    local-to-global step of De Loera-Rambau-Santos, Triangulations): each
+    cone's vertex then meets every other ray's inequality strictly, and
+    the lane pass passes.
     """
     hs, scale = _scaled(h)
     return [
-        a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs)
+        Fraction(a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs), a * scale)
         for beta, beta_p, a, b, cs in fan.relations
-    ], scale
-
-
-def wall_slacks(fan, h):
-    """h(beta) + (b/a)*h(beta') - sum (c_g/a)*h(g) per wall, in wall order,
-    computed on h scaled to ints: all positive iff h is strictly convex
-    across every wall."""
-    numerators, scale = wall_numerators(fan, h)
-    return [Fraction(x, a * scale) for x, (_, _, a, *_) in zip(numerators, fan.relations)]
+    ]
 
 
 def hull_normals(fan):
@@ -202,8 +192,8 @@ def tight_vertices(fan, h):
     one packed product per coordinate and two masks.  A tie or violation
     means h is not strictly convex, and the first failing cone and, in ray
     order, its first failing ray are named (AssertionError).  The pass
-    holds iff every wall is strict (`wall_numerators`), so it needs no
-    wall check before it, and it certifies every ray's facet at once
+    holds iff every wall is strict (`wall_slacks`), so it needs no wall
+    check before it, and it certifies every ray's facet at once
     (`hull_normals`).
     """
     if fan.problems:

@@ -56,13 +56,6 @@ def interval_normals(n):
     return [[int(a < k < b) for k in range(1, n + 2)] for a, b in polygon.all_diagonals(n)]
 
 
-def loday_vertex(a, t, n):
-    """The vertex of triangulation t: each triangle (lo, k, hi) sets x_k to
-    the total weight of the intervals [i..j] with lo < i <= k <= j < hi."""
-    table, denominator = interval_table(a, n)
-    return tuple(Fraction(x, denominator) for x in _row(table, t, n))
-
-
 def check_weights(a, n):
     """ValueError unless `a` holds exactly one positive weight per summand
     (`build_minkowski`, and a file's params)."""

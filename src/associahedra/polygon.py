@@ -1,7 +1,7 @@
 """Combinatorics of the convex (n+3)-gon with labels 0..n+2.
 
-Diagonals are pairs (a, b) with a < b; triangulations and subdivisions are
-sorted tuples of pairwise non-crossing diagonals.  Enumeration order is
+Diagonals are pairs (a, b) with a < b; triangulations are sorted tuples
+of n pairwise non-crossing diagonals.  Enumeration order is
 lexicographic everywhere so outputs are reproducible.
 """
 
@@ -31,31 +31,9 @@ def all_diagonals(n):
     )
 
 
-def noncrossing_sets(n):
-    """All sets of pairwise non-crossing diagonals (the subdivisions, one per
-    face of the associahedron), as a flat list, lexicographic."""
-    diags = all_diagonals(n)
-    out = []
-
-    def backtrack(start, current):
-        out.append(tuple(current))
-        if len(current) == n:
-            return
-        for i in range(start, len(diags)):
-            d = diags[i]
-            if all(not crossing(d, e) for e in current):
-                current.append(d)
-                backtrack(i + 1, current)
-                current.pop()
-
-    backtrack(0, [])
-    return out
-
-
 @lru_cache(maxsize=None)
 def all_triangulations(n):
-    """The triangulations, sorted: the faces of `noncrossing_sets` with n
-    diagonals, in its order (the keys of `_triangles_by_triangulation`)."""
+    """The triangulations, sorted (the keys of `_triangles_by_triangulation`)."""
     return tuple(_triangles_by_triangulation(n))
 
 

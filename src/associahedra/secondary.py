@@ -94,12 +94,6 @@ def _area_row(table, t, n):
     return tuple(v)
 
 
-def gkz_vector(coords, t, n):
-    """Per-label sum of incident triangle areas, as an exact rational vector."""
-    table, denominator = area_table(coords)
-    return tuple(Fraction(x, denominator) for x in _area_row(table, t, n))
-
-
 def build_secondary(coords=None, *, n):
     if coords is None:
         coords = parabola_geometry(n)

@@ -47,16 +47,16 @@ from associahedra.exactlin import (
     invert,
     mat_vec,
     primitive_rows,
-    rank,
     rref,
     solve_linear,
-    subspace_from_differences,
     vadd,
     vsub,
 )
 from associahedra.minkowski import build_minkowski, ones_weights
 from associahedra.secondary import build_secondary
 from associahedra.serialize import polytope_from_json, polytope_to_json
+
+from oracles import rank, subspace_from_differences
 
 F = Fraction
 
@@ -1174,7 +1174,13 @@ def test_kept_facets_change_no_equality_repr_or_file(construction):
     extract_facets(p)
     assert p == q and hash(p) == hash(q)
     assert (repr(p), polytope_to_json(p)) == before == (repr(q), polytope_to_json(q))
-    assert polytope_from_json(polytope_to_json(p)) == p
+    loaded = polytope_from_json(polytope_to_json(p))
+    assert loaded == p
+    # the record stores n and the hull; its labels are the cached table
+    fields = [f.name for f in dataclasses.fields(p)]
+    assert fields == ["construction", "n", "params", "hull", "carried_normals"]
+    assert p.labels is loaded.labels is polygon.all_triangulations(2)
+    assert p.ambient_dim == loaded.ambient_dim == len(p.hull.rows[0])
 
 
 def test_extract_facets_rejects_member_off_hyperplane():

@@ -226,6 +226,38 @@ def test_compare_translated_copy(tmp_path, capsys):
     assert "witness" in json.loads(out)
 
 
+def test_large_numerators_at_the_construction_width(tmp_path, capsys):
+    # numerators are bounded by the byte cap alone, not by the lcm budget: a
+    # generic integer affine image of the n = 5 Minkowski default, with
+    # ~200-digit coordinates and no params, has the source's facets and
+    # parallel pairs and is equivalent to it
+    source = _built(tmp_path, capsys, "minkowski", 5)
+    p = serialize.load_polytope(source)
+    rng = random.Random(5)
+    d = p.ambient_dim
+    matrix = [[rng.randrange(-(10**192), 10**192) for _ in range(d)] for _ in range(d)]
+    shift = [rng.randrange(10**199, 10**200) for _ in range(d)]
+    doc = json.loads(source.read_text())
+    doc["params"] = {}
+    for v, (coords, _) in zip(doc["vertices"], p.vertices):
+        v["coords"] = [
+            rat_str(sum(a * x for a, x in zip(row, coords)) + s) for row, s in zip(matrix, shift)
+        ]
+    assert min(len(c.lstrip("-")) for v in doc["vertices"] for c in v["coords"]) >= 199
+    image = tmp_path / "image.json"
+    image.write_text(json.dumps(doc))
+    q = serialize.load_polytope(image)
+    members = [f.vertex_indices for f in analysis.extract_facets(q)]
+    assert members == [f.vertex_indices for f in analysis.extract_facets(p)]
+    (code, out, _), (code_source, out_source, _) = (
+        run(["analyze", str(path)], capsys) for path in (image, source)
+    )
+    assert code == code_source == 0 and out == out_source
+    assert len(json.loads(out)["parallel_pairs"]) == 5
+    code, out, _ = run(["compare", str(source), str(image)], capsys)
+    assert code == 1 and json.loads(out)["verdict"] == "equivalent"
+
+
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
 def test_compare_default_against_a_draw_exit_0(tmp_path, capsys, construction):
     # no obstruction fires and no relabeling fits: certified non-equivalent

@@ -204,6 +204,40 @@ def test_wall_check_signs_are_the_wall_slacks(n):
     assert 0 in deficits and max(deficits) > 0
 
 
+def reference_slacks_at_vertices(h, n):
+    """(b/a) (h(beta') - beta' . x_i) per wall (i, j) with relation
+    (beta, beta', a, b, ...), for x_i cone i's vertex by the Fraction solve
+    `reference_build` runs."""
+    fan, vertices = cluster._fan(n), {}
+    ones = tuple(F(1) for _ in range(n + 1))
+    slacks = []
+    for (i, _), (_, beta_p, a, b, _) in zip(fan.walls, fan.relations):
+        if i not in vertices:
+            roots = [diagonal_to_root(d, n) for d in polygon.all_triangulations(n)[i]]
+            rows = [root_coordinates(r, n) for r in roots] + [ones]
+            vertices[i] = solve_linear(rows, [h[r] for r in roots] + [ZERO])
+        root = diagonal_to_root(beta_p, n)
+        slacks.append(F(b, a) * (h[root] - dot(root_coordinates(root, n), vertices[i])))
+    return slacks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_each_wall_slack_is_a_slack_of_the_lane_pass(n):
+    # the identity in `fan.wall_slacks`' docstring that lets a build skip
+    # the wall check, wall by wall, against vertices solved apart from the
+    # fan: on the default h, jitters in sevenths and a tie at wall 0
+    rng = random.Random(60 + n)
+    fan, h = cluster._fan(n), default_support_values(n)
+    cases = [h] + [{r: v + F(rng.randint(-7 * size, 7 * size), 7) for r, v in h.items()}
+                   for size in (1, 3, 10)]
+    beta = diagonal_to_root(fan.relations[0][0], n)
+    cases.append({**h, beta: h[beta] - reference_slacks_at_vertices(h, n)[0]})
+    for g in cases:
+        want = reference_slacks_at_vertices(g, n)
+        assert wall_slacks(fan, cluster._by_diagonal(g, n)) == want
+    assert want[0] == 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_snake_fan_bounds_the_jitter(n):
     """What `sampling.perturbed_support_values` relies on: every wall

@@ -12,7 +12,6 @@ from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
     UNDERDETERMINED,
     ZERO,
-    Subspace,
     dot,
     echelon_basis,
     exchange_inverse,
@@ -22,14 +21,12 @@ from associahedra.exactlin import (
     invert,
     make_hyperplane,
     nullspace,
-    rank,
     rref,
     solve_linear,
-    span,
-    subspace_from_differences,
-    vec,
     vsub,
 )
+
+from oracles import Subspace, rank, span, subspace_from_differences, vec
 
 F = Fraction
 

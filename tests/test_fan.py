@@ -16,8 +16,10 @@ import pytest
 from associahedra import cluster, exactlin, polygon
 from associahedra.exactlin import exchange_inverse, integer_inverse
 from associahedra.fan import Cone, Fan, _scaled, make_fan, tight_vertices, wall_slacks
-from associahedra.minkowski import loday_vertex, ones_weights
+from associahedra.minkowski import ones_weights
 from associahedra.sampling import random_weights
+
+from oracles import loday_vertex
 
 
 def loday_fan(n):

@@ -14,9 +14,11 @@ from associahedra.minkowski import (
     ones_weights,
     verify_correspondence,
 )
-from associahedra.exactlin import nullspace, span
+from associahedra.exactlin import nullspace
 from associahedra.sampling import random_weights
 from associahedra.verification import block_pair_normal
+
+from oracles import noncrossing_sets, span
 
 F = Fraction
 
@@ -183,7 +185,7 @@ def test_vertex_count_and_sum_random_weights(n):
 
 def test_functional_for_subdivision_roundtrip():
     for n in (2, 3):
-        for s in polygon.noncrossing_sets(n):
+        for s in noncrossing_sets(n):
             w = functional_for_subdivision(s, n)
             assert subdivision_from_functional(w, n) == tuple(sorted(s))
 

@@ -1,8 +1,9 @@
 """Every top-level function and class of the package is used: referenced
 somewhere in `src/` or `demos/` outside its own definition, or wrapped by
 the benchmark tracer (`perfbench/tracer.py`'s `TARGETS`).  Code kept alive
-only by tests hides what the package really needs; the few reference
-formulas the tests still read are listed below with their reasons.
+only by tests hides what the package really needs: the reference formulas
+only the tests read live in `tests/oracles.py`, and the one allowance left
+is listed below with its reason.
 
 A reference is any name or attribute with the definition's name, in any
 module: a local variable of the same name hides a dead definition, never
@@ -15,15 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "associahedra"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-# test-only reference formulas: (module, name) -> what the tests read it for
+# definitions no package module, demo or tracer target reads: (module, name) -> why it stays
 ALLOWED = {
-    ("exactlin", "vec"): "Fraction vector literals in the exact-algebra tests",
-    ("exactlin", "rank"): "the rank oracle for facet normals, flip differences and frames",
-    ("exactlin", "subspace_from_differences"): "facet directions and hulls spanned from all members",
-    ("fan", "wall_slacks"): "the Fraction wall slacks the integer wall check is pinned to",
-    ("minkowski", "loday_vertex"): "one Fraction Loday vertex, against the tight solve",
-    ("polygon", "noncrossing_sets"): "every subdivision, the oracle of the triangulation recursion",
-    ("secondary", "gkz_vector"): "one Fraction GKZ vector, against the area-table rows",
     # read by name outside the package and the tests
     ("serialize", "polytope_to_json"): (
         "the benchmark's digest encoder, and the document the polytope_text line is pinned to"

@@ -11,9 +11,10 @@ from associahedra.polygon import (
     crossing,
     flip,
     flip_table,
-    noncrossing_sets,
     triangles,
 )
+
+from oracles import noncrossing_sets
 
 
 def catalan(k):

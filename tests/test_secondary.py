@@ -8,11 +8,12 @@ from associahedra.sampling import random_convex_geometry
 from associahedra.secondary import (
     build_secondary,
     geometry_problem,
-    gkz_vector,
     parabola_geometry,
     polygon_area,
     signed_area2,
 )
+
+from oracles import gkz_vector
 
 F = Fraction
 
