@@ -20,7 +20,7 @@ borrows into its own lane's top bit, so two masks read the verdict.
 Each polytope object certifies its facets once, on first use, and keeps
 them, unless its builder has certified their normals and the polytope
 carries those (`make_polytope`'s `normals`: the cluster build, whose
-tight-vertex lane pass is this certificate on the fan's rays).  `face_lattice` reads
+tight-vertex lane pass is this certificate on its rays).  `face_lattice` reads
 off them and the polygon's ridge incidence that these facets are all the
 facets and the flips the edges.  What else
 a passed certificate settles is read off it, not decided again:

@@ -5,12 +5,13 @@ Almost positive roots are ('-', i) for the negated simple roots and
 fixed snake triangulation each root is a diagonal of the (n+3)-gon: snake
 diagonal i is -alpha_i, any other diagonal the sum of the simple roots of
 the snake diagonals it crosses.  Compatible roots are non-crossing
-diagonals, so the clusters are the triangulations.  The fan is
-`fan.make_fan` on the rays e_i - e_j of the roots, built once per n; this
+diagonals, so the clusters are the triangulations.  A cluster's rays
+e_a - e_b are the edges of a spanning tree on the n+1 coordinates, and a
+build reads each vertex as that tree's potential (`tight_vertices`) with
+no fan; `fan.make_fan` on the rays is built once per n only for its
+certificate (`verify_fan`) and its walls (`polytopality_check`).  This
 module adds the root names and file keys, the root-diagonal map and the
-default support values h, one per root.  A build is one lane pass over
-the fan's vertices (`fan.tight_vertices`), which is also its facet
-certificate: the polytope carries the facet normals it certified.
+default support values h, one per root.
 """
 
 from fractions import Fraction
@@ -19,8 +20,8 @@ from itertools import combinations
 
 from . import polygon
 from .analysis import make_polytope
-from .exactlin import rat_str
-from .fan import hull_normals, make_fan, tight_vertices, wall_slacks
+from .exactlin import integer_scaling, lane_failures, rat_str
+from .fan import make_fan, wall_slacks
 
 
 def neg(i):
@@ -125,9 +126,9 @@ def polytopality_check(h, n):
     exchanged roots and its deficit rhs - lhs >= 0, its `fan.wall_slacks`
     entry negated.
 
-    A build does not run it first: the tight-vertex lane pass holds iff
-    every wall is strict (`fan.wall_slacks`), so it runs only after that
-    pass has failed, to name the failing walls.
+    A build does not run it first: the lane pass of `tight_vertices` holds
+    iff every wall is strict (`fan.wall_slacks`), so it runs only after
+    that pass has failed, to name the failing walls.
     """
     fan, d2r = _fan(n), _root_diagonal_maps(n)[1]
     violations = [
@@ -177,25 +178,101 @@ def check_roots(h, n):
         raise ValueError(f"support values must be given for exactly the {len(roots)} roots")
 
 
+@lru_cache(maxsize=None)
+def _spanning_trees(n):
+    """(roots, rays, walks, tight, normals): the roots and rays in diagonal
+    order (`ray_normals`, read once per n), each triangulation's walk and
+    its rays' indices, and each ray's normal (n+1) ray - (sum ray) 1.
+
+    Rays e_a - e_b, as edges {a, b} on the n+1 coordinates, are independent
+    iff the edges form a forest: a cycle's edges, signed along it, sum to
+    zero, and in a forest some coordinate meets one edge only, whose
+    coefficient in a vanishing combination is then 0, leaving a forest.
+    So a cluster's n independent rays are a spanning tree.  Its walk lists
+    the edges outward from coordinate 0 as (child, parent, f, sign): ray f
+    is sign (e_child - e_parent), parent reached earlier.  A walk that
+    misses a coordinate (dependent rays) raises AssertionError.
+    """
+    diagonals, rays = polygon.all_diagonals(n), ray_normals(n)
+    ends = [(ray.index(1), ray.index(-1)) for ray in rays]
+    index = {d: f for f, d in enumerate(diagonals)}
+    walks, tight = [], []
+    for t in polygon.all_triangulations(n):
+        fs = [index[d] for d in t]
+        steps = [[] for _ in range(n + 1)]  # per coordinate, its edges out
+        for f in fs:
+            a, b = ends[f]
+            steps[b].append((a, f, 1))
+            steps[a].append((b, f, -1))
+        walk, reached = [], [0]
+        for parent in reached:  # grows as the walk reaches coordinates
+            for child, f, sign in steps[parent]:
+                if child not in reached:
+                    reached.append(child)
+                    walk.append((child, parent, f, sign))
+        if len(reached) != n + 1:
+            raise AssertionError(f"rays of {t} are not a spanning tree")
+        walks.append(walk)
+        tight.append(fs)
+    d2r = _root_diagonal_maps(n)[1]
+    normals = {d: tuple((n + 1) * a - sum(ray) for a in ray) for d, ray in zip(diagonals, rays)}
+    return [d2r[d] for d in diagonals], rays, walks, tight, normals
+
+
+def tight_vertices(h, n):
+    """(rows, scale): each cluster's vertex, in triangulation order, as an
+    int row over one positive scale.
+
+    With h scaled to ints by L, the lcm of its denominators, the equations
+    y_a - y_b = h of a cluster's rays e_a - e_b fill its tree's potential
+    y from y_0 = 0 in one pass over the walk (`_spanning_trees`); the
+    vertex, where they hold on the sum-zero hyperplane, is
+    ((n+1) y - (sum y) 1) / ((n+1) L).  Every other ray's inequality
+    ray . x < h must hold strictly there: one `exactlin.lane_failures`
+    over all rows, functional (n+1) L h(ray) - ray . x per ray, tight on
+    the cluster's own.  A tie or violation means h is not strictly
+    convex; the first failing cluster and, in diagonal order, its first
+    failing ray are named (AssertionError).
+    """
+    roots, rays, walks, tight, _ = _spanning_trees(n)
+    (hs,), scale = integer_scaling([[h[r] for r in roots]])
+    m = n + 1
+    rows = []
+    for walk in walks:
+        y = [0] * m
+        for child, parent, f, sign in walk:
+            y[child] = y[parent] + sign * hs[f]
+        total = sum(y)
+        rows.append(tuple([m * v - total for v in y]))
+    functionals = [(tuple(-a for a in ray), -m * v) for ray, v in zip(rays, hs)]
+    failures = lane_failures(functionals, rows, tight)
+    if failures:
+        i, (f, *_) = failures[0]
+        t, d = polygon.all_triangulations(n)[i], polygon.all_diagonals(n)[f]
+        raise AssertionError(f"vertex of {t} violates inequality of {d}")
+    return rows, m * scale
+
+
 def build_cluster_polytope(h, n):
     """One vertex per cluster: the point of the sum-zero hyperplane meeting
-    all n root hyperplanes <rho, x> = h(rho) of the cluster.
+    all n root hyperplanes <rho, x> = h(rho) of the cluster, read in closed
+    form with no fan (`tight_vertices`).
 
-    h holds exactly one value per root.  Every inequality for a root
-    outside the cluster must hold strictly at the vertex, one lane pass
-    over all vertices (`fan.tight_vertices`).  That pass is the facet
-    certificate, so the polytope carries its facet normals, each ray's
-    `fan.hull_normals` entry, and `analysis.extract_facets` certifies
-    nothing again.  It holds iff every wall is strict (`fan.wall_slacks`),
-    so the walls are checked only once it has failed: `polytopality_check`
-    names them in the ValueError.  A failed pass with no failing wall
-    cannot happen by that argument; should it, its AssertionError is
-    raised and nothing is built.
+    h holds exactly one value per root.  The lane pass of `tight_vertices`
+    is the facet certificate: each ray's inequality is tight at the
+    clusters holding it and strict at every other, so the ray projected
+    into the sum-zero hyperplane, (n+1) ray - (sum ray) 1, is its facet's
+    normal there; the polytope carries these, and `analysis.extract_facets`
+    certifies nothing again.  The pass holds iff every wall is strict
+    (`fan.wall_slacks`), so the walls are checked only once it has failed:
+    `polytopality_check` builds the fan and names them in the ValueError.
+    A failed pass with no failing wall cannot happen by that argument;
+    should it, its AssertionError is raised and nothing is built.
     """
     check_roots(h, n)
-    fan = _fan(n)
+    *_, normals = _spanning_trees(n)
     try:
-        rows, scale = tight_vertices(fan, _by_diagonal(h, n))
+        rows, scale = tight_vertices(h, n)
     except AssertionError:
         _, violations = polytopality_check(h, n)
         if not violations:
@@ -207,7 +284,7 @@ def build_cluster_polytope(h, n):
         raise ValueError(f"support values fail the wall check: {walls}") from None
     pairs = zip(rows, polygon.all_triangulations(n))
     return make_polytope(
-        "cluster", n, n + 1, pairs, params={"h": dict(h)}, scale=scale, normals=hull_normals(fan)
+        "cluster", n, n + 1, pairs, params={"h": dict(h)}, scale=scale, normals=normals
     )
 
 

@@ -12,26 +12,20 @@ cone's first negative coefficient.  Support values h, one per
 diagonal, that are strictly convex across every wall give the polytope
 with this normal fan: the vertex of a triangulation is the point of the
 sum-zero hyperplane where the inequalities <ray, x> <= h of its diagonals
-are tight.  `tight_vertices` certifies that every other ray's inequality
-holds strictly there with the lane certificate (`exactlin.lane_failures`):
-at a vertex, all the rays' slacks sit in the W-bit lanes of one Python int,
-W one bit over the bound |ray|_1 max|x| + |h| + 1, so a negative slack
-borrows into its own lane's top bit and two masks read the verdict.  That
-pass is the polytope's facet certificate too: each ray's inequality is
-tight at the vertices of the cones holding it and strict at every other,
-so its projection into the sum-zero hyperplane (`hull_normals`) is its
-facet's normal, and it settles every wall's strict convexity
-(`wall_slacks`) with no pass over the walls.
+are tight.  `wall_slacks` evaluates each wall's relation on h; it is
+positive at every wall iff every cone's vertex meets every other ray's
+inequality strictly, the lane pass by which `cluster.tight_vertices`
+certifies the cluster polytope's vertices and facets, which it reads in
+closed form with no fan.
 """
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from operator import add, mul
 from typing import NamedTuple
 
 from . import polygon
-from .exactlin import exchange_inverse, integer_inverse, integer_scaling, lane_failures
+from .exactlin import exchange_inverse, integer_inverse, integer_scaling
 
 
 class Cone(NamedTuple):
@@ -152,67 +146,16 @@ def wall_slacks(fan, h):
     beta . x_i = h(beta), g . x_i = h(g) on the ridge's diagonals g and
     1 . x_i = 0.  Applied to x_i the relation makes the slack
     (b/a) (h(beta') - beta' . x_i), a positive multiple of the slack of
-    beta''s inequality at cone i's vertex in `tight_vertices`' lane pass,
-    so that pass passes only if every wall is strict.  Conversely a
-    function on a complete fan, linear on each cone and strictly convex
-    across every wall, is strictly convex on the whole space (the
-    local-to-global step of De Loera-Rambau-Santos, Triangulations): each
-    cone's vertex then meets every other ray's inequality strictly, and
-    the lane pass passes.
+    beta''s inequality at cone i's vertex, one slack of a lane pass over
+    the vertices (`cluster.tight_vertices`), so that pass passes only if
+    every wall is strict.  Conversely a function on a complete fan, linear
+    on each cone and strictly convex across every wall, is strictly convex
+    on the whole space (the local-to-global step of De Loera-Rambau-Santos,
+    Triangulations): each cone's vertex then meets every other ray's
+    inequality strictly, and the lane pass passes.
     """
     hs, scale = _scaled(h)
     return [
         Fraction(a * hs[beta] + b * hs[beta_p] - sum(c * hs[g] for g, c in cs), a * scale)
         for beta, beta_p, a, b, cs in fan.relations
     ]
-
-
-def hull_normals(fan):
-    """{diagonal: D ray - (sum ray) 1}, for D the rays' length: each ray
-    projected into the sum-zero hyperplane, where `tight_vertices` puts
-    every vertex, and scaled to ints.  On that hyperplane it is the ray's
-    functional, so once `tight_vertices` has passed it is the normal of
-    the ray's facet in the polytope's direction space, which is the whole
-    hyperplane when the vertices span n dimensions."""
-    return {d: tuple(len(ray) * a - sum(ray) for a in ray) for d, ray in fan.rays.items()}
-
-
-def tight_vertices(fan, h):
-    """(rows, scale): the vertex of each cone, in cone order, is its int
-    row over the one positive scale.
-
-    Each is one integer matrix-vector product on h scaled to ints, scaled
-    to the common denominator of the cones.  Every other ray's inequality
-    must hold strictly there, ray . x < scale h(ray) on the rows: one
-    `exactlin.lane_failures` over all rows, with functional
-    scale h(ray) - ray . x per ray, tight on the cone's own rays.  It packs
-    the rays' slacks at a row into lanes of one Python int, each W bits
-    with W one more than the bit length of max(|ray|_1 max|x| + |h| + 1),
-    and a negative slack borrows into its own lane's top bit, so a row is
-    one packed product per coordinate and two masks.  A tie or violation
-    means h is not strictly convex, and the first failing cone and, in ray
-    order, its first failing ray are named (AssertionError).  The pass
-    holds iff every wall is strict (`wall_slacks`), so it needs no wall
-    check before it, and it certifies every ray's facet at once
-    (`hull_normals`).
-    """
-    if fan.problems:
-        raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")
-    hs, scale = _scaled(h)
-    common = lcm(*(cone.denominator for cone in fan.cones))
-    rows = []
-    for cone in fan.cones:
-        rhs = [hs[d] for d in cone.diagonals] + [0]
-        factor = common // cone.denominator
-        rows.append(tuple(factor * sum(map(mul, row, rhs)) for row in cone.inverse))
-    rays = list(fan.rays)
-    index = {d: f for f, d in enumerate(rays)}
-    functionals = [(tuple(-a for a in ray), -common * hs[d]) for d, ray in fan.rays.items()]
-    tight = [[index[d] for d in cone.diagonals] for cone in fan.cones]
-    failures = lane_failures(functionals, rows, tight)
-    if failures:
-        i, (f, *_) = failures[0]
-        raise AssertionError(
-            f"vertex of {fan.cones[i].diagonals} violates inequality of {rays[f]}"
-        )
-    return rows, common * scale

@@ -5,9 +5,12 @@ path used them."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from associahedra import minkowski, secondary
 from associahedra.exactlin import echelon_basis, primitive_rows, rref, vsub
+from associahedra.fan import _scaled
 from associahedra.polygon import all_diagonals, crossing
 
 
@@ -80,3 +83,32 @@ def loday_vertex(a, t, n):
     the total weight of the intervals [i..j] with lo < i <= k <= j < hi."""
     table, denominator = minkowski.interval_table(a, n)
     return tuple(Fraction(x, denominator) for x in minkowski._row(table, t, n))
+
+
+def cone_vertices(fan, h):
+    """(rows, scale): the vertex of each cone of a `fan.make_fan` fan, in
+    cone order, over one scale, by the per-cone solve the cluster build's
+    closed form replaced: one integer product of the cone's inverse with
+    h scaled to ints.  Every other ray's inequality must hold strictly
+    there, by one scalar dot product per cone and ray; the first failing
+    cone and, in ray order, its first failing ray are named
+    (AssertionError).  ValueError if the fan's certificate fails."""
+    if fan.problems:
+        raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")
+    hs, scale = _scaled(h)
+    common = lcm(*(cone.denominator for cone in fan.cones))
+    rows = []
+    for cone in fan.cones:
+        rhs = [hs[d] for d in cone.diagonals] + [0]
+        x = [sum(map(mul, row, rhs)) for row in cone.inverse]
+        for d, ray in fan.rays.items():
+            if d not in cone.diagonals and sum(map(mul, ray, x)) >= cone.denominator * hs[d]:
+                raise AssertionError(f"vertex of {cone.diagonals} violates inequality of {d}")
+        rows.append(tuple(v * (common // cone.denominator) for v in x))
+    return rows, common * scale
+
+
+def projected_normals(fan):
+    """{diagonal: D ray - (sum ray) 1}, D the rays' length: each ray
+    projected into the sum-zero hyperplane and scaled to ints."""
+    return {d: tuple(len(ray) * a - sum(ray) for a in ray) for d, ray in fan.rays.items()}

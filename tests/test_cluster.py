@@ -24,8 +24,10 @@ from associahedra.cluster import (
 )
 from associahedra.constructions import practical_bound
 from associahedra.exactlin import UNDERDETERMINED, ZERO, dot, rat_str, solve_linear
-from associahedra.fan import make_fan, tight_vertices, wall_slacks
+from associahedra.fan import make_fan, wall_slacks
 from associahedra.sampling import perturbed_support_values
+
+from oracles import cone_vertices, projected_normals
 
 F = Fraction
 
@@ -485,13 +487,32 @@ def test_make_fan_refuses_broken_ridge_incidence(monkeypatch, case, index):
         make_fan(rays, 3)
 
 
-def test_verify_fan_rejects_dependent_cluster():
+@pytest.fixture
+def fresh_trees():
+    """`cluster._spanning_trees` with an empty cache, emptied again
+    afterwards, so that walks made under a patch are not kept."""
+    cluster._spanning_trees.cache_clear()
+    yield
+    cluster._spanning_trees.cache_clear()
+
+
+def test_verify_fan_rejects_dependent_cluster(monkeypatch, fresh_trees):
     rays = dict(cluster._fan(2).rays)
     rays[(0, 3)] = tuple(2 * x for x in rays[(0, 2)])
     fan = make_fan(rays, 2)
     assert ("dependent_cone", ((0, 2), (0, 3))) in fan.problems
     with pytest.raises(ValueError):
-        tight_vertices(fan, {d: F(1) for d in rays})
+        cone_vertices(fan, {d: F(1) for d in rays})
+    # the closed form refuses a cluster whose rays repeat: its walk misses
+    # a coordinate, and nothing is built
+    normals = cluster.ray_normals(2)
+    normals[polygon.all_diagonals(2).index((0, 3))] = rays[(0, 2)]
+    monkeypatch.setattr(cluster, "ray_normals", lambda n: normals)
+    made = []
+    monkeypatch.setattr(cluster, "make_polytope", _counting(make_polytope, made))
+    with pytest.raises(AssertionError, match=r"rays of \(\(0, 2\), \(0, 3\)\) are not a spanning tree"):
+        build_cluster_polytope(default_support_values(2), 2)
+    assert made == []
 
 
 # sha256 of repr([ray_normals(n) for n in 1..7]) as the snake check made
@@ -546,7 +567,7 @@ def reference_wall_error(h, n):
 
 def _lane_pass_fails(h, n):
     try:
-        tight_vertices(cluster._fan(n), cluster._by_diagonal(h, n))
+        cluster.tight_vertices(h, n)
     except AssertionError:
         return True
     return False
@@ -621,3 +642,63 @@ def test_a_build_carries_the_certified_facets(monkeypatch, tmp_path, n):
         assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
         assert q.carried_normals is None
         assert extract_facets(q) == list(want) and len(lanes) == 1
+
+
+def _tie_at_wall_0(h, n):
+    """h lowered on wall 0's exchanged root until that wall is flat."""
+    fan = cluster._fan(n)
+    beta = diagonal_to_root(fan.relations[0][0], n)
+    return {**h, beta: h[beta] - wall_slacks(fan, cluster._by_diagonal(h, n))[0]}
+
+
+@pytest.mark.parametrize("n", range(1, practical_bound() + 1))
+def test_closed_form_matches_the_per_cone_solve(n):
+    # each cluster's vertex as its spanning tree's potential against the
+    # fan's per-cone inverse product (`oracles.cone_vertices`): the hull
+    # after `make_polytope` and the carried normals on the default h and
+    # two draws, and the first failing cluster and ray on a tie
+    rng = random.Random(120 + n)
+    fan, ts = cluster._fan(n), polygon.all_triangulations(n)
+    h = default_support_values(n)
+    for g in [h] + [perturbed_support_values(n, rng) for _ in range(2)]:
+        p = build_cluster_polytope(g, n)
+        rows, scale = cone_vertices(fan, cluster._by_diagonal(g, n))
+        q = make_polytope("cluster", n, n + 1, zip(rows, ts), scale=scale)
+        assert (p.hull.rows, p.hull.scale) == (q.hull.rows, q.hull.scale)
+        assert p.carried_normals == projected_normals(fan)
+    tie = _tie_at_wall_0(h, n)
+    with pytest.raises(AssertionError) as want:
+        cone_vertices(fan, cluster._by_diagonal(tie, n))
+    with pytest.raises(AssertionError) as got:
+        cluster.tight_vertices(tie, n)
+    assert str(got.value) == str(want.value)
+
+
+def _refuse(*args):
+    raise AssertionError("make_fan called")
+
+
+@pytest.mark.parametrize("n", range(1, practical_bound() + 1))
+def test_a_build_walks_no_fan(monkeypatch, n):
+    # with the fan uncached and unbuildable, the default and two draws
+    # still build
+    monkeypatch.setattr(cluster, "_fan", cluster._fan.__wrapped__)
+    monkeypatch.setattr(cluster, "make_fan", _refuse)
+    rng = random.Random(130 + n)
+    for h in [default_support_values(n)] + [perturbed_support_values(n, rng) for _ in range(2)]:
+        assert len(build_cluster_polytope(h, n).labels) == len(polygon.all_triangulations(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_fan_is_built_by_verify_fan_and_a_failed_build(monkeypatch, n):
+    # each with the fan uncached: `verify_fan` builds it once, and so does
+    # a build whose lane pass fails, to name the walls
+    tie, fans = _tie_at_wall_0(default_support_values(n), n), []
+    monkeypatch.setattr(cluster, "_fan", cluster._fan.__wrapped__)
+    monkeypatch.setattr(cluster, "make_fan", _counting(make_fan, fans))
+    assert verify_fan(n)["ok"] and len(fans) == 1
+    fans.clear()
+    with pytest.raises(ValueError) as err:
+        build_cluster_polytope(tie, n)
+    assert str(err.value) == reference_wall_error(tie, n)
+    assert len(fans) == 1

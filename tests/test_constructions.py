@@ -39,8 +39,8 @@ def test_registry_order_and_keys():
 @pytest.mark.parametrize("name", sorted(CALLED))
 def test_records_call_functions_patched_on_their_modules(monkeypatch, name):
     c = CONSTRUCTIONS[name]
-    # one build first fills the per-n caches: the cluster fan reads
-    # ray_normals once per n, whichever test builds it first
+    # one build first fills the per-n caches: a cluster build's table of
+    # spanning trees reads ray_normals once per n, whichever test builds first
     c.build(c.default(2), 2)
     calls = []
     for module, attr in CALLED[name]:

@@ -1,4 +1,5 @@
-"""The fan core on a second instance.
+"""The fan core on a second instance, and the cluster's closed-form
+vertices against the fan's per-cone solve (`oracles.cone_vertices`).
 
 Loday's realization (`minkowski.build_minkowski`) is the polytope of the
 fan with ray -1_I on the diagonal (lo, hi), where I = [lo+1, hi-1], and
@@ -8,18 +9,17 @@ into the sum-zero hyperplane by the centroid shift sum(a)/(n+1).
 
 import random
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 import pytest
 
 from associahedra import cluster, exactlin, polygon
 from associahedra.exactlin import exchange_inverse, integer_inverse
-from associahedra.fan import Cone, Fan, _scaled, make_fan, tight_vertices, wall_slacks
+from associahedra.fan import Cone, Fan, make_fan, wall_slacks
 from associahedra.minkowski import ones_weights
-from associahedra.sampling import random_weights
+from associahedra.sampling import perturbed_support_values, random_weights
 
-from oracles import loday_vertex
+from oracles import cone_vertices, loday_vertex
 
 
 def loday_fan(n):
@@ -36,29 +36,23 @@ def loday_support_values(a, n):
     }, shift
 
 
-def reference_tight_vertices(fan, h):
-    """The scalar check the lane certificate replaced, kept verbatim: one
-    integer dot product per cone and other ray."""
-    if fan.problems:
-        raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")
-    hs, scale = _scaled(h)
-    common = lcm(*(cone.denominator for cone in fan.cones))
-    rows = []
-    for cone in fan.cones:
-        rhs = [hs[d] for d in cone.diagonals] + [0]
-        x = [sum(map(mul, row, rhs)) for row in cone.inverse]
-        for d, ray in fan.rays.items():
-            if d not in cone.diagonals and sum(map(mul, ray, x)) >= cone.denominator * hs[d]:
-                raise AssertionError(f"vertex of {cone.diagonals} violates inequality of {d}")
-        rows.append(tuple(v * (common // cone.denominator) for v in x))
-    return rows, common * scale
-
-
-def _outcome(fan, h, vertices):
+def _outcome(vertices, *args):
+    """The vertices as Fraction rows, or the AssertionError's text."""
     try:
-        return vertices(fan, h)
+        rows, scale = vertices(*args)
     except AssertionError as exc:
         return str(exc)
+    return [tuple(Fraction(v, scale) for v in row) for row in rows]
+
+
+def _cluster_outcomes(h, n):
+    """`cluster.tight_vertices`' outcome on h, and the per-cone solve's on
+    the cluster fan (`oracles.cone_vertices`)."""
+    fan = cluster._fan(n)
+    return (
+        _outcome(cluster.tight_vertices, h, n),
+        _outcome(cone_vertices, fan, cluster._by_diagonal(h, n)),
+    )
 
 
 def _jittered(h, rng, size):
@@ -68,34 +62,31 @@ def _jittered(h, rng, size):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_tight_vertices_match_the_scalar_reference(n):
+    # the cluster's closed-form vertices and lane pass against the fan's
+    # per-cone solve and scalar checks: the default and a seeded draw, then
+    # jitters that break convexity at some cones, often several, and leave
+    # it at others
     rng = random.Random(60 + n)
-    fans = [
-        (loday_fan(n), loday_support_values(random_weights(n, rng), n)[0]),
-        (cluster._fan(n), cluster._by_diagonal(cluster.default_support_values(n), n)),
-    ]
     outcomes = []
-    for fan, h in fans:
-        # the seeded draw itself, then jitters that break convexity at
-        # some cones, often several, and leave it at others
+    for h in (cluster.default_support_values(n), perturbed_support_values(n, rng)):
         for size in (0, 0, 1, 1, 3, 3, 10, 10):
             g = _jittered(h, rng, size) if size else h
-            got = _outcome(fan, g, tight_vertices)
-            assert got == _outcome(fan, g, reference_tight_vertices)
+            got, want = _cluster_outcomes(g, n)
+            assert got == want
             outcomes.append(isinstance(got, str))
     assert any(outcomes) and not all(outcomes)
 
 
 def test_tight_vertices_name_the_first_failing_cone_and_ray():
-    fan = loday_fan(3)
-    h, _ = loday_support_values(ones_weights(3), 3)
-    # lowered far enough, one support value cuts off vertices of cones that
-    # do not use its ray; the first such cone is named
-    d = polygon.all_diagonals(3)[-1]
-    h[d] -= 100
-    want = _outcome(fan, h, reference_tight_vertices)
-    first = next(t for t in polygon.all_triangulations(3) if d not in t)
-    assert want == f"vertex of {first} violates inequality of {d}"
-    assert _outcome(fan, h, tight_vertices) == want
+    # raised far enough, one support value pushes the vertices of the
+    # clusters holding its ray past other rays' inequalities; the first
+    # such cluster is not the first one, and the ray named is not the one
+    # raised
+    h = cluster.default_support_values(3)
+    h[cluster.diagonal_to_root((1, 3), 3)] += 100
+    got, want = _cluster_outcomes(h, 3)
+    assert want == "vertex of ((0, 3), (0, 4), (1, 3)) violates inequality of (1, 4)"
+    assert got == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -106,20 +97,20 @@ def test_minkowski_is_a_fan_instance(n):
     for a in [ones_weights(n)] + [random_weights(n, rng) for _ in range(3)]:
         h, shift = loday_support_values(a, n)
         assert all(s > 0 for s in wall_slacks(fan, h))
-        rows, scale = tight_vertices(fan, h)
+        rows, scale = cone_vertices(fan, h)
         for x, t in zip(rows, polygon.all_triangulations(n)):
             assert tuple(Fraction(v, scale) + shift for v in x) == loday_vertex(a, t, n)
 
 
 def test_tight_vertices_reject_a_tie():
-    fan = loday_fan(2)
-    h, _ = loday_support_values(ones_weights(2), 2)
+    fan = cluster._fan(2)
+    h = cluster.default_support_values(2)
     # flat across the first wall: the vertices of its two cones coincide
-    beta = fan.relations[0][0]
-    h[beta] -= wall_slacks(fan, h)[0]
-    assert wall_slacks(fan, h)[0] == 0
-    with pytest.raises(AssertionError):
-        tight_vertices(fan, h)
+    beta = cluster.diagonal_to_root(fan.relations[0][0], 2)
+    h[beta] -= wall_slacks(fan, cluster._by_diagonal(h, 2))[0]
+    assert wall_slacks(fan, cluster._by_diagonal(h, 2))[0] == 0
+    got, want = _cluster_outcomes(h, 2)
+    assert got == want and "violates inequality" in got
 
 
 def test_make_fan_reports_a_double_cover():
