@@ -46,7 +46,6 @@ file's `n`), a JSON boolean or a float is malformed too, although
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 
@@ -116,12 +115,7 @@ def cmd_analyze(args):
 
 
 def cmd_compare(args):
-    pa = _load(args.polytope_a)
-    try:  # one file given twice is loaded and certified once
-        same = os.path.samefile(args.polytope_a, args.polytope_b)
-    except (OSError, ValueError):  # _load refuses the second path below
-        same = False
-    pb = pa if same else _load(args.polytope_b)
+    pa, pb = _load(args.polytope_a), _load(args.polytope_b)
     if pa.n != pb.n:
         raise _Refusal(2, "polytopes have different n")
     report = analysis.equivalence_search(pa, pb)

@@ -308,29 +308,6 @@ def test_compare_positive_control_output_is_golden(tmp_path, capsys, constructio
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
-def test_compare_loads_one_file_given_twice_once(monkeypatch, tmp_path, capsys, construction):
-    path = _built(tmp_path, capsys, construction, 3)
-    copy = tmp_path / "copy.json"
-    copy.write_bytes(path.read_bytes())
-    loads = []
-    load = serialize.load_polytope
-    monkeypatch.setattr(serialize, "load_polytope", lambda p: loads.append(p) or load(p))
-    # a copy is another file: loaded twice, as any two files are
-    want = run(["compare", str(path), str(copy)], capsys)
-    assert len(loads) == 2 and want[0] == 1
-    # the same file, by the same path or another, is loaded once
-    for other in (path, tmp_path / "." / path.name):
-        loads.clear()
-        assert run(["compare", str(path), str(other)], capsys) == want
-        assert len(loads) == 1
-    # a missing or unnameable second file is refused as it was
-    for missing in (str(tmp_path / "missing.json"), "nul\0name.json"):
-        code, out, err = run(["compare", str(path), missing], capsys)
-        assert (code, out, err) == (2, "", run(["analyze", missing], capsys)[2])
-        assert err.startswith("error: malformed polytope file:")
-
-
 def test_compare_mismatched_n(tmp_path, capsys):
     a = _built(tmp_path, capsys, "minkowski", 2)
     b = _built(tmp_path, capsys, "minkowski", 3)
