@@ -6,22 +6,23 @@ fixed snake triangulation each root is a diagonal of the (n+3)-gon: snake
 diagonal i is -alpha_i, any other diagonal the sum of the simple roots of
 the snake diagonals it crosses.  Compatible roots are non-crossing
 diagonals, so the clusters are the triangulations.  A cluster's rays
-e_a - e_b are the edges of a spanning tree on the n+1 coordinates, and a
-build reads each vertex as that tree's potential (`tight_vertices`) with
-no fan; `fan.make_fan` on the rays is built once per n only for its
-certificate (`verify_fan`) and its walls (`polytopality_check`).  This
-module adds the root names and file keys, the root-diagonal map and the
-default support values h, one per root.
+e_a - e_b are the edges of a spanning tree on the n+1 coordinates
+(`_spanning_trees`), and everything here is read off those trees with no
+matrix inverted: a build's vertices as the trees' potentials
+(`tight_vertices`), the exact certificate that the clusters form a
+complete simplicial fan (`verify_fan`) and each wall's slack
+(`polytopality_check`).  This module adds the root names and file keys,
+the root-diagonal map and the default support values h, one per root.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from . import polygon
 from .analysis import make_polytope
 from .exactlin import integer_scaling, lane_failures, rat_str
-from .fan import make_fan, wall_slacks
 
 
 def neg(i):
@@ -106,36 +107,39 @@ def ray_normals(n):
     return [root_coordinates(diagonal_to_root(d, n), n) for d in polygon.all_diagonals(n)]
 
 
-@lru_cache(maxsize=None)
-def _fan(n):
-    """The cluster fan: each diagonal's ray is its facet normal."""
-    return make_fan(dict(zip(polygon.all_diagonals(n), ray_normals(n))), n)
-
-
-def _by_diagonal(h, n):
-    r2d = _root_diagonal_maps(n)[0]
-    return {r2d[r]: h[r] for r in all_roots(n)}
-
-
 def polytopality_check(h, n):
     """Strict convexity of the support values across every wall.
 
-    The relation of a wall exchanging beta and beta' holds strictly iff
-    lhs = h(beta) + lam*h(beta') exceeds rhs = sum c_g*h(g) over the shared
-    roots g.  Returns (ok, violations); each violation records the wall's
-    exchanged roots and its deficit rhs - lhs >= 0, its `fan.wall_slacks`
-    entry negated.
+    A wall (i, f, g) of `_walls` exchanges beta, ray f of cluster i, for
+    beta' = e_a - e_b, ray g.  In cluster i's tree, beta' is the signed
+    sum of the rays on the path from a to b, beta among them with
+    coefficient -1 (the wall separates).  So the wall's relation is
+    beta + beta' = sum c_s s over the shared roots s, each c_s in
+    {-1, 0, 1}, and it holds strictly iff lhs = h(beta) + h(beta')
+    exceeds rhs = sum c_s h(s).  As h(ray) is ray . x_i on cluster i's
+    rays, x_i its vertex, lhs - rhs is h(beta') - beta' . x_i: with h
+    scaled to ints by L and y cluster i's tree potential (`_potentials`),
+    (L h(beta') - (y_a - y_b)) / L.
+    Returns (ok, violations); each violation records the wall's exchanged
+    roots and its deficit rhs - lhs >= 0.
 
-    A build does not run it first: the lane pass of `tight_vertices` holds
-    iff every wall is strict (`fan.wall_slacks`), so it runs only after
-    that pass has failed, to name the failing walls.
+    A build does not run it first.  Each wall's slack is a slack of the
+    lane pass of `tight_vertices`, so that pass fails if a wall does;
+    conversely a function on a complete fan, linear on each cone and
+    strictly convex across every wall, is strictly convex on the whole
+    space (the local-to-global step of De Loera-Rambau-Santos,
+    Triangulations), so every vertex meets every other ray's inequality
+    strictly and the pass holds.  The check runs only after that pass has
+    failed, to name the failing walls.
     """
-    fan, d2r = _fan(n), _root_diagonal_maps(n)[1]
-    violations = [
-        (d2r[beta], d2r[beta_p], -slack)
-        for (beta, beta_p, *_), slack in zip(fan.relations, wall_slacks(fan, _by_diagonal(h, n)))
-        if slack <= 0
-    ]
+    roots, rays, *_ = _spanning_trees(n)
+    (hs,), scale = integer_scaling([[h[r] for r in roots]])
+    ys = _potentials(hs, n)
+    violations = []
+    for i, f, g in _walls(n)[0]:
+        slack = Fraction(hs[g] - sum(map(mul, rays[g], ys[i])), scale)
+        if slack <= 0:
+            violations.append((roots[f], roots[g], -slack))
     return (not violations), violations
 
 
@@ -143,7 +147,7 @@ def repair_support_values(h, n):
     """Iteratively raise h on the exchanged roots of the most-violated wall
     until every wall inequality is strict; bounded iterations."""
     h = dict(h)
-    max_iters = 10 * len(_fan(n).walls)
+    max_iters = 5 * n * len(polygon.all_triangulations(n))  # 10 per wall
     for _ in range(max_iters):
         ok, violations = polytopality_check(h, n)
         if ok:
@@ -191,7 +195,8 @@ def _spanning_trees(n):
     So a cluster's n independent rays are a spanning tree.  Its walk lists
     the edges outward from coordinate 0 as (child, parent, f, sign): ray f
     is sign (e_child - e_parent), parent reached earlier.  A walk that
-    misses a coordinate (dependent rays) raises AssertionError.
+    misses a coordinate (dependent rays) is None: `verify_fan` reports its
+    cluster, and a build raises naming it (`_potentials`).
     """
     diagonals, rays = polygon.all_diagonals(n), ray_normals(n)
     ends = [(ray.index(1), ray.index(-1)) for ray in rays]
@@ -210,38 +215,48 @@ def _spanning_trees(n):
                 if child not in reached:
                     reached.append(child)
                     walk.append((child, parent, f, sign))
-        if len(reached) != n + 1:
-            raise AssertionError(f"rays of {t} are not a spanning tree")
-        walks.append(walk)
+        walks.append(walk if len(reached) == n + 1 else None)
         tight.append(fs)
     d2r = _root_diagonal_maps(n)[1]
     normals = {d: tuple((n + 1) * a - sum(ray) for a in ray) for d, ray in zip(diagonals, rays)}
     return [d2r[d] for d in diagonals], rays, walks, tight, normals
 
 
+def _potentials(hs, n):
+    """Each cluster's tree potential y, in triangulation order: from
+    y_0 = 0, y_a - y_b = hs[f] on each of its rays f = e_a - e_b, filled in
+    one pass over its walk (`_spanning_trees`).  AssertionError naming the
+    first cluster whose rays are not a spanning tree."""
+    ys = []
+    for t, walk in zip(polygon.all_triangulations(n), _spanning_trees(n)[2]):
+        if walk is None:
+            raise AssertionError(f"rays of {t} are not a spanning tree")
+        y = [0] * (n + 1)
+        for child, parent, f, sign in walk:
+            y[child] = y[parent] + sign * hs[f]
+        ys.append(y)
+    return ys
+
+
 def tight_vertices(h, n):
     """(rows, scale): each cluster's vertex, in triangulation order, as an
     int row over one positive scale.
 
-    With h scaled to ints by L, the lcm of its denominators, the equations
-    y_a - y_b = h of a cluster's rays e_a - e_b fill its tree's potential
-    y from y_0 = 0 in one pass over the walk (`_spanning_trees`); the
-    vertex, where they hold on the sum-zero hyperplane, is
-    ((n+1) y - (sum y) 1) / ((n+1) L).  Every other ray's inequality
+    With h scaled to ints by L, the lcm of its denominators, each
+    cluster's tree potential y (`_potentials`) meets the equations
+    y_a - y_b = h of its rays e_a - e_b; the vertex, where they hold on
+    the sum-zero hyperplane, is ((n+1) y - (sum y) 1) / ((n+1) L).  Every other ray's inequality
     ray . x < h must hold strictly there: one `exactlin.lane_failures`
     over all rows, functional (n+1) L h(ray) - ray . x per ray, tight on
     the cluster's own.  A tie or violation means h is not strictly
     convex; the first failing cluster and, in diagonal order, its first
     failing ray are named (AssertionError).
     """
-    roots, rays, walks, tight, _ = _spanning_trees(n)
+    roots, rays, _, tight, _ = _spanning_trees(n)
     (hs,), scale = integer_scaling([[h[r] for r in roots]])
     m = n + 1
     rows = []
-    for walk in walks:
-        y = [0] * m
-        for child, parent, f, sign in walk:
-            y[child] = y[parent] + sign * hs[f]
+    for y in _potentials(hs, n):
         total = sum(y)
         rows.append(tuple([m * v - total for v in y]))
     functionals = [(tuple(-a for a in ray), -m * v) for ray, v in zip(rays, hs)]
@@ -264,8 +279,8 @@ def build_cluster_polytope(h, n):
     into the sum-zero hyperplane, (n+1) ray - (sum ray) 1, is its facet's
     normal there; the polytope carries these, and `analysis.extract_facets`
     certifies nothing again.  The pass holds iff every wall is strict
-    (`fan.wall_slacks`), so the walls are checked only once it has failed:
-    `polytopality_check` builds the fan and names them in the ValueError.
+    (`polytopality_check`), so the walls are checked only once it has
+    failed, to name them in the ValueError.
     A failed pass with no failing wall cannot happen by that argument;
     should it, its AssertionError is raised and nothing is built.
     """
@@ -288,13 +303,67 @@ def build_cluster_polytope(h, n):
     )
 
 
+@lru_cache(maxsize=None)
+def _walls(n):
+    """(walls, problems): the exact certificate that the cluster cones form
+    a complete simplicial fan, read off the spanning trees
+    (`_spanning_trees`).  A wall (i, f, g) exchanges ray f of cluster i for
+    ray g of the cluster across it.
+
+    A sum-zero vector v is sum c_f ray_f over a tree's rays, and ray
+    f = sign (e_child - e_parent) has c_f = sign times the sum of v over
+    the subtree at child: one reverse pass over the walk gives all n.
+    The certificate (De Loera-Rambau-Santos, Triangulations, section 4.5):
+    (a) each cluster's rays are a spanning tree, that is independent
+    modulo all-ones (else ("dependent_cone", t)); (b) every ridge lies in
+    exactly two cones, whose exchanged rays lie on opposite sides of it:
+    at each flip (i, k, j) of `polygon.flip_table(n)` with j > i, ray g of
+    cluster j's flip back has a negative coefficient on cluster i's k-th
+    ray (else ("wall_not_separating", ridge)); and (c) the sum of the rays
+    of cluster 0 lies in exactly one closed cone (else ("point_covered_by",
+    count, point)).  The combinatorial half of (b) is `flip_table`'s, which
+    raises AssertionError unless it holds, once per n.  (b) makes the
+    cones a pseudomanifold without boundary, so the number of cones
+    covering a point off the walls is the same everywhere, and (c) makes
+    that number 1.  Problems come in that order: dependent clusters, whose
+    walls are not read, then walls in flip order, then the cover.
+    """
+    triangulations, flips = polygon.all_triangulations(n), polygon.flip_table(n)
+    _, rays, walks, tight, _ = _spanning_trees(n)
+    ends = [(ray.index(1), ray.index(-1)) for ray in rays]
+    point = tuple(map(sum, zip(*(rays[f] for f in tight[0]))))
+    walls, dependent, problems, covering = [], [], [], 0
+    for i, (t, walk) in enumerate(zip(triangulations, walks)):
+        if walk is None:
+            dependent.append(("dependent_cone", t))
+            continue
+        # per coordinate, its subtree as bits and the point's sum over it
+        below, sums, edge = [1 << x for x in range(n + 1)], list(point), {}
+        for child, parent, f, sign in reversed(walk):
+            edge[f] = below[child], sign
+            below[parent] |= below[child]
+            sums[parent] += sums[child]
+        covering += all(sign * sums[child] >= 0 for child, _, _, sign in walk)
+        for k, j in enumerate(flips[i]):
+            if j > i:
+                g = tight[j][flips[j].index(i)]
+                (a, b), (sub, sign) = ends[g], edge[tight[i][k]]
+                if sign * ((sub >> a & 1) - (sub >> b & 1)) < 0:
+                    walls.append((i, tight[i][k], g))
+                else:
+                    problems.append(("wall_not_separating", t[:k] + t[k + 1 :]))
+    if covering != 1:
+        problems.append(("point_covered_by", covering, point))
+    return tuple(walls), tuple(dependent + problems)
+
+
 def verify_fan(n):
     """The exact certificate that the cluster cones form a complete
-    simplicial fan, read from the cached fan (see `fan.make_fan`)."""
-    fan = _fan(n)
+    simplicial fan (`_walls`), with its cone and wall counts."""
+    walls, problems = _walls(n)
     return {
-        "ok": not fan.problems,
-        "cones": len(fan.cones),
-        "walls": len(fan.walls),
-        "problems": list(fan.problems),
+        "ok": not problems,
+        "cones": len(polygon.all_triangulations(n)),
+        "walls": len(walls),
+        "problems": list(problems),
     }

@@ -293,39 +293,6 @@ def integer_inverse(rows):
     return tuple(row[k:] for row in basis), basis[0][0] if k else 1
 
 
-def exchange_inverse(inverse, d, k, y, at):
-    """`integer_inverse` of A', the square int matrix A with row k taken out
-    and a row r put in at position `at`, from (inverse, d) =
-    `integer_inverse(A)` and y = r . inverse, by one exact pivot; None iff
-    A' is singular.
-
-    With M = inverse, A M = d I and r M = y: replacing row k of A by r
-    (Sherman-Morrison) gives the inverse times d y_k whose column k is
-    d M[:,k] and column l != k is y_k M[:,l] - y_l M[:,k], so A' is
-    singular iff y_k = 0.  Moving row k of A' to `at` moves column k of
-    its inverse to `at`.  With its sign made positive (by the sign of y_k,
-    taken into each row's multiplier) and divided by the gcd of d |y_k|
-    and its entries, where that gcd is not 1, this is A'^-1 times the
-    least common denominator of its entries, and that denominator:
-    `integer_inverse`'s output exactly.
-    """
-    yk = y[k]
-    if not yk:
-        return None
-    sign, yk = (1, yk) if yk > 0 else (-1, -yk)
-    rows = []
-    for row in inverse:
-        m = sign * row[k]
-        new = list(map(sub, map(yk.__mul__, row), map(m.__mul__, y)))
-        del new[k]
-        new.insert(at, d * m)
-        rows.append(new)
-    g = gcd(d * yk, *chain.from_iterable(rows))
-    if g > 1:
-        rows = [map(g.__rfloordiv__, row) for row in rows]
-    return tuple(map(tuple, rows)), d * yk // g
-
-
 def invert(rows):
     """Exact inverse of a square matrix; raises on singular input.  With row i
     scaled to ints by s_i, column i of the integer inverse is scaled back."""

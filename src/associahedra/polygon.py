@@ -73,8 +73,8 @@ def flip_table(n):
     its n flips: entry k is the triangulation that replaces its k-th
     diagonal.  A ridge (a triangulation minus one diagonal) lies in exactly
     two triangulations, the flip pair across it (AssertionError if not:
-    `fan.make_fan` and `analysis.face_lattice` rely on it, so the check
-    runs once per n).  One pass records, per ridge, each triangulation
+    the cluster fan certificate `cluster.verify_fan` and
+    `analysis.face_lattice` rely on it, so the check runs once per n).  One pass records, per ridge, each triangulation
     holding it with the position of the diagonal the ridge lacks."""
     ts = all_triangulations(n)
     containing = {}

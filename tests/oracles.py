@@ -5,12 +5,23 @@ path used them."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
-from associahedra import minkowski, secondary
-from associahedra.exactlin import echelon_basis, primitive_rows, rref, vsub
-from associahedra.fan import _scaled
+from associahedra import cluster, minkowski, polygon, secondary
+from associahedra.exactlin import (
+    UNDERDETERMINED,
+    ZERO,
+    echelon_basis,
+    integer_inverse,
+    integer_scaling,
+    primitive_rows,
+    rref,
+    solve_linear,
+    vsub,
+)
 from associahedra.polygon import all_diagonals, crossing
 
 
@@ -85,8 +96,88 @@ def loday_vertex(a, t, n):
     return tuple(Fraction(x, denominator) for x in minkowski._row(table, t, n))
 
 
+class Cone(NamedTuple):
+    """A triangulation's diagonals; `inverse / denominator` inverts the
+    matrix of their rays plus the all-ones row."""
+
+    diagonals: tuple
+    inverse: tuple
+    denominator: int
+
+
+class Fan(NamedTuple):
+    rays: dict  # diagonal -> int row
+    cones: tuple  # one Cone per triangulation, None where its rays are dependent
+    walls: tuple  # (i, j) cone index pairs, i < j, whose wall separates
+    problems: tuple  # what fails the certificate, in `cluster.verify_fan`'s order
+
+
+def coefficients(cone, v):
+    """d times v's coefficients in the cone's rays, then in all-ones: a
+    dense product with the inverse's columns."""
+    return [sum(map(mul, v, col)) for col in zip(*cone.inverse)]
+
+
+def make_fan(rays, n):
+    """The fan on `rays`, any int rows, whose cones are the triangulations
+    of the (n+3)-gon, certified cone by cone: one `integer_inverse` per
+    cone, None where its rays are dependent, and each ray's coefficients
+    by `coefficients`.  The certificate and its problems are those of
+    `cluster.verify_fan`, in its order: dependent cones, then each flip
+    (i, k, j) of `polygon.flip_table(n)` with j > i from a cone i that has
+    an inverse, a wall when the ray of j's flip back has a negative
+    coefficient on cone i's k-th ray, then the number of closed cones
+    holding the sum of cone 0's rays when it is not 1."""
+    ts, flips = polygon.all_triangulations(n), polygon.flip_table(n)
+    ones = (1,) * len(next(iter(rays.values())))
+    cones = []
+    for t in ts:
+        try:
+            cones.append(Cone(t, *integer_inverse([rays[d] for d in t] + [ones])))
+        except ValueError:
+            cones.append(None)
+    problems = [("dependent_cone", t) for t, cone in zip(ts, cones) if cone is None]
+    walls = []
+    for i, (t, cone) in enumerate(zip(ts, cones)):
+        for k, j in enumerate(flips[i]):
+            if cone is None or j < i:
+                continue
+            if coefficients(cone, rays[ts[j][flips[j].index(i)]])[k] < 0:
+                walls.append((i, j))
+            else:
+                problems.append(("wall_not_separating", t[:k] + t[k + 1 :]))
+    point = tuple(map(sum, zip(*(rays[d] for d in ts[0]))))
+    covering = sum(
+        all(c >= 0 for c in coefficients(cone, point)[:-1]) for cone in cones if cone is not None
+    )
+    if covering != 1:
+        problems.append(("point_covered_by", covering, point))
+    return Fan(rays, tuple(cones), tuple(walls), tuple(problems))
+
+
+def report(fan):
+    """`cluster.verify_fan`'s report of a `make_fan` fan."""
+    return {
+        "ok": not fan.problems,
+        "cones": len(fan.cones),
+        "walls": len(fan.walls),
+        "problems": list(fan.problems),
+    }
+
+
+@lru_cache(maxsize=None)
+def cluster_fan(n):
+    """`make_fan` on the cluster rays, each diagonal's root coordinates."""
+    return make_fan(dict(zip(all_diagonals(n), cluster.ray_normals(n))), n)
+
+
+def by_diagonal(h, n):
+    """Support values on roots, keyed by their diagonals."""
+    return {cluster.root_to_diagonal(r, n): v for r, v in h.items()}
+
+
 def cone_vertices(fan, h):
-    """(rows, scale): the vertex of each cone of a `fan.make_fan` fan, in
+    """(rows, scale): the vertex of each cone of a `make_fan` fan, in
     cone order, over one scale, by the per-cone solve the cluster build's
     closed form replaced: one integer product of the cone's inverse with
     h scaled to ints.  Every other ray's inequality must hold strictly
@@ -95,7 +186,8 @@ def cone_vertices(fan, h):
     (AssertionError).  ValueError if the fan's certificate fails."""
     if fan.problems:
         raise ValueError(f"not a complete simplicial fan: {fan.problems[:3]}")
-    hs, scale = _scaled(h)
+    (row,), scale = integer_scaling([h.values()])
+    hs = dict(zip(h, row))
     common = lcm(*(cone.denominator for cone in fan.cones))
     rows = []
     for cone in fan.cones:
@@ -112,3 +204,89 @@ def projected_normals(fan):
     """{diagonal: D ray - (sum ray) 1}, D the rays' length: each ray
     projected into the sum-zero hyperplane and scaled to ints."""
     return {d: tuple(len(ray) * a - sum(ray) for a in ray) for d, ray in fan.rays.items()}
+
+
+def sorted_roots(roots):
+    return sorted(roots, key=lambda r: (r[0] == "+",) + r[1:])
+
+
+def cluster_of(t, n):
+    return frozenset(cluster.diagonal_to_root(d, n) for d in t)
+
+
+@lru_cache(maxsize=None)
+def reference_walls(n):
+    """The cluster fan's walls as pairs of clusters, by a flip loop over
+    the triangulations (`polygon.flip`), each pair at its first flip."""
+    seen = set()
+    out = []
+    for t in polygon.all_triangulations(n):
+        c1 = cluster_of(t, n)
+        for d in t:
+            c2 = cluster_of(polygon.flip(t, d, n), n)
+            key = frozenset((c1, c2))
+            if key not in seen:
+                seen.add(key)
+                out.append((c1, c2))
+    return tuple(out)
+
+
+def reference_wall_relation(c1, c2, n):
+    """(1, lam, coeffs): the relation beta + lam beta' = sum coeffs[g] g
+    over the shared roots g of the wall from cluster c1 to c2, by a
+    Fraction solve; ValueError unless the clusters are adjacent and the
+    wall separates them."""
+    out = c1 - c2
+    inc = c2 - c1
+    if len(out) != 1 or len(inc) != 1:
+        raise ValueError("clusters are not adjacent")
+    beta = next(iter(out))
+    beta_p = next(iter(inc))
+    shared = sorted_roots(c1 & c2)
+    # unknowns: lam, then one coefficient per shared root
+    cols = [cluster.root_coordinates(beta_p, n)] + [
+        tuple(-x for x in cluster.root_coordinates(g, n)) for g in shared
+    ]
+    system = [tuple(col[row] for col in cols) for row in range(n + 1)]
+    rhs = tuple(-x for x in cluster.root_coordinates(beta, n))
+    sol = solve_linear(system, rhs)
+    if sol is None or sol is UNDERDETERMINED:
+        raise ValueError("wall relation is not uniquely determined")
+    lam = sol[0]
+    if lam <= 0:
+        raise ValueError("exchanged roots lie on the same side of the wall")
+    coeffs = dict(zip(shared, sol[1:]))
+    return Fraction(1), lam, coeffs
+
+
+@lru_cache(maxsize=None)
+def reference_wall_relations(n):
+    """(beta, beta', lam, ((g, c_g), ...)) per wall of `reference_walls`."""
+    out = []
+    for c1, c2 in reference_walls(n):
+        beta = next(iter(c1 - c2))
+        beta_p = next(iter(c2 - c1))
+        _, lam, coeffs = reference_wall_relation(c1, c2, n)
+        out.append((beta, beta_p, lam, tuple(coeffs.items())))
+    return tuple(out)
+
+
+def reference_wall_slacks(h, n):
+    """lhs - rhs per wall, lhs = h(beta) + lam h(beta') and rhs =
+    sum c_g h(g), as Fractions: all positive iff h is strictly convex
+    across every wall."""
+    return [
+        h[beta] + lam * h[beta_p] - sum((c * h[g] for g, c in coeffs), ZERO)
+        for beta, beta_p, lam, coeffs in reference_wall_relations(n)
+    ]
+
+
+def reference_polytopality_check(h, n):
+    """The Fraction wall check the integer one replaced: (ok, violations),
+    each violation a wall's exchanged roots and its deficit rhs - lhs."""
+    violations = [
+        (beta, beta_p, -slack)
+        for (beta, beta_p, *_), slack in zip(reference_wall_relations(n), reference_wall_slacks(h, n))
+        if slack <= 0
+    ]
+    return (not violations), violations

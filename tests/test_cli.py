@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from associahedra import analysis, serialize, verification
+from associahedra import analysis, cli, serialize, verification
 from associahedra.cli import _rat_decimal, main
 from associahedra.constructions import CONSTRUCTIONS, practical_bound
 from associahedra.cluster import all_roots, default_support_values, parse_root_key, root_key
@@ -1253,6 +1253,14 @@ def test_params_off_the_domain_exit_2(tmp_path, capsys, case, command):
 
 # -- the exit-code contract: every documented refusal of every command,
 # through `main`, with its exact code and error line and nothing on stdout
+
+
+def test_the_contract_states_the_caps_in_force():
+    # the numbers `cli`'s docstring writes out are the code's: raising the
+    # build cap or the byte cap without the contract fails here
+    doc = " ".join(cli.__doc__.split())
+    assert f"n_max out of range 1..{practical_bound()}," in doc
+    assert f"2 KiB per vertex at n = {practical_bound()}: {serialize.max_file_bytes()} bytes" in doc
 
 WEIGHTS_1 = {"1,1": "1", "1,2": "1", "2,2": "1"}
 

@@ -2,17 +2,15 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
-from associahedra import analysis, cluster, polygon, serialize
+from associahedra import analysis, cluster, cli, exactlin, polygon, serialize, verification
 from associahedra.analysis import extract_facets, make_polytope
 from associahedra.cluster import (
     all_roots,
     build_cluster_polytope,
     default_support_values,
-    diagonal_to_root,
     neg,
     polytopality_check,
     pos,
@@ -24,20 +22,25 @@ from associahedra.cluster import (
 )
 from associahedra.constructions import practical_bound
 from associahedra.exactlin import UNDERDETERMINED, ZERO, dot, rat_str, solve_linear
-from associahedra.fan import make_fan, wall_slacks
 from associahedra.sampling import perturbed_support_values
 
-from oracles import cone_vertices, projected_normals
+from oracles import (
+    by_diagonal,
+    cluster_fan,
+    cluster_of,
+    cone_vertices,
+    make_fan,
+    projected_normals,
+    reference_polytopality_check,
+    reference_wall_relation,
+    reference_wall_relations,
+    reference_wall_slacks,
+    reference_walls,
+    report,
+    sorted_roots,
+)
 
 F = Fraction
-
-
-def _sorted_roots(roots):
-    return sorted(roots, key=lambda r: (r[0] == "+",) + r[1:])
-
-
-def cluster_of(t, n):
-    return frozenset(diagonal_to_root(d, n) for d in t)
 
 
 def all_clusters(n):
@@ -49,85 +52,6 @@ def compatible(r1, r2, n):
     return not polygon.crossing(root_to_diagonal(r1, n), root_to_diagonal(r2, n))
 
 
-@lru_cache(maxsize=None)
-def fan_walls(n):
-    """The fan's walls as pairs of clusters, in wall order, to their index."""
-    clusters = all_clusters(n)
-    return {(clusters[i], clusters[j]): k for k, (i, j) in enumerate(cluster._fan(n).walls)}
-
-
-def wall_relation(c1, c2, n):
-    """The fan's relation across the wall from c1 to c2, as roots and
-    Fractions: beta + lam*beta' = sum coeffs[g]*g over the shared roots."""
-    if (c1, c2) not in fan_walls(n):
-        raise ValueError("clusters do not meet in a wall of the fan")
-    _, _, a, b, cs = cluster._fan(n).relations[fan_walls(n)[c1, c2]]
-    return F(1), F(b, a), {diagonal_to_root(g, n): F(c, a) for g, c in cs}
-
-
-@lru_cache(maxsize=None)
-def reference_walls(n):
-    """The flip loop that the walls by ridge incidence replaced, kept verbatim."""
-    seen = set()
-    out = []
-    for t in polygon.all_triangulations(n):
-        c1 = cluster_of(t, n)
-        for d in t:
-            c2 = cluster_of(polygon.flip(t, d, n), n)
-            key = frozenset((c1, c2))
-            if key not in seen:
-                seen.add(key)
-                out.append((c1, c2))
-    return tuple(out)
-
-
-def reference_wall_relation(c1, c2, n):
-    """The Fraction solve the integer `wall_relation` replaced, kept verbatim."""
-    out = c1 - c2
-    inc = c2 - c1
-    if len(out) != 1 or len(inc) != 1:
-        raise ValueError("clusters are not adjacent")
-    beta = next(iter(out))
-    beta_p = next(iter(inc))
-    shared = _sorted_roots(c1 & c2)
-    # unknowns: lam, then one coefficient per shared root
-    cols = [root_coordinates(beta_p, n)] + [
-        tuple(-x for x in root_coordinates(g, n)) for g in shared
-    ]
-    system = [tuple(col[row] for col in cols) for row in range(n + 1)]
-    rhs = tuple(-x for x in root_coordinates(beta, n))
-    sol = solve_linear(system, rhs)
-    if sol is None or sol is UNDERDETERMINED:
-        raise ValueError("wall relation is not uniquely determined")
-    lam = sol[0]
-    if lam <= 0:
-        raise ValueError("exchanged roots lie on the same side of the wall")
-    coeffs = dict(zip(shared, sol[1:]))
-    return Fraction(1), lam, coeffs
-
-
-@lru_cache(maxsize=None)
-def reference_wall_relations(n):
-    out = []
-    for c1, c2 in reference_walls(n):
-        beta = next(iter(c1 - c2))
-        beta_p = next(iter(c2 - c1))
-        _, lam, coeffs = reference_wall_relation(c1, c2, n)
-        out.append((beta, beta_p, lam, tuple(coeffs.items())))
-    return tuple(out)
-
-
-def reference_polytopality_check(h, n):
-    """The Fraction wall check the integer one replaced, kept verbatim."""
-    violations = []
-    for beta, beta_p, lam, coeffs in reference_wall_relations(n):
-        lhs = h[beta] + lam * h[beta_p]
-        rhs = sum((c * h[g] for g, c in coeffs), ZERO)
-        if lhs <= rhs:
-            violations.append((beta, beta_p, rhs - lhs))
-    return (not violations), violations
-
-
 def reference_build(h, n):
     """The Fraction vertex solve and dot checks the integer build replaced."""
     ok, violations = reference_polytopality_check(h, n)
@@ -137,7 +61,7 @@ def reference_build(h, n):
     coords_of = {r: root_coordinates(r, n) for r in roots}
     pairs = []
     for t in polygon.all_triangulations(n):
-        cluster_roots = _sorted_roots(cluster_of(t, n))
+        cluster_roots = sorted_roots(cluster_of(t, n))
         rows = [root_coordinates(r, n) for r in cluster_roots]
         rows.append(tuple(Fraction(1) for _ in range(n + 1)))
         x = solve_linear(rows, [h[r] for r in cluster_roots] + [ZERO])
@@ -152,16 +76,17 @@ def reference_build(h, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_fan_matches_fraction_reference(n):
-    assert tuple(fan_walls(n)) == reference_walls(n)
-    for (c1, c2), (beta, beta_p, a, b, cs), (ref_beta, ref_beta_p, lam, coeffs) in zip(
-        fan_walls(n), cluster._fan(n).relations, reference_wall_relations(n)
-    ):
-        coeffs = dict(coeffs)
-        assert wall_relation(c1, c2, n) == (1, lam, coeffs)
-        # the integer relation the wall check runs on is a positive multiple
-        assert (diagonal_to_root(beta, n), diagonal_to_root(beta_p, n)) == (ref_beta, ref_beta_p)
-        assert a > 0 and F(b, a) == lam
-        assert {diagonal_to_root(g, n): F(c, a) for g, c in cs} == coeffs
+    # the tree certificate's walls, in flip order, are the flip loop's, with
+    # the same exchanged roots, and every relation has lam = 1, the form
+    # `polytopality_check` reads its slacks in
+    clusters, roots = all_clusters(n), cluster._spanning_trees(n)[0]
+    walls = cluster._walls(n)[0]
+    assert [
+        (clusters[i], clusters[i] - {roots[f]} | {roots[g]}) for i, f, g in walls
+    ] == list(reference_walls(n))
+    relations = reference_wall_relations(n)
+    assert [(roots[f], roots[g]) for _, f, g in walls] == [r[:2] for r in relations]
+    assert all(lam == 1 for _, _, lam, _ in relations)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -183,60 +108,56 @@ def test_non_polytopal_h_matches_reference_and_raises(n):
         build_cluster_polytope(h, n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, practical_bound() + 1))
 def test_wall_check_signs_are_the_wall_slacks(n):
-    # the violations read off the int numerators are the non-positive
-    # `wall_slacks`, negated: on jitters in sevenths and on a tie
+    # the violations read off the tree potentials are the Fraction
+    # reference's non-positive wall slacks, negated: on the default, a
+    # draw, jitters in sevenths and a tie at wall 0
     rng = random.Random(40 + n)
-    fan, h = cluster._fan(n), default_support_values(n)
-    cases = [{r: v + F(rng.randint(-7 * size, 7 * size), 7) for r, v in h.items()} for size in (2, 4, 8)]
-    beta = diagonal_to_root(fan.relations[0][0], n)
-    cases.append({**h, beta: h[beta] - wall_slacks(fan, cluster._by_diagonal(h, n))[0]})
+    h = default_support_values(n)
+    cases = [h, perturbed_support_values(n, rng)]
+    cases += [{r: v + F(rng.randint(-7 * size, 7 * size), 7) for r, v in h.items()}
+              for size in (2, 4, 8, 30)]
+    cases.append(_tie_at_wall_0(h, n))
     deficits = []
     for g in cases:
         ok, violations = polytopality_check(g, n)
-        slacks = wall_slacks(fan, cluster._by_diagonal(g, n))
-        want = [
-            (diagonal_to_root(b, n), diagonal_to_root(b_p, n), -slack)
-            for (b, b_p, *_), slack in zip(fan.relations, slacks)
-            if slack <= 0
-        ]
-        assert (ok, violations) == (not want, want) == reference_polytopality_check(g, n)
+        assert (ok, violations) == reference_polytopality_check(g, n)
         deficits += [deficit for *_, deficit in violations]
     assert 0 in deficits and max(deficits) > 0
 
 
 def reference_slacks_at_vertices(h, n):
-    """(b/a) (h(beta') - beta' . x_i) per wall (i, j) with relation
-    (beta, beta', a, b, ...), for x_i cone i's vertex by the Fraction solve
-    `reference_build` runs."""
-    fan, vertices = cluster._fan(n), {}
+    """lam (h(beta') - beta' . x) per wall from cluster c1 to c2 with
+    relation (beta, beta', lam, ...), for x cluster c1's vertex by the
+    Fraction solve `reference_build` runs."""
+    vertices = {}
     ones = tuple(F(1) for _ in range(n + 1))
     slacks = []
-    for (i, _), (_, beta_p, a, b, _) in zip(fan.walls, fan.relations):
-        if i not in vertices:
-            roots = [diagonal_to_root(d, n) for d in polygon.all_triangulations(n)[i]]
+    for (c1, _), (_, beta_p, lam, _) in zip(reference_walls(n), reference_wall_relations(n)):
+        if c1 not in vertices:
+            roots = sorted_roots(c1)
             rows = [root_coordinates(r, n) for r in roots] + [ones]
-            vertices[i] = solve_linear(rows, [h[r] for r in roots] + [ZERO])
-        root = diagonal_to_root(beta_p, n)
-        slacks.append(F(b, a) * (h[root] - dot(root_coordinates(root, n), vertices[i])))
+            vertices[c1] = solve_linear(rows, [h[r] for r in roots] + [ZERO])
+        slacks.append(lam * (h[beta_p] - dot(root_coordinates(beta_p, n), vertices[c1])))
     return slacks
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_each_wall_slack_is_a_slack_of_the_lane_pass(n):
-    # the identity in `fan.wall_slacks`' docstring that lets a build skip
-    # the wall check, wall by wall, against vertices solved apart from the
-    # fan: on the default h, jitters in sevenths and a tie at wall 0
+    # the identity in `polytopality_check`'s docstring that lets it read a
+    # wall's slack at one vertex and lets a build skip the wall check,
+    # wall by wall, against vertices solved apart from the trees: on the
+    # default h, jitters in sevenths and a tie at wall 0
     rng = random.Random(60 + n)
-    fan, h = cluster._fan(n), default_support_values(n)
+    h = default_support_values(n)
     cases = [h] + [{r: v + F(rng.randint(-7 * size, 7 * size), 7) for r, v in h.items()}
                    for size in (1, 3, 10)]
-    beta = diagonal_to_root(fan.relations[0][0], n)
+    beta = reference_wall_relations(n)[0][0]
     cases.append({**h, beta: h[beta] - reference_slacks_at_vertices(h, n)[0]})
     for g in cases:
         want = reference_slacks_at_vertices(g, n)
-        assert wall_slacks(fan, cluster._by_diagonal(g, n)) == want
+        assert reference_wall_slacks(g, n) == want
     assert want[0] == 0
 
 
@@ -246,13 +167,11 @@ def test_snake_fan_bounds_the_jitter(n):
     relation has lam = 1 and at most two shared coefficients that are not
     0, each 1, and the default h has wall slack at least 2 (6 at n = 2,
     8 at n = 1)."""
-    fan = cluster._fan(n)
-    for _, _, a, b, cs in fan.relations:
-        assert a == b
-        shared = [F(c, a) for _, c in cs if c]
+    for _, _, lam, coeffs in reference_wall_relations(n):
+        assert lam == 1
+        shared = [c for _, c in coeffs if c]
         assert len(shared) <= 2 and all(c == 1 for c in shared)
-    h = {root_to_diagonal(r, n): v for r, v in default_support_values(n).items()}
-    assert min(wall_slacks(fan, h)) == {1: 8, 2: 6}.get(n, 2)
+    assert min(reference_wall_slacks(default_support_values(n), n)) == {1: 8, 2: 6}.get(n, 2)
 
 
 def test_root_coordinates_examples():
@@ -337,7 +256,7 @@ def test_clusters_biject_with_triangulations(n):
 def test_wall_relation_opposite_rays():
     c1 = frozenset({neg(1), neg(2)})
     c2 = frozenset({neg(1), pos(2, 2)})
-    lam0, lam, coeffs = wall_relation(c1, c2, 2)
+    lam0, lam, coeffs = reference_wall_relation(c1, c2, 2)
     assert (lam0, lam) == (1, 1)
     assert all(c == 0 for c in coeffs.values())
 
@@ -345,7 +264,7 @@ def test_wall_relation_opposite_rays():
 def test_wall_relation_pentagon_sum():
     c1 = frozenset({pos(1, 1), pos(1, 2)})
     c2 = frozenset({pos(2, 2), pos(1, 2)})
-    _, lam, coeffs = wall_relation(c1, c2, 2)
+    _, lam, coeffs = reference_wall_relation(c1, c2, 2)
     assert lam == 1
     assert coeffs == {pos(1, 2): 1}
 
@@ -354,16 +273,15 @@ def test_wall_relation_rejects_non_adjacent():
     c1 = frozenset({pos(1, 1), pos(1, 2)})
     c2 = frozenset({neg(1), neg(2)})
     with pytest.raises(ValueError):
-        wall_relation(c1, c2, 2)
-    # every wall joins two cones that share all but one diagonal
-    ts = polygon.all_triangulations(4)
-    assert all(len(set(ts[i]) & set(ts[j])) == 3 for i, j in cluster._fan(4).walls)
+        reference_wall_relation(c1, c2, 2)
+    # every wall joins two clusters that share all but one root
+    assert all(len(c1 & c2) == 3 for c1, c2 in reference_walls(4))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wall_relation_positive_rational(n):
-    for c1, c2 in fan_walls(n):
-        _, lam, coeffs = wall_relation(c1, c2, n)
+    for c1, c2 in reference_walls(n):
+        _, lam, coeffs = reference_wall_relation(c1, c2, n)
         assert lam > 0
         assert all(isinstance(c, Fraction) for c in coeffs.values())
 
@@ -468,51 +386,119 @@ def test_verify_fan_counts(n):
     assert report["walls"] == catalan * n // 2
 
 
+@pytest.fixture
+def fresh_trees():
+    """`cluster._spanning_trees` and `cluster._walls` with empty caches,
+    emptied again afterwards, so that trees and walls made under a patch
+    are not kept."""
+    cluster._spanning_trees.cache_clear()
+    cluster._walls.cache_clear()
+    yield
+    cluster._spanning_trees.cache_clear()
+    cluster._walls.cache_clear()
+
+
+def cluster_rays(n):
+    """{diagonal: ray}: each diagonal's root coordinates."""
+    return dict(zip(polygon.all_diagonals(n), cluster.ray_normals(n)))
+
+
 @pytest.mark.parametrize("index", [0, -1])
 @pytest.mark.parametrize("case", ["missing", "duplicate"])
-def test_make_fan_refuses_broken_ridge_incidence(monkeypatch, case, index):
+def test_make_fan_refuses_broken_ridge_incidence(monkeypatch, fresh_trees, case, index):
     # with a triangulation dropped, each of its ridges lies in one other
     # triangulation only; with one repeated, in three: `flip_table` refuses
-    # either before the walk
+    # either before the reference fan's walk or the tree certificate's
     ts = list(polygon.all_triangulations(3))
     if case == "missing":
         del ts[index]
     else:
         ts.append(ts[index])
-    rays = cluster._fan(3).rays
+    rays = cluster_rays(3)
     monkeypatch.setattr(polygon, "all_triangulations", lambda m: tuple(ts))
     monkeypatch.setattr(polygon, "flip_table", polygon.flip_table.__wrapped__)
     count = 1 if case == "missing" else 3
-    with pytest.raises(AssertionError, match=f"lies in {count} triangulations, not 2"):
-        make_fan(rays, 3)
+    for certify in (lambda: make_fan(rays, 3), lambda: verify_fan(3)):
+        with pytest.raises(AssertionError, match=f"lies in {count} triangulations, not 2"):
+            certify()
 
 
-@pytest.fixture
-def fresh_trees():
-    """`cluster._spanning_trees` with an empty cache, emptied again
-    afterwards, so that walks made under a patch are not kept."""
-    cluster._spanning_trees.cache_clear()
-    yield
-    cluster._spanning_trees.cache_clear()
+@pytest.mark.parametrize("n", range(1, practical_bound() + 1))
+def test_verify_fan_matches_the_reference_fan(n):
+    # counts, problems and their order against the per-cone inverses
+    assert verify_fan(n) == report(cluster_fan(n))
+
+
+def broken_tables(n, rng):
+    """Ten seeded ray tables with one ray repeated, ten with two swapped."""
+    rays = cluster_rays(n)
+    tables = []
+    for repeat in (True, False) * 10:
+        d, e = rng.sample(sorted(rays), 2)
+        table = dict(rays)
+        table[d], table[e] = (rays[e], rays[e]) if repeat else (rays[e], rays[d])
+        tables.append(table)
+    return tables
+
+
+def test_verify_fan_matches_the_reference_fan_off_a_fan(monkeypatch, fresh_trees):
+    # every problem kind, in the reference's order, on repeated and swapped
+    # rays at n = 2..5
+    cases = [(n, table) for n in (2, 3, 4, 5) for table in broken_tables(n, random.Random(70 + n))]
+    kinds = []
+    for n, table in cases:
+        cluster._spanning_trees.cache_clear()
+        cluster._walls.cache_clear()
+        monkeypatch.setattr(cluster, "ray_normals", lambda m: list(table.values()))
+        got = verify_fan(n)
+        assert got == report(make_fan(table, n))
+        kinds += [problem[0] for problem in got["problems"]]
+    assert set(kinds) == {"dependent_cone", "wall_not_separating", "point_covered_by"}
+
+
+def test_verify_fan_inverts_no_matrix(monkeypatch, fresh_trees):
+    calls = []
+    eliminate = exactlin._eliminate
+    monkeypatch.setattr(exactlin, "_eliminate", lambda m: calls.append(1) or eliminate(m))
+    assert verify_fan(6)["ok"] and calls == []
 
 
 def test_verify_fan_rejects_dependent_cluster(monkeypatch, fresh_trees):
-    rays = dict(cluster._fan(2).rays)
+    rays = cluster_rays(2)
     rays[(0, 3)] = tuple(2 * x for x in rays[(0, 2)])
     fan = make_fan(rays, 2)
     assert ("dependent_cone", ((0, 2), (0, 3))) in fan.problems
     with pytest.raises(ValueError):
         cone_vertices(fan, {d: F(1) for d in rays})
-    # the closed form refuses a cluster whose rays repeat: its walk misses
-    # a coordinate, and nothing is built
+    # the trees, with the ray repeated: the certificate reports the
+    # cluster as the reference does, and a build raises naming it, with
+    # nothing built
     normals = cluster.ray_normals(2)
     normals[polygon.all_diagonals(2).index((0, 3))] = rays[(0, 2)]
     monkeypatch.setattr(cluster, "ray_normals", lambda n: normals)
+    want = report(make_fan(dict(zip(polygon.all_diagonals(2), normals)), 2))
+    assert verify_fan(2) == want and ("dependent_cone", ((0, 2), (0, 3))) in want["problems"]
     made = []
     monkeypatch.setattr(cluster, "make_polytope", _counting(make_polytope, made))
     with pytest.raises(AssertionError, match=r"rays of \(\(0, 2\), \(0, 3\)\) are not a spanning tree"):
         build_cluster_polytope(default_support_values(2), 2)
     assert made == []
+
+
+def test_a_dependent_cluster_is_a_fail_row(monkeypatch, fresh_trees, capsys):
+    # the manifest's fan row at n_max = 2 with a ray repeated at n = 2:
+    # FAIL with the dependent cluster first, and `assoc verify` exits 1
+    normals = cluster.ray_normals(2)
+    normals[polygon.all_diagonals(2).index((0, 3))] = normals[polygon.all_diagonals(2).index((0, 2))]
+    ray_normals = cluster.ray_normals
+    monkeypatch.setattr(cluster, "ray_normals", lambda n: normals if n == 2 else ray_normals(n))
+    ok, detail = verification.check_cluster_fan(2, 0)
+    assert not ok and [n for n, _ in detail["bad"]] == [2]
+    assert detail["bad"][0][1][0] == ("dependent_cone", ((0, 2), (0, 3)))
+    row = [("cluster_fan_certificate", verification.check_cluster_fan)]
+    monkeypatch.setattr(verification, "MANIFEST", row)
+    assert cli.main(["verify", "--n-max", "2"]) == 1
+    assert capsys.readouterr().out.startswith("cluster_fan_certificate  FAIL\n")
 
 
 # sha256 of repr([ray_normals(n) for n in 1..7]) as the snake check made
@@ -586,11 +572,10 @@ def test_the_lane_pass_fails_iff_a_wall_fails(monkeypatch, n):
     # the default h, jitters in sevenths that break convexity at some
     # walls, often several, and leave it at others, and a tie at wall 0
     rng = random.Random(90 + n)
-    fan, h = cluster._fan(n), default_support_values(n)
+    h = default_support_values(n)
     cases = [{r: v + F(rng.randint(-7 * size, 7 * size), 7) for r, v in h.items()}
              for size in (0, 1, 1, 3, 3, 10, 10, 30, 30)]
-    beta = diagonal_to_root(fan.relations[0][0], n)
-    cases.append({**h, beta: h[beta] - wall_slacks(fan, cluster._by_diagonal(h, n))[0]})
+    cases.append(_tie_at_wall_0(h, n))
     walls = []
     monkeypatch.setattr(cluster, "polytopality_check", _counting(polytopality_check, walls))
     outcomes = []
@@ -646,44 +631,42 @@ def test_a_build_carries_the_certified_facets(monkeypatch, tmp_path, n):
 
 def _tie_at_wall_0(h, n):
     """h lowered on wall 0's exchanged root until that wall is flat."""
-    fan = cluster._fan(n)
-    beta = diagonal_to_root(fan.relations[0][0], n)
-    return {**h, beta: h[beta] - wall_slacks(fan, cluster._by_diagonal(h, n))[0]}
+    beta = reference_wall_relations(n)[0][0]
+    return {**h, beta: h[beta] - reference_wall_slacks(h, n)[0]}
 
 
 @pytest.mark.parametrize("n", range(1, practical_bound() + 1))
 def test_closed_form_matches_the_per_cone_solve(n):
     # each cluster's vertex as its spanning tree's potential against the
-    # fan's per-cone inverse product (`oracles.cone_vertices`): the hull
+    # reference fan's per-cone inverse product (`oracles.cone_vertices`): the hull
     # after `make_polytope` and the carried normals on the default h and
     # two draws, and the first failing cluster and ray on a tie
     rng = random.Random(120 + n)
-    fan, ts = cluster._fan(n), polygon.all_triangulations(n)
+    fan, ts = cluster_fan(n), polygon.all_triangulations(n)
     h = default_support_values(n)
     for g in [h] + [perturbed_support_values(n, rng) for _ in range(2)]:
         p = build_cluster_polytope(g, n)
-        rows, scale = cone_vertices(fan, cluster._by_diagonal(g, n))
+        rows, scale = cone_vertices(fan, by_diagonal(g, n))
         q = make_polytope("cluster", n, n + 1, zip(rows, ts), scale=scale)
         assert (p.hull.rows, p.hull.scale) == (q.hull.rows, q.hull.scale)
         assert p.carried_normals == projected_normals(fan)
     tie = _tie_at_wall_0(h, n)
     with pytest.raises(AssertionError) as want:
-        cone_vertices(fan, cluster._by_diagonal(tie, n))
+        cone_vertices(fan, by_diagonal(tie, n))
     with pytest.raises(AssertionError) as got:
         cluster.tight_vertices(tie, n)
     assert str(got.value) == str(want.value)
 
 
 def _refuse(*args):
-    raise AssertionError("make_fan called")
+    raise AssertionError("walls read")
 
 
 @pytest.mark.parametrize("n", range(1, practical_bound() + 1))
 def test_a_build_walks_no_fan(monkeypatch, n):
-    # with the fan uncached and unbuildable, the default and two draws
+    # with the walls uncached and unreadable, the default and two draws
     # still build
-    monkeypatch.setattr(cluster, "_fan", cluster._fan.__wrapped__)
-    monkeypatch.setattr(cluster, "make_fan", _refuse)
+    monkeypatch.setattr(cluster, "_walls", _refuse)
     rng = random.Random(130 + n)
     for h in [default_support_values(n)] + [perturbed_support_values(n, rng) for _ in range(2)]:
         assert len(build_cluster_polytope(h, n).labels) == len(polygon.all_triangulations(n))
@@ -691,11 +674,10 @@ def test_a_build_walks_no_fan(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_the_fan_is_built_by_verify_fan_and_a_failed_build(monkeypatch, n):
-    # each with the fan uncached: `verify_fan` builds it once, and so does
-    # a build whose lane pass fails, to name the walls
+    # each with the walls uncached: `verify_fan` certifies them once, and
+    # so does a build whose lane pass fails, to name the failing walls
     tie, fans = _tie_at_wall_0(default_support_values(n), n), []
-    monkeypatch.setattr(cluster, "_fan", cluster._fan.__wrapped__)
-    monkeypatch.setattr(cluster, "make_fan", _counting(make_fan, fans))
+    monkeypatch.setattr(cluster, "_walls", _counting(cluster._walls.__wrapped__, fans))
     assert verify_fan(n)["ok"] and len(fans) == 1
     fans.clear()
     with pytest.raises(ValueError) as err:

@@ -87,15 +87,15 @@ def test_backticked_names_in_the_docs_resolve():
 def test_detector_sees_stale_names():
     modules, classes = package_names()
     text = (
-        "`fan.wall_numerators` and `Hull.rows`, `cluster.py`, `p.missing`,\n"
-        "`LabeledPolytope.labels`, `LabeledPolytope.params`, `Cone.missing`\n"
+        "`exactlin.exchange_inverse` and `Hull.rows`, `cluster.py`, `p.missing`,\n"
+        "`LabeledPolytope.labels`, `LabeledPolytope.params`, `Hull.missing`\n"
         "```\n`exactlin.missing`\n```\n"
         "`polygon.all_triangulations(n)[i]` and `cluster.polytopality_check.calls`"
     )
     assert stale_names(text, modules, classes) == [
-        "fan.wall_numerators",
-        "Cone.missing",
+        "exactlin.exchange_inverse",
+        "Hull.missing",
         "cluster.polytopality_check.calls",
     ]
     exempt = {"cluster.polytopality_check.calls"}
-    assert stale_names(text, modules, classes, exempt) == ["fan.wall_numerators", "Cone.missing"]
+    assert stale_names(text, modules, classes, exempt) == ["exactlin.exchange_inverse", "Hull.missing"]

@@ -1,5 +1,6 @@
-"""The fan core on a second instance, and the cluster's closed-form
-vertices against the fan's per-cone solve (`oracles.cone_vertices`).
+"""The reference fan (`oracles.make_fan`, one integer inverse per cone)
+on a second instance and off a fan, and the cluster's closed-form
+vertices against its per-cone solve (`oracles.cone_vertices`).
 
 Loday's realization (`minkowski.build_minkowski`) is the polytope of the
 fan with ray -1_I on the diagonal (lo, hi), where I = [lo+1, hi-1], and
@@ -13,13 +14,22 @@ from operator import mul
 
 import pytest
 
-from associahedra import cluster, exactlin, polygon
-from associahedra.exactlin import exchange_inverse, integer_inverse
-from associahedra.fan import Cone, Fan, make_fan, wall_slacks
+from associahedra import cluster, polygon
+from associahedra.exactlin import integer_inverse
 from associahedra.minkowski import ones_weights
 from associahedra.sampling import perturbed_support_values, random_weights
 
-from oracles import cone_vertices, loday_vertex
+from oracles import (
+    Cone,
+    Fan,
+    by_diagonal,
+    cluster_fan,
+    cone_vertices,
+    loday_vertex,
+    make_fan,
+    reference_wall_relations,
+    reference_wall_slacks,
+)
 
 
 def loday_fan(n):
@@ -48,10 +58,9 @@ def _outcome(vertices, *args):
 def _cluster_outcomes(h, n):
     """`cluster.tight_vertices`' outcome on h, and the per-cone solve's on
     the cluster fan (`oracles.cone_vertices`)."""
-    fan = cluster._fan(n)
     return (
         _outcome(cluster.tight_vertices, h, n),
-        _outcome(cone_vertices, fan, cluster._by_diagonal(h, n)),
+        _outcome(cone_vertices, cluster_fan(n), by_diagonal(h, n)),
     )
 
 
@@ -95,20 +104,20 @@ def test_minkowski_is_a_fan_instance(n):
     assert not fan.problems
     rng = random.Random(n)
     for a in [ones_weights(n)] + [random_weights(n, rng) for _ in range(3)]:
+        # each vertex meets every other ray's inequality strictly, so h is
+        # strictly convex across every wall
         h, shift = loday_support_values(a, n)
-        assert all(s > 0 for s in wall_slacks(fan, h))
         rows, scale = cone_vertices(fan, h)
         for x, t in zip(rows, polygon.all_triangulations(n)):
             assert tuple(Fraction(v, scale) + shift for v in x) == loday_vertex(a, t, n)
 
 
 def test_tight_vertices_reject_a_tie():
-    fan = cluster._fan(2)
     h = cluster.default_support_values(2)
     # flat across the first wall: the vertices of its two cones coincide
-    beta = cluster.diagonal_to_root(fan.relations[0][0], 2)
-    h[beta] -= wall_slacks(fan, cluster._by_diagonal(h, 2))[0]
-    assert wall_slacks(fan, cluster._by_diagonal(h, 2))[0] == 0
+    beta = reference_wall_relations(2)[0][0]
+    h[beta] -= reference_wall_slacks(h, 2)[0]
+    assert reference_wall_slacks(h, 2)[0] == 0
     got, want = _cluster_outcomes(h, 2)
     assert got == want and "violates inequality" in got
 
@@ -128,34 +137,34 @@ def test_make_fan_reports_a_wall_that_does_not_separate():
     assert ("wall_not_separating", ()) in fan.problems and not fan.walls
 
 
-def fresh_cones(fan, triangulations):
-    """Each cone's `integer_inverse`, None where its rays are dependent."""
-    ones = (1,) * len(next(iter(fan.rays.values())))
-    cones = []
-    for t in triangulations:
-        try:
-            cones.append(Cone(t, *integer_inverse([fan.rays[d] for d in t] + [ones])))
-        except ValueError:
-            cones.append(None)
-    return tuple(cones)
+def inverts(cone, rays):
+    """Whether the cone's inverse over its denominator inverts the matrix
+    of its rays plus the all-ones row."""
+    rows = [rays[d] for d in cone.diagonals] + [(1,) * len(rays[cone.diagonals[0]])]
+    k = len(rows)
+    return all(
+        sum(rows[i][r] * cone.inverse[r][j] for r in range(k)) == cone.denominator * (i == j)
+        for i in range(k)
+        for j in range(k)
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_every_cone_is_a_fresh_inverse(n):
     ts = polygon.all_triangulations(n)
-    for fan in (loday_fan(n), cluster._fan(n)):
-        assert fan.cones == fresh_cones(fan, ts)
+    for fan in (loday_fan(n), cluster_fan(n)):
+        assert [cone.diagonals for cone in fan.cones] == list(ts)
+        assert all(inverts(cone, fan.rays) for cone in fan.cones)
 
 
 def test_cones_off_a_fan_are_fresh_inverses():
     # a double cover, a wall that does not separate and dependent cones:
-    # the pivots still give every fresh inverse
+    # every cone with independent rays is inverted, the others are None
     plane = {(0, 2): (10, 0), (0, 3): (-8, 6), (1, 3): (3, -10), (1, 4): (3, 10), (2, 4): (-8, -6)}
-    # (0, 3) makes cone 0 dependent, which is eliminated; (2, 4) makes
-    # cone 1 dependent, which is a zero pivot from cone 0
+    # (0, 3) makes cone 0 dependent; (2, 4) makes cone 1 dependent
     dependent = []
     for d in ((0, 3), (2, 4)):
-        rays = dict(cluster._fan(2).rays)
+        rays = dict(cluster_fan(2).rays)
         rays[d] = tuple(2 * x for x in rays[(0, 2)])
         dependent.append((rays, 2))
     cases = dependent + [
@@ -164,25 +173,15 @@ def test_cones_off_a_fan_are_fresh_inverses():
     ]
     for rays, n in cases:
         fan = make_fan(rays, n)
-        assert fan.cones == fresh_cones(fan, polygon.all_triangulations(n))
+        assert all(cone is None or inverts(cone, rays) for cone in fan.cones)
     assert [make_fan(*case).cones.index(None) for case in dependent] == [0, 1]
 
 
-def test_make_fan_eliminates_once(monkeypatch):
-    # cone 0 is eliminated; every later cluster cone at n = 6 has an earlier
-    # flip and is one pivot from it
-    calls = []
-    eliminate = exactlin._eliminate
-    monkeypatch.setattr(exactlin, "_eliminate", lambda m: calls.append(1) or eliminate(m))
-    fan = make_fan(cluster._fan(6).rays, 6)
-    assert len(calls) == 1 and not fan.problems
-
-
 def reference_make_fan(rays, triangulations):
-    """The walk from before `make_fan` read its walls off a table, kept
-    verbatim: each wall slices and hashes its ridge, finds beta' by set
-    difference and its position by `index`, and takes a dense product with
-    the inverse's columns."""
+    """The walk from before `make_fan` read its walls off a table, with a
+    fresh inverse per cone: each wall slices and hashes its ridge, finds
+    beta' by set difference and its position by `index`, and takes a dense
+    product with the inverse's columns."""
 
     def coefficients(cone, v):
         return [sum(map(mul, v, col)) for col in zip(*cone.inverse)]
@@ -192,16 +191,14 @@ def reference_make_fan(rays, triangulations):
     for i, t in enumerate(triangulations):
         for k in range(len(t)):
             containing.setdefault(t[:k] + t[k + 1 :], []).append(i)
-    cones, dependent, problems = {}, [], []
-    walls, relations = [], []
-    for i, t in enumerate(triangulations):
-        if i not in cones:
-            try:
-                cones[i] = Cone(t, *integer_inverse([rays[d] for d in t] + [ones]))
-            except ValueError:
-                cones[i] = None
-        if cones[i] is None:
+    cones, dependent, problems, walls = [], [], [], []
+    for t in triangulations:
+        try:
+            cones.append(Cone(t, *integer_inverse([rays[d] for d in t] + [ones])))
+        except ValueError:
+            cones.append(None)
             dependent.append(("dependent_cone", t))
+    for i, t in enumerate(triangulations):
         for k, beta in enumerate(t):
             ridge = t[:k] + t[k + 1 :]
             members = containing[ridge]
@@ -213,40 +210,31 @@ def reference_make_fan(rays, triangulations):
             if j < i or cones[i] is None:
                 continue
             (beta_p,) = set(triangulations[j]) - set(ridge)
-            y = coefficients(cones[i], rays[beta_p])
-            if j not in cones:
-                inverse = exchange_inverse(
-                    cones[i].inverse, cones[i].denominator, k, y, triangulations[j].index(beta_p)
-                )
-                cones[j] = inverse and Cone(triangulations[j], *inverse)
-            if y[k] >= 0:
+            if coefficients(cones[i], rays[beta_p])[k] >= 0:
                 problems.append(("wall_not_separating", ridge))
                 continue
             walls.append((i, j))
-            shared = tuple(zip(ridge, y[:k] + y[k + 1 : -1]))
-            relations.append((beta, beta_p, -y[k], cones[i].denominator, shared))
-    cones = tuple(cones[i] for i in range(len(triangulations)))
     point = tuple(map(sum, zip(*(rays[d] for d in triangulations[0]))))
     covering = sum(
         all(y >= 0 for y in coefficients(cone, point)[:-1]) for cone in cones if cone is not None
     )
     if covering != 1:
         problems.append(("point_covered_by", covering, point))
-    return Fan(rays, cones, tuple(walls), tuple(relations), tuple(dependent + problems))
+    return Fan(rays, tuple(cones), tuple(walls), tuple(dependent + problems))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_make_fan_matches_the_reference_walk(n):
-    # cones, walls, relations and problems, in order
+    # cones, walls and problems, in order
     ts = polygon.all_triangulations(n)
-    for fan in (cluster._fan(n), loday_fan(n)):
+    for fan in (cluster_fan(n), loday_fan(n)):
         assert fan == reference_make_fan(fan.rays, ts)
 
 
 def test_make_fan_matches_the_reference_walk_off_a_fan():
     # every problem kind make_fan reports, in walk order; a ridge in other
     # than two cones is `flip_table`'s to refuse (test_cluster)
-    rays = dict(cluster._fan(3).rays)
+    rays = dict(cluster_fan(3).rays)
     rays[(1, 4)] = tuple(-x for x in rays[(1, 4)])
     dependent = dict(rays)
     dependent[(0, 3)] = tuple(2 * x for x in rays[(0, 2)])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from associahedra import cluster, polygon, sampling
 from associahedra.analysis import extract_facets, face_lattice, parallel_pairs
 from associahedra.exactlin import vsub
-from associahedra.fan import wall_slacks
 from associahedra.minkowski import build_minkowski
 from associahedra.secondary import build_secondary
 from associahedra.serialize import polytope_from_json, polytope_to_json
@@ -24,7 +23,7 @@ from associahedra.verification import (
     minkowski_expected_pairs,
 )
 
-from oracles import rank, subspace_from_differences
+from oracles import rank, reference_wall_relations, reference_wall_slacks, subspace_from_differences
 
 
 def _check(p, n, expected_pairs):
@@ -41,13 +40,12 @@ def _check(p, n, expected_pairs):
 def jitter_radius(n):
     """A radius r > 0 such that moving every default support value by less
     than r keeps every wall inequality strict: a wall's slack
-    h(beta) + (b/a)h(beta') - sum (c_g/a)h(g) moves by less than
-    r(a + b + sum |c_g|)/a."""
-    fan = cluster._fan(n)
-    h = cluster._by_diagonal(cluster.default_support_values(n), n)
+    h(beta) + lam h(beta') - sum c_g h(g) moves by less than
+    r(1 + lam + sum |c_g|)."""
+    h = cluster.default_support_values(n)
     return min(
-        slack * Fraction(a, a + b + sum(abs(c) for _, c in cs))
-        for (_, _, a, b, cs), slack in zip(fan.relations, wall_slacks(fan, h))
+        slack / (1 + lam + sum(abs(c) for _, c in coeffs))
+        for (_, _, lam, coeffs), slack in zip(reference_wall_relations(n), reference_wall_slacks(h, n))
     )
 
 
