@@ -55,10 +55,12 @@ one probe vertex, the source's first vertex outside its frame
 (`Hull.probe`): its affine weights on the frame, from one
 `integer_inverse` per search, must give its image's integer hull row from
 theirs, so a miss reads n+2 rows of the target and makes no chart of it.
-Only a relabeling whose probe fits is checked on every vertex, in one
-integer pass, with the ambient map the frame and its images fix on the
-hull, extended off it by orthogonal projection; only a map that passes
-is made of Fractions.
+Only a relabeling whose probe fits is decided, on the certified facets
+rather than the vertices: each facet's functional of the target, pulled
+back by the map the frame and its images fix, must be a nonzero multiple
+of its preimage's, read at the n+1 frame rows (`_lift`).  Only a map that
+passes is formed, on the hull and extended off it by orthogonal
+projection, and made of Fractions.
 """
 
 from dataclasses import dataclass, field
@@ -525,10 +527,35 @@ def dihedral_images(n):
     step, mirror = (
         [index[relabel_triangulation(relabelings[k], t)] for t in labels] for k in (1, n + 3)
     )
-    rotations = [tuple(range(len(labels)))]
+    return _compose_dihedral(step, mirror, n)
+
+
+def _compose_dihedral(step, mirror, n):
+    """The 2(n+3) permutations of indices that the rotation by one, `step`,
+    and the mirror generate, as a tuple in `dihedral_relabelings` order:
+    rotation k is step k times, and reflection k is rotation k after the
+    mirror."""
+    rotations = [tuple(range(len(step)))]
     for _ in range(n + 2):
         rotations.append(tuple(step[i] for i in rotations[-1]))
     return tuple(rotations + [tuple(r[i] for i in mirror) for r in rotations])
+
+
+@lru_cache(maxsize=None)
+def _facet_images(n):
+    """Each entry of `dihedral_images(n)` mapped to the permutation of the
+    facets it induces: at f, the index of the facet whose members are the
+    images of facet f's members.  A relabeling takes the triangulations
+    that carry d to those that carry its image of d, so that facet is d's
+    image; the rotation by one and the mirror relabel the diagonals, and
+    the rest are composed from them as in `dihedral_images`.  A dict keyed
+    by the entry, cached and shared: nothing in it can be changed."""
+    diagonals, relabelings = polygon.all_diagonals(n), dihedral_relabelings(n)
+    index = {d: f for f, d in enumerate(diagonals)}
+    step, mirror = (
+        [index[relabel_diagonal(relabelings[k], d)] for d in diagonals] for k in (1, n + 3)
+    )
+    return dict(zip(dihedral_images(n), _compose_dihedral(step, mirror, n)))
 
 
 def fit_affine_map(p, q, images, probe):
@@ -542,10 +569,17 @@ def fit_affine_map(p, q, images, probe):
     d times q's row of the probe's image.  The weights w are affine
     (sum w = d), and an affine chart phi of q's hull is one-to-one on it,
     so sum w_k phi(y_k) = d phi(y_v) iff sum w_k y_k = d y_v: the test
-    reads the rows themselves, and q's chart is never made.  Only a probe
-    that fits, or a frame with no vertex outside it, goes on to `_lift`,
-    which decides on every vertex; a miss reads n+2 rows of q and makes no
-    Fraction.
+    reads the rows themselves, and q's chart is never made; a miss reads
+    n+2 rows of q, certifies nothing and makes no Fraction.
+
+    Only a probe that fits, or a frame with no vertex outside it, goes on
+    to `_lift`, which decides on the facets, certifying p and q first if
+    they have not been (CertificationError if one fails).  The map sends
+    every vertex to its image iff it pulls each facet functional of q back
+    to a nonzero multiple of the functional of the facet of p whose
+    members go to its members: then each vertex of p lands on the n facets
+    of q at its image, whose normals are independent in q's hull
+    (`face_lattice` (a)), so it lands on that vertex; see `_lift`.
     """
     if probe is not None:
         v, weights, d = probe
@@ -561,35 +595,69 @@ def _lift(p, q, images):
     """The ambient map p's frame and its `images` fix, if it sends every
     vertex i of p to vertex images[i] of q; else None.
 
+    Decided on the certified facets of p and q, F = n(n+3)/2 of them, read
+    at the n+1 frame rows of p and their images' rows of q, with no vertex
+    pass.  On p's hull the map f is the affine map that sends each frame
+    vertex to its image.  Let sigma be the permutation of the facets that
+    `images` induces on their member sets (`_facet_images`).  For a facet
+    d of p, with functional phi(x) = N . x - c (its normal and level), and
+    q's facet sigma(d), with phi', the pulled-back functional phi' o f must
+    be a nonzero multiple of phi on p's hull.  Both are affine there, so
+    they are fixed by their values at the frame, an affine basis of it, and
+    the test is that phi' at the frame's images is a nonzero multiple of
+    phi at the frame: 2(n+1) dot products of length D per facet, on the
+    integer hull rows, O(F n D) in all, where a check of the map at every
+    vertex costs O(V D^2) for the V = Catalan(n+1) vertices.
+
+    This passes iff every vertex i goes to vertex images[i].  If: phi' o f
+    vanishes where phi does, so f sends every member of d onto sigma(d)'s
+    hyperplane.  Vertex i lies on the n facets of its label, and vertex
+    images[i] of q is a member of each of their images (sigma takes
+    members to the images of members), so f(i) and vertex images[i] lie on
+    the same n hyperplanes of q.  f maps into q's affine hull, where those
+    n normals are independent (`face_lattice` (a)), so the hyperplanes
+    meet it in one point, and f(i) is vertex images[i].  Only if: f then
+    sends d's members, which span d's hyperplane in p's hull, onto
+    sigma(d)'s, so phi' o f is a multiple of phi there, and not 0, since a
+    non-member goes to a non-member, off the hyperplane.
+
     X holds the differences of p's frame rows from the first, x_0, and Y
     those of their images' rows from y_0, all on the integer hull rows
     (scales s_p and s_q).  The map is x -> y_0 + M (x - x_0) with
-    M = Y^T (X X^T)^-1 X times s_p / s_q: it sends each frame vertex to
-    its image, so the whole hull as the frame fixes it, and kills the
-    orthogonal complement of the hull's direction space.  With (G, g) the
-    `integer_inverse` of X X^T, K = Y^T (G X) is g M on the rows, an int
-    matrix, and vertex row r with image row e passes iff
-    K r + (g y_0 - K x_0) == g e: one int pass over the vertices decides
-    exactly.  Only a map that passes is made of Fractions, the matrix
-    s_p K / (s_q g) and the translation (g y_0 - K x_0) / (s_q g).
+    M = Y^T (X X^T)^-1 X times s_p / s_q: it is f on the hull and kills
+    the orthogonal complement of the hull's direction space.  With (G, g)
+    the `integer_inverse` of X X^T, K = Y^T (G X) is g M on the rows, an
+    int matrix.  Only a map that passes is formed, and made of Fractions:
+    the matrix s_p K / (s_q g) and the translation (g y_0 - K x_0) / (s_q g).
     """
     frame, rows, dst_rows = _frame(p.n), p.hull.rows, q.hull.rows
-    x0, y0 = rows[frame[0]], dst_rows[images[frame[0]]]
-    xs = [vsub(rows[i], x0) for i in frame[1:]]
-    ys = [vsub(dst_rows[images[i]], y0) for i in frame[1:]]
+    xr = [rows[i] for i in frame]
+    yr = [dst_rows[images[i]] for i in frame]
+    targets = q.certified_facets
+    for facet, f in zip(p.certified_facets, _facet_images(p.n)[images]):
+        a, b = _values(facet, xr, p.hull.scale), _values(targets[f], yr, q.hull.scale)
+        j = next((k for k, x in enumerate(a) if x), None)
+        if j is None or not b[j] or any(x * b[j] != y * a[j] for x, y in zip(a, b)):
+            return None
+    x0, y0 = xr[0], yr[0]
+    xs = [vsub(r, x0) for r in xr[1:]]
+    ys = [vsub(r, y0) for r in yr[1:]]
     inverse, g = integer_inverse([[sum(map(mul, a, b)) for b in xs] for a in xs])
     projected = [[sum(map(mul, row, col)) for col in zip(*xs)] for row in inverse]
     matrix = [[sum(map(mul, y, col)) for col in zip(*projected)] for y in zip(*ys)]
     shift = [g * b - sum(map(mul, k, x0)) for k, b in zip(matrix, y0)]
-    for r, j in zip(rows, images):
-        e = dst_rows[j]
-        if any(sum(map(mul, k, r)) + b != g * a for k, b, a in zip(matrix, shift, e)):
-            return None
     s, t = p.hull.scale, q.hull.scale * g
     return exactlin.AffineMap(
         matrix=tuple(tuple(Fraction(s * a, t) for a in k) for k in matrix),
         translation=tuple(Fraction(b, t) for b in shift),
     )
+
+
+def _values(facet, rows, scale):
+    """The facet's functional, normal . x - offset / facet.scale, at the
+    int `rows` over `scale` (a multiple of facet.scale), times scale."""
+    level = facet.offset * (scale // facet.scale)
+    return [sum(map(mul, facet.normal, r)) - level for r in rows]
 
 
 @dataclass
@@ -623,9 +691,12 @@ def equivalence_search(p, q):
     count them for every n that can be built).  f keeps affine weights and
     is fixed on the hull by p's frame, so `fit_affine_map(p, q, images,
     probe)`, for sigma's entry of `dihedral_images(n)`, passes at the
-    probe and `_lift` finds f there.  Conversely a map `_lift` returns
-    sends every vertex of p to the vertex of q with the relabelled label,
-    so a witness proves equivalence.
+    probe and `_lift` finds f there: f pulls each facet functional of q
+    back to a nonzero multiple of its preimage's.  Conversely a map whose
+    pullbacks are such multiples puts each vertex of p on the n facets of
+    q that meet only at the vertex with the relabelled label, so a witness
+    proves equivalence (`_lift` gives both directions in full).  On a hit
+    only the F = n(n+3)/2 facets are read, not the Catalan(n+1) vertices.
     """
     if p.n != q.n:
         raise ValueError("polytopes have different n")

@@ -10,8 +10,10 @@ Exit codes are a stable contract:
             mismatched n or a witness too large to write (a number past
             the 4300-digit int-to-str limit; nothing is written to
             stdout), 4 facet certification failure
-  verify:   0 all pass, 1 failure, 3 n_max out of range 1..7,
-            4 facet certification failure
+  verify:   0 all pass, 1 failure (a manifest row that fails, or that
+            raises anything but a CertificationError: the row reads FAIL
+            with `raised <Type>: <text>` as its counterexample), 3 n_max
+            out of range 1..7, 4 facet certification failure
   export:   0 ok, 2 unknown format, malformed file or unwritable --out,
             4 facet certification failure (format off)
 A refusal writes one `error:` line to stderr (`main`) and no stdout.
@@ -149,7 +151,7 @@ def cmd_verify(args):
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
         extra = ""
-        if name == "vertex_counts_catalan":
+        if name == "vertex_counts_catalan" and "expected" in detail:
             extra = "  Catalan counts " + ", ".join(str(c) for c in detail["expected"])
         print(f"{name.ljust(width)}  {status}{extra}")
         if not ok:

@@ -7,7 +7,7 @@ lcm of its denominators, the record the same vertices give as Fractions.
 
 Both codecs work once per distinct value: a builder makes each coordinate
 from local data (Loday's subtree products, GKZ's triangle areas, the
-cluster tight solve), so the n = 6 defaults hold 13 to 213 distinct
+cluster tree potentials), so the n = 6 defaults hold 13 to 213 distinct
 strings among their 3003 to 3861 coordinates.
 """
 

@@ -3,7 +3,9 @@ acceptance test suite.
 
 Each check is a named callable over an n range; all expectations are exact
 (zero tolerance).  Checks return (ok, detail) and the runner assembles a
-pass/fail table in manifest order.
+pass/fail table in manifest order, where a check that raises is a failing
+row: the manifest reports, it does not raise (but a CertificationError
+propagates).
 """
 
 import random
@@ -237,8 +239,16 @@ MANIFEST = [
 
 
 def run_manifest(n_max, seed):
+    """(name, ok, detail) per row, in manifest order.  A row that raises
+    is a failing row whose detail["bad"] is ["raised <Type>: <text>"]; a
+    CertificationError is not caught, as it is `assoc verify`'s rc 4."""
     results = []
     for name, fn in MANIFEST:
-        ok, detail = fn(n_max, seed)
+        try:
+            ok, detail = fn(n_max, seed)
+        except analysis.CertificationError:
+            raise
+        except Exception as exc:
+            ok, detail = False, {"bad": [f"raised {type(exc).__name__}: {exc}"]}
         results.append((name, ok, detail))
     return results

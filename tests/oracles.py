@@ -14,6 +14,7 @@ from associahedra import cluster, minkowski, polygon, secondary
 from associahedra.exactlin import (
     UNDERDETERMINED,
     ZERO,
+    AffineMap,
     echelon_basis,
     integer_inverse,
     integer_scaling,
@@ -290,3 +291,30 @@ def reference_polytopality_check(h, n):
         if slack <= 0
     ]
     return (not violations), violations
+
+
+def vertex_pass_lift(p, q, images):
+    """The integer vertex pass that the facet check of `analysis._lift`
+    replaced: the map x -> y_0 + M (x - x_0), M = Y^T (X X^T)^-1 X times
+    s_p / s_q, that p's frame (vertex 0 and its flips) and its `images`
+    fix, checked at every vertex row r with image row e as
+    K r + (g y_0 - K x_0) == g e, for (G, g) the `integer_inverse` of
+    X X^T and K = Y^T (G X); None if a vertex fails."""
+    frame = (0, *polygon.flip_table(p.n)[0])
+    rows, dst_rows = p.hull.rows, q.hull.rows
+    x0, y0 = rows[frame[0]], dst_rows[images[frame[0]]]
+    xs = [vsub(rows[i], x0) for i in frame[1:]]
+    ys = [vsub(dst_rows[images[i]], y0) for i in frame[1:]]
+    inverse, g = integer_inverse([[sum(map(mul, a, b)) for b in xs] for a in xs])
+    projected = [[sum(map(mul, row, col)) for col in zip(*xs)] for row in inverse]
+    matrix = [[sum(map(mul, y, col)) for col in zip(*projected)] for y in zip(*ys)]
+    shift = [g * b - sum(map(mul, k, x0)) for k, b in zip(matrix, y0)]
+    for r, j in zip(rows, images):
+        e = dst_rows[j]
+        if any(sum(map(mul, k, r)) + b != g * a for k, b, a in zip(matrix, shift, e)):
+            return None
+    s, t = p.hull.scale, q.hull.scale * g
+    return AffineMap(
+        matrix=tuple(tuple(Fraction(s * a, t) for a in k) for k in matrix),
+        translation=tuple(Fraction(b, t) for b in shift),
+    )

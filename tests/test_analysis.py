@@ -56,7 +56,7 @@ from associahedra.minkowski import build_minkowski, ones_weights
 from associahedra.secondary import build_secondary
 from associahedra.serialize import polytope_from_json, polytope_to_json
 
-from oracles import rank, subspace_from_differences
+from oracles import rank, subspace_from_differences, vertex_pass_lift
 
 F = Fraction
 
@@ -267,6 +267,19 @@ def test_dihedral_images_is_the_naive_relabel_and_index_table(n):
     # the identity first, and one table per n, shared
     assert table[0] == tuple(range(size)) and dihedral_images(n) is table
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_facet_images_map_member_sets_to_member_sets(n):
+    # each entry's facet permutation, read off the member sets one by one
+    _, plan, _ = analysis._facet_plan(n)
+    index = {members: f for f, (members, *_) in enumerate(plan)}
+    naive = {
+        images: tuple(index[frozenset(images[i] for i in members)] for members, *_ in plan)
+        for images in dihedral_images(n)
+    }
+    table = analysis._facet_images(n)
+    assert table == naive and analysis._facet_images(n) is table
 
 def test_fit_identity():
     p = build_minkowski(ones_weights(2), 2)
@@ -912,6 +925,107 @@ def test_a_miss_reads_one_vertex_outside_the_frame(monkeypatch, n):
             assert read == [*independent, v]
             assert rows_read == [images[i] for i in read]
         assert calls == [] and charts == []
+
+
+
+class _ReadsAll(_Reads):
+    """A `_Reads` that also records a pass over all of it, as None."""
+
+    def __iter__(self):
+        self.log.append(None)
+        return super().__iter__()
+
+
+def _logging_rows(p, log):
+    """p with its hull rows recording their reads in `log`, certified
+    (the certificate reads every row) before the log is cleared."""
+    p = dataclasses.replace(p, hull=p.hull._replace(rows=_ReadsAll(p.hull.rows, log)))
+    extract_facets(p)
+    log.clear()
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_hit_reads_the_frames_and_the_probe_only(n):
+    # a hit is decided on the certified facets: q's rows are read at the
+    # images of the frame and of the probe, p's at the frame, and neither
+    # is passed over, so there is no vertex pass
+    rng = random.Random(50 + n)
+    independent = frame(n)
+    for construction in CONSTRUCTIONS:
+        p = drawn(construction, n, rng)
+        perm = rng.choice(dihedral_relabelings(n))
+        q = unimodular_relabelled_image(p, rng, perm)
+        src_read, dst_read = [], []
+        src, dst = _logging_rows(p, src_read), _logging_rows(q, dst_read)
+        probe = src.hull.probe
+        src_read.clear()
+        images = dihedral_images(n)[dihedral_relabelings(n).index(perm)]
+        witness = fit_affine_map(src, dst, images, probe)
+        assert witness is not None and witness == vertex_pass_lift(p, q, images)
+        assert set(src_read) == set(independent)
+        assert set(dst_read) == {images[i] for i in (*independent, probe[0])}
+
+
+def _mutations(q):
+    """q's certified facets with one replaced, every facet in turn: by a
+    parallel hyperplane (its level moved by 1), then by one tilted about
+    its first member (another facet's normal added, one not parallel)."""
+    facets = list(q.certified_facets)
+    for f, facet in enumerate(facets):
+        shifted = dataclasses.replace(facet, offset=facet.offset + facet.scale)
+        other = next(e for e in facets if e.normal != facet.normal)
+        tilt = [a + b for a, b in zip(facet.normal, other.normal)]
+        member = q.hull.rows[min(facet.vertex_indices)]
+        tilted = analysis._descriptor(
+            facet.diagonal, facet.vertex_indices, tilt, member, q.hull.scale
+        )
+        for replaced in (shifted, tilted):
+            yield facets[:f] + [replaced] + facets[f + 1 :]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_a_witness_needs_every_facet_of_the_target(construction, n):
+    # the facet check reads q's certified facets: replace any one of them
+    # by a parallel or a tilted hyperplane and no relabeling fits
+    rng = random.Random(60 + n)
+    p = drawn(construction, n, rng)
+    q = unimodular_relabelled_image(p, rng)
+    assert equivalence_search(p, q).witness is not None
+    for facets in _mutations(q):
+        mutated = dataclasses.replace(q)
+        vars(mutated)["certified_facets"] = tuple(facets)
+        assert equivalence_search(p, mutated).witness is None
+
+
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_witness_equals_the_vertex_pass_at_n7(construction):
+    # one seeded image of the n = 7 default: every relabeling whose probe
+    # fits is decided as the integer vertex pass decides it, and the
+    # search's witness is the vertex pass's map
+    n, c = 7, CONSTRUCTIONS[construction]
+    p = c.build(c.default(n), n)
+    q = unimodular_relabelled_image(p, random.Random(70))
+    probe, fitted = p.hull.probe, []
+    for images in dihedral_images(n):
+        got = fit_affine_map(p, q, images, probe)
+        if _probe_fits(q, images, probe):
+            fitted.append(images)
+            assert got == vertex_pass_lift(p, q, images)
+        else:
+            assert got is None
+    hits = [images for images in fitted if vertex_pass_lift(p, q, images) is not None]
+    assert hits
+    assert equivalence_search(p, q).witness == vertex_pass_lift(p, q, hits[0])
+
+
+def _probe_fits(q, images, probe):
+    v, weights, d = probe
+    columns = zip(*(q.hull.rows[images[i]] for i in frame(q.n)))
+    return all(
+        sum(map(mul, weights, col)) == d * a for col, a in zip(columns, q.hull.rows[images[v]])
+    )
 
 
 def _swap_labels(p, i, j, params=None):

@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -500,6 +502,34 @@ def test_a_dependent_cluster_is_a_fail_row(monkeypatch, fresh_trees, capsys):
     assert cli.main(["verify", "--n-max", "2"]) == 1
     assert capsys.readouterr().out.startswith("cluster_fan_certificate  FAIL\n")
 
+
+
+def test_a_row_that_raises_is_a_fail_row(monkeypatch, fresh_trees, capsys):
+    # the whole manifest at n_max = 2 with a ray repeated at n = 2: each
+    # row that builds the n = 2 cluster polytope raises, and reads FAIL
+    # with the exception as its counterexample; `assoc verify` exits 1
+    # with no traceback and no error line
+    normals = cluster.ray_normals(2)
+    normals[polygon.all_diagonals(2).index((0, 3))] = normals[polygon.all_diagonals(2).index((0, 2))]
+    ray_normals = cluster.ray_normals
+    monkeypatch.setattr(cluster, "ray_normals", lambda n: normals if n == 2 else ray_normals(n))
+    fresh = functools.lru_cache(maxsize=None)(verification.build_all_defaults.__wrapped__)
+    monkeypatch.setattr(verification, "build_all_defaults", fresh)
+    raised = "raised AssertionError: rays of ((0, 2), (0, 3)) are not a spanning tree"
+    rows = verification.run_manifest(2, 0)
+    assert [name for name, _, _ in rows] == [name for name, _ in verification.MANIFEST]
+    failed = {name: detail["bad"] for name, ok, detail in rows if not ok}
+    assert failed["vertex_counts_catalan"] == [raised]
+    assert failed["cluster_fan_certificate"][0][0] == 2
+    assert all(bad == [raised] for name, bad in failed.items() if name != "cluster_fan_certificate")
+    assert cli.main(["verify", "--n-max", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    width = max(len(name) for name, _ in verification.MANIFEST)
+    lines = out.splitlines()
+    row = lines.index(f"{'vertex_counts_catalan'.ljust(width)}  FAIL")
+    assert lines[row + 1] == f"  first counterexample: {json.dumps(repr([raised]))}"
+    assert sum(line.endswith("FAIL") for line in lines) == len(failed)
 
 # sha256 of repr([ray_normals(n) for n in 1..7]) as the snake check made
 # them when it looked the snake up among all triangulations

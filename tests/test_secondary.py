@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from associahedra import polygon
 from associahedra.sampling import random_convex_geometry
 from associahedra.secondary import (
+    area_table,
     build_secondary,
     geometry_problem,
     parabola_geometry,
@@ -37,6 +40,20 @@ def test_integer_builder_matches_fraction_reference(n):
         want = [(reference_gkz_vector(coords, t, n), t) for t in polygon.all_triangulations(n)]
         assert list(build_secondary(coords=coords, n=n).vertices) == want
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_area_table_is_each_area_in_lowest_terms(n):
+    # each entry over the one denominator is the Fraction area of its
+    # triangle, and entries and denominator share no factor
+    rng = random.Random(400 + n)
+    for coords in [parabola_geometry(n)] + [random_convex_geometry(n, rng) for _ in range(3)]:
+        table, denominator = area_table(coords)
+        assert sorted(table) == list(combinations(range(n + 3), 3))
+        for (a, b, c), entry in table.items():
+            area = abs(signed_area2(coords[a], coords[b], coords[c])) / 2
+            assert Fraction(entry, denominator) == area
+        assert denominator > 0 and gcd(denominator, *table.values()) == 1
 
 def reference_geometry_problem(coords):
     """`geometry_problem` on the Fraction points themselves."""
