@@ -8,25 +8,25 @@ vertex's entries at the pivot columns of the hull's basis, less vertex
 0's, where every affine functional of the hull keeps its signs and zeros.
 A facet's chart normal is its construction's closed form if the polytope
 has params and that passes, else the kernel of the differences of the
-first member and that member's flips of its other diagonals, and one
-projection per polytope lifts it to the ambient normal that is reported.
-Then every member must lie on the hyperplane and every other vertex
-strictly on one side: the lane certificate (`exactlin.lane_failures`)
-checks all n(n+3)/2 facet inequalities at a vertex's chart row with one
-packed big-integer product per chart column.  Each facet's value sits in its own lane of one
-Python int, wide enough (one bit over |c|_1 max|y| + |offset| + 1, for
-its chart normal c and the chart rows y) that a negative value always
-borrows into its own lane's top bit, so two masks read the verdict.
-Each polytope object certifies its facets once, on first use, and keeps
-them, unless its builder has certified their normals and the polytope
-carries those (`make_polytope`'s `normals`: the cluster build, whose
-tight-vertex lane pass is this certificate on its rays).  `face_lattice` reads
-off them and the polygon's ridge incidence that these facets are all the
-facets and the flips the edges.  What else
+first member and that member's flips of its other diagonals; the facet
+keeps it, and lifts it to the ambient normal on first read.  Then every
+member must lie on the hyperplane and every other vertex strictly on one
+side: the lane certificate (`exactlin.lane_failures`) checks all
+n(n+3)/2 facet inequalities at a vertex's chart row with one packed
+big-integer product per chart column.  Each facet's value sits in its
+own lane of one Python int, wide enough (one bit over |c|_1 max|y| +
+|offset| + 1, for its chart normal c and the chart rows y) that a
+negative value always borrows into its own lane's top bit, so two masks
+read the verdict.  Each polytope object certifies its facets once, on
+first use, and keeps them, unless its builder has certified their
+normals and the polytope carries those (`make_polytope`'s `normals`: the
+cluster build, whose tight-vertex lane pass is this certificate on its
+rays).  `face_lattice` reads off them and the polygon's ridge incidence
+that these facets are all the facets and the flips the edges.  What else
 a passed certificate settles is read off it, not decided again:
-parallelism from the normals (`parallel_pairs`), which facets meet from
-the diagonals (`special_profile`), and equivalence from the dihedral
-relabelings alone (`equivalence_search`).
+parallelism from the chart normals (`parallel_pairs`), which facets meet
+from the diagonals (`special_profile`), and equivalence from the
+dihedral relabelings alone (`equivalence_search`).
 
 A polytope is its n, whose triangulations are its labels, and its `Hull`
 record: the vertices as integer rows over one positive scale, in lowest
@@ -34,8 +34,9 @@ terms.  Everything here reads the labels and the rows; no Fraction is
 made for a vertex or a facet unless a caller reads one.
 `LabeledPolytope.vertices` (the Fraction coordinates,
 for demos, viewers and tests) and `FacetDescriptor.hyperplane` (a facet's
-Fraction hyperplane) are made on first read and kept.  Besides these, the
-analysis makes Fractions only for a lifted witness.  Files are coded
+Fraction hyperplane) are made on first read and kept, as is a facet's
+ambient `FacetDescriptor.normal`.  Besides these, the analysis makes
+Fractions only for a lifted witness.  Files are coded
 straight to and from the rows (`serialize`).
 
 Each polytope's affine hull is read off vertex 0 and its n flips when it
@@ -56,16 +57,16 @@ one probe vertex, the source's first vertex outside its frame
 `integer_inverse` per search, must give its image's integer hull row from
 theirs, so a miss reads n+2 rows of the target and makes no chart of it.
 Only a relabeling whose probe fits is decided, on the certified facets
-rather than the vertices: each facet's functional of the target, pulled
-back by the map the frame and its images fix, must be a nonzero multiple
-of its preimage's, read at the n+1 frame rows (`_lift`).  Only a map that
-passes is formed, on the hull and extended off it by orthogonal
-projection, and made of Fractions.
+rather than the vertices: each facet's chart functional of the target,
+pulled back by the map the frame and its images fix, must be a nonzero
+multiple of its preimage's, read at the n+1 frame rows (`_lift`), so a
+search lifts no normal.  Only a map that passes is formed, on the hull
+and extended off it by orthogonal projection, and made of Fractions.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from math import gcd
 from operator import mul
@@ -169,20 +170,16 @@ class LabeledPolytope:
     @cached_property
     def certified_facets(self):
         """The facets, made on first use and kept on this object: from the
-        normals its builder certified (`carried_normals`, by `_descriptor`,
-        as `_certify_facets` makes them), or else certified here
-        (`_certify_facets`).  Neither is seen by equality, hash, repr or
-        files, so a polytope loaded from a file certifies from scratch.  A
-        failed certificate is not kept, so it raises again on the next
+        normals its builder certified (`carried_normals`, taken to the
+        chart by `_chart_normals`), or else certified here
+        (`_certify_facets`).  Neither is seen by equality, hash, repr
+        or files, so a polytope loaded from a file certifies from scratch.
+        A failed certificate is not kept, so it raises again on the next
         use."""
         if self.carried_normals is None:
             return tuple(_certify_facets(self))
-        diagonals, plan, _ = _facet_plan(self.n)
-        rows, scale = self.hull.rows, self.hull.scale
-        return tuple(
-            _descriptor(d, members, self.carried_normals[d], rows[v], scale)
-            for d, (members, v, *_) in zip(diagonals, plan)
-        )
+        normals = map(self.carried_normals.get, polygon.all_diagonals(self.n))
+        return tuple(_records(self, _chart_normals(self.hull, normals)))
 
 
 def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None, normals=None):
@@ -265,20 +262,51 @@ def _flip_basis(rows, n):
     raise ValueError(f"vertex 0 and its flips {tuple(flips)} do not span the affine hull")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FacetDescriptor:
+    """A certified facet as the certificate made it: its diagonal, members
+    (`vertex_indices`), first member and chart normal c, primitive with its
+    first nonzero entry positive, so that c . x[pivots] - level is 0 on the
+    members and has one sign, not 0, at every other vertex row x of `hull`.
+    The ambient `normal` (primitive, first nonzero entry positive, in the
+    hull's direction space), `offset` and `scale` (normal . x = offset /
+    scale, in lowest terms) and the Fraction `hyperplane` are lifted on
+    first read and kept, through the polytope's one `_normal_lift` matrix
+    (`lift`, made on its first call).  Equal hulls give equal charts, so
+    equal facets are those with equal hulls and chart functionals."""
+
     diagonal: tuple
     vertex_indices: frozenset
-    normal: tuple  # primitive int normal in the hull's direction space, first nonzero > 0
-    # the facet's hyperplane is normal . x = offset / scale, in lowest terms
-    offset: int
-    scale: int
+    chart_normal: tuple
+    level: int
+    member: int
+    hull: Hull = field(repr=False)
+    lift: object = field(compare=False, repr=False)
+    _ambient: tuple = field(default=None, init=False, compare=False, repr=False)
+    _hyperplane: object = field(default=None, init=False, compare=False, repr=False)
 
-    @cached_property
+    def _lifted(self):
+        """(normal, offset, scale), made on first read."""
+        if self._ambient is None:
+            normal = [sum(map(mul, row, self.chart_normal)) for row in self.lift()]
+            g = gcd(*normal) * (1 if next(a for a in normal if a) > 0 else -1)
+            normal = tuple(a // g for a in normal)
+            offset, scale = sum(map(mul, normal, self.hull.rows[self.member])), self.hull.scale
+            g = gcd(offset, scale)
+            self._ambient = normal, offset // g, scale // g
+        return self._ambient
+
+    normal = property(lambda self: self._lifted()[0])
+    offset = property(lambda self: self._lifted()[1])
+    scale = property(lambda self: self._lifted()[2])
+
+    @property
     def hyperplane(self):
         """The Fraction hyperplane (`exactlin.make_hyperplane`, first
         nonzero normal entry 1), made on first read and kept."""
-        return make_hyperplane(self.normal, Fraction(self.offset, self.scale))
+        if self._hyperplane is None:
+            self._hyperplane = make_hyperplane(self.normal, Fraction(self.offset, self.scale))
+        return self._hyperplane
 
 
 def extract_facets(p):
@@ -305,14 +333,13 @@ def _certify_facets(p, kernels=False):
     is the kernel (`exactlin.integer_kernel`) of the chart differences
     w - v, for the flips w of the first member v at its other n-1
     diagonals (`polygon.flip_table`), which carry the diagonal too; what
-    depends on n alone is laid out once per n (`_facet_plan`).  c is lifted
-    to the primitive ambient normal, first nonzero entry positive, by one
-    matrix per polytope (`_normal_lift`), and oriented by its sign at the
-    first non-member (a 0 there fails either way).  `exactlin.lane_failures`
-    then checks at every chart row y, for all F = n(n+3)/2 facets at once
-    in the lanes of one Python int, that c.y - c.y_v is 0 on members and
-    positive elsewhere.  The Fraction hyperplane is made only when a caller
-    reads it (`FacetDescriptor.hyperplane`).
+    depends on n alone is laid out once per n (`_facet_plan`).  c is
+    oriented by its sign at the first non-member (a 0 there fails either
+    way).  `exactlin.lane_failures` then checks at every chart row y, for
+    all F = n(n+3)/2 facets at once in the lanes of one Python int, that
+    c.y - c.y_v is 0 on members and positive elsewhere.  Each facet keeps c
+    (`_records`); no normal is lifted to the ambient space here, only when
+    a caller reads it (`FacetDescriptor.normal`).
 
     Suppose the certificate holds.  Let d_1..d_n be v's diagonals, N_j
     their normals and w_j v's flip at d_j.  w_j carries every d_i but d_j,
@@ -334,13 +361,12 @@ def _certify_facets(p, kernels=False):
     """
     proposal = None if kernels else _proposed_normals(p)
     diagonals, plan, tight = _facet_plan(p.n)
-    rows, scale, chart = p.hull.rows, p.hull.scale, p.hull.chart
-    lift = _normal_lift(p.hull)
-    facets, functionals = [], []
+    chart = p.hull.chart
+    functionals = []
     for f, (d, facet) in enumerate(zip(diagonals, plan)):
         if facet is None:
             raise CertificationError(f"diagonal {d}: no vertices carry it")
-        members, v, flips, out = facet
+        _, v, flips, out = facet
         y = chart[v]
         # a kernel is None unless they span a codim-1 flat of the hull: fewer than n do not
         c = proposal[f] if proposal else integer_kernel([vsub(chart[w], y) for w in flips], p.n)
@@ -350,8 +376,6 @@ def _certify_facets(p, kernels=False):
         if sum(map(mul, c, chart[out])) < level:
             c, level = [-a for a in c], -level
         functionals.append((c, level))
-        normal = [sum(map(mul, row, c)) for row in lift]
-        facets.append(_descriptor(d, members, normal, rows[v], scale))
     failures = lane_failures(functionals, chart, tight)
     if failures and proposal:
         return _certify_facets(p, kernels=True)
@@ -361,35 +385,40 @@ def _certify_facets(p, kernels=False):
         if (f, True) in failed:
             raise CertificationError(f"diagonal {diagonals[f]}: member off its hyperplane")
         raise CertificationError(f"diagonal {diagonals[f]}: hyperplane is not supporting")
+    return _records(p, [c for c, _ in functionals])
+
+
+def _records(p, normals):
+    """p's facets for their primitive chart normals c, in diagonal order:
+    c signed with its first nonzero entry positive and its level
+    c . x[pivots] read at the first member's row x.  One lift, made on its
+    first call, serves them all."""
+    diagonals, plan, _ = _facet_plan(p.n)
+    hull = p.hull
+    lift = cache(lambda: _normal_lift(hull))
+    facets = []
+    for c, d, (members, v, *_) in zip(normals, diagonals, plan):
+        c = tuple(c) if next(a for a in c if a) > 0 else tuple(-a for a in c)
+        level = sum(hull.rows[v][k] * a for k, a in zip(hull.pivots, c))
+        facets.append(FacetDescriptor(d, members, c, level, v, hull, lift))
     return facets
 
 
-def _descriptor(d, members, normal, row, scale):
-    """Diagonal d's facet, for its `members` and a nonzero int `normal` of
-    it in the hull's direction space: the normal made primitive with its
-    first nonzero entry positive, and the offset read at a member's `row`
-    over `scale`, in lowest terms."""
-    g = gcd(*normal)
-    if next(a for a in normal if a) < 0:
-        g = -g
-    normal = tuple(a // g for a in normal)
-    offset = sum(map(mul, normal, row))
-    g = gcd(offset, scale)
-    return FacetDescriptor(
-        diagonal=d, vertex_indices=members, normal=normal, offset=offset // g, scale=scale // g
-    )
+def _chart_normals(hull, normals):
+    """The int ambient `normals` as primitive chart functionals (N.basis_k)_k."""
+    return primitive_rows([[sum(map(mul, b, a)) for b in hull.basis] for a in normals])
 
 
 def _proposed_normals(p):
     """Its construction's facet normals (`Construction.normals`) on p's
-    chart, primitive; None without params or if one is 0 on the hull."""
+    chart (`_chart_normals`); None without params or if one is 0 on the
+    hull."""
     from .constructions import CONSTRUCTIONS  # it imports the builders, which import this
 
     c = CONSTRUCTIONS.get(p.construction)
     if c is None or c.key not in p.params:
         return None
-    normals = c.normals(p.params[c.key], p.n)
-    proposal = primitive_rows([[sum(map(mul, b, a)) for b in p.hull.basis] for a in normals])
+    proposal = _chart_normals(p.hull, c.normals(p.params[c.key], p.n))
     return proposal if all(map(any, proposal)) else None
 
 
@@ -438,10 +467,11 @@ def parallel_pairs(facets):
     sorted within a pair (facets come in diagonal order) and between pairs.
     A facet's direction space is its normal's orthogonal complement in the
     hull's direction space, where the normal lies, so the pairs are those
-    of equal primitive normals."""
+    of parallel normals.  The chart is a linear isomorphism of that space,
+    so they are the pairs of equal chart normals (`FacetDescriptor`)."""
     classes = {}
     for f in facets:
-        classes.setdefault(f.normal, []).append(f.diagonal)
+        classes.setdefault(f.chart_normal, []).append(f.diagonal)
     return sorted(
         (c[i], c[j]) for c in classes.values() for i in range(len(c)) for j in range(i + 1, len(c))
     )
@@ -597,17 +627,18 @@ def _lift(p, q, images):
 
     Decided on the certified facets of p and q, F = n(n+3)/2 of them, read
     at the n+1 frame rows of p and their images' rows of q, with no vertex
-    pass.  On p's hull the map f is the affine map that sends each frame
-    vertex to its image.  Let sigma be the permutation of the facets that
-    `images` induces on their member sets (`_facet_images`).  For a facet
-    d of p, with functional phi(x) = N . x - c (its normal and level), and
-    q's facet sigma(d), with phi', the pulled-back functional phi' o f must
-    be a nonzero multiple of phi on p's hull.  Both are affine there, so
-    they are fixed by their values at the frame, an affine basis of it, and
-    the test is that phi' at the frame's images is a nonzero multiple of
-    phi at the frame: 2(n+1) dot products of length D per facet, on the
-    integer hull rows, O(F n D) in all, where a check of the map at every
-    vertex costs O(V D^2) for the V = Catalan(n+1) vertices.
+    pass and no lifted normal.  On p's hull the map f is the affine map that
+    sends each frame vertex to its image.  Let sigma be the permutation of
+    the facets that `images` induces on their member sets (`_facet_images`).
+    For a facet d of p, with functional phi(x) = N . x - c (its normal and
+    level), and q's facet sigma(d), with phi', the pulled-back functional
+    phi' o f must be a nonzero multiple of phi on p's hull.  Both are affine
+    there, so they are fixed by their values at the frame, an affine basis
+    of it, and the test is that phi' at the frame's images is a nonzero
+    multiple of phi at the frame, read as the facet's chart functional (on
+    the hull a positive multiple of phi, see `FacetDescriptor`): 2(n+1) dot
+    products of length n per facet, O(F n^2) in all, where a check of the
+    map at every vertex costs O(V D^2) for the V = Catalan(n+1) vertices.
 
     This passes iff every vertex i goes to vertex images[i].  If: phi' o f
     vanishes where phi does, so f sends every member of d onto sigma(d)'s
@@ -633,9 +664,13 @@ def _lift(p, q, images):
     frame, rows, dst_rows = _frame(p.n), p.hull.rows, q.hull.rows
     xr = [rows[i] for i in frame]
     yr = [dst_rows[images[i]] for i in frame]
+    xc = [[r[k] for k in p.hull.pivots] for r in xr]
+    yc = [[r[k] for k in q.hull.pivots] for r in yr]
     targets = q.certified_facets
     for facet, f in zip(p.certified_facets, _facet_images(p.n)[images]):
-        a, b = _values(facet, xr, p.hull.scale), _values(targets[f], yr, q.hull.scale)
+        # each facet's chart functional at the frame rows and their images'
+        a = [sum(map(mul, facet.chart_normal, x)) - facet.level for x in xc]
+        b = [sum(map(mul, targets[f].chart_normal, y)) - targets[f].level for y in yc]
         j = next((k for k, x in enumerate(a) if x), None)
         if j is None or not b[j] or any(x * b[j] != y * a[j] for x, y in zip(a, b)):
             return None
@@ -651,13 +686,6 @@ def _lift(p, q, images):
         matrix=tuple(tuple(Fraction(s * a, t) for a in k) for k in matrix),
         translation=tuple(Fraction(b, t) for b in shift),
     )
-
-
-def _values(facet, rows, scale):
-    """The facet's functional, normal . x - offset / facet.scale, at the
-    int `rows` over `scale` (a multiple of facet.scale), times scale."""
-    level = facet.offset * (scale // facet.scale)
-    return [sum(map(mul, facet.normal, r)) - level for r in rows]
 
 
 @dataclass

@@ -297,9 +297,12 @@ def build_cluster_polytope(h, n):
             for beta, beta_p, deficit in violations[:3]
         )
         raise ValueError(f"support values fail the wall check: {walls}") from None
+    from .constructions import CONSTRUCTIONS  # it imports this module
+
     pairs = zip(rows, polygon.all_triangulations(n))
+    width = CONSTRUCTIONS["cluster"].ambient_dim(n)
     return make_polytope(
-        "cluster", n, n + 1, pairs, params={"h": dict(h)}, scale=scale, normals=normals
+        "cluster", n, width, pairs, params={"h": dict(h)}, scale=scale, normals=normals
     )
 
 

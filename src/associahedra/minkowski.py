@@ -71,8 +71,11 @@ def build_minkowski(a, n):
     exactly one positive weight per summand."""
     check_weights(a, n)
     table, denominator = interval_table(a, n)
+    from .constructions import CONSTRUCTIONS  # it imports this module
+
     pairs = [(_row(table, t, n), t) for t in polygon.all_triangulations(n)]
-    return make_polytope("minkowski", n, n + 1, pairs, params={"a": dict(a)}, scale=denominator)
+    width = CONSTRUCTIONS["minkowski"].ambient_dim(n)
+    return make_polytope("minkowski", n, width, pairs, params={"a": dict(a)}, scale=denominator)
 
 
 def verify_correspondence(p, n):

@@ -108,6 +108,8 @@ def build_secondary(coords=None, *, n):
     check_geometry(coords, n)
     table, denominator = area_table(coords)
     pairs = [(_area_row(table, t, n), t) for t in polygon.all_triangulations(n)]
-    params = {"coords": coords}
-    return make_polytope("secondary", n, n + 3, pairs, params=params, scale=denominator)
+    from .constructions import CONSTRUCTIONS  # it imports this module
+
+    width, params = CONSTRUCTIONS["secondary"].ambient_dim(n), {"coords": coords}
+    return make_polytope("secondary", n, width, pairs, params=params, scale=denominator)
 

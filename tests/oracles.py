@@ -6,7 +6,7 @@ path used them."""
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -18,6 +18,7 @@ from associahedra.exactlin import (
     echelon_basis,
     integer_inverse,
     integer_scaling,
+    make_hyperplane,
     primitive_rows,
     rref,
     solve_linear,
@@ -318,3 +319,33 @@ def vertex_pass_lift(p, q, images):
         matrix=tuple(tuple(Fraction(s * a, t) for a in k) for k in matrix),
         translation=tuple(Fraction(b, t) for b in shift),
     )
+
+
+def eager_facets(p, normals=None):
+    """Each certified facet of p as (diagonal, members, normal, offset,
+    scale, hyperplane), made as the facet certificate made them before
+    normals were lifted on first read: from `normals`, the ambient normals
+    p's builder carried, by diagonal, or else from each facet's chart
+    normal c lifted by one matrix per polytope, B^T (d G^-1) for B the
+    hull's basis and (d G^-1, d) the `integer_inverse` of its Gram matrix
+    B B^T; then made primitive with its first nonzero entry positive, and
+    the offset read at the first member's row over the hull's scale, in
+    lowest terms."""
+    basis, rows, scale = p.hull.basis, p.hull.rows, p.hull.scale
+    inverse, _ = integer_inverse([[sum(map(mul, a, b)) for b in basis] for a in basis])
+    lift = [[sum(map(mul, column, m)) for m in zip(*inverse)] for column in zip(*basis)]
+    out = []
+    for f in p.certified_facets:
+        if normals is None:
+            normal = [sum(map(mul, row, f.chart_normal)) for row in lift]
+        else:
+            normal = normals[f.diagonal]
+        g = gcd(*normal)
+        if next(a for a in normal if a) < 0:
+            g = -g
+        normal = tuple(a // g for a in normal)
+        offset = sum(map(mul, normal, rows[min(f.vertex_indices)]))
+        g = gcd(offset, scale)
+        hyperplane = make_hyperplane(normal, Fraction(offset // g, scale // g))
+        out.append((f.diagonal, f.vertex_indices, normal, offset // g, scale // g, hyperplane))
+    return out

@@ -23,11 +23,11 @@ from associahedra import (
 )
 from associahedra.analysis import (
     CertificationError,
-    FacetDescriptor,
     dihedral_images,
     dihedral_relabelings,
     equivalence_search,
     extract_facets,
+    face_lattice,
     fit_affine_map,
     make_polytope,
     parallel_pairs,
@@ -35,6 +35,7 @@ from associahedra.analysis import (
     relabel_triangulation,
     special_profile,
 )
+from associahedra.cli import analyze_report
 from associahedra.cluster import build_cluster_polytope, default_support_values
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
@@ -56,7 +57,7 @@ from associahedra.minkowski import build_minkowski, ones_weights
 from associahedra.secondary import build_secondary
 from associahedra.serialize import polytope_from_json, polytope_to_json
 
-from oracles import rank, subspace_from_differences, vertex_pass_lift
+from oracles import eager_facets, rank, subspace_from_differences, vertex_pass_lift
 
 F = Fraction
 
@@ -452,7 +453,8 @@ def reference_extract_facets(p):
 
 def reference_certify_facets(p):
     """The scalar certificate the lane certificate replaced: one integer
-    dot product of each facet's normal per vertex row."""
+    dot product of each facet's normal per vertex row.  Each facet is
+    recorded as (diagonal, members, normal, offset, scale)."""
     rows, scale, labels = p.hull.rows, p.hull.scale, p.labels
     basis = primitive_rows(subspace_from_differences([c for c, _ in p.vertices]).basis)
     flips = polygon.flip_table(p.n)
@@ -481,16 +483,17 @@ def reference_certify_facets(p):
         if not (all(x > 0 for x in outside) or all(x < 0 for x in outside)):
             raise CertificationError(f"diagonal {d}: hyperplane is not supporting")
         g = gcd(offset, scale)
-        facets.append(
-            FacetDescriptor(
-                diagonal=d,
-                vertex_indices=members,
-                normal=tuple(normal),
-                offset=offset // g,
-                scale=scale // g,
-            )
-        )
+        facets.append((d, members, tuple(normal), offset // g, scale // g))
     return facets
+
+
+def certified(p):
+    """`analysis._certify_facets`, each facet recorded as the reference
+    records it, with its normal, offset and scale read (lifted) here."""
+    return [
+        (f.diagonal, f.vertex_indices, f.normal, f.offset, f.scale)
+        for f in analysis._certify_facets(p)
+    ]
 
 
 def reference_facet_problems(p):
@@ -800,7 +803,6 @@ def test_equivalence_search_weighs_only_the_source_chart(monkeypatch):
     monkeypatch.setattr(analysis, "integer_inverse", recording)
     b = builds(3)
     for p, q in ((b["secondary"], b["cluster"]), (b["minkowski"], b["minkowski"])):
-        # the facet certificate inverts each polytope's Gram matrix once:
         # certify both first, so that the calls are the search's own
         for r in (p, q):
             extract_facets(r)
@@ -968,19 +970,21 @@ def test_a_hit_reads_the_frames_and_the_probe_only(n):
 
 
 def _mutations(q):
-    """q's certified facets with one replaced, every facet in turn: by a
+    """q's certified facets with one replaced, every facet in turn, in the
+    chart functional c . x[pivots] - level that `_lift` reads: by a
     parallel hyperplane (its level moved by 1), then by one tilted about
-    its first member (another facet's normal added, one not parallel)."""
+    its first member (another facet's chart normal added, one not
+    parallel)."""
     facets = list(q.certified_facets)
     for f, facet in enumerate(facets):
-        shifted = dataclasses.replace(facet, offset=facet.offset + facet.scale)
-        other = next(e for e in facets if e.normal != facet.normal)
-        tilt = [a + b for a, b in zip(facet.normal, other.normal)]
-        member = q.hull.rows[min(facet.vertex_indices)]
-        tilted = analysis._descriptor(
-            facet.diagonal, facet.vertex_indices, tilt, member, q.hull.scale
-        )
-        for replaced in (shifted, tilted):
+        c = facet.chart_normal
+        other = next(e for e in facets if e.chart_normal != c)
+        tilt = tuple(a + b for a, b in zip(c, other.chart_normal))
+        level = sum(a * q.hull.rows[facet.member][k] for a, k in zip(tilt, q.hull.pivots))
+        for replaced in (
+            dataclasses.replace(facet, level=facet.level + 1),
+            dataclasses.replace(facet, chart_normal=tilt, level=level),
+        ):
             yield facets[:f] + [replaced] + facets[f + 1 :]
 
 
@@ -997,6 +1001,62 @@ def test_a_witness_needs_every_facet_of_the_target(construction, n):
         mutated = dataclasses.replace(q)
         vars(mutated)["certified_facets"] = tuple(facets)
         assert equivalence_search(p, mutated).witness is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+def test_lazy_normals_equal_the_eager_lift(construction, n):
+    # the default and a seeded draw on every path that makes facets: the
+    # proposed normals (a build, and a loaded file with its params), the
+    # kernels (no params, and the manifest's shear) and the carried normals
+    # (a cluster build); each field is read lazily, after the reference
+    c = CONSTRUCTIONS[construction]
+    for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(90 + n))):
+        loaded = polytope_from_json(polytope_to_json(p))
+        kernels = (_without_params(p), verification._shear_translate(p))
+        for q in (p, loaded, *kernels):
+            want = eager_facets(q, q.carried_normals)
+            facets = extract_facets(q)
+            got = [(f.diagonal, f.vertex_indices, f.normal, f.offset, f.scale) for f in facets]
+            assert got == [w[:5] for w in want]
+            assert [f.hyperplane for f in facets] == [w[5] for w in want]
+            # pairs by signed primitive chart normal are those of equal
+            # primitive ambient normals
+            classes = {}
+            for f in facets:
+                classes.setdefault(f.normal, []).append(f.diagonal)
+            by_normal = [pair for ds in classes.values() for pair in itertools.combinations(ds, 2)]
+            assert parallel_pairs(facets) == sorted(by_normal)
+        # only a cluster build carries its normals
+        assert (p.carried_normals is not None) == (construction == "cluster")
+
+
+def test_reports_and_searches_lift_no_normal(monkeypatch):
+    # analysis, the face lattice and a search, hit or miss, read the chart
+    # functionals alone; the first normal read lifts its polytope's once
+    lifts = []
+    _counting(monkeypatch, analysis, "_normal_lift", lifts)
+    n, rng = 5, random.Random(95)
+    loaded = {
+        name: polytope_from_json(polytope_to_json(c.build(c.default(n), n)))
+        for name, c in CONSTRUCTIONS.items()
+    }
+    images = []
+    for name, p in loaded.items():
+        images.append(unimodular_relabelled_image(p, rng))
+        other = loaded[next(o for o in loaded if o != name)]
+        analyze_report(p)
+        face_lattice(p)
+        assert equivalence_search(p, images[-1]).witness is not None
+        assert equivalence_search(p, other).witness is None
+    assert lifts == []
+    for q in [*loaded.values(), *images]:
+        facets = extract_facets(q)
+        facets[-1].normal
+        assert len(lifts) == 1
+        [(f.normal, f.offset, f.scale, f.hyperplane) for f in facets]
+        assert len(lifts) == 1
+        lifts.clear()
 
 
 @pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
@@ -1083,7 +1143,7 @@ def test_lane_certificate_matches_the_scalar_reference(construction, n):
     rng = random.Random(50 + n)
     for p in (c.build(c.default(n), n), drawn(construction, n, random.Random(n))):
         for q in [p, *_images(p, rng)]:
-            assert analysis._certify_facets(q) == reference_certify_facets(q)
+            assert certified(q) == reference_certify_facets(q)
 
 
 # the module function each record's `normals` calls
@@ -1106,7 +1166,7 @@ def test_built_and_loaded_polytopes_certify_their_proposed_normals(
     for value in [c.default(n)] + [c.draw(n, rng) for _ in range(3)]:
         p = c.build(value, n)
         for q in (p, polytope_from_json(polytope_to_json(p))):
-            assert analysis._certify_facets(q) == reference_certify_facets(q)
+            assert certified(q) == reference_certify_facets(q)
     assert calls == []
 
 
@@ -1134,16 +1194,17 @@ def test_a_wrong_proposal_falls_back_to_the_kernels(monkeypatch, construction):
     for wrong in (exchanged, flat):
         monkeypatch.setattr(module, name, wrong)
         calls.clear()
-        assert analysis._certify_facets(p) == want
+        assert certified(p) == want
         assert len(calls) == n * (n + 3) // 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_certificate_solves_on_chart_rows(monkeypatch, n):
-    # one Gram inverse for the lift, then F kernels of n-1 chart rows by
-    # n columns, and one lane pass over rows of n columns: a return to
-    # ambient-width rows shows here without any timing.  With its params a
-    # polytope's normals are proposed: the Gram inverse is all it solves
+    # F kernels of n-1 chart rows by n columns and one lane pass over rows
+    # of n columns, and no Gram inverse, since no normal is lifted until it
+    # is read: a return to ambient-width rows, or to an eager lift, shows
+    # here without any timing.  With its params a polytope's normals are
+    # proposed, and it solves nothing
     shapes, widths = [], []
     eliminate, lanes = exactlin._eliminate, analysis.lane_failures
 
@@ -1165,7 +1226,7 @@ def test_certificate_solves_on_chart_rows(monkeypatch, n):
             shapes.clear()
             widths.clear()
             analysis._certify_facets(q)
-            assert shapes == [(n, 2 * n)] + solved
+            assert shapes == solved
             assert widths == [{n}]
 
 
@@ -1186,7 +1247,7 @@ def test_swapped_labels_fail_as_the_scalar_reference_says(construction, n):
             q = _swap_or_refusal(base, i, j, params)
             if q is None:
                 continue
-            assert _certificate_outcome(analysis._certify_facets, q) == _certificate_outcome(
+            assert _certificate_outcome(certified, q) == _certificate_outcome(
                 reference_certify_facets, q
             )
 
@@ -1220,7 +1281,7 @@ def test_an_earlier_unsupporting_facet_comes_before_a_later_member_off():
     assert any("member off its hyperplane" in kinds for _, kinds in problems[1:])
     want = "diagonal (0, 2): hyperplane is not supporting"
     assert _certificate_outcome(reference_certify_facets, q) == want
-    assert _certificate_outcome(analysis._certify_facets, q) == want
+    assert _certificate_outcome(certified, q) == want
 
 
 def test_unsolved_normals_are_named_before_the_lane_certificate_runs(monkeypatch):

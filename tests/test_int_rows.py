@@ -40,7 +40,7 @@ def fresh_polytopes(n):
 
 def assert_no_fractions_made(p):
     assert "vertices" not in p.__dict__
-    assert all("hyperplane" not in f.__dict__ for f in p.__dict__.get("certified_facets", ()))
+    assert all(f._hyperplane is None for f in p.__dict__.get("certified_facets", ()))
 
 
 @pytest.mark.parametrize("n", NS)
