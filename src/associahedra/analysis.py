@@ -20,8 +20,8 @@ negative value always borrows into its own lane's top bit, so two masks
 read the verdict.  Each polytope object certifies its facets once, on
 first use, and keeps them, unless its builder has certified their
 normals and the polytope carries those (`make_polytope`'s `normals`: the
-cluster build, whose tight-vertex lane pass is this certificate on its
-rays).  `face_lattice` reads off them and the polygon's ridge incidence
+cluster build, whose wall check on its certified fan is this certificate
+on its rays).  `face_lattice` reads off them and the polygon's ridge incidence
 that these facets are all the facets and the flips the edges.  What else
 a passed certificate settles is read off it, not decided again:
 parallelism from the chart normals (`parallel_pairs`), which facets meet
@@ -315,7 +315,7 @@ def extract_facets(p):
     A polytope's facets are certified once, on the first call for that
     polytope object, and kept on it (`LabeledPolytope.certified_facets`);
     later calls copy them.  A cluster build carries the facet normals its
-    lane pass certified, so its facets are not certified again.  See
+    wall check certified, so its facets are not certified again.  See
     `_certify_facets` for the certificate.
     """
     return list(p.certified_facets)

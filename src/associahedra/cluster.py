@@ -8,21 +8,24 @@ the snake diagonals it crosses.  Compatible roots are non-crossing
 diagonals, so the clusters are the triangulations.  A cluster's rays
 e_a - e_b are the edges of a spanning tree on the n+1 coordinates
 (`_spanning_trees`), and everything here is read off those trees with no
-matrix inverted: a build's vertices as the trees' potentials
-(`tight_vertices`), the exact certificate that the clusters form a
-complete simplicial fan (`verify_fan`) and each wall's slack
-(`polytopality_check`).  This module adds the root names and file keys,
-the root-diagonal map and the default support values h, one per root.
+matrix inverted: the exact certificate that the clusters form a complete
+simplicial fan, made once per n with the trees (`verify_fan`), a build's
+vertices as the trees' potentials (`tight_vertices`), and each wall's
+slack on ints (`polytopality_check`).  On the certified fan the walls
+certify a build: support values strictly convex across every wall make
+every vertex strict on every other ray's inequality.  This module adds
+the root names and file keys, the root-diagonal map and the default
+support values h, one per root.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
+from typing import NamedTuple
 
 from . import polygon
 from .analysis import make_polytope
-from .exactlin import integer_scaling, lane_failures, rat_str
+from .exactlin import integer_scaling, rat_str
 
 
 def neg(i):
@@ -107,39 +110,42 @@ def ray_normals(n):
     return [root_coordinates(diagonal_to_root(d, n), n) for d in polygon.all_diagonals(n)]
 
 
-def polytopality_check(h, n):
-    """Strict convexity of the support values across every wall.
+def polytopality_check(h, n, potentials=None):
+    """Strict convexity of the support values across every wall, on ints:
+    the certificate of a cluster build.
 
-    A wall (i, f, g) of `_walls` exchanges beta, ray f of cluster i, for
-    beta' = e_a - e_b, ray g.  In cluster i's tree, beta' is the signed
+    A wall (i, f, g) (`_exchanges`) exchanges beta, ray f of cluster i,
+    for beta' = e_a - e_b, ray g.  In cluster i's tree, beta' is the signed
     sum of the rays on the path from a to b, beta among them with
     coefficient -1 (the wall separates).  So the wall's relation is
     beta + beta' = sum c_s s over the shared roots s, each c_s in
     {-1, 0, 1}, and it holds strictly iff lhs = h(beta) + h(beta')
     exceeds rhs = sum c_s h(s).  As h(ray) is ray . x_i on cluster i's
     rays, x_i its vertex, lhs - rhs is h(beta') - beta' . x_i: with h
-    scaled to ints by L and y cluster i's tree potential (`_potentials`),
+    scaled to ints by L and y cluster i's tree potential (`_potentials`,
+    or `potentials` where the caller has them), it is
     (L h(beta') - (y_a - y_b)) / L.
-    Returns (ok, violations); each violation records the wall's exchanged
-    roots and its deficit rhs - lhs >= 0.
+    Returns (ok, violations), in flip order; each violation records the
+    wall's exchanged roots and its deficit rhs - lhs >= 0, the only
+    Fractions made.
 
-    A build does not run it first.  Each wall's slack is a slack of the
-    lane pass of `tight_vertices`, so that pass fails if a wall does;
-    conversely a function on a complete fan, linear on each cone and
-    strictly convex across every wall, is strictly convex on the whole
-    space (the local-to-global step of De Loera-Rambau-Santos,
-    Triangulations), so every vertex meets every other ray's inequality
-    strictly and the pass holds.  The check runs only after that pass has
-    failed, to name the failing walls.
+    It certifies a build: on the complete simplicial fan of `verify_fan`,
+    a function linear on each cone and strictly convex across every wall
+    is strictly convex on the whole space (the local-to-global step of
+    De Loera-Rambau-Santos, Triangulations, section 4.5), so every vertex
+    meets every other ray's inequality strictly.  Conversely a wall's
+    slack is the slack of one of those inequalities, beta' . x_i <
+    h(beta'), so the check fails iff some vertex fails one.
     """
-    roots, rays, *_ = _spanning_trees(n)
-    (hs,), scale = integer_scaling([[h[r] for r in roots]])
-    ys = _potentials(hs, n)
+    trees, flips = _spanning_trees(n), polygon.flip_table(n)
+    hs, scale, ys = potentials or _potentials(h, n)
     violations = []
-    for i, f, g in _walls(n)[0]:
-        slack = Fraction(hs[g] - sum(map(mul, rays[g], ys[i])), scale)
-        if slack <= 0:
-            violations.append((roots[f], roots[g], -slack))
+    for i, y in enumerate(ys):
+        for _, f, g in _exchanges(flips, trees.tight, i):
+            a, b = trees.ends[g]
+            slack = hs[g] - y[a] + y[b]
+            if slack <= 0:
+                violations.append((trees.roots[f], trees.roots[g], Fraction(-slack, scale)))
     return (not violations), violations
 
 
@@ -164,7 +170,7 @@ def default_support_values(n):
     length of the diagonal (a, b) of rho.
 
     Every wall inequality holds with slack at least 2 (6 at n = 2, 8 at
-    n = 1); `build_cluster_polytope`'s lane pass certifies this on every
+    n = 1); `build_cluster_polytope`'s wall check certifies this on every
     call.
     """
     h = {}
@@ -182,11 +188,23 @@ def check_roots(h, n):
         raise ValueError(f"support values must be given for exactly the {len(roots)} roots")
 
 
+class _Trees(NamedTuple):
+    """The cluster fan at one n, read off its spanning trees (`_spanning_trees`)."""
+
+    roots: list  # in diagonal order
+    ends: list  # (a, b) per ray e_a - e_b, in diagonal order
+    tight: list  # per triangulation, its rays' indices
+    walks: list  # per triangulation, its tree's walk, or None
+    normals: dict  # per diagonal, its ray's normal (n+1) ray - (sum ray) 1
+    walls: int  # how many walls separate
+    problems: tuple  # what fails the fan's certificate, in `verify_fan`'s order
+
+
 @lru_cache(maxsize=None)
 def _spanning_trees(n):
-    """(roots, rays, walks, tight, normals): the roots and rays in diagonal
-    order (`ray_normals`, read once per n), each triangulation's walk and
-    its rays' indices, and each ray's normal (n+1) ray - (sum ray) 1.
+    """The `_Trees` of n, and with them the exact certificate that the
+    cluster cones form a complete simplicial fan, in one pass once per n;
+    `ray_normals` is read once.
 
     Rays e_a - e_b, as edges {a, b} on the n+1 coordinates, are independent
     iff the edges form a forest: a cycle's edges, signed along it, sum to
@@ -195,15 +213,36 @@ def _spanning_trees(n):
     So a cluster's n independent rays are a spanning tree.  Its walk lists
     the edges outward from coordinate 0 as (child, parent, f, sign): ray f
     is sign (e_child - e_parent), parent reached earlier.  A walk that
-    misses a coordinate (dependent rays) is None: `verify_fan` reports its
-    cluster, and a build raises naming it (`_potentials`).
+    misses a coordinate (dependent rays) is None.
+
+    A sum-zero vector v is sum c_f ray_f over a tree's rays, and ray
+    f = sign (e_child - e_parent) has c_f = sign times the sum of v over
+    the subtree at child: one reverse pass over the walk gives all n.
+    The certificate (De Loera-Rambau-Santos, Triangulations, section 4.5):
+    (a) each cluster's rays are a spanning tree, that is independent
+    modulo all-ones (else ("dependent_cone", t)); (b) every ridge lies in
+    exactly two cones, whose exchanged rays lie on opposite sides of it:
+    at each wall (i, f, g) of `_exchanges`, ray g has a negative
+    coefficient on ray f in cluster i's tree (else ("wall_not_separating",
+    ridge)); and (c) the sum of the rays of cluster 0 lies in exactly one
+    closed cone (else ("point_covered_by", count, point)).  The
+    combinatorial half of (b) is `polygon.flip_table`'s, which raises
+    AssertionError unless it holds, once per n.  (b) makes the cones a
+    pseudomanifold without boundary, so the number of cones covering a
+    point off the walls is the same everywhere, and (c) makes that number
+    1.  Problems come in that order: dependent clusters, whose walls are
+    not read, then walls in flip order, then the cover.  No wall is kept:
+    `_exchanges` lists them again where they are read.
     """
+    triangulations, flips = polygon.all_triangulations(n), polygon.flip_table(n)
     diagonals, rays = polygon.all_diagonals(n), ray_normals(n)
     ends = [(ray.index(1), ray.index(-1)) for ray in rays]
     index = {d: f for f, d in enumerate(diagonals)}
-    walks, tight = [], []
-    for t in polygon.all_triangulations(n):
-        fs = [index[d] for d in t]
+    tight = [[index[d] for d in t] for t in triangulations]
+    point = tuple(map(sum, zip(*(rays[f] for f in tight[0]))))
+    walks, dependent, problems, walls, covering = [], [], [], 0, 0
+    bits = [1 << x for x in range(n + 1)]
+    for i, (t, fs) in enumerate(zip(triangulations, tight)):
         steps = [[] for _ in range(n + 1)]  # per coordinate, its edges out
         for f in fs:
             a, b = ends[f]
@@ -215,158 +254,129 @@ def _spanning_trees(n):
                 if child not in reached:
                     reached.append(child)
                     walk.append((child, parent, f, sign))
-        walks.append(walk if len(reached) == n + 1 else None)
-        tight.append(fs)
+        if len(reached) <= n:
+            walks.append(None)
+            dependent.append(("dependent_cone", t))
+            continue
+        walks.append(walk)
+        # per coordinate, its subtree as bits and the point's sum over it
+        below, sums, edge, inside = bits[:], list(point), {}, True
+        for child, parent, f, sign in reversed(walk):
+            sub, total = below[child], sums[child]
+            edge[f] = sub, sign
+            below[parent] |= sub
+            sums[parent] += total
+            inside = inside and sign * total >= 0
+        covering += inside
+        for k, f, g in _exchanges(flips, tight, i):
+            (a, b), (sub, sign) = ends[g], edge[f]
+            if sign * ((sub >> a & 1) - (sub >> b & 1)) < 0:
+                walls += 1
+            else:
+                problems.append(("wall_not_separating", t[:k] + t[k + 1 :]))
+    if covering != 1:
+        problems.append(("point_covered_by", covering, point))
     d2r = _root_diagonal_maps(n)[1]
     normals = {d: tuple((n + 1) * a - sum(ray) for a in ray) for d, ray in zip(diagonals, rays)}
-    return [d2r[d] for d in diagonals], rays, walks, tight, normals
+    roots = [d2r[d] for d in diagonals]
+    return _Trees(roots, ends, tight, walks, normals, walls, tuple(dependent + problems))
 
 
-def _potentials(hs, n):
-    """Each cluster's tree potential y, in triangulation order: from
-    y_0 = 0, y_a - y_b = hs[f] on each of its rays f = e_a - e_b, filled in
-    one pass over its walk (`_spanning_trees`).  AssertionError naming the
-    first cluster whose rays are not a spanning tree."""
-    ys = []
-    for t, walk in zip(polygon.all_triangulations(n), _spanning_trees(n)[2]):
-        if walk is None:
+def _exchanges(flips, tight, i):
+    """Cluster i's walls, in flip order: (k, f, g) at each flip (i, k, j)
+    of `flips` (`polygon.flip_table`) with j > i, ray f = tight[i][k] of
+    cluster i exchanged for ray g of cluster j."""
+    for k, j in enumerate(flips[i]):
+        if j > i:
+            yield k, tight[i][k], tight[j][flips[j].index(i)]
+
+
+def _potentials(h, n):
+    """(hs, L, ys): h's values in diagonal order scaled to ints by L, the
+    lcm of their denominators, and each cluster's tree potential y, in
+    triangulation order: from y_0 = 0, y_a - y_b = hs[f] on each of its
+    rays f = e_a - e_b, filled in one pass over its walk.  AssertionError
+    unless the fan passed its certificate (`_spanning_trees`), naming the
+    first cluster whose rays are not a spanning tree if there is one."""
+    trees = _spanning_trees(n)
+    if trees.problems:
+        kind, t, *_ = trees.problems[0]
+        if kind == "dependent_cone":
             raise AssertionError(f"rays of {t} are not a spanning tree")
+        problems = trees.problems[:3]
+        raise AssertionError(f"the clusters are not a complete simplicial fan: {problems}")
+    (hs,), scale = integer_scaling([[h[r] for r in trees.roots]])
+    ys = []
+    for walk in trees.walks:
         y = [0] * (n + 1)
         for child, parent, f, sign in walk:
             y[child] = y[parent] + sign * hs[f]
         ys.append(y)
-    return ys
+    return hs, scale, ys
 
 
 def tight_vertices(h, n):
     """(rows, scale): each cluster's vertex, in triangulation order, as an
-    int row over one positive scale.
+    int row over one positive scale, certified by the walls.
 
-    With h scaled to ints by L, the lcm of its denominators, each
-    cluster's tree potential y (`_potentials`) meets the equations
-    y_a - y_b = h of its rays e_a - e_b; the vertex, where they hold on
-    the sum-zero hyperplane, is ((n+1) y - (sum y) 1) / ((n+1) L).  Every other ray's inequality
-    ray . x < h must hold strictly there: one `exactlin.lane_failures`
-    over all rows, functional (n+1) L h(ray) - ray . x per ray, tight on
-    the cluster's own.  A tie or violation means h is not strictly
-    convex; the first failing cluster and, in diagonal order, its first
-    failing ray are named (AssertionError).
+    With h scaled to ints by L and y a cluster's tree potential
+    (`_potentials`), y_a - y_b = L h on each of its rays e_a - e_b, so
+    its vertex, where the rays' equations hold on the sum-zero hyperplane,
+    is ((n+1) y - (sum y) 1) / ((n+1) L).  Every wall must be strict
+    (`polytopality_check`, on the same potentials), else ValueError
+    naming the first three failing walls in flip order.
     """
-    roots, rays, _, tight, _ = _spanning_trees(n)
-    (hs,), scale = integer_scaling([[h[r] for r in roots]])
+    potentials = _potentials(h, n)
+    ok, violations = polytopality_check(h, n, potentials)
+    if not ok:
+        walls = "; ".join(
+            f"wall exchanging {root_key(beta)} and {root_key(beta_p)}: deficit {rat_str(deficit)}"
+            for beta, beta_p, deficit in violations[:3]
+        )
+        raise ValueError(f"support values fail the wall check: {walls}")
+    _, scale, ys = potentials
     m = n + 1
     rows = []
-    for y in _potentials(hs, n):
+    for y in ys:
         total = sum(y)
         rows.append(tuple([m * v - total for v in y]))
-    functionals = [(tuple(-a for a in ray), -m * v) for ray, v in zip(rays, hs)]
-    failures = lane_failures(functionals, rows, tight)
-    if failures:
-        i, (f, *_) = failures[0]
-        t, d = polygon.all_triangulations(n)[i], polygon.all_diagonals(n)[f]
-        raise AssertionError(f"vertex of {t} violates inequality of {d}")
     return rows, m * scale
 
 
 def build_cluster_polytope(h, n):
     """One vertex per cluster: the point of the sum-zero hyperplane meeting
     all n root hyperplanes <rho, x> = h(rho) of the cluster, read in closed
-    form with no fan (`tight_vertices`).
+    form (`tight_vertices`).
 
-    h holds exactly one value per root.  The lane pass of `tight_vertices`
-    is the facet certificate: each ray's inequality is tight at the
-    clusters holding it and strict at every other, so the ray projected
-    into the sum-zero hyperplane, (n+1) ray - (sum ray) 1, is its facet's
-    normal there; the polytope carries these, and `analysis.extract_facets`
-    certifies nothing again.  The pass holds iff every wall is strict
-    (`polytopality_check`), so the walls are checked only once it has
-    failed, to name them in the ValueError.
-    A failed pass with no failing wall cannot happen by that argument;
-    should it, its AssertionError is raised and nothing is built.
+    h holds exactly one value per root.  A fan that fails its certificate
+    (`verify_fan`, made once per n) is refused with AssertionError, and
+    support values that fail a wall (`polytopality_check`) with
+    ValueError; nothing is built.  Otherwise every ray's inequality is
+    tight at the clusters holding it and strict at every other, so the ray
+    projected into the sum-zero hyperplane, (n+1) ray - (sum ray) 1, is its
+    facet's normal there; the polytope carries these, and
+    `analysis.extract_facets` certifies nothing again.
     """
     check_roots(h, n)
-    *_, normals = _spanning_trees(n)
-    try:
-        rows, scale = tight_vertices(h, n)
-    except AssertionError:
-        _, violations = polytopality_check(h, n)
-        if not violations:
-            raise
-        walls = "; ".join(
-            f"wall exchanging {root_key(beta)} and {root_key(beta_p)}: deficit {rat_str(deficit)}"
-            for beta, beta_p, deficit in violations[:3]
-        )
-        raise ValueError(f"support values fail the wall check: {walls}") from None
+    rows, scale = tight_vertices(h, n)
     from .constructions import CONSTRUCTIONS  # it imports this module
 
     pairs = zip(rows, polygon.all_triangulations(n))
-    width = CONSTRUCTIONS["cluster"].ambient_dim(n)
+    width, normals = CONSTRUCTIONS["cluster"].ambient_dim(n), _spanning_trees(n).normals
     return make_polytope(
         "cluster", n, width, pairs, params={"h": dict(h)}, scale=scale, normals=normals
     )
 
 
-@lru_cache(maxsize=None)
-def _walls(n):
-    """(walls, problems): the exact certificate that the cluster cones form
-    a complete simplicial fan, read off the spanning trees
-    (`_spanning_trees`).  A wall (i, f, g) exchanges ray f of cluster i for
-    ray g of the cluster across it.
-
-    A sum-zero vector v is sum c_f ray_f over a tree's rays, and ray
-    f = sign (e_child - e_parent) has c_f = sign times the sum of v over
-    the subtree at child: one reverse pass over the walk gives all n.
-    The certificate (De Loera-Rambau-Santos, Triangulations, section 4.5):
-    (a) each cluster's rays are a spanning tree, that is independent
-    modulo all-ones (else ("dependent_cone", t)); (b) every ridge lies in
-    exactly two cones, whose exchanged rays lie on opposite sides of it:
-    at each flip (i, k, j) of `polygon.flip_table(n)` with j > i, ray g of
-    cluster j's flip back has a negative coefficient on cluster i's k-th
-    ray (else ("wall_not_separating", ridge)); and (c) the sum of the rays
-    of cluster 0 lies in exactly one closed cone (else ("point_covered_by",
-    count, point)).  The combinatorial half of (b) is `flip_table`'s, which
-    raises AssertionError unless it holds, once per n.  (b) makes the
-    cones a pseudomanifold without boundary, so the number of cones
-    covering a point off the walls is the same everywhere, and (c) makes
-    that number 1.  Problems come in that order: dependent clusters, whose
-    walls are not read, then walls in flip order, then the cover.
-    """
-    triangulations, flips = polygon.all_triangulations(n), polygon.flip_table(n)
-    _, rays, walks, tight, _ = _spanning_trees(n)
-    ends = [(ray.index(1), ray.index(-1)) for ray in rays]
-    point = tuple(map(sum, zip(*(rays[f] for f in tight[0]))))
-    walls, dependent, problems, covering = [], [], [], 0
-    for i, (t, walk) in enumerate(zip(triangulations, walks)):
-        if walk is None:
-            dependent.append(("dependent_cone", t))
-            continue
-        # per coordinate, its subtree as bits and the point's sum over it
-        below, sums, edge = [1 << x for x in range(n + 1)], list(point), {}
-        for child, parent, f, sign in reversed(walk):
-            edge[f] = below[child], sign
-            below[parent] |= below[child]
-            sums[parent] += sums[child]
-        covering += all(sign * sums[child] >= 0 for child, _, _, sign in walk)
-        for k, j in enumerate(flips[i]):
-            if j > i:
-                g = tight[j][flips[j].index(i)]
-                (a, b), (sub, sign) = ends[g], edge[tight[i][k]]
-                if sign * ((sub >> a & 1) - (sub >> b & 1)) < 0:
-                    walls.append((i, tight[i][k], g))
-                else:
-                    problems.append(("wall_not_separating", t[:k] + t[k + 1 :]))
-    if covering != 1:
-        problems.append(("point_covered_by", covering, point))
-    return tuple(walls), tuple(dependent + problems)
-
-
 def verify_fan(n):
     """The exact certificate that the cluster cones form a complete
-    simplicial fan (`_walls`), with its cone and wall counts."""
-    walls, problems = _walls(n)
+    simplicial fan, made once per n with the trees (`_spanning_trees`),
+    with its cone and wall counts."""
+    trees = _spanning_trees(n)
     return {
-        "ok": not problems,
-        "cones": len(polygon.all_triangulations(n)),
-        "walls": len(walls),
-        "problems": list(problems),
+        "ok": not trees.problems,
+        "cones": len(trees.tight),
+        "walls": trees.walls,
+        "problems": list(trees.problems),
     }
+

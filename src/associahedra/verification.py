@@ -53,8 +53,9 @@ def _parallel_row(name, expected, normal, n_max, seed):
     """At each n = 2..n_max, the default `name` polytope and three seeded
     draws have exactly the parallel pairs `expected(n)`, else
     (n, got, want); with `normal`, the two facets of the i-th pair
-    (i = 1..n) have the primitive normal `normal(i, n)`, else
-    (n, "direction_mismatch", d) for each facet d that does not."""
+    (i = 1..n) have the primitive normal `normal(i, n)`, compared in the
+    chart (`_chart_normal_of`), else (n, "direction_mismatch", d) for each
+    facet d that does not."""
     rng = random.Random(seed)
     bad = []
     for n in range(2, n_max + 1):
@@ -65,11 +66,32 @@ def _parallel_row(name, expected, normal, n_max, seed):
             if got != want:
                 bad.append((n, got, want))
             elif normal is not None:
-                by_diag = {f.diagonal: f.normal for f in facets}
+                by_diag = {f.diagonal: f.chart_normal for f in facets}
                 for i, pair in enumerate(want, 1):
-                    wrong = [d for d in pair if by_diag[d] != normal(i, n)]
+                    c = _chart_normal_of(p.hull, normal(i, n))
+                    wrong = [d for d in pair if by_diag[d] != c]
                     bad += [(n, "direction_mismatch", d) for d in wrong]
     return not bad, {"bad": bad}
+
+
+def _chart_normal_of(hull, normal):
+    """The `FacetDescriptor.chart_normal` of a facet whose ambient normal,
+    primitive with its first nonzero entry positive, is the int `normal`;
+    None unless `normal` is such a vector in the hull's direction space:
+    L x_j = sum_k x[pivot_k] basis_k[j] at each non-pivot column j, L the
+    basis' pivot entry (the equations of `analysis._flip_basis`).  On that
+    space the chart (`analysis._chart_normals`) is one-to-one, so a facet
+    has this normal iff its chart normal is this one, made primitive with
+    its first nonzero entry positive; no normal is lifted."""
+    basis, pivots = hull.basis, hull.pivots
+    if gcd(*normal) != 1 or next(a for a in normal if a) < 0:
+        return None
+    lead = basis[0][pivots[0]]
+    for j, a in enumerate(normal):
+        if j not in pivots and lead * a != sum(normal[k] * b[j] for b, k in zip(basis, pivots)):
+            return None
+    (c,) = analysis._chart_normals(hull, [normal])
+    return tuple(c) if next(a for a in c if a) > 0 else tuple(-a for a in c)
 
 
 def check_secondary_no_parallel(n_max, seed):

@@ -18,6 +18,7 @@ from associahedra.exactlin import (
     echelon_basis,
     integer_inverse,
     integer_scaling,
+    lane_failures,
     make_hyperplane,
     primitive_rows,
     rref,
@@ -200,6 +201,29 @@ def cone_vertices(fan, h):
                 raise AssertionError(f"vertex of {cone.diagonals} violates inequality of {d}")
         rows.append(tuple(v * (common // cone.denominator) for v in x))
     return rows, common * scale
+
+
+def lane_pass_vertices(h, n):
+    """(rows, scale): the cluster build's vertex rows, certified by the
+    lane pass that certified a build before its walls did.  Each cluster's
+    vertex is ((n+1) y - (sum y) 1) over (n+1) L, y its tree potential
+    (`cluster._potentials`, h scaled to ints by L).  Every other ray's
+    inequality must hold strictly there: one `exactlin.lane_failures` over
+    all rows, functional (n+1) L h(ray) - ray . x per ray, tight on the
+    cluster's own.  A tie or violation means h is not strictly convex; the
+    first failing cluster and, in diagonal order, its first failing ray are
+    named (AssertionError)."""
+    hs, scale, ys = cluster._potentials(h, n)
+    m = n + 1
+    rows = [tuple(m * v - sum(y) for v in y) for y in ys]
+    rays = cluster.ray_normals(n)
+    functionals = [(tuple(-a for a in ray), -m * v) for ray, v in zip(rays, hs)]
+    failures = lane_failures(functionals, rows, cluster._spanning_trees(n).tight)
+    if failures:
+        i, (f, *_) = failures[0]
+        t, d = polygon.all_triangulations(n)[i], polygon.all_diagonals(n)[f]
+        raise AssertionError(f"vertex of {t} violates inequality of {d}")
+    return rows, m * scale
 
 
 def projected_normals(fan):

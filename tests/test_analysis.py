@@ -889,14 +889,22 @@ class _Reads(tuple):
         return super().__getitem__(i)
 
 
+class _ReadsAll(_Reads):
+    """A `_Reads` that also records a pass over all of it, as None."""
+
+    def __iter__(self):
+        self.log.append(None)
+        return super().__iter__()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_a_miss_reads_one_vertex_outside_the_frame(monkeypatch, n):
     # across constructions every relabeling misses (from n = 3; at n = 2
     # the default cluster and Minkowski pentagons are affinely equivalent),
     # at the probe: once the index table for n is built, it relabels no
     # label, reads the table at the frame and the probe and q's hull rows
-    # of their images only, makes no chart of q and no Fraction and never
-    # lifts
+    # of their images only, passing over neither, makes no chart of q and
+    # no Fraction and never lifts
     table = dihedral_images(n)
     calls, charts = [], []
     for module, name in [
@@ -920,22 +928,13 @@ def test_a_miss_reads_one_vertex_outside_the_frame(monkeypatch, n):
         assert v not in independent
         assert all(i in independent for i in range(v))
         read, rows_read = [], []
-        q = dataclasses.replace(q, hull=q.hull._replace(rows=_Reads(q.hull.rows, rows_read)))
+        q = dataclasses.replace(q, hull=q.hull._replace(rows=_ReadsAll(q.hull.rows, rows_read)))
         for images in table:
             read.clear(), rows_read.clear()
-            assert fit_affine_map(p, q, _Reads(images, read), probe) is None
+            assert fit_affine_map(p, q, _ReadsAll(images, read), probe) is None
             assert read == [*independent, v]
             assert rows_read == [images[i] for i in read]
         assert calls == [] and charts == []
-
-
-
-class _ReadsAll(_Reads):
-    """A `_Reads` that also records a pass over all of it, as None."""
-
-    def __iter__(self):
-        self.log.append(None)
-        return super().__iter__()
 
 
 def _logging_rows(p, log):

@@ -31,6 +31,7 @@ from oracles import (
     cluster_fan,
     cluster_of,
     cone_vertices,
+    lane_pass_vertices,
     make_fan,
     projected_normals,
     reference_polytopality_check,
@@ -78,11 +79,16 @@ def reference_build(h, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_fan_matches_fraction_reference(n):
-    # the tree certificate's walls, in flip order, are the flip loop's, with
-    # the same exchanged roots, and every relation has lam = 1, the form
-    # `polytopality_check` reads its slacks in
-    clusters, roots = all_clusters(n), cluster._spanning_trees(n)[0]
-    walls = cluster._walls(n)[0]
+    # the walls as the certificate and `polytopality_check` read them, in
+    # flip order (`cluster._exchanges`), are the flip loop's, as many as
+    # `verify_fan` counts, with the same exchanged roots, and every
+    # relation has lam = 1, the form `polytopality_check` reads its slacks in
+    clusters, trees, flips = all_clusters(n), cluster._spanning_trees(n), polygon.flip_table(n)
+    roots, tight = trees.roots, trees.tight
+    walls = [
+        (i, f, g) for i in range(len(clusters)) for _, f, g in cluster._exchanges(flips, tight, i)
+    ]
+    assert len(walls) == verify_fan(n)["walls"]
     assert [
         (clusters[i], clusters[i] - {roots[f]} | {roots[g]}) for i, f, g in walls
     ] == list(reference_walls(n))
@@ -390,14 +396,12 @@ def test_verify_fan_counts(n):
 
 @pytest.fixture
 def fresh_trees():
-    """`cluster._spanning_trees` and `cluster._walls` with empty caches,
-    emptied again afterwards, so that trees and walls made under a patch
-    are not kept."""
+    """`cluster._spanning_trees` with an empty cache, emptied again
+    afterwards, so that trees and fan certificates made under a patch are
+    not kept."""
     cluster._spanning_trees.cache_clear()
-    cluster._walls.cache_clear()
     yield
     cluster._spanning_trees.cache_clear()
-    cluster._walls.cache_clear()
 
 
 def cluster_rays(n):
@@ -450,7 +454,6 @@ def test_verify_fan_matches_the_reference_fan_off_a_fan(monkeypatch, fresh_trees
     kinds = []
     for n, table in cases:
         cluster._spanning_trees.cache_clear()
-        cluster._walls.cache_clear()
         monkeypatch.setattr(cluster, "ray_normals", lambda m: list(table.values()))
         got = verify_fan(n)
         assert got == report(make_fan(table, n))
@@ -571,8 +574,8 @@ def test_a_snake_that_is_no_triangulation_raises(monkeypatch, fresh_root_maps, s
 
 
 def reference_wall_error(h, n):
-    """The ValueError text of a build whose wall check ran first, from the
-    Fraction wall check."""
+    """The ValueError text of a build that fails a wall, from the Fraction
+    wall check."""
     _, violations = reference_polytopality_check(h, n)
     walls = "; ".join(
         f"wall exchanging {root_key(beta)} and {root_key(beta_p)}: deficit {rat_str(deficit)}"
@@ -582,8 +585,10 @@ def reference_wall_error(h, n):
 
 
 def _lane_pass_fails(h, n):
+    """Whether the lane pass the walls replaced fails on h
+    (`oracles.lane_pass_vertices`)."""
     try:
-        cluster.tight_vertices(h, n)
+        lane_pass_vertices(h, n)
     except AssertionError:
         return True
     return False
@@ -600,7 +605,9 @@ def _counting(f, calls):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_the_lane_pass_fails_iff_a_wall_fails(monkeypatch, n):
     # the default h, jitters in sevenths that break convexity at some
-    # walls, often several, and leave it at others, and a tie at wall 0
+    # walls, often several, and leave it at others, and a tie at wall 0:
+    # the lane pass fails iff a wall does, iff the build raises the
+    # Fraction wall check's error; every build reads the walls once
     rng = random.Random(90 + n)
     h = default_support_values(n)
     cases = [{r: v + F(rng.randint(-7 * size, 7 * size), 7) for r, v in h.items()}
@@ -617,25 +624,40 @@ def test_the_lane_pass_fails_iff_a_wall_fails(monkeypatch, n):
             with pytest.raises(ValueError) as err:
                 build_cluster_polytope(g, n)
             assert str(err.value) == reference_wall_error(g, n)
-            assert len(walls) == 1
         else:
-            # a passing build reads no wall
             build_cluster_polytope(g, n)
-            assert walls == []
+        assert len(walls) == 1
         outcomes.append(failed)
     assert any(outcomes) and not all(outcomes)
 
 
-def test_a_failed_lane_pass_with_no_failing_wall_still_raises(monkeypatch):
-    # were the wall check to miss a failing wall, the build raises the
-    # lane pass's AssertionError and makes no polytope
-    made = []
-    monkeypatch.setattr(cluster, "polytopality_check", lambda h, n: (True, []))
+def test_a_build_refuses_a_fan_that_fails_its_certificate(monkeypatch, fresh_trees):
+    # on repeated and swapped rays at n = 2..4, a build of a fan that
+    # fails its certificate raises AssertionError before any wall or
+    # vertex is read, and makes no polytope: naming the first dependent
+    # cluster if there is one, else the certificate's first problems
+    made, walls = [], []
     monkeypatch.setattr(cluster, "make_polytope", _counting(make_polytope, made))
-    h = {r: F(1) for r in all_roots(3)}
-    with pytest.raises(AssertionError, match="violates inequality"):
-        build_cluster_polytope(h, 3)
-    assert made == []
+    monkeypatch.setattr(cluster, "polytopality_check", _counting(polytopality_check, walls))
+    cases = [(n, table) for n in (2, 3, 4) for table in broken_tables(n, random.Random(80 + n))]
+    kinds = set()
+    for n, table in cases:
+        cluster._spanning_trees.cache_clear()
+        monkeypatch.setattr(cluster, "ray_normals", lambda m: list(table.values()))
+        problems = verify_fan(n)["problems"]
+        if not problems:
+            continue
+        kind, t, *_ = problems[0]
+        if kind == "dependent_cone":
+            want = f"rays of {t} are not a spanning tree"
+        else:
+            want = f"the clusters are not a complete simplicial fan: {tuple(problems[:3])}"
+        with pytest.raises(AssertionError) as err:
+            build_cluster_polytope(default_support_values(n), n)
+        assert str(err.value) == want
+        kinds.add(kind)
+    assert made == [] and walls == []
+    assert kinds == {"dependent_cone", "wall_not_separating"}
 
 
 @pytest.mark.parametrize("n", range(1, practical_bound() + 1))
@@ -668,49 +690,58 @@ def _tie_at_wall_0(h, n):
 @pytest.mark.parametrize("n", range(1, practical_bound() + 1))
 def test_closed_form_matches_the_per_cone_solve(n):
     # each cluster's vertex as its spanning tree's potential against the
-    # reference fan's per-cone inverse product (`oracles.cone_vertices`): the hull
-    # after `make_polytope` and the carried normals on the default h and
-    # two draws, and the first failing cluster and ray on a tie
+    # reference fan's per-cone inverse product (`oracles.cone_vertices`),
+    # and the walls' certificate against the lane pass's
+    # (`oracles.lane_pass_vertices`): the hull after `make_polytope` and the
+    # carried normals on the default h and two draws; on a tie, the lane
+    # pass names the per-cone solve's first failing cluster and ray, and
+    # the build fails the Fraction wall check's walls
     rng = random.Random(120 + n)
     fan, ts = cluster_fan(n), polygon.all_triangulations(n)
     h = default_support_values(n)
     for g in [h] + [perturbed_support_values(n, rng) for _ in range(2)]:
         p = build_cluster_polytope(g, n)
-        rows, scale = cone_vertices(fan, by_diagonal(g, n))
-        q = make_polytope("cluster", n, n + 1, zip(rows, ts), scale=scale)
-        assert (p.hull.rows, p.hull.scale) == (q.hull.rows, q.hull.scale)
+        for rows, scale in (cone_vertices(fan, by_diagonal(g, n)), lane_pass_vertices(g, n)):
+            q = make_polytope("cluster", n, n + 1, zip(rows, ts), scale=scale)
+            assert (p.hull.rows, p.hull.scale) == (q.hull.rows, q.hull.scale)
         assert p.carried_normals == projected_normals(fan)
     tie = _tie_at_wall_0(h, n)
     with pytest.raises(AssertionError) as want:
         cone_vertices(fan, by_diagonal(tie, n))
     with pytest.raises(AssertionError) as got:
-        cluster.tight_vertices(tie, n)
+        lane_pass_vertices(tie, n)
     assert str(got.value) == str(want.value)
-
-
-def _refuse(*args):
-    raise AssertionError("walls read")
-
-
-@pytest.mark.parametrize("n", range(1, practical_bound() + 1))
-def test_a_build_walks_no_fan(monkeypatch, n):
-    # with the walls uncached and unreadable, the default and two draws
-    # still build
-    monkeypatch.setattr(cluster, "_walls", _refuse)
-    rng = random.Random(130 + n)
-    for h in [default_support_values(n)] + [perturbed_support_values(n, rng) for _ in range(2)]:
-        assert len(build_cluster_polytope(h, n).labels) == len(polygon.all_triangulations(n))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_the_fan_is_built_by_verify_fan_and_a_failed_build(monkeypatch, n):
-    # each with the walls uncached: `verify_fan` certifies them once, and
-    # so does a build whose lane pass fails, to name the failing walls
-    tie, fans = _tie_at_wall_0(default_support_values(n), n), []
-    monkeypatch.setattr(cluster, "_walls", _counting(cluster._walls.__wrapped__, fans))
-    assert verify_fan(n)["ok"] and len(fans) == 1
-    fans.clear()
     with pytest.raises(ValueError) as err:
         build_cluster_polytope(tie, n)
     assert str(err.value) == reference_wall_error(tie, n)
-    assert len(fans) == 1
+
+
+@pytest.mark.parametrize("n", range(1, practical_bound() + 1))
+def test_a_build_walks_no_fan(n):
+    # the fan's certificate is made with the trees, once per n: once they
+    # are made, the default and two draws build with no tree walked and no
+    # fan certified again
+    cluster._spanning_trees(n)
+    made = cluster._spanning_trees.cache_info().misses
+    rng = random.Random(130 + n)
+    for h in [default_support_values(n)] + [perturbed_support_values(n, rng) for _ in range(2)]:
+        assert len(build_cluster_polytope(h, n).labels) == len(polygon.all_triangulations(n))
+    assert cluster._spanning_trees.cache_info().misses == made
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_fan_is_built_by_verify_fan_and_a_failed_build(fresh_trees, n):
+    # with the trees uncached, whichever of `verify_fan` and a failed build
+    # comes first makes the fan's certificate, once, and the other reads it;
+    # the build names the failing walls of the Fraction wall check
+    tie = _tie_at_wall_0(default_support_values(n), n)
+    for first in ("verify_fan", "build"):
+        cluster._spanning_trees.cache_clear()
+        for step in (first, {"verify_fan": "build", "build": "verify_fan"}[first]):
+            if step == "verify_fan":
+                assert verify_fan(n) == report(cluster_fan(n))
+            else:
+                with pytest.raises(ValueError) as err:
+                    build_cluster_polytope(tie, n)
+                assert str(err.value) == reference_wall_error(tie, n)
+            assert cluster._spanning_trees.cache_info().misses == 1

@@ -1,6 +1,8 @@
 """The reference fan (`oracles.make_fan`, one integer inverse per cone)
 on a second instance and off a fan, and the cluster's closed-form
-vertices against its per-cone solve (`oracles.cone_vertices`).
+vertices, under the lane pass (`oracles.lane_pass_vertices`) and under
+the build's wall check, against its per-cone solve
+(`oracles.cone_vertices`).
 
 Loday's realization (`minkowski.build_minkowski`) is the polytope of the
 fan with ray -1_I on the diagonal (lo, hi), where I = [lo+1, hi-1], and
@@ -25,6 +27,7 @@ from oracles import (
     by_diagonal,
     cluster_fan,
     cone_vertices,
+    lane_pass_vertices,
     loday_vertex,
     make_fan,
     reference_wall_relations,
@@ -56,12 +59,18 @@ def _outcome(vertices, *args):
 
 
 def _cluster_outcomes(h, n):
-    """`cluster.tight_vertices`' outcome on h, and the per-cone solve's on
-    the cluster fan (`oracles.cone_vertices`)."""
-    return (
-        _outcome(cluster.tight_vertices, h, n),
-        _outcome(cone_vertices, cluster_fan(n), by_diagonal(h, n)),
-    )
+    """The lane pass's outcome on the cluster's closed-form vertices
+    (`oracles.lane_pass_vertices`), and the per-cone solve's on the
+    cluster fan (`oracles.cone_vertices`).  The build's vertices
+    (`cluster.tight_vertices`) are the lane pass's, or its wall check
+    fails exactly where the lane pass does."""
+    got = _outcome(lane_pass_vertices, h, n)
+    try:
+        built = _outcome(cluster.tight_vertices, h, n)
+    except ValueError:
+        built = None
+    assert built == (None if isinstance(got, str) else got)
+    return got, _outcome(cone_vertices, cluster_fan(n), by_diagonal(h, n))
 
 
 def _jittered(h, rng, size):
@@ -71,10 +80,10 @@ def _jittered(h, rng, size):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_tight_vertices_match_the_scalar_reference(n):
-    # the cluster's closed-form vertices and lane pass against the fan's
-    # per-cone solve and scalar checks: the default and a seeded draw, then
-    # jitters that break convexity at some cones, often several, and leave
-    # it at others
+    # the cluster's closed-form vertices and lane pass, and the build's
+    # wall check, against the fan's per-cone solve and scalar checks: the
+    # default and a seeded draw, then jitters that break convexity at some
+    # cones, often several, and leave it at others
     rng = random.Random(60 + n)
     outcomes = []
     for h in (cluster.default_support_values(n), perturbed_support_values(n, rng)):

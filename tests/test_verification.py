@@ -1,10 +1,16 @@
 """Negative controls for the manifest's parallel-pair rows and for the
 failure path of `assoc verify`: a row that cannot fail shows nothing."""
 
+import functools
 import json
+import random
 
-from associahedra import verification
+import pytest
+
+from associahedra import analysis, verification
+from associahedra.analysis import extract_facets
 from associahedra.cli import main
+from associahedra.constructions import CONSTRUCTIONS
 
 SEED = 42
 
@@ -59,6 +65,70 @@ def test_minkowski_row_fails_on_a_wrong_block_pair_normal(monkeypatch):
         for d in verification.minkowski_expected_pairs(n)[-1]
     ]
     assert detail == {"bad": want}
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda a, n: tuple(2 * x for x in a),
+        lambda a, n: tuple(x + 1 for x in a),
+    ],
+    ids=["doubled", "plus_all_ones"],
+)
+def test_minkowski_row_fails_on_a_scaled_or_shifted_block_pair_normal(monkeypatch, wrong):
+    # the last block pair's normal doubled (parallel, not primitive) or
+    # plus all-ones (primitive, out of the hull's direction space): both of
+    # its facets mismatch, in each of the default and the three draws, and
+    # no other facet does
+    normal = verification.block_pair_normal
+    monkeypatch.setattr(
+        verification,
+        "block_pair_normal",
+        lambda i, n: wrong(normal(i, n), n) if i == n else normal(i, n),
+    )
+    ok, detail = verification.check_minkowski_parallel(3, SEED)
+    assert not ok
+    want = [
+        (n, "direction_mismatch", d)
+        for n in (2, 3)
+        for _ in range(4)
+        for d in verification.minkowski_expected_pairs(n)[-1]
+    ]
+    assert detail == {"bad": want}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_chart_comparison_is_the_ambient_one(n):
+    # on every facet of the default and two draws of each construction, a
+    # candidate normal gets the facet's chart normal iff it is the facet's
+    # lifted ambient normal: each facet's normal, doubled, negated, plus
+    # all-ones and plus e_0
+    rng = random.Random(n)
+    matches = 0
+    for c in CONSTRUCTIONS.values():
+        for p in [c.build(c.default(n), n)] + [c.build(c.draw(n, rng), n) for _ in range(2)]:
+            facets = extract_facets(p)
+            for f in facets:
+                a = f.normal
+                for e in (a, tuple(2 * x for x in a), tuple(-x for x in a),
+                          tuple(x + 1 for x in a), (a[0] + 1, *a[1:])):
+                    chart = verification._chart_normal_of(p.hull, e)
+                    for g in facets:
+                        assert (g.chart_normal == chart) == (g.normal == e)
+                        matches += g.normal == e
+    assert matches >= 3 * 3 * n * (n + 3) // 2
+
+
+def test_verify_lifts_no_normal(monkeypatch):
+    # `assoc verify --n-max 5` decides every row in the chart
+    lifts = []
+    lift = analysis._normal_lift
+    monkeypatch.setattr(analysis, "_normal_lift", lambda hull: lifts.append(hull) or lift(hull))
+    monkeypatch.setattr(verification, "build_all_defaults", functools.lru_cache(maxsize=None)(
+        verification.build_all_defaults.__wrapped__
+    ))
+    assert main(["verify", "--n-max", "5", "--seed", str(SEED)]) == 0
+    assert lifts == []
 
 
 def test_verify_exits_1_with_a_fail_line_and_the_first_counterexample(monkeypatch, capsys):
