@@ -428,11 +428,10 @@ def _facet_plan(n):
     tight).  plan[f] is None if no label carries diagonals[f], else
     (members, v, flips, out): its carriers as a frozenset, the first of
     them, v's flips at its other diagonals and the first non-member (v if
-    there is none).  tight[i] lists the facets of vertex i's label."""
+    there is none).  tight[i] lists the facets of vertex i's label, the
+    shared table `polygon.diagonal_indices`."""
     labels, flip_table = polygon.all_triangulations(n), polygon.flip_table(n)
-    diagonals = polygon.all_diagonals(n)
-    index = {d: f for f, d in enumerate(diagonals)}
-    tight = tuple(tuple(index[d] for d in label) for label in labels)
+    diagonals, tight = polygon.all_diagonals(n), polygon.diagonal_indices(n)
     carriers = [[] for _ in diagonals]
     for i, t in enumerate(tight):
         for f in t:
@@ -581,7 +580,7 @@ def _facet_images(n):
     the rest are composed from them as in `dihedral_images`.  A dict keyed
     by the entry, cached and shared: nothing in it can be changed."""
     diagonals, relabelings = polygon.all_diagonals(n), dihedral_relabelings(n)
-    index = {d: f for f, d in enumerate(diagonals)}
+    index = polygon.diagonal_index(n)
     step, mirror = (
         [index[relabel_diagonal(relabelings[k], d)] for d in diagonals] for k in (1, n + 3)
     )

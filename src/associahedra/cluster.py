@@ -137,11 +137,11 @@ def polytopality_check(h, n, potentials=None):
     slack is the slack of one of those inequalities, beta' . x_i <
     h(beta'), so the check fails iff some vertex fails one.
     """
-    trees, flips = _spanning_trees(n), polygon.flip_table(n)
+    trees, flips, backs = _spanning_trees(n), polygon.flip_table(n), polygon.reverse_flips(n)
     hs, scale, ys = potentials or _potentials(h, n)
     violations = []
     for i, y in enumerate(ys):
-        for _, f, g in _exchanges(flips, trees.tight, i):
+        for _, f, g in _exchanges(flips, backs, trees.tight, i):
             a, b = trees.ends[g]
             slack = hs[g] - y[a] + y[b]
             if slack <= 0:
@@ -193,7 +193,7 @@ class _Trees(NamedTuple):
 
     roots: list  # in diagonal order
     ends: list  # (a, b) per ray e_a - e_b, in diagonal order
-    tight: list  # per triangulation, its rays' indices
+    tight: tuple  # per triangulation, its rays' indices (`polygon.diagonal_indices`)
     walks: list  # per triangulation, its tree's walk, or None
     normals: dict  # per diagonal, its ray's normal (n+1) ray - (sum ray) 1
     walls: int  # how many walls separate
@@ -232,26 +232,28 @@ def _spanning_trees(n):
     point off the walls is the same everywhere, and (c) makes that number
     1.  Problems come in that order: dependent clusters, whose walls are
     not read, then walls in flip order, then the cover.  No wall is kept:
-    `_exchanges` lists them again where they are read.
+    `_exchanges` lists them again where they are read.  Each cluster's rays
+    are its diagonals' positions, the shared table `polygon.diagonal_indices`.
     """
     triangulations, flips = polygon.all_triangulations(n), polygon.flip_table(n)
     diagonals, rays = polygon.all_diagonals(n), ray_normals(n)
     ends = [(ray.index(1), ray.index(-1)) for ray in rays]
-    index = {d: f for f, d in enumerate(diagonals)}
-    tight = [[index[d] for d in t] for t in triangulations]
+    tight, backs = polygon.diagonal_indices(n), polygon.reverse_flips(n)
+    # per ray f = e_a - e_b, its edge as an arc out of b and one out of a
+    arcs = [((b, (a, f, 1)), (a, (b, f, -1))) for f, (a, b) in enumerate(ends)]
     point = tuple(map(sum, zip(*(rays[f] for f in tight[0]))))
     walks, dependent, problems, walls, covering = [], [], [], 0, 0
     bits = [1 << x for x in range(n + 1)]
     for i, (t, fs) in enumerate(zip(triangulations, tight)):
-        steps = [[] for _ in range(n + 1)]  # per coordinate, its edges out
+        steps = [[] for _ in range(n + 1)]  # per coordinate, its arcs out
         for f in fs:
-            a, b = ends[f]
-            steps[b].append((a, f, 1))
-            steps[a].append((b, f, -1))
-        walk, reached = [], [0]
+            for tail, arc in arcs[f]:
+                steps[tail].append(arc)
+        walk, reached, seen = [], [0], 1
         for parent in reached:  # grows as the walk reaches coordinates
             for child, f, sign in steps[parent]:
-                if child not in reached:
+                if not seen >> child & 1:
+                    seen |= bits[child]
                     reached.append(child)
                     walk.append((child, parent, f, sign))
         if len(reached) <= n:
@@ -268,7 +270,7 @@ def _spanning_trees(n):
             sums[parent] += total
             inside = inside and sign * total >= 0
         covering += inside
-        for k, f, g in _exchanges(flips, tight, i):
+        for k, f, g in _exchanges(flips, backs, tight, i):
             (a, b), (sub, sign) = ends[g], edge[f]
             if sign * ((sub >> a & 1) - (sub >> b & 1)) < 0:
                 walls += 1
@@ -282,13 +284,14 @@ def _spanning_trees(n):
     return _Trees(roots, ends, tight, walks, normals, walls, tuple(dependent + problems))
 
 
-def _exchanges(flips, tight, i):
+def _exchanges(flips, backs, tight, i):
     """Cluster i's walls, in flip order: (k, f, g) at each flip (i, k, j)
     of `flips` (`polygon.flip_table`) with j > i, ray f = tight[i][k] of
-    cluster i exchanged for ray g of cluster j."""
-    for k, j in enumerate(flips[i]):
+    cluster i exchanged for ray g of cluster j, at the position where j
+    flips back (`backs`, `polygon.reverse_flips`)."""
+    for k, (j, back) in enumerate(zip(flips[i], backs[i])):
         if j > i:
-            yield k, tight[i][k], tight[j][flips[j].index(i)]
+            yield k, tight[i][k], tight[j][back]
 
 
 def _potentials(h, n):

@@ -43,10 +43,11 @@ def interval_table(a, n):
     return table, denominator
 
 
-def _row(table, t, n):
-    """The vertex of t times the table's denominator, as an int tuple."""
+def _row(table, tris, n):
+    """The vertex of the triangulation with triangles `tris` times the
+    table's denominator, as an int tuple."""
     v = [0] * (n + 1)
-    for tri in polygon.triangles(t, n):
+    for tri in tris:
         v[tri[1] - 1] = table[tri]
     return tuple(v)
 
@@ -73,7 +74,8 @@ def build_minkowski(a, n):
     table, denominator = interval_table(a, n)
     from .constructions import CONSTRUCTIONS  # it imports this module
 
-    pairs = [(_row(table, t, n), t) for t in polygon.all_triangulations(n)]
+    labels = polygon.all_triangulations(n)
+    pairs = [(_row(table, tris, n), t) for t, tris in zip(labels, polygon.label_triangles(n))]
     width = CONSTRUCTIONS["minkowski"].ambient_dim(n)
     return make_polytope("minkowski", n, width, pairs, params={"a": dict(a)}, scale=denominator)
 

@@ -91,10 +91,11 @@ def fold_normals(coords, n):
     ]
 
 
-def _area_row(table, t, n):
-    """The area vector of t times the table's denominator, as an int tuple."""
+def _area_row(table, tris, n):
+    """The area vector of the triangulation with triangles `tris` times the
+    table's denominator, as an int tuple."""
     v = [0] * (n + 3)
-    for tri in polygon.triangles(t, n):
+    for tri in tris:
         area = table[tri]
         for label in tri:
             v[label] += area
@@ -107,7 +108,8 @@ def build_secondary(coords=None, *, n):
     coords = tuple((Fraction(x), Fraction(y)) for x, y in coords)
     check_geometry(coords, n)
     table, denominator = area_table(coords)
-    pairs = [(_area_row(table, t, n), t) for t in polygon.all_triangulations(n)]
+    labels = polygon.all_triangulations(n)
+    pairs = [(_area_row(table, tris, n), t) for t, tris in zip(labels, polygon.label_triangles(n))]
     from .constructions import CONSTRUCTIONS  # it imports this module
 
     width, params = CONSTRUCTIONS["secondary"].ambient_dim(n), {"coords": coords}

@@ -187,10 +187,11 @@ def dumps(doc):
 def _vertex_tails(n):
     """The end of each vertex's object in a file, its triangulation, for
     the triangulations of the (n+3)-gon in order: the labels
-    `make_polytope` gives every polytope."""
+    `make_polytope` gives every polytope, joined from one text per diagonal."""
+    texts = [f"[{a}, {b}]" for a, b in polygon.all_diagonals(n)]
     return tuple(
-        f', "triangulation": [{", ".join(f"[{a}, {b}]" for a, b in label)}]}}'
-        for label in polygon.all_triangulations(n)
+        f', "triangulation": [{", ".join([texts[f] for f in fs])}]}}'
+        for fs in polygon.diagonal_indices(n)
     )
 
 

@@ -89,14 +89,18 @@ def noncrossing_sets(n):
 def gkz_vector(coords, t, n):
     """Per-label sum of incident triangle areas, as an exact rational vector."""
     table, denominator = secondary.area_table(coords)
-    return tuple(Fraction(x, denominator) for x in secondary._area_row(table, t, n))
+    return tuple(
+        Fraction(x, denominator) for x in secondary._area_row(table, polygon.triangles(t, n), n)
+    )
 
 
 def loday_vertex(a, t, n):
     """The vertex of triangulation t: each triangle (lo, k, hi) sets x_k to
     the total weight of the intervals [i..j] with lo < i <= k <= j < hi."""
     table, denominator = minkowski.interval_table(a, n)
-    return tuple(Fraction(x, denominator) for x in minkowski._row(table, t, n))
+    return tuple(
+        Fraction(x, denominator) for x in minkowski._row(table, polygon.triangles(t, n), n)
+    )
 
 
 class Cone(NamedTuple):
@@ -373,3 +377,130 @@ def eager_facets(p, normals=None):
         hyperplane = make_hyperplane(normal, Fraction(offset // g, scale // g))
         out.append((f.diagonal, f.vertex_indices, normal, offset // g, scale // g, hyperplane))
     return out
+
+
+@lru_cache(maxsize=None)
+def reference_triangles_by_triangulation(n):
+    """{triangulation: its n+1 triangles (a, b, c), a < b < c, sorted},
+    in sorted order of the triangulations, by the tuple recursion the mask
+    enumeration (`polygon._enumeration`) replaced: the triangle (a, k, b)
+    on the edge (a, b) of the sub-polygon a..b, the rest triangulating
+    a..k and k..b, memoized per (a, b), and each label sorted at the end."""
+    memo = {}
+
+    def inside(a, b):
+        if (a, b) not in memo:
+            memo[a, b] = [((), ())] if b - a < 2 else [
+                (
+                    left + right + tuple(d for d in ((a, k), (k, b)) if d[1] - d[0] > 1),
+                    lt + rt + ((a, k, b),),
+                )
+                for k in range(a + 1, b)
+                for left, lt in inside(a, k)
+                for right, rt in inside(k, b)
+            ]
+        return memo[a, b]
+
+    pairs = inside(0, n + 2) if n >= 0 else []
+    return dict(sorted((tuple(sorted(t)), tuple(sorted(tri))) for t, tri in pairs))
+
+
+@lru_cache(maxsize=None)
+def reference_flip_table(n):
+    """`polygon.flip_table(n)` by the ridge pass over label tuples that the
+    one over masks replaced: per ridge, a label minus one diagonal, each
+    label holding it with the position of the diagonal it lacks."""
+    ts = list(reference_triangles_by_triangulation(n))
+    containing = {}
+    for i, t in enumerate(ts):
+        for k in range(len(t)):
+            containing.setdefault(t[:k] + t[k + 1 :], []).append((i, k))
+    table = [[None] * n for _ in ts]
+    for ridge, members in containing.items():
+        if len(members) != 2:
+            raise AssertionError(f"ridge {ridge} lies in {len(members)} triangulations, not 2")
+        (i, k), (j, at) = members
+        table[i][k], table[j][at] = j, i
+    return tuple(map(tuple, table))
+
+
+def reference_diagonal_indices(n):
+    """Per reference label, its diagonals' positions in `all_diagonals(n)`,
+    by a {diagonal: position} dict."""
+    index = {d: f for f, d in enumerate(all_diagonals(n))}
+    return tuple(tuple(index[d] for d in t) for t in reference_triangles_by_triangulation(n))
+
+
+def reference_facet_plan(n):
+    """`analysis._facet_plan(n)` made from the reference labels, flips and
+    indices, as it was made before the tables were shared."""
+    labels, flip_table = list(reference_triangles_by_triangulation(n)), reference_flip_table(n)
+    diagonals, tight = all_diagonals(n), reference_diagonal_indices(n)
+    carriers = [[] for _ in diagonals]
+    for i, t in enumerate(tight):
+        for f in t:
+            carriers[f].append(i)
+    plan = []
+    for d, ordered in zip(diagonals, carriers):
+        if not ordered:
+            plan.append(None)
+            continue
+        v, members = ordered[0], frozenset(ordered)
+        flips = tuple(w for e, w in zip(labels[v], flip_table[v]) if e != d)
+        out = next((i for i in range(len(labels)) if i not in members), v)
+        plan.append((members, v, flips, out))
+    return diagonals, tuple(plan), tight
+
+
+def reference_spanning_trees(n):
+    """`cluster._spanning_trees(n)`'s fields, as a tuple in `_Trees` order,
+    made from the reference labels and flips by the walk it replaced: per
+    cluster, each coordinate's edges out as lists, a coordinate reached
+    when it is not yet in the reached list, and each wall's exchanged ray
+    found by searching the far cluster's flips for the near one."""
+    triangulations = list(reference_triangles_by_triangulation(n))
+    flips, rays, diagonals = reference_flip_table(n), cluster.ray_normals(n), all_diagonals(n)
+    ends = [(ray.index(1), ray.index(-1)) for ray in rays]
+    tight = [list(fs) for fs in reference_diagonal_indices(n)]
+    point = tuple(map(sum, zip(*(rays[f] for f in tight[0]))))
+    walks, dependent, problems, walls, covering = [], [], [], 0, 0
+    bits = [1 << x for x in range(n + 1)]
+    for i, (t, fs) in enumerate(zip(triangulations, tight)):
+        steps = [[] for _ in range(n + 1)]
+        for f in fs:
+            a, b = ends[f]
+            steps[b].append((a, f, 1))
+            steps[a].append((b, f, -1))
+        walk, reached = [], [0]
+        for parent in reached:
+            for child, f, sign in steps[parent]:
+                if child not in reached:
+                    reached.append(child)
+                    walk.append((child, parent, f, sign))
+        if len(reached) <= n:
+            walks.append(None)
+            dependent.append(("dependent_cone", t))
+            continue
+        walks.append(walk)
+        below, sums, edge, inside = bits[:], list(point), {}, True
+        for child, parent, f, sign in reversed(walk):
+            sub, total = below[child], sums[child]
+            edge[f] = sub, sign
+            below[parent] |= sub
+            sums[parent] += total
+            inside = inside and sign * total >= 0
+        covering += inside
+        for k, j in enumerate(flips[i]):
+            if j < i:
+                continue
+            (a, b), (sub, sign) = ends[tight[j][flips[j].index(i)]], edge[fs[k]]
+            if sign * ((sub >> a & 1) - (sub >> b & 1)) < 0:
+                walls += 1
+            else:
+                problems.append(("wall_not_separating", t[:k] + t[k + 1 :]))
+    if covering != 1:
+        problems.append(("point_covered_by", covering, point))
+    d2r = cluster._root_diagonal_maps(n)[1]
+    normals = {d: tuple((n + 1) * a - sum(ray) for a in ray) for d, ray in zip(diagonals, rays)}
+    roots = [d2r[d] for d in diagonals]
+    return roots, ends, tight, walks, normals, walls, tuple(dependent + problems)

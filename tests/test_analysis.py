@@ -57,7 +57,13 @@ from associahedra.minkowski import build_minkowski, ones_weights
 from associahedra.secondary import build_secondary
 from associahedra.serialize import polytope_from_json, polytope_to_json
 
-from oracles import eager_facets, rank, subspace_from_differences, vertex_pass_lift
+from oracles import (
+    eager_facets,
+    rank,
+    reference_facet_plan,
+    subspace_from_differences,
+    vertex_pass_lift,
+)
 
 F = Fraction
 
@@ -1523,3 +1529,10 @@ def test_make_polytope_rejects_rows_off_the_ambient_dimension(rows, ambient_dim)
     pairs = zip(rows, polygon.all_triangulations(1))
     with pytest.raises(ValueError, match=f"not all of length {ambient_dim}"):
         make_polytope("minkowski", 1, ambient_dim, pairs, scale=1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_facet_plan_matches_the_reference(n):
+    # the plan read off the shared tables, against one made from the
+    # reference labels, flips and a diagonal index of its own
+    assert analysis._facet_plan(n) == reference_facet_plan(n)

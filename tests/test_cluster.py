@@ -35,6 +35,7 @@ from oracles import (
     make_fan,
     projected_normals,
     reference_polytopality_check,
+    reference_spanning_trees,
     reference_wall_relation,
     reference_wall_relations,
     reference_wall_slacks,
@@ -85,8 +86,11 @@ def test_fan_matches_fraction_reference(n):
     # relation has lam = 1, the form `polytopality_check` reads its slacks in
     clusters, trees, flips = all_clusters(n), cluster._spanning_trees(n), polygon.flip_table(n)
     roots, tight = trees.roots, trees.tight
+    backs = polygon.reverse_flips(n)
     walls = [
-        (i, f, g) for i in range(len(clusters)) for _, f, g in cluster._exchanges(flips, tight, i)
+        (i, f, g)
+        for i in range(len(clusters))
+        for _, f, g in cluster._exchanges(flips, backs, tight, i)
     ]
     assert len(walls) == verify_fan(n)["walls"]
     assert [
@@ -745,3 +749,12 @@ def test_the_fan_is_built_by_verify_fan_and_a_failed_build(fresh_trees, n):
                     build_cluster_polytope(tie, n)
                 assert str(err.value) == reference_wall_error(tie, n)
             assert cluster._spanning_trees.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_spanning_trees_match_the_reference_walk(n):
+    # every field of the trees against the walk and flip search they
+    # replaced; tight is now the shared tuple table, where the walk made lists
+    trees, reference = cluster._spanning_trees(n), reference_spanning_trees(n)
+    assert trees._replace(tight=reference[2]) == reference
+    assert trees.tight == tuple(map(tuple, reference[2])) == polygon.diagonal_indices(n)

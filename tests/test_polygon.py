@@ -14,7 +14,12 @@ from associahedra.polygon import (
     triangles,
 )
 
-from oracles import noncrossing_sets
+from oracles import (
+    noncrossing_sets,
+    reference_diagonal_indices,
+    reference_flip_table,
+    reference_triangles_by_triangulation,
+)
 
 
 def catalan(k):
@@ -246,3 +251,23 @@ def test_flip_table_matches_flip(n):
     assert len(table) == len(ts)
     for t, flips in zip(ts, table):
         assert [ts[j] for j in flips] == [flip(t, d, n) for d in t]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_tables_match_the_tuple_recursion_and_ridge_pass(n):
+    # labels in order, their triangles and diagonal positions, and the
+    # flips, against the tuple recursion and ridge pass the masks replaced
+    reference = reference_triangles_by_triangulation(n)
+    assert all_triangulations(n) == tuple(reference)
+    assert polygon.label_triangles(n) == tuple(reference.values())
+    assert [triangles(t, n) for t in reference] == list(reference.values())
+    assert polygon.diagonal_indices(n) == reference_diagonal_indices(n)
+    assert flip_table(n) == reference_flip_table(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reverse_flips_lead_back(n):
+    table, backs = flip_table(n), polygon.reverse_flips(n)
+    assert [[table[j][back] for j, back in zip(row, rows)] for row, rows in zip(table, backs)] == [
+        [i] * n for i in range(len(table))
+    ]
