@@ -45,7 +45,11 @@ integer vertex rows and their common scale, and the reduced echelon basis
 of the direction space as int rows with its pivot columns, eliminated
 once from the frame's n differences (`exactlin.echelon_basis`); every row
 is then checked to lie in it on ints, by the D - n integer equations that
-cut the hull out of D-space.  A polytope whose frame does not span its
+cut the hull out of D-space (`exactlin.hull_equations`), all at once with
+no Python frame per row (`exactlin.on_flat`): one equation with all
+entries equal compares row sums, and several are packed into lanes of one
+int wide enough that no row's packed value can match the base's unless
+every equation's does.  A polytope whose frame does not span its
 hull is refused, since no such polytope can pass the facet certificate.
 The facet certificate reads the hull's chart (`Hull.chart`).  The
 equivalence search works on vertex indices: vertex i of every polytope
@@ -69,7 +73,7 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import chain
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import exactlin, polygon
@@ -194,11 +198,12 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None, 
     and scale are divided by their gcd, so the same vertices give the same
     record either way.  The rows must be distinct, each of length
     `ambient_dim`, and their affine hull n-dimensional and spanned by the
-    frame, vertex 0 and its n flips (`_flip_basis`), whose basis is the
-    `Hull` record's.  No other polytope passes the facet certificate:
-    with N_k the normal of vertex 0's k-th diagonal and w_j its j-th flip,
-    N_k . (w_j - v_0) is 0 for j != k and not 0 for j = k, so the frame's
-    differences are independent.  No Fraction is made here:
+    frame, vertex 0 and its n flips (`_flip_basis`, which checks every row
+    against the hull's integer equations in one `exactlin.on_flat` pass),
+    whose basis is the `Hull` record's.  No other polytope passes the
+    facet certificate: with N_k the normal of vertex 0's k-th diagonal and
+    w_j its j-th flip, N_k . (w_j - v_0) is 0 for j != k and not 0 for
+    j = k, so the frame's differences are independent.  No Fraction is made here:
     `LabeledPolytope.vertices` makes the Fraction coordinates on first read.
 
     A builder that has certified its facets itself passes `normals`, an int
@@ -206,10 +211,10 @@ def make_polytope(construction, n, ambient_dim, pairs, params=None, scale=None, 
     members and strict elsewhere on the rows; the polytope carries them,
     and its `certified_facets` are made from them on first use.
     """
-    pairs = sorted(pairs, key=lambda p: p[1])
-    if tuple(label for _, label in pairs) != polygon.all_triangulations(n):
+    pairs = sorted(pairs, key=itemgetter(1))
+    if tuple(map(itemgetter(1), pairs)) != polygon.all_triangulations(n):
         raise ValueError("labels are not exactly the triangulations")
-    if any(len(c) != ambient_dim for c, _ in pairs):
+    if set(map(len, map(itemgetter(0), pairs))) != {ambient_dim}:
         raise ValueError(f"vertex coordinates are not all of length {ambient_dim}")
     if scale is None:
         rows, scale = integer_scaling([c for c, _ in pairs])
@@ -238,23 +243,15 @@ def _frame(n):
 
 def _flip_basis(rows, n):
     """(basis, pivots): the `echelon_basis` of the frame's differences
-    from rows[0], if it has n rows and spans every row's difference, else
-    a ValueError naming the hull's dimension, or the frame if that is n.
-    With L the basis' pivot entry, x is in the span iff f_j . x = 0 for
-    f_j = L e_j - sum_k basis_k[j] e_{pivot_k} at each non-pivot column j:
-    D - n integer equations, one D-term dot product per row each."""
+    from rows[0], if it has n rows and every row meets the D - n integer
+    equations of its span through rows[0] (`exactlin.hull_equations`),
+    decided by `exactlin.on_flat` with no Python frame per row; else a
+    ValueError naming the hull's dimension, or the frame if that is n."""
     _, *flips = _frame(n)
     base = rows[0]
     basis, pivots = echelon_basis([vsub(rows[w], base) for w in flips])
-    lead = basis[0][pivots[0]] if basis else 1
-    equations = []
-    for j in (j for j in range(len(base)) if j not in pivots):
-        f = [0] * len(base)
-        f[j] = lead
-        for b, k in zip(basis, pivots):
-            f[k] = -b[j]
-        equations.append((f, sum(map(mul, base, f))))
-    if len(basis) == n and all(sum(map(mul, r, f)) == v for f, v in equations for r in rows):
+    equations = exactlin.hull_equations(basis, pivots, len(base))
+    if len(basis) == n and exactlin.on_flat(equations, rows, base):
         return basis, pivots
     dimension = len(echelon_basis([vsub(row, base) for row in rows[1:]])[0])
     if dimension != n:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import mul, sub
 
@@ -178,6 +178,54 @@ def echelon_basis(vectors):
     pivots = tuple(_eliminate(m))
     lead = lcm(*(row[c] for row, c in zip(m, pivots)))
     return tuple(tuple(a * (lead // row[c]) for a in row) for row, c in zip(m, pivots)), pivots
+
+
+def hull_equations(basis, pivots, dim):
+    """The D - n int equations of the span of an `echelon_basis` (basis,
+    pivots) of n rows in D = `dim` columns: with L the basis' pivot entry
+    (1 if it is empty), x is in the span iff f_j . x = 0 for
+    f_j = L e_j - sum_k basis_k[j] e_{pivot_k} at each non-pivot column j,
+    in column order."""
+    lead = basis[0][pivots[0]] if basis else 1
+    equations = []
+    for j in range(dim):
+        if j not in pivots:
+            f = [0] * dim
+            f[j] = lead
+            for b, k in zip(basis, pivots):
+                f[k] = -b[j]
+            equations.append(f)
+    return equations
+
+
+def on_flat(equations, rows, base):
+    """True iff f . r = f . base for every int equation f and int row r,
+    all of one length: every row lies on the flat through `base` that the
+    equations cut out, decided with no Python frame per row.
+
+    One equation f = c (1, ..., 1), c != 0 (the constant coordinate sum
+    that cuts out every cluster and Minkowski hull), compares the rows'
+    sums with the base's.  Any other single equation is one dot product
+    per row.  Several equations f_e are packed into W-bit lanes of one int
+    per column, f_e in lane e, so that sum_e s_e 2^(W e) is the packed
+    product at r less that at base, for the slots s_e = f_e . r - f_e . base.
+    W is one bit over max_e(|f_e|_1 max|r| + |f_e . base|), max|r| over
+    every entry of every row, a bound on each |s_e|; so |s_e| < 2^(W-1),
+    and the lowest nonzero slot would leave its lane nonzero: the packed
+    products agree iff every slot is 0."""
+    if not equations:
+        return True
+    if len(equations) > 1:
+        top = max(map(abs, chain.from_iterable(rows)), default=0)
+        bound = max(sum(map(abs, f)) * top + abs(sum(map(mul, f, base))) for f in equations)
+        width = bound.bit_length() + 1
+        packed = [sum(a << width * e for e, a in enumerate(col)) for col in zip(*equations)]
+    else:
+        (packed,) = equations
+        if len(set(packed)) == 1 and packed[0]:
+            return set(map(sum, rows)) <= {sum(base)}
+    values = map(sum, map(map, repeat(mul), rows, repeat(packed)))
+    return set(values) <= {sum(map(mul, base, packed))}
 
 
 def lane_failures(functionals, rows, tight):

@@ -16,6 +16,7 @@ import os
 from functools import lru_cache
 from itertools import chain
 from math import lcm
+from operator import itemgetter
 
 from . import polygon
 from .analysis import make_polytope
@@ -89,14 +90,40 @@ def _as_written(x, d):
     return x == [*d] and type(x[0]) is type(x[1]) is int
 
 
+@lru_cache(maxsize=None)
+def _written_labels(n):
+    """The triangulations of the (n+3)-gon in order as files write them,
+    each a list of [a, b] lists, for one comparison with a file's lists;
+    the labels share one [a, b] list per diagonal."""
+    pairs = [[a, b] for a, b in polygon.all_diagonals(n)]
+    return [[pairs[f] for f in fs] for fs in polygon.diagonal_indices(n)]
+
+
 def _read_vertices(vertices, n):
     """Each vertex's coordinate strings and label, read and checked vertex
     by vertex in file order, so the first error in the file is named.
 
     A file lists the triangulations of the (n+3)-gon in order, each with
-    its diagonals in order: a vertex whose triangulation is
-    `polygon.all_triangulations(n)[i]` as written takes that cached label,
-    with no endpoint checked and no sort; any other is checked and sorted."""
+    its diagonals in order.  If every vertex's coordinates are a list and
+    its triangulation is `polygon.all_triangulations(n)`'s as written
+    (`_written_labels`, one list comparison, then one scan of the
+    endpoints' types, since a JSON boolean or float compares equal to an
+    int), the vertices take the cached labels.  Else each vertex is read
+    in turn: one whose triangulation is as written takes the cached
+    label, with no endpoint checked and no sort; any other is checked and
+    sorted."""
+    try:
+        strings = list(map(itemgetter("coords"), vertices))
+        written = list(map(itemgetter("triangulation"), vertices))
+    except (KeyError, TypeError):
+        pass
+    else:
+        if (
+            written == _written_labels(n)
+            and set(map(type, chain.from_iterable(chain.from_iterable(written)))) == {int}
+            and set(map(type, strings)) == {list}
+        ):
+            return strings, polygon.all_triangulations(n)
     strings, labels = [], []
     try:
         for v, t in zip(vertices, polygon.all_triangulations(n)):
@@ -161,8 +188,8 @@ def polytope_from_json(doc):
     strings, labels = _read_vertices(vertices, n)
     # the construction's width: a wider row is refused before any coordinate is parsed
     ambient_dim = c.ambient_dim(n)
-    bad = next((i for i, row in enumerate(strings) if len(row) != ambient_dim), None)
-    if bad is not None:
+    if set(map(len, strings)) != {ambient_dim}:
+        bad = next(i for i, row in enumerate(strings) if len(row) != ambient_dim)
         raise ValueError(
             f"vertex {bad} has {len(strings[bad])} coordinates, "
             f"but a {c.name} polytope at n={n} has {ambient_dim}"

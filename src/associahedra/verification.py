@@ -11,10 +11,12 @@ propagates).
 import random
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from . import analysis, cluster, polygon, secondary
 from .analysis import extract_facets, parallel_pairs, special_profile
 from .constructions import CONSTRUCTIONS, practical_bound
+from .exactlin import hull_equations
 
 CATALAN = [polygon.catalan(m) for m in range(practical_bound() + 2)]
 
@@ -78,18 +80,15 @@ def _chart_normal_of(hull, normal):
     """The `FacetDescriptor.chart_normal` of a facet whose ambient normal,
     primitive with its first nonzero entry positive, is the int `normal`;
     None unless `normal` is such a vector in the hull's direction space:
-    L x_j = sum_k x[pivot_k] basis_k[j] at each non-pivot column j, L the
-    basis' pivot entry (the equations of `analysis._flip_basis`).  On that
-    space the chart (`analysis._chart_normals`) is one-to-one, so a facet
-    has this normal iff its chart normal is this one, made primitive with
-    its first nonzero entry positive; no normal is lifted."""
-    basis, pivots = hull.basis, hull.pivots
+    f . normal = 0 for each of its equations f (`exactlin.hull_equations`,
+    the ones `analysis._flip_basis` checks every vertex row against).  On
+    that space the chart (`analysis._chart_normals`) is one-to-one, so a
+    facet has this normal iff its chart normal is this one, made primitive
+    with its first nonzero entry positive; no normal is lifted."""
     if gcd(*normal) != 1 or next(a for a in normal if a) < 0:
         return None
-    lead = basis[0][pivots[0]]
-    for j, a in enumerate(normal):
-        if j not in pivots and lead * a != sum(normal[k] * b[j] for b, k in zip(basis, pivots)):
-            return None
+    if any(sum(map(mul, f, normal)) for f in hull_equations(hull.basis, hull.pivots, len(normal))):
+        return None
     (c,) = analysis._chart_normals(hull, [normal])
     return tuple(c) if next(a for a in c if a) > 0 else tuple(-a for a in c)
 

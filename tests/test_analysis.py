@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -35,7 +36,7 @@ from associahedra.analysis import (
     relabel_triangulation,
     special_profile,
 )
-from associahedra.cli import analyze_report
+from associahedra.cli import analyze_report, main
 from associahedra.cluster import build_cluster_polytope, default_support_values
 from associahedra.constructions import CONSTRUCTIONS
 from associahedra.exactlin import (
@@ -374,18 +375,28 @@ def test_make_polytope_rejects_a_hull_beyond_the_flips():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski"])
+@pytest.mark.parametrize("construction", ["secondary", "cluster", "minkowski", "sheared"])
 def test_a_row_nudged_off_the_hull_falls_back_and_is_refused(monkeypatch, construction, n):
     # a vertex outside the frame moved by one in a column off the basis'
     # pivots leaves the hull: one of the hull equations refuses the flips'
     # basis, and the error path's one elimination of all rows finds the
     # extra dimension.  Every such column (each its own equation; secondary
     # has three) is nudged, at the first and at the last vertex outside the
-    # frame
-    p = builds(n)[construction]
+    # frame.  Each of `exactlin.on_flat`'s paths refuses it: the lanes of
+    # secondary's three equations, the row sums of the cluster and
+    # Minkowski hulls' one all-equal equation, and the one dot product per
+    # row of the sheared Minkowski default (no params, one equation with
+    # unequal entries)
+    if construction == "sheared":
+        p = verification._shear_translate(builds(n)["minkowski"])
+    else:
+        p = builds(n)[construction]
     outside = [i for i in range(len(p.labels)) if i not in frame(n)]
     columns = [j for j in range(p.ambient_dim) if j not in p.hull.pivots]
     assert len(columns) == p.ambient_dim - n
+    equations = exactlin.hull_equations(p.hull.basis, p.hull.pivots, p.ambient_dim)
+    assert (len(equations) == 1) == (construction != "secondary")
+    assert (len(set(equations[0])) == 1) == (construction in ("cluster", "minkowski"))
     calls = []
     _counting(monkeypatch, analysis, "echelon_basis", calls)
     for v in (outside[0], outside[-1]):
@@ -398,6 +409,42 @@ def test_a_row_nudged_off_the_hull_falls_back_and_is_refused(monkeypatch, constr
                     p.construction, n, p.ambient_dim, zip(rows, p.labels), scale=p.hull.scale
                 )
             assert calls == ["echelon_basis"] * 2
+
+
+def test_the_lane_width_bounds_every_row_not_only_the_frame(tmp_path, capsys):
+    # A row off the secondary hull by slots s_0 = L 2^W and s_1 = -L in
+    # the lanes of its first two equations (L their pivot entry), for W
+    # the lane width the frame's rows alone would give: packed at that
+    # width the slots cancel, L 2^W - L 2^W = 0.  The width is taken over
+    # every row, so the row is refused with the usual text, in memory and
+    # from a file
+    n = 2
+    p = builds(n)["secondary"]
+    rows = [list(r) for r in p.hull.rows]
+    base = rows[0]
+    equations = exactlin.hull_equations(p.hull.basis, p.hull.pivots, p.ambient_dim)
+    assert len(equations) == 3
+    top = max(abs(a) for i in frame(n) for a in rows[i])
+    bound = max(sum(map(abs, f)) * top + abs(sum(map(mul, f, base))) for f in equations)
+    width = bound.bit_length() + 1
+    j0, j1, _ = (j for j in range(p.ambient_dim) if j not in p.hull.pivots)
+    v = next(i for i in range(len(rows)) if i not in frame(n))
+    rows[v][j0] += 1 << width
+    rows[v][j1] -= 1
+    packed = [sum(a << width * e for e, a in enumerate(col)) for col in zip(*equations)]
+    assert sum(map(mul, rows[v], packed)) == sum(map(mul, base, packed))
+    assert not exactlin.on_flat(equations, rows, base)
+    message = f"affine hull has dimension {n + 1}, expected {n}"
+    with pytest.raises(ValueError, match=message):
+        make_polytope(p.construction, n, p.ambient_dim, zip(rows, p.labels), scale=p.hull.scale)
+    doc = polytope_to_json(p)
+    doc["vertices"][v]["coords"] = [exactlin.ratio_str(a, p.hull.scale) for a in rows[v]]
+    path = tmp_path / "off_hull.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

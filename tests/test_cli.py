@@ -664,6 +664,26 @@ def test_a_bad_coordinate_and_a_bad_structure_name_the_first_in_file_order(tmp_p
     assert not_named not in err
 
 
+LOOKALIKES = {
+    # true and 1.0 compare equal to 1, so the file's triangulation lists
+    # still equal their written form: the endpoint type scan must refuse them
+    "bool_endpoint": (_endpoint_1_as(True), "triangulation endpoint True is not an integer"),
+    "float_endpoint": (_endpoint_1_as(1.0), "triangulation endpoint 1.0 is not an integer"),
+    "string_coords": (_string_coords_at(1), "vertex coords is a str, not a JSON list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKALIKES))
+def test_the_readers_one_comparison_still_refuses_lookalikes(case):
+    mutate, message = LOOKALIKES[case]
+    p = build_minkowski(ones_weights(2), 2)
+    doc = mutate(json.loads(json.dumps(serialize.polytope_to_json(p))))
+    assert [v["triangulation"] for v in doc["vertices"]] == serialize._written_labels(2)
+    with pytest.raises(ValueError) as refused:
+        serialize.polytope_from_json(doc)
+    assert str(refused.value) == message
+
+
 def _swapped_labels(tmp_path, capsys):
     """A Minkowski n = 2 file with two vertex labels swapped: it loads, but
     its facets fail certification."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -350,3 +351,100 @@ def test_hyperplane_through_spanning_points():
 def test_hyperplane_degenerate_normal():
     with pytest.raises(ValueError):
         make_hyperplane(vec(0, 0), F(1))
+
+
+def reference_on_flat(equations, rows, base):
+    """The per-row loop `exactlin.on_flat` replaced: one dot product per
+    row and equation."""
+    return all(sum(map(mul, r, f)) == sum(map(mul, base, f)) for f in equations for r in rows)
+
+
+huge = st.integers(-(1 << 300), 1 << 300)
+entries = st.one_of(st.integers(-3, 3), huge)
+
+
+@st.composite
+def flats(draw):
+    """(equations, rows, base): rows on the flat through base spanned by a
+    few directions, its `hull_equations` scaled and mixed by small or huge
+    factors (so they still hold), and sometimes one row entry moved off
+    the flat by 1, by a huge amount or by a power of two."""
+    dim = draw(st.integers(1, 5))
+    directions = [
+        tuple(draw(entries) for _ in range(dim)) for _ in range(draw(st.integers(0, dim)))
+    ]
+    base = tuple(draw(entries) for _ in range(dim))
+    rows = [base]
+    for _ in range(draw(st.integers(0, 5))):
+        c = [draw(st.integers(-2, 2)) for _ in directions]
+        step = [sum(ci * d[j] for ci, d in zip(c, directions)) for j in range(dim)]
+        rows.append(tuple(map(add, base, step)))
+    equations = exactlin.hull_equations(*echelon_basis(directions), dim)
+    equations = [[draw(st.one_of(st.integers(1, 3), huge)) * a for a in f] for f in equations]
+    if len(equations) > 1 and draw(st.booleans()):
+        k = draw(st.integers(-3, 3))
+        equations[0] = [a + k * b for a, b in zip(equations[0], equations[1])]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, dim - 1))
+        powers = st.integers(0, 320).map(lambda k: 1 << k)
+        delta = draw(st.one_of(st.sampled_from([1, -1]), huge, powers))
+        rows[i] = rows[i][:j] + (rows[i][j] + delta,) + rows[i][j + 1 :]
+    return equations, rows, base
+
+
+@settings(deadline=None, max_examples=400)
+@given(flats())
+def test_on_flat_matches_the_per_row_loop(case):
+    equations, rows, base = case
+    assert exactlin.on_flat(equations, rows, base) == reference_on_flat(equations, rows, base)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=1, max_size=3),
+            st.lists(st.tuples(*[entries] * dim), min_size=1, max_size=4),
+        )
+    )
+)
+def test_on_flat_matches_the_per_row_loop_on_any_equations(case):
+    # equations and rows drawn independently: almost every case is off the flat
+    equations, rows = case
+    assert exactlin.on_flat(equations, rows, rows[0]) == reference_on_flat(equations, rows, rows[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 64, 300])
+def test_on_flat_does_not_let_slots_cancel_across_lanes(k):
+    # slot 0 is 2^k and slot 1 is -1: packed at width k they would cancel,
+    # but the width is taken over every row, so they do not
+    equations = [[1, 0], [0, 1]]
+    assert not exactlin.on_flat(equations, [(0, 0), (1 << k, -1)], (0, 0))
+    assert not exactlin.on_flat(equations, [(0, 0), (-(1 << k), 1)], (0, 0))
+    assert exactlin.on_flat(equations, [(1 << k, -1)] * 2, (1 << k, -1))
+
+
+def test_on_flat_reads_an_all_equal_equation_as_a_sum():
+    assert exactlin.on_flat([[3, 3, 3]], [(1, 2, 3), (6, 0, 0), (0, 0, 6)], (2, 2, 2))
+    assert not exactlin.on_flat([[3, 3, 3]], [(1, 2, 3), (6, 0, 1)], (2, 2, 2))
+    assert not exactlin.on_flat([[-1, -1]], [(1 << 300, 0)], ((1 << 300) - 1, 0))
+    # a zero equation holds everywhere
+    assert exactlin.on_flat([[0, 0]], [(1, 2), (5, 7)], (0, 0))
+
+
+def test_on_flat_with_no_equations_or_no_rows():
+    assert exactlin.on_flat([], [(1, 2), (3, 4)], (0, 0))
+    assert exactlin.on_flat([[1, 2], [3, 4]], [], (0, 0))
+    assert exactlin.on_flat([[1, 2]], [], (0, 0))
+
+
+def test_hull_equations_cut_out_the_span():
+    basis, pivots = echelon_basis([(1, -1, 0, 0), (0, 2, 0, -2)])
+    equations = exactlin.hull_equations(basis, pivots, 4)
+    assert len(equations) == 4 - len(basis)
+    for f in equations:
+        assert all(sum(map(mul, f, b)) == 0 for b in basis)
+    # a sum-zero span has the one all-equal equation
+    basis, pivots = echelon_basis([(1, -1, 0), (0, 1, -1)])
+    assert exactlin.hull_equations(basis, pivots, 3) == [[basis[0][0]] * 3]
+    assert exactlin.hull_equations((), (), 2) == [[1, 0], [0, 1]]
