@@ -100,8 +100,9 @@ def _written_labels(n):
 
 
 def _read_vertices(vertices, n):
-    """Each vertex's coordinate strings and label, read and checked vertex
-    by vertex in file order, so the first error in the file is named.
+    """Each vertex's coordinate strings and label; a file that fails a
+    check is read vertex by vertex in file order, so the first error in
+    the file is named.
 
     A file lists the triangulations of the (n+3)-gon in order, each with
     its diagonals in order.  If every vertex's coordinates are a list and
